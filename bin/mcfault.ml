@@ -8,8 +8,9 @@
    --chaos lifts the campaign to the service tier: a live supervised
    mcheckd under worker kills, memory/stack/CPU bombs, slowloris and
    garbage framing, cache-directory corruption, and overload bursts.
-   Exit 0 iff zero failed injections, zero daemon deaths, and zero
-   lost in-flight requests on the drain finale. *)
+   Exit 0 iff every requested injection ran, with zero failed
+   injections, zero daemon deaths, and zero lost in-flight requests on
+   the drain finale. *)
 
 let run_chaos seed count quick out =
   (* the campaign's mirror and cache-writer sessions would otherwise

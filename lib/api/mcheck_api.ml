@@ -1,7 +1,6 @@
 (* Mcheck_api — the session facade.  See the interface for the contract;
-   the implementation is the pipeline wiring that used to live, four
-   times over, in bin/mcheck.ml, bin/mcfuzz.ml, bin/mcfault.ml and
-   bench/main.ml. *)
+   the implementation is the pipeline wiring shared by bin/mcheck.ml,
+   bin/mcheckd.ml, bin/mcfuzz.ml and bin/mcfault.ml. *)
 
 type config = {
   jobs : int;

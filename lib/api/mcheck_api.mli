@@ -4,11 +4,11 @@
     One {!Session.t} wraps frontend → {!Prep} → {!Registry}/{!Mcd} →
     {!Robust} exit policy behind four calls ([create] / [check_*] /
     [stats] / [close]), and is the single entry point every driver —
-    [bin/mcheck], [bin/mcheckd], the serve bench — goes through.  A
-    session owns the warm state that makes repeated checks cheap: the
-    content-hash {!Mcd_cache} survives across [check_*] calls, so a
-    long-lived holder (the [mcheckd] daemon) pays the cold cost once and
-    serves every later request incrementally.
+    [bin/mcheck], [bin/mcheckd], [bin/mcfuzz], [bin/mcfault] — goes
+    through.  A session owns the warm state that makes repeated checks
+    cheap: the content-hash {!Mcd_cache} survives across [check_*]
+    calls, so a long-lived holder (the [mcheckd] daemon) pays the cold
+    cost once and serves every later request incrementally.
 
     Sessions are not thread-safe: concurrent holders (the daemon)
     serialize [check_*] calls externally. *)
@@ -185,9 +185,9 @@ val corpus_jobs : Corpus.t -> Mcd.job list
 (** one {!Mcd.job} per corpus protocol *)
 
 val render_results : (string * Diag.t list) list list -> string
-(** the order-sensitive rendering benches byte-compare pipelines with *)
-
-val time_ms : (unit -> 'a) -> 'a * float
+(** an order-sensitive rendering of per-protocol results, one checker
+    name line followed by its diagnostics; tests byte-compare drivers
+    with it *)
 
 val write_file : string -> string -> unit
 (** write [contents] to [path] (the JSON-report helper the bins

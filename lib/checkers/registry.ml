@@ -162,14 +162,12 @@ let run_all ~spec (tus : Ast.tunit list) : (string * Diag.t list) list =
     fused sequential driver.  Per-checker results accumulate in source
     order, so the output is exactly [run_all]'s.
 
-    With [guard] (the default), each (checker, function) pair runs
-    behind a fault barrier: an exception is converted into a
-    Warning-severity ["internal"] diagnostic plus a degraded
-    flow-insensitive retry, and the run completes — a non-empty fault
-    collection appends one extra [("internal", _)] entry to the result
-    list.  [~guard:false] drops the barrier (and its [try]), which is
-    what the overhead benchmark A/Bs against. *)
-let run_all_fused ?(guard = true) ~spec (tus : Ast.tunit list) :
+    Each (checker, function) pair runs behind a fault barrier: an
+    exception is converted into a Warning-severity ["internal"]
+    diagnostic plus a degraded flow-insensitive retry, and the run
+    completes — a non-empty fault collection appends one extra
+    [("internal", _)] entry to the result list. *)
+let run_all_fused ~spec (tus : Ast.tunit list) :
     (string * Diag.t list) list =
   let ctx = make_ctx tus in
   let faults = ref [] in
@@ -188,23 +186,21 @@ let run_all_fused ?(guard = true) ~spec (tus : Ast.tunit list) :
       all
   in
   let run_one name fn prep (f : Ast.func) =
-    if not guard then fn prep
-    else
-      try fn prep
-      with exn ->
-        fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
-          (Printf.sprintf
-             "checker %s failed (%s); a degraded flow-insensitive pass \
-              was substituted"
-             name (Engine.describe_fault exn));
-        (try Engine.with_degraded (fun () -> fn prep) with _ -> [])
+    try fn prep
+    with exn ->
+      fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
+        (Printf.sprintf
+           "checker %s failed (%s); a degraded flow-insensitive pass \
+            was substituted"
+           name (Engine.describe_fault exn));
+      (try Engine.with_degraded (fun () -> fn prep) with _ -> [])
   in
   List.iter
     (fun tu ->
       List.iter
         (fun f ->
           match Prep.build f with
-          | exception exn when guard ->
+          | exception exn ->
             fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
               (Printf.sprintf
                  "function could not be prepared (%s); all checkers \
@@ -224,20 +220,18 @@ let run_all_fused ?(guard = true) ~spec (tus : Ast.tunit list) :
         match st with
         | `Pf (_, _, finalize, acc) ->
           (c.name, finalize (List.concat (List.rev !acc)))
-        | `Wp g ->
-          if not guard then (c.name, g ~spec tus)
-          else (
-            match g ~spec tus with
-            | slice -> (c.name, slice)
-            | exception exn ->
-              fault ~loc:Loc.none ~func:"<whole-program>"
-                (Printf.sprintf
-                   "whole-program checker %s failed (%s); a degraded \
-                    flow-insensitive pass was substituted"
-                   c.name (Engine.describe_fault exn));
-              ( c.name,
-                try Engine.with_degraded (fun () -> g ~spec tus)
-                with _ -> [] )))
+        | `Wp g -> (
+          match g ~spec tus with
+          | slice -> (c.name, slice)
+          | exception exn ->
+            fault ~loc:Loc.none ~func:"<whole-program>"
+              (Printf.sprintf
+                 "whole-program checker %s failed (%s); a degraded \
+                  flow-insensitive pass was substituted"
+                 c.name (Engine.describe_fault exn));
+            ( c.name,
+              try Engine.with_degraded (fun () -> g ~spec tus)
+              with _ -> [] )))
       all staged
   in
   match !faults with
@@ -266,9 +260,9 @@ type staged_pf = {
     per-checker semantics.  A scan that overflows ([Product_overflow])
     or crashes falls back to re-running every machine on that function —
     same output, no walk saved. *)
-let run_all_product ?(guard = true) ~spec (tus : Ast.tunit list) :
+let run_all_product ~spec (tus : Ast.tunit list) :
     (string * Diag.t list) list =
-  if Engine.containment_active () then run_all_fused ~guard ~spec tus
+  if Engine.containment_active () then run_all_fused ~spec tus
   else begin
     let ctx = make_ctx tus in
     let faults = ref [] in
@@ -306,23 +300,21 @@ let run_all_product ?(guard = true) ~spec (tus : Ast.tunit list) :
            (Array.to_list pfs))
     in
     let run_one name fn prep (f : Ast.func) =
-      if not guard then fn prep
-      else
-        try fn prep
-        with exn ->
-          fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
-            (Printf.sprintf
-               "checker %s failed (%s); a degraded flow-insensitive pass \
-                was substituted"
-               name (Engine.describe_fault exn));
-          (try Engine.with_degraded (fun () -> fn prep) with _ -> [])
+      try fn prep
+      with exn ->
+        fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
+          (Printf.sprintf
+             "checker %s failed (%s); a degraded flow-insensitive pass \
+              was substituted"
+             name (Engine.describe_fault exn));
+        (try Engine.with_degraded (fun () -> fn prep) with _ -> [])
     in
     List.iter
       (fun tu ->
         List.iter
           (fun f ->
             match Prep.build f with
-            | exception exn when guard ->
+            | exception exn ->
               fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
                 (Printf.sprintf
                    "function could not be prepared (%s); all checkers \
@@ -360,20 +352,18 @@ let run_all_product ?(guard = true) ~spec (tus : Ast.tunit list) :
         (fun c st ->
           match st with
           | `Pf p -> (c.name, p.s_finalize (List.concat (List.rev !(p.s_acc))))
-          | `Wp g ->
-            if not guard then (c.name, g ~spec tus)
-            else (
-              match g ~spec tus with
-              | slice -> (c.name, slice)
-              | exception exn ->
-                fault ~loc:Loc.none ~func:"<whole-program>"
-                  (Printf.sprintf
-                     "whole-program checker %s failed (%s); a degraded \
-                      flow-insensitive pass was substituted"
-                     c.name (Engine.describe_fault exn));
-                ( c.name,
-                  try Engine.with_degraded (fun () -> g ~spec tus)
-                  with _ -> [] )))
+          | `Wp g -> (
+            match g ~spec tus with
+            | slice -> (c.name, slice)
+            | exception exn ->
+              fault ~loc:Loc.none ~func:"<whole-program>"
+                (Printf.sprintf
+                   "whole-program checker %s failed (%s); a degraded \
+                    flow-insensitive pass was substituted"
+                   c.name (Engine.describe_fault exn));
+              ( c.name,
+                try Engine.with_degraded (fun () -> g ~spec tus)
+                with _ -> [] )))
         all staged
     in
     match !faults with

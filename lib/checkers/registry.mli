@@ -68,7 +68,6 @@ val names : string list
 val run_all : spec:Flash_api.spec -> Ast.tunit list -> (string * Diag.t list) list
 
 val run_all_fused :
-  ?guard:bool ->
   spec:Flash_api.spec ->
   Ast.tunit list ->
   (string * Diag.t list) list
@@ -76,16 +75,13 @@ val run_all_fused :
     shared across all per-function checkers; identical output, one CFG
     construction per function instead of eight.
 
-    [guard] (default [true]) puts a fault barrier around each
-    (checker, function) pair: an exception becomes a Warning-severity
-    ["internal"] diagnostic plus a degraded flow-insensitive retry, and
-    a non-empty fault collection appends one [("internal", _)] entry to
-    the result list.  The clean path is unchanged either way;
-    [~guard:false] exists so the overhead benchmark can A/B the
-    barrier. *)
+    A fault barrier surrounds each (checker, function) pair: an
+    exception becomes a Warning-severity ["internal"] diagnostic plus a
+    degraded flow-insensitive retry, and a non-empty fault collection
+    appends one [("internal", _)] entry to the result list.  The clean
+    path is unchanged by the barrier. *)
 
 val run_all_product :
-  ?guard:bool ->
   spec:Flash_api.spec ->
   Ast.tunit list ->
   (string * Diag.t list) list

@@ -1115,11 +1115,3 @@ let check ?stats ?at_exit (sm : 'state Sm.t) (target : target) : Diag.t list
           (fun f -> check_func ?stats ?at_exit sm f)
           (Ast.functions tu))
       tus
-
-(* Deprecated aliases for the old three-entry-point API. *)
-
-let run ?stats ?at_exit sm func = check ?stats ?at_exit sm (`Func func)
-let run_unit ?stats ?at_exit sm tu = check ?stats ?at_exit sm (`Unit tu)
-
-let run_program ?stats ?at_exit sm tus =
-  check ?stats ?at_exit sm (`Program tus)

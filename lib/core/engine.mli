@@ -174,30 +174,6 @@ val product_scan : Prep.t -> pmachine array -> bool array
     this function and must re-run per checker.  Honours an installed
     budget. @raise Product_overflow when the visit cap blows *)
 
-val run :
-  ?stats:stats ref ->
-  ?at_exit:'state exit_hook ->
-  'state Sm.t ->
-  Ast.func ->
-  Diag.t list
-(** @deprecated alias for [check sm (`Func f)] *)
-
-val run_unit :
-  ?stats:stats ref ->
-  ?at_exit:'state exit_hook ->
-  'state Sm.t ->
-  Ast.tunit ->
-  Diag.t list
-(** @deprecated alias for [check sm (`Unit tu)] *)
-
-val run_program :
-  ?stats:stats ref ->
-  ?at_exit:'state exit_hook ->
-  'state Sm.t ->
-  Ast.tunit list ->
-  Diag.t list
-(** @deprecated alias for [check sm (`Program tus)] *)
-
 val subexprs_post : Ast.expr -> Ast.expr list
 (** sub-expressions in evaluation (post-) order, including the root —
     the event order rules see *)

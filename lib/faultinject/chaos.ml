@@ -46,6 +46,7 @@ type outcome = {
 
 type summary = {
   seed : int;
+  requested : int;
   total : int;
   failed : int;
   daemon_deaths : int;
@@ -586,6 +587,7 @@ let campaign ?(seed = 0xC4A0) ?(count = 340) ?(quick = false) () : summary =
   in
   {
     seed;
+    requested = count;
     total = List.length outcomes;
     failed = List.length failures;
     daemon_deaths = !daemon_deaths;
@@ -603,7 +605,9 @@ let campaign ?(seed = 0xC4A0) ?(count = 340) ?(quick = false) () : summary =
     wall_ms = (Unix.gettimeofday () -. t0) *. 1000.;
   }
 
-let gates_ok s = s.failed = 0 && s.daemon_deaths = 0 && s.lost_inflight = 0
+let gates_ok s =
+  s.total = s.requested && s.failed = 0 && s.daemon_deaths = 0
+  && s.lost_inflight = 0
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -611,10 +615,10 @@ let gates_ok s = s.failed = 0 && s.daemon_deaths = 0 && s.lost_inflight = 0
 
 let pp_summary ppf (s : summary) =
   Format.fprintf ppf
-    "chaos campaign: seed %#x, %d injection(s), %d failure(s), %d daemon \
-     death(s), %d lost in-flight, %d shed(s), %d retry(ies), %d \
+    "chaos campaign: seed %#x, %d of %d injection(s), %d failure(s), %d \
+     daemon death(s), %d lost in-flight, %d shed(s), %d retry(ies), %d \
      respawn(s), %.1fs@."
-    s.seed s.total s.failed s.daemon_deaths s.lost_inflight s.sheds
+    s.seed s.total s.requested s.failed s.daemon_deaths s.lost_inflight s.sheds
     s.retries s.respawns (s.wall_ms /. 1000.);
   List.iter
     (fun (name, n, bad) ->
@@ -630,6 +634,7 @@ let summary_to_json (s : summary) : string =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" s.seed);
+  Buffer.add_string b (Printf.sprintf "  \"requested\": %d,\n" s.requested);
   Buffer.add_string b (Printf.sprintf "  \"injections\": %d,\n" s.total);
   Buffer.add_string b (Printf.sprintf "  \"failures\": %d,\n" s.failed);
   Buffer.add_string b

@@ -41,7 +41,10 @@ type outcome = {
 
 type summary = {
   seed : int;
-  total : int;  (** injections executed *)
+  requested : int;  (** injections asked for, after the [quick] cap *)
+  total : int;
+      (** injections executed: fewer than [requested] when a daemon
+          death or an aborted loop stopped the campaign *)
   failed : int;
   daemon_deaths : int;  (** must be 0: the gate *)
   lost_inflight : int;  (** admitted requests lost at drain: must be 0 *)
@@ -61,8 +64,9 @@ val campaign : ?seed:int -> ?count:int -> ?quick:bool -> unit -> summary
     injections and trims the slowest classes — the CI smoke shape. *)
 
 val gates_ok : summary -> bool
-(** the service-tier acceptance gate: zero failed injections, zero
-    daemon deaths, zero lost in-flight requests *)
+(** the service-tier acceptance gate: every requested injection ran,
+    zero failed injections, zero daemon deaths, zero lost in-flight
+    requests *)
 
 val pp_summary : Format.formatter -> summary -> unit
 

@@ -20,8 +20,7 @@
 
     Injections run against a small synthetic protocol (three files,
     functions with known violations) so a 500-injection campaign stays
-    fast; the clean-path overhead measurements in [bench robust] use the
-    real corpus. *)
+    fast. *)
 
 (* ------------------------------------------------------------------ *)
 (* The target program                                                  *)

@@ -1,5 +1,5 @@
-(** The Mcfuzz campaign loop, shared by [bin/mcfuzz], [bench fuzz] and
-    the test-suite smoke run.
+(** The Mcfuzz campaign loop, shared by [bin/mcfuzz] and the test-suite
+    smoke run.
 
     Per seed: generate a clean program, run the five differential
     oracles on it, then (optionally) seed every applicable mutation,

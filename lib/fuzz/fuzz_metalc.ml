@@ -23,7 +23,7 @@ type t = {
 
 let spec_names = [ "wait_for_db"; "msglen_check"; "refcount" ]
 
-(* the test and bench binaries run from _build/default/<dir>; walk up
+(* the test binaries run from _build/default/<dir>; walk up
    until the in-tree metal/ directory appears *)
 let find_spec_dir () =
   List.find_opt

@@ -53,17 +53,6 @@ type stats = {
   wall_ms : float;
 }
 
-(* Derived accessors over [workers] — these replace the duplicated
-   [domain_wall_ms]/[domain_units] array fields, so the per-domain wall
-   time is measured exactly once (by the pool, on the Mcobs clock). *)
-let domain_wall_ms s =
-  Array.map (fun (w : Mcd_pool.worker_stats) -> w.Mcd_pool.wall_ms) s.workers
-
-let domain_units s =
-  Array.map
-    (fun (w : Mcd_pool.worker_stats) -> w.Mcd_pool.tasks_done)
-    s.workers
-
 let checkers = Array.of_list Registry.all
 
 (* indices into [checkers] of the per-function checkers, registry
@@ -557,12 +546,11 @@ let pp_stats ppf (s : stats) =
   Format.fprintf ppf
     "%d unit(s): %d run, %d cached; %d domain(s), %.1f ms wall"
     s.units_total s.units_run s.cache_hits s.domains s.wall_ms;
-  let units = domain_units s in
   Array.iteri
-    (fun i ms ->
-      Format.fprintf ppf "@\n  domain %d: %d unit(s), %.1f ms" i units.(i)
-        ms)
-    (domain_wall_ms s)
+    (fun i (w : Mcd_pool.worker_stats) ->
+      Format.fprintf ppf "@\n  domain %d: %d unit(s), %.1f ms" i
+        w.Mcd_pool.tasks_done w.Mcd_pool.wall_ms)
+    s.workers
 
 (* The one-line summary mcheck prints by default after a --jobs or
    --incremental run: cache-hit rate plus parallel efficiency (total

@@ -44,16 +44,6 @@ type stats = {
   wall_ms : float;  (** end-to-end wall time of the call *)
 }
 
-val domain_wall_ms : stats -> float array
-(** wall time per domain, domain order.
-    @deprecated derived view over [stats.workers]; prefer the
-    [mcd.worker] spans in an [Mcobs.snapshot] *)
-
-val domain_units : stats -> int array
-(** units executed per domain.
-    @deprecated derived view over [stats.workers]; prefer the
-    [mcd.worker] spans in an [Mcobs.snapshot] *)
-
 val check_jobs :
   ?cache:Mcd_cache.t ->
   ?budget:Engine.budget ->

@@ -13,8 +13,7 @@
 
     Everything is gated on one atomic flag: with tracing disabled (the
     default) a span is a single boolean load around the traced thunk, so
-    instrumented code paths cost nothing measurable (the bench harness
-    asserts < 5% overhead even with tracing enabled).
+    instrumented code paths cost nothing measurable.
 
     Three exporters read a snapshot:
     - {!pp_summary} — a human-readable metric/span digest;

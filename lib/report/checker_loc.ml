@@ -2,8 +2,8 @@
     comparison against the paper's metal extensions.
 
     Measured at release time with [wc -l] equivalents over the checker
-    sources (doc comments excluded); kept as constants so the bench
-    harness needs no filesystem access to the source tree. *)
+    sources (doc comments excluded); kept as constants so the table
+    reproduction needs no filesystem access to the source tree. *)
 
 let by_name : (string * int) list =
   [

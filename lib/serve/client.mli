@@ -1,8 +1,8 @@
 (** The mcheckd client library: one connection, synchronous
     request/response with streamed diagnostics.
 
-    [mcheck --server ADDR] and the serve bench are thin wrappers over
-    this; the printed bytes come straight from the daemon's
+    [mcheck --server ADDR] and the benchmark's load generator are thin
+    wrappers over this; the printed bytes come straight from the daemon's
     {!Proto.diag_frame.d_text} fields, which the daemon renders with the
     same code the local CLI uses — that is what makes daemon and CLI
     output byte-identical.

@@ -223,20 +223,6 @@ module Metrics = struct
       (listing ());
     Buffer.add_string b "\n}\n";
     Buffer.contents b
-
-  let reset_all () =
-    List.iter
-      (fun (_, _, m) ->
-        match m with
-        | M_counter c | M_gauge c -> Atomic.set c 0
-        | M_hist h ->
-          Mutex.lock h.h_mu;
-          h.h_count <- 0;
-          h.h_sum_ms <- 0.;
-          h.h_max_ms <- 0.;
-          Array.fill h.h_buckets 0 (Array.length h.h_buckets) 0;
-          Mutex.unlock h.h_mu)
-      (listing ())
 end
 
 (* ------------------------------------------------------------------ *)

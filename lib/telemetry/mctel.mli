@@ -78,10 +78,6 @@ module Metrics : sig
   val to_json : unit -> string
   (** one JSON object keyed by metric name; histograms carry count,
       sum, max, buckets, and interpolated p50/p90/p99 *)
-
-  val reset_all : unit -> unit
-  (** zero every registered metric (benchmarks isolate phases with
-      this; a serving daemon never calls it) *)
 end
 
 (** {1 Structured access log} *)

@@ -253,6 +253,22 @@ let pruning_cases =
                 nak_handlers
             end)
           (Lazy.force corpus).Corpus.protocols);
+    (* the two ablations EXPERIMENTS.md quotes: the paper's rule on, then
+       off *)
+    Alcotest.test_case "ablations: fixed point and NAK pruning" `Slow
+      (fun () ->
+        let total run =
+          List.fold_left
+            (fun acc (p : Corpus.protocol) ->
+              acc + List.length (run ~spec:p.Corpus.spec p.Corpus.tus))
+            0 (Lazy.force corpus).Corpus.protocols
+        in
+        let lanes fixed_point = total (Lane_checker.run ~fixed_point) in
+        let dir nak_pruning = total (Dir_entry.run ~nak_pruning) in
+        Alcotest.(check (pair int int)) "lanes with / without fixed point"
+          (2, 30) (lanes true, lanes false);
+        Alcotest.(check (pair int int)) "directory with / without pruning"
+          (32, 36) (dir true, dir false));
   ]
 
 let suite =

@@ -135,11 +135,10 @@ let cases =
         let at_exit ctx (st : oc) =
           if st = Open then Sm.err ~checker:"br" ctx "open at exit"
         in
-        (* deliberately via the deprecated [Engine.run] alias: it must
-           stay equivalent to [Engine.check sm (`Func f)] *)
         let diags =
-          Engine.run ~at_exit sm
-            (func_of "void f(void) { if (became_open()) { x = 1; } }")
+          Engine.check ~at_exit sm
+            (`Func
+               (func_of "void f(void) { if (became_open()) { x = 1; } }"))
         in
         Alcotest.(check int) "true branch flagged once" 1
           (List.length diags));

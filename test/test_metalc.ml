@@ -229,6 +229,41 @@ let diff_cases =
         Alcotest.(check int) "found the race" 1 (List.length dc));
     QCheck_alcotest.to_alcotest prop_random_machines;
     QCheck_alcotest.to_alcotest prop_fuzz_programs;
+    (* A speed tripwire, not a measurement: no benchmark workload loads
+       a metal spec, so this is the only place a compiled back end
+       slower than the interpreter would show.  Best of 5 per side, the
+       sides interleaved in alternating order so host drift and heap
+       growth hit both; the 1.25x margin absorbs the remaining noise. *)
+    t "compiled specs within 1.25x of interpreted on the corpus" `Slow
+      (fun () ->
+        let mc =
+          match Fuzz_metalc.create () with
+          | Ok t -> t
+          | Error e -> Alcotest.fail e
+        in
+        let corpus = Corpus.generate () in
+        let compiled = List.map (fun (_, c, _) -> c) mc.Fuzz_metalc.specs
+        and interp = List.map (fun (_, _, i) -> i) mc.Fuzz_metalc.specs in
+        let time machines best =
+          let t0 = Unix.gettimeofday () in
+          List.iter
+            (fun (p : Corpus.protocol) ->
+              ignore (Mrun.check_program_fused machines p.Corpus.tus))
+            corpus.Corpus.protocols;
+          best := Float.min !best (Unix.gettimeofday () -. t0)
+        in
+        let best_c = ref infinity and best_i = ref infinity in
+        for i = 0 to 4 do
+          if i mod 2 = 0 then (
+            time interp best_i;
+            time compiled best_c)
+          else (
+            time compiled best_c;
+            time interp best_i)
+        done;
+        if !best_c > 1.25 *. !best_i then
+          Alcotest.failf "compiled %.1f ms > 1.25 x interpreted %.1f ms"
+            (!best_c *. 1000.) (!best_i *. 1000.));
   ]
 
 let suite =

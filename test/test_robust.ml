@@ -267,9 +267,9 @@ let test_mcd_fault_isolated () =
 let test_clean_path_unchanged () =
   let tus, _ = parse_sources [ ("f.c", clean ^ leaky) ] in
   let spec = spec_for tus in
-  Alcotest.(check (list string)) "guarded = unguarded on a clean run"
-    (render (Registry.run_all_fused ~guard:false ~spec tus))
-    (render (Registry.run_all_fused ~guard:true ~spec tus))
+  Alcotest.(check (list string)) "barrier leaves a clean run unchanged"
+    (render (Registry.run_all ~spec tus))
+    (render (Registry.run_all_fused ~spec tus))
 
 (* ------------------------------------------------------------------ *)
 (* Budgets and dead workers                                            *)

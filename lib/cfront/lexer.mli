@@ -8,19 +8,40 @@
 
 exception Error of string * Loc.t
 
-type t
+(** One file's tokens as a structure of arrays: token [i] (for
+    [0 <= i < len]) has kind [kinds.(i)] and 1-based position
+    [lines.(i)]:[cols.(i)].  [payloads.(i)] is the
+    {!Symtab} id of an [IDENT], the index into [lits] of an [INT],
+    [FLOAT], [STRING] or [CHAR] token, and 0 otherwise.  The columns may
+    be longer than [len]; the last token is always [EOF].  Read-only. *)
+type buf = private {
+  file : string;
+  len : int;
+  kinds : Token.kind array;
+  lines : int array;
+  cols : int array;
+  payloads : int array;
+  lits : Token.t array;
+  diags : Diag.t list;
+      (** the [lex] diagnostics, in source order, at most 100: a
+          malformed character or truncated literal is recorded where it
+          was detected, one character is skipped there, and lexing
+          resumes *)
+}
 
-val create : ?file:string -> string -> t
+val lex : ?file:string -> string -> buf
+(** the whole input in one pass; never raises *)
 
-val next : t -> Token.t * Loc.t
-(** the next token with the location of its first character;
-    @raise Error on malformed input *)
+val loc : buf -> int -> Loc.t
+(** a fresh [Loc.t] for token [i] *)
+
+val token : buf -> int -> Token.t
+(** token [i] with its payload *)
 
 val tokens : ?file:string -> string -> (Token.t * Loc.t) list
-(** the whole input, ending with [EOF] *)
+(** list view of {!lex}, ending with [EOF]
+    @raise Error with the first [lex] diagnostic, if any *)
 
 val tokens_recovering :
   ?file:string -> string -> (Token.t * Loc.t) list * Diag.t list
-(** total variant: a malformed character or truncated literal is skipped
-    and recorded as a [lex] diagnostic (capped at 100 per input) instead
-    of raising; the stream always ends with [EOF] *)
+(** list view of {!lex} and its diagnostics; never raises *)

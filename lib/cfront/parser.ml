@@ -9,49 +9,92 @@
 
 exception Error of string * Loc.t
 
+(* The parser reads the lexer's token buffer by index: it compares
+   [Token.kind]s (immediates), fetches an identifier's interned name or a
+   literal from the payload column only where it needs one, and builds a
+   [Loc.t] only where an AST node stores it. *)
 type t = {
-  toks : (Token.t * Loc.t) array;
+  buf : Lexer.buf;
+  kinds : Token.kind array;
+  last : int;  (** index of the EOF token *)
   mutable pos : int;
-  typedefs : (string, unit) Hashtbl.t;
+  typedefs : (int, unit) Hashtbl.t;  (** interned ids of typedef names *)
+  mutable loc_pos : int;
+  mutable loc : Loc.t;  (** the location of token [loc_pos] *)
 }
 
-let create toks =
-  { toks = Array.of_list toks; pos = 0; typedefs = Hashtbl.create 16 }
+let create (buf : Lexer.buf) =
+  {
+    buf;
+    kinds = buf.Lexer.kinds;
+    last = buf.Lexer.len - 1;
+    pos = 0;
+    typedefs = Hashtbl.create 16;
+    loc_pos = -1;
+    loc = Loc.none;
+  }
 
-let cur p = fst p.toks.(p.pos)
-let cur_loc p = snd p.toks.(p.pos)
+let cur p = p.kinds.(p.pos)
 
-let peek_at p n =
+(* A statement and the expression it starts with, or a declaration and
+   its specifiers, share their first token's location: keep the last one
+   built. *)
+let cur_loc p =
+  if p.loc_pos <> p.pos then begin
+    p.loc <- Lexer.loc p.buf p.pos;
+    p.loc_pos <- p.pos
+  end;
+  p.loc
+
+let peek_at p n : Token.kind =
   let i = p.pos + n in
-  if i < Array.length p.toks then fst p.toks.(i) else Token.EOF
+  if i <= p.last then p.kinds.(i) else Token.EOF
 
-let advance p = if p.pos < Array.length p.toks - 1 then p.pos <- p.pos + 1
+(* the name of the [IDENT] at the cursor *)
+let cur_ident p = Symtab.name p.buf.Lexer.payloads.(p.pos)
+
+(* the literal token at the cursor *)
+let cur_lit p = p.buf.Lexer.lits.(p.buf.Lexer.payloads.(p.pos))
+
+let advance p = if p.pos < p.last then p.pos <- p.pos + 1
 
 let error p msg =
   raise
     (Error
-       ( Printf.sprintf "%s (found %s)" msg (Token.to_string (cur p)),
+       ( Printf.sprintf "%s (found %s)" msg
+           (Token.to_string (Lexer.token p.buf p.pos)),
          cur_loc p ))
 
-let expect p tok =
-  if cur p = tok then advance p
-  else error p (Printf.sprintf "expected %s" (Token.to_string tok))
+let expect p (k : Token.kind) =
+  if cur p = k then advance p
+  else
+    error p (Printf.sprintf "expected %s" (Token.to_string (Token.of_kind k)))
 
 let expect_ident p =
   match cur p with
-  | Token.IDENT s ->
+  | Token.IDENT ->
+    let s = cur_ident p in
     advance p;
     s
   | _ -> error p "expected identifier"
 
-let accept p tok =
-  if cur p = tok then begin
+let accept p (k : Token.kind) =
+  if cur p = k then begin
     advance p;
     true
   end
   else false
 
-let is_typedef_name p name = Hashtbl.mem p.typedefs name
+(* the value of the [INT] at the cursor *)
+let cur_int p =
+  match cur_lit p with
+  | Token.INT (v, _) -> v
+  | _ -> error p "expected integer"
+
+let add_typedef p name = Hashtbl.replace p.typedefs (Symtab.intern name) ()
+
+(* is the [IDENT] at index [i] a typedef name? *)
+let is_typedef_at p i = Hashtbl.mem p.typedefs p.buf.Lexer.payloads.(i)
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                               *)
@@ -67,7 +110,7 @@ let starts_type p =
   | Token.KW_CONST | Token.KW_VOLATILE | Token.KW_STATIC | Token.KW_EXTERN
   | Token.KW_TYPEDEF | Token.KW_INLINE ->
     true
-  | Token.IDENT s -> is_typedef_name p s
+  | Token.IDENT -> is_typedef_at p p.pos
   | _ -> false
 
 type specifiers = {
@@ -149,13 +192,7 @@ let rec parse_specifiers p : specifiers =
     | Token.KW_STRUCT | Token.KW_UNION ->
       let is_union = cur p = Token.KW_UNION in
       advance p;
-      let tag =
-        match cur p with
-        | Token.IDENT s ->
-          advance p;
-          s
-        | _ -> "<anon>"
-      in
+      let tag = if cur p = Token.IDENT then expect_ident p else "<anon>" in
       if cur p = Token.LBRACE then begin
         advance p;
         let fields = parse_fields p in
@@ -166,13 +203,7 @@ let rec parse_specifiers p : specifiers =
       loop ()
     | Token.KW_ENUM ->
       advance p;
-      let tag =
-        match cur p with
-        | Token.IDENT s ->
-          advance p;
-          s
-        | _ -> "<anon>"
-      in
+      let tag = if cur p = Token.IDENT then expect_ident p else "<anon>" in
       if cur p = Token.LBRACE then begin
         advance p;
         let items = parse_enum_items p in
@@ -181,9 +212,10 @@ let rec parse_specifiers p : specifiers =
       end;
       set (Ctype.Enum tag);
       loop ()
-    | Token.IDENT s when !base = None && (not !unsigned) && (not !signed)
-                         && (not !long) && is_typedef_name p s ->
-      set (Ctype.Named s);
+    | Token.IDENT
+      when !base = None && (not !unsigned) && (not !signed) && (not !long)
+           && is_typedef_at p p.pos ->
+      set (Ctype.Named (cur_ident p));
       advance p;
       loop ()
     | _ -> ());
@@ -230,13 +262,14 @@ and parse_enum_items p =
   let items = ref [] in
   let rec loop () =
     match cur p with
-    | Token.IDENT name ->
-      advance p;
+    | Token.IDENT ->
+      let name = expect_ident p in
       let value =
         if accept p Token.ASSIGN then begin
           let neg = accept p Token.MINUS in
           match cur p with
-          | Token.INT (v, _) ->
+          | Token.INT ->
+            let v = cur_int p in
             advance p;
             Some (Int64.to_int v * if neg then -1 else 1)
           | _ -> error p "expected integer in enum item"
@@ -267,10 +300,11 @@ and parse_declarator p base : string * Ctype.t =
       advance p;
       let len =
         match cur p with
-        | Token.INT (v, _) ->
+        | Token.INT ->
+          let v = cur_int p in
           advance p;
           Some (Int64.to_int v)
-        | Token.IDENT _ ->
+        | Token.IDENT ->
           (* symbolic array bound: treated as unknown length *)
           advance p;
           None
@@ -348,7 +382,7 @@ and parse_cond p =
   else c
 
 (* Binary operators by increasing precedence level. *)
-and binop_of_token = function
+and binop_of_token : Token.kind -> _ = function
   | Token.PIPEPIPE -> Some (Ast.Lor, 1)
   | Token.AMPAMP -> Some (Ast.Land, 2)
   | Token.PIPE -> Some (Ast.Bor, 3)
@@ -384,33 +418,19 @@ and parse_binary p min_prec =
   !lhs
 
 and parse_unary p =
-  let loc = cur_loc p in
   match cur p with
   | Token.PLUS ->
     advance p;
     parse_unary p
-  | Token.MINUS ->
-    advance p;
-    Ast.mk_expr ~loc (Ast.Unop (Ast.Neg, parse_unary p))
-  | Token.BANG ->
-    advance p;
-    Ast.mk_expr ~loc (Ast.Unop (Ast.Not, parse_unary p))
-  | Token.TILDE ->
-    advance p;
-    Ast.mk_expr ~loc (Ast.Unop (Ast.Bnot, parse_unary p))
-  | Token.STAR ->
-    advance p;
-    Ast.mk_expr ~loc (Ast.Unop (Ast.Deref, parse_unary p))
-  | Token.AMP ->
-    advance p;
-    Ast.mk_expr ~loc (Ast.Unop (Ast.Addrof, parse_unary p))
-  | Token.PLUSPLUS ->
-    advance p;
-    Ast.mk_expr ~loc (Ast.Unop (Ast.Preinc, parse_unary p))
-  | Token.MINUSMINUS ->
-    advance p;
-    Ast.mk_expr ~loc (Ast.Unop (Ast.Predec, parse_unary p))
+  | Token.MINUS -> parse_unop p Ast.Neg
+  | Token.BANG -> parse_unop p Ast.Not
+  | Token.TILDE -> parse_unop p Ast.Bnot
+  | Token.STAR -> parse_unop p Ast.Deref
+  | Token.AMP -> parse_unop p Ast.Addrof
+  | Token.PLUSPLUS -> parse_unop p Ast.Preinc
+  | Token.MINUSMINUS -> parse_unop p Ast.Predec
   | Token.KW_SIZEOF ->
+    let loc = cur_loc p in
     advance p;
     if cur p = Token.LPAREN && starts_type_at p 1 then begin
       expect p Token.LPAREN;
@@ -421,11 +441,17 @@ and parse_unary p =
     else Ast.mk_expr ~loc (Ast.Sizeof_expr (parse_unary p))
   | Token.LPAREN when starts_type_at p 1 ->
     (* cast *)
+    let loc = cur_loc p in
     advance p;
     let ty = parse_abstract_type p in
     expect p Token.RPAREN;
     Ast.mk_expr ~loc (Ast.Cast (ty, parse_unary p))
   | _ -> parse_postfix p
+
+and parse_unop p op =
+  let loc = cur_loc p in
+  advance p;
+  Ast.mk_expr ~loc (Ast.Unop (op, parse_unary p))
 
 and starts_type_at p n =
   match peek_at p n with
@@ -434,14 +460,13 @@ and starts_type_at p n =
   | Token.KW_DOUBLE | Token.KW_STRUCT | Token.KW_UNION | Token.KW_ENUM
   | Token.KW_CONST | Token.KW_VOLATILE ->
     true
-  | Token.IDENT s -> is_typedef_name p s
+  | Token.IDENT -> is_typedef_at p (p.pos + n)
   | _ -> false
 
 and parse_postfix p =
   let e = ref (parse_primary p) in
   let continue = ref true in
   while !continue do
-    let loc = cur_loc p in
     match cur p with
     | Token.LPAREN ->
       advance p;
@@ -455,22 +480,27 @@ and parse_postfix p =
       expect p Token.RPAREN;
       e := Ast.mk_expr ~loc:!e.Ast.eloc (Ast.Call (!e, List.rev !args))
     | Token.LBRACKET ->
+      let loc = cur_loc p in
       advance p;
       let idx = parse_expr p in
       expect p Token.RBRACKET;
       e := Ast.mk_expr ~loc (Ast.Index (!e, idx))
     | Token.DOT ->
+      let loc = cur_loc p in
       advance p;
       let f = expect_ident p in
       e := Ast.mk_expr ~loc (Ast.Field (!e, f))
     | Token.ARROW ->
+      let loc = cur_loc p in
       advance p;
       let f = expect_ident p in
       e := Ast.mk_expr ~loc (Ast.Arrow (!e, f))
     | Token.PLUSPLUS ->
+      let loc = cur_loc p in
       advance p;
       e := Ast.mk_expr ~loc (Ast.Unop (Ast.Postinc, !e))
     | Token.MINUSMINUS ->
+      let loc = cur_loc p in
       advance p;
       e := Ast.mk_expr ~loc (Ast.Unop (Ast.Postdec, !e))
     | _ -> continue := false
@@ -478,8 +508,23 @@ and parse_postfix p =
   !e
 
 and parse_primary p =
-  let loc = cur_loc p in
   match cur p with
+  | Token.INT | Token.FLOAT | Token.STRING | Token.CHAR -> parse_literal p
+  | Token.IDENT ->
+    let loc = cur_loc p in
+    let s = cur_ident p in
+    advance p;
+    Ast.mk_expr ~loc (Ast.Ident s)
+  | Token.LPAREN ->
+    advance p;
+    let e = parse_expr p in
+    expect p Token.RPAREN;
+    e
+  | _ -> error p "expected expression"
+
+and parse_literal p =
+  let loc = cur_loc p in
+  match cur_lit p with
   | Token.INT (v, s) ->
     advance p;
     Ast.mk_expr ~loc (Ast.Int_lit (v, s))
@@ -492,26 +537,19 @@ and parse_primary p =
     let buf = Buffer.create (String.length s) in
     Buffer.add_string buf s;
     let rec more () =
-      match cur p with
-      | Token.STRING s2 ->
+      if cur p = Token.STRING then begin
+        (match cur_lit p with
+        | Token.STRING s2 -> Buffer.add_string buf s2
+        | _ -> ());
         advance p;
-        Buffer.add_string buf s2;
         more ()
-      | _ -> ()
+      end
     in
     more ();
     Ast.mk_expr ~loc (Ast.Str_lit (Buffer.contents buf))
   | Token.CHAR c ->
     advance p;
     Ast.mk_expr ~loc (Ast.Char_lit c)
-  | Token.IDENT s ->
-    advance p;
-    Ast.mk_expr ~loc (Ast.Ident s)
-  | Token.LPAREN ->
-    advance p;
-    let e = parse_expr p in
-    expect p Token.RPAREN;
-    e
   | _ -> error p "expected expression"
 
 (* ------------------------------------------------------------------ *)
@@ -605,9 +643,10 @@ and parse_stmt p : Ast.stmt =
     let label = expect_ident p in
     expect p Token.SEMI;
     Ast.mk_stmt ~loc (Ast.Sgoto label)
-  | Token.IDENT name
+  | Token.IDENT
     when peek_at p 1 = Token.COLON && peek_at p 2 <> Token.COLON
-         && not (is_typedef_name p name) ->
+         && not (is_typedef_at p p.pos) ->
+    let name = cur_ident p in
     advance p;
     advance p;
     (* absorb an immediately-following null statement: the printer emits
@@ -685,16 +724,17 @@ let parse_params p : (string * Ctype.t) list =
         | Token.RPAREN | Token.COMMA ->
           (* unnamed parameter (prototype style) *)
           ("", !base)
-        | Token.IDENT name ->
-          advance p;
+        | Token.IDENT ->
+          let name = expect_ident p in
           let rec suffixes t =
             if accept p Token.LBRACKET then begin
               let len =
                 match cur p with
-                | Token.INT (v, _) ->
+                | Token.INT ->
+                  let v = cur_int p in
                   advance p;
                   Some (Int64.to_int v)
-                | Token.IDENT _ ->
+                | Token.IDENT ->
                   advance p;
                   None
                 | _ -> None
@@ -737,7 +777,7 @@ let parse_global p : Ast.global list =
   else if sp.sp_typedef then begin
     let name, ty = parse_declarator p sp.sp_type in
     expect p Token.SEMI;
-    Hashtbl.replace p.typedefs name ();
+    add_typedef p name;
     tag_globals @ [ Ast.Gtypedef (name, ty, loc) ]
   end
   else begin
@@ -799,40 +839,6 @@ let parse_global p : Ast.global list =
     end
   end
 
-(* Lexing of whole translation units gets its own span; the many tiny
-   [parse_expr_string] calls made when compiling checker patterns do not,
-   as they would flood the trace buffer. *)
-let lex_spanned ~file src =
-  Mcobs.with_span "cfront.lex"
-    ~args:
-      [ ("file", file); ("bytes", string_of_int (String.length src)) ]
-    (fun () -> Lexer.tokens ~file src)
-
-(** Parse a complete translation unit from source text. *)
-let parse_string ?(file = "<string>") src : Ast.tunit =
-  Mcobs.with_span "cfront.parse" ~args:[ ("file", file) ] (fun () ->
-      let toks = lex_spanned ~file src in
-      let p = create toks in
-      let globals = ref [] in
-      while cur p <> Token.EOF do
-        globals := List.rev_append (parse_global p) !globals
-      done;
-      { Ast.tu_file = file; tu_globals = List.rev !globals })
-
-(** Parse a translation unit, reusing typedef names already declared (for
-    multi-file programs that share headers). *)
-let parse_string_with_typedefs ?(file = "<string>") ~typedefs src : Ast.tunit
-    =
-  Mcobs.with_span "cfront.parse" ~args:[ ("file", file) ] (fun () ->
-      let toks = lex_spanned ~file src in
-      let p = create toks in
-      List.iter (fun name -> Hashtbl.replace p.typedefs name ()) typedefs;
-      let globals = ref [] in
-      while cur p <> Token.EOF do
-        globals := List.rev_append (parse_global p) !globals
-      done;
-      { Ast.tu_file = file; tu_globals = List.rev !globals })
-
 (* ------------------------------------------------------------------ *)
 (* Panic-mode recovery                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -878,9 +884,12 @@ let resync p =
     | _ -> advance p
   done
 
-let parse_tokens_recovering ~file ~typedefs toks : Ast.tunit * Diag.t list =
-  let p = create toks in
-  List.iter (fun name -> Hashtbl.replace p.typedefs name ()) typedefs;
+(* The one driver loop: every intact global is kept, every error is
+   recorded and skipped.  The raising entry points report the first
+   diagnostic of the same run. *)
+let parse_buf ~typedefs (buf : Lexer.buf) : Ast.tunit * Diag.t list =
+  let p = create buf in
+  List.iter (add_typedef p) typedefs;
   let globals = ref [] in
   let diags = ref [] in
   let n_diags = ref 0 in
@@ -897,36 +906,49 @@ let parse_tokens_recovering ~file ~typedefs toks : Ast.tunit * Diag.t list =
       if p.pos = start then advance p;
       resync p
   done;
-  ({ Ast.tu_file = file; tu_globals = List.rev !globals }, List.rev !diags)
+  ( { Ast.tu_file = buf.Lexer.file; tu_globals = List.rev !globals },
+    buf.Lexer.diags @ List.rev !diags )
 
 (** Parse a translation unit, recovering from both lexical and syntax
     errors: malformed regions are skipped and reported as [lex]/[parse]
     diagnostics while every intact global is kept.  Never raises.
     [typedefs] seeds typedef names already declared by earlier units. *)
-let parse_string_recovering ?(file = "<string>") ?(typedefs = []) src :
-    Ast.tunit * Diag.t list =
+let parse_string_recovering ?(file = "<string>") ?(typedefs = []) src : Ast.tunit * Diag.t list =
   Mcobs.with_span "cfront.parse" ~args:[ ("file", file) ] (fun () ->
-      let toks, lex_diags =
+      let buf =
         Mcobs.with_span "cfront.lex"
           ~args:
             [ ("file", file); ("bytes", string_of_int (String.length src)) ]
-          (fun () -> Lexer.tokens_recovering ~file src)
+          (fun () -> Lexer.lex ~file src)
       in
-      let tu, parse_diags = parse_tokens_recovering ~file ~typedefs toks in
-      (tu, lex_diags @ parse_diags))
+      parse_buf ~typedefs buf)
+
+let raise_diag (d : Diag.t) =
+  let msg = d.Diag.message and loc = d.Diag.loc in
+  if d.Diag.checker = "lex" then raise (Lexer.Error (msg, loc))
+  else raise (Error (msg, loc))
+
+(** Parse a complete translation unit from source text. *)
+let parse_string ?file src : Ast.tunit =
+  match parse_string_recovering ?file src with
+  | tu, [] -> tu
+  | _, d :: _ -> raise_diag d
+
+(* A fragment (expression, statement) parsed on its own: the many tiny
+   calls made when compiling checker patterns get no trace spans, as
+   they would flood the trace buffer. *)
+let parse_fragment ~file ~what parse src =
+  let buf = Lexer.lex ~file src in
+  List.iter raise_diag buf.Lexer.diags;
+  let p = create buf in
+  let x = parse p in
+  if cur p <> Token.EOF then error p ("trailing tokens after " ^ what);
+  x
 
 (** Parse a single expression (handy in tests and example checkers). *)
 let parse_expr_string ?(file = "<string>") src : Ast.expr =
-  let toks = Lexer.tokens ~file src in
-  let p = create toks in
-  let e = parse_expr p in
-  if cur p <> Token.EOF then error p "trailing tokens after expression";
-  e
+  parse_fragment ~file ~what:"expression" parse_expr src
 
 (** Parse a statement (or a brace-enclosed block). *)
 let parse_stmt_string ?(file = "<string>") src : Ast.stmt =
-  let toks = Lexer.tokens ~file src in
-  let p = create toks in
-  let s = parse_stmt p in
-  if cur p <> Token.EOF then error p "trailing tokens after statement";
-  s
+  parse_fragment ~file ~what:"statement" parse_stmt src

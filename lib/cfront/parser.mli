@@ -8,21 +8,25 @@
 
 exception Error of string * Loc.t
 
-val parse_string : ?file:string -> string -> Ast.tunit
-(** @raise Error with the offending location on malformed input *)
-
-val parse_string_with_typedefs :
-  ?file:string -> typedefs:string list -> string -> Ast.tunit
-(** parse with typedef names already in scope (multi-file programs that
-    share headers) *)
-
 val parse_string_recovering :
-  ?file:string -> ?typedefs:string list -> string -> Ast.tunit * Diag.t list
-(** total variant with panic-mode recovery: on a lexical or syntax error
-    the malformed region is skipped — resynchronising at [;] / [}] /
-    top-level declaration boundaries — and recorded as a [lex]/[parse]
-    diagnostic, so every syntactically-intact global is still returned.
-    Never raises. *)
+  ?file:string ->
+  ?typedefs:string list ->
+  string ->
+  Ast.tunit * Diag.t list
+(** parse a translation unit with panic-mode recovery: on a lexical or
+    syntax error the malformed region is skipped — resynchronising at
+    [;] / [}] / top-level declaration boundaries — and recorded as a
+    [lex]/[parse] diagnostic, so every syntactically-intact global is
+    still returned.  [typedefs] are typedef names already in scope
+    (multi-file programs that share headers).  Never raises. *)
+
+val parse_string : ?file:string -> string -> Ast.tunit
+(** the raising form of {!parse_string_recovering}
+    @raise Lexer.Error / Error with the first diagnostic, if any *)
+
+val raise_diag : Diag.t -> 'a
+(** raise a [lex] diagnostic as [Lexer.Error], any other as [Error],
+    with its message and location *)
 
 val parse_expr_string : ?file:string -> string -> Ast.expr
 (** a single expression — used by {!Pattern} and in tests *)

@@ -181,7 +181,12 @@ let run_and_reply opts work =
     reply
       (Proto.R_done
          { rd_exit = Robust.exit_code out; rd_findings = 0; rd_diags = 0 })
-  | exception exn -> reply (Proto.R_error (Engine.describe_fault exn))
+  | exception exn ->
+    reply (Proto.R_error (Engine.describe_fault exn));
+    (* the failed request's garbage still fills the address space that
+       RLIMIT_AS allows: collect it now, or the next request's first
+       large allocation runs out of memory too *)
+    (match exn with Out_of_memory -> Gc.full_major () | _ -> ())
 
 let handle_request wc session req =
   match req with

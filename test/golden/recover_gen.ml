@@ -1,36 +1,9 @@
-(** Golden-file generator for panic-mode parse recovery: a set of broken
-    sources, each printed with its recovery diagnostics (under the
-    ["lex"]/["parse"] pseudo-checkers) and the names of the functions
-    that survived.  [dune runtest] diffs the output against
+(** Golden-file generator for panic-mode parse recovery: the broken
+    sources of [Recover_cases], each printed with its recovery
+    diagnostics (under the ["lex"]/["parse"] pseudo-checkers) and the
+    names of the functions that survived.  [dune runtest] diffs the output against
     [recover.expected]; intentional recovery changes are reviewed as
     diffs and accepted with [dune promote]. *)
-
-let cases =
-  [
-    ( "garbage-between-functions",
-      "void before(void) { long a; a = 1; }\n\
-       void broken(void) { long x; x = @#$ ;;; }\n\
-       void after(void) { long b; b = 2; }\n" );
-    ( "unclosed-brace",
-      "void before(void) { long a; a = 1; }\n\
-       void broken(void) { long x; if (x) {\n" );
-    ( "truncated-mid-statement",
-      "void before(void) { long a; a = 1; }\nvoid broken(void) { long x; x =" );
-    ( "unterminated-string",
-      "void before(void) { long a; a = 1; }\n\
-       void broken(void) { f(\"never closed); }\n\
-       void after(void) { long b; b = 2; }\n" );
-    ( "bad-toplevel-decl",
-      "@@@ not a declaration @@@\nvoid after(void) { long b; b = 2; }\n" );
-    ( "two-bad-regions",
-      "void a1(void) { long a; a = 1; }\n\
-       void bad1(void) { $$$ }\n\
-       void a2(void) { long b; b = 2; }\n\
-       void bad2(void) { %%% }\n\
-       void a3(void) { long c; c = 3; }\n" );
-    ("empty-file", "");
-    ("only-garbage", "((((( @@@ )))))");
-  ]
 
 let () =
   List.iter
@@ -50,4 +23,4 @@ let () =
         (match survivors with
         | [] -> "(none)"
         | fs -> String.concat ", " fs))
-    cases
+    Recover_cases.cases

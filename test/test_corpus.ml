@@ -274,3 +274,78 @@ let pruning_cases =
 let suite =
   let name, cases0 = suite in
   (name, cases0 @ pruning_cases)
+
+(* The whole front end, pinned: the md5 of the marshalled, annotated
+   [Ast.tunit list] plus its parse diagnostics covers every node,
+   location and [ety].  A lexer or parser change that is meant to be
+   invisible must reproduce these digests exactly. *)
+let front_end_digest units =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string (Frontend.parse_strings units)
+          [ Marshal.No_sharing ]))
+
+let pinned_seed_digests =
+  [
+    (0, "a3cbb7bab327a28a57e06049ba4850c8");
+    (1, "be03fd2b7d9926e6c3d1a4393af8ff96");
+    (2, "58f28bce2b6efa77ff93ebff8ed2955b");
+    (3, "b2d0d7a6a46b5534d3f8c1a9cf8335e4");
+    (4, "a4e06f25d7aafe768e2a6f90a5325f7e");
+    (5, "70f3ac149438f4b6dc61afc3ef13f66d");
+    (6, "ad78c678b54e37d6412176bbe9a0d5f1");
+    (7, "d3d91fb4d638043878b5d9a73429ef53");
+    (8, "9d55302fc9f10945fddd18630803537e");
+    (9, "aa53a64839d84b52113fed181ed7cce4");
+    (10, "72e596ac4b702826978e47aacc280a36");
+    (11, "0d9e2a54e9f0b1a906b02cb337682fdd");
+    (12, "cf269db57fbc65dc56bd50ce81e5da82");
+    (13, "c0cd307d0cb19ddc695c5febda90a7fe");
+    (14, "eadeee060a4ade2038401bf92ef181ce");
+    (15, "a33445c1e14f4ed0d81157bb63157d0e");
+  ]
+
+let pinned_input_digests =
+  [
+    ("golden-clean", "3c2a4f38ec354bc52b11692bf9006e10");
+    ("golden-buggy", "a79fa676a381fd3ac07068b5a3778e0b");
+    ("recover-garbage-between-functions", "41faba2bd084adbaaa854ca269ebcc90");
+    ("recover-unclosed-brace", "61593794dce85525bc37741fd53be247");
+    ("recover-truncated-mid-statement", "b80d7eb07583de63823c5c684870f606");
+    ("recover-unterminated-string", "144826ecb707a193a6ef190a40259dd3");
+    ("recover-bad-toplevel-decl", "5eb17e5681057dff1b39311e0c6d1cfb");
+    ("recover-two-bad-regions", "9cb01eb0ca504258270756374bad861f");
+    ("recover-empty-file", "31d153d301cf2e52d8bdada7021d601e");
+    ("recover-only-garbage", "6bdfebd5a0ff16af87066b4a302029e7");
+  ]
+
+let front_end_cases =
+  [
+    Alcotest.test_case "front end output is pinned (corpus seeds 0-15)" `Slow
+      (fun () ->
+        List.iter
+          (fun seed ->
+            let digests =
+              List.map front_end_digest (Front_inputs.protocols seed)
+            in
+            let got =
+              Digest.to_hex (Digest.string (String.concat "" digests))
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "seed %d" seed)
+              (List.assoc seed pinned_seed_digests)
+              got)
+          Front_inputs.seeds);
+    Alcotest.test_case "front end output is pinned (golden, recover)" `Quick
+      (fun () ->
+        List.iter
+          (fun (label, units) ->
+            Alcotest.(check string) label
+              (List.assoc label pinned_input_digests)
+              (front_end_digest units))
+          Front_inputs.units);
+  ]
+
+let suite =
+  let name, cases0 = suite in
+  (name, cases0 @ front_end_cases)

@@ -109,6 +109,24 @@ let stmt_cases =
           f.Ast.f_body;
         Alcotest.(check (list string)) "names" [ "a"; "b"; "c" ]
           (List.rev !decls));
+    t "adjacent strings concatenate; a string then a name is an error"
+      `Quick (fun () ->
+        (match
+           (Parser.parse_expr_string "f(\"ab\" \"c\")").Ast.edesc
+         with
+        | Ast.Call (_, [ { Ast.edesc = Ast.Str_lit s; _ } ]) ->
+          Alcotest.(check string) "concatenated" "abc" s
+        | _ -> Alcotest.fail "expected a call with one string");
+        (* the name's payload is a symbol id, not a literal index *)
+        let _, diags =
+          Parser.parse_string_recovering
+            "void f(void) { g(\"a\" name_seen_nowhere_else); }"
+        in
+        match diags with
+        | d :: _ ->
+          Alcotest.(check string) "message"
+            "expected ) (found name_seen_nowhere_else)" d.Diag.message
+        | [] -> Alcotest.fail "expected a parse diagnostic");
   ]
 
 let global_cases =

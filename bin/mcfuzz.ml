@@ -1,8 +1,10 @@
 (** mcfuzz — randomized differential testing of the checking pipeline.
 
     Generates seeded random FLASH-style Clite programs, runs them through
-    four pipelines that must agree (sequential, Mcd with 2 and 4 domains,
-    cold/warm/shared caches, and a printer round trip), and — with
+    pipelines that must agree with the reference [Registry.run_all] (Mcd
+    with 1, 2 and 4 domains, cold/warm/shared caches, the sequential
+    product driver [Registry.run_all_product], and a printer round
+    trip), and — with
     [--mutate] — seeds paper-style bugs with ground-truth labels and
     scores each checker's recall and precision.
 
@@ -17,12 +19,6 @@
     generated program — the seventh oracle: the two back ends'
     diagnostics must be byte-identical.
 
-    With [--product], the product-automaton driver
-    ([Registry.run_all_product]: one fused [Engine.product_scan] walk
-    per function) runs against both the fused and the sequential
-    drivers over the corpus + golden programs and over every generated
-    program — the eighth oracle: all three must be byte-identical.
-
     With [--supervised], every clean program also runs through a
     daemon that dispatches into supervised worker processes — the
     ninth oracle: the extra process hop, framing relay, and worker-side
@@ -35,8 +31,7 @@
 
 open Cmdliner
 
-let main seed count mutate out quiet threshold serve metalc product
-    supervised =
+let main seed count mutate out quiet threshold serve metalc supervised =
   let t0 = Unix.gettimeofday () in
   let log i =
     if (not quiet) && (i mod 100 = 0 || i = count) then
@@ -57,7 +52,7 @@ let main seed count mutate out quiet threshold serve metalc product
         Printf.eprintf "mcfuzz: %s\n" e;
         exit 2
   in
-  (* the fixed-input halves of O7/O8 run once, before the seeded loop *)
+  (* the fixed-input half of O7 runs once, before the seeded loop *)
   let sweep_failures =
     match mc with
     | Some t ->
@@ -67,17 +62,6 @@ let main seed count mutate out quiet threshold serve metalc product
           (List.length fs);
       fs
     | None -> []
-  in
-  let sweep_failures =
-    if not product then sweep_failures
-    else begin
-      let fs = Fuzz_product.sweep () in
-      if not quiet then
-        Printf.eprintf
-          "mcfuzz: product corpus+golden sweep: %d disagreement(s)\n%!"
-          (List.length fs);
-      sweep_failures @ fs
-    end
   in
   let extra_oracle p =
     let serve_fs =
@@ -91,8 +75,7 @@ let main seed count mutate out quiet threshold serve metalc product
     let metal_fs =
       match mc with Some t -> Fuzz_metalc.oracle t p | None -> []
     in
-    let product_fs = if product then Fuzz_product.oracle p else [] in
-    serve_fs @ sup_fs @ metal_fs @ product_fs
+    serve_fs @ sup_fs @ metal_fs
   in
   let { Fuzz_driver.score; failures } =
     Fun.protect
@@ -170,16 +153,6 @@ let metalc_arg =
               once, then over every generated program — and require \
               the two back ends' diagnostics to match byte-for-byte.")
 
-let product_arg =
-  Arg.(
-    value & flag
-    & info [ "product" ]
-        ~doc:"Also run the product-automaton driver against the fused \
-              and sequential drivers — over the fixed corpus and golden \
-              programs once, then over every generated program — and \
-              require the three drivers' diagnostics to match \
-              byte-for-byte.")
-
 let supervised_arg =
   Arg.(
     value & flag
@@ -195,8 +168,7 @@ let cmd =
        ~doc:"differential fuzzing of the FLASH checking pipeline")
     Term.(
       const main $ seed_arg $ count_arg $ mutate_arg $ out_arg $ quiet_arg
-      $ threshold_arg $ serve_arg $ metalc_arg $ product_arg
-      $ supervised_arg)
+      $ threshold_arg $ serve_arg $ metalc_arg $ supervised_arg)
 
 let () =
   Serve.Worker.exit_if_worker ();

@@ -226,7 +226,7 @@ let run_server addr_spec checker_names files ropts ~want_metrics =
           res.Serve.Client.cr_exit))
 
 let main checker_names files table list_flag seed verbose metal_paths
-    metal_mode fix out_dir jobs incremental cache_file quiet explain
+    fix out_dir jobs incremental cache_file quiet explain
     trace_file metrics strict unit_fuel unit_deadline server =
   let budget = { Engine.fuel = unit_fuel; deadline_ms = unit_deadline } in
   Mcobs.set_verbosity
@@ -280,7 +280,7 @@ let main checker_names files table list_flag seed verbose metal_paths
           run_table n seed;
           0
         | None, None, (_ :: _ as metal_paths), files -> (
-          match Mcheck_api.load_metal ~mode:metal_mode metal_paths with
+          match Mcheck_api.load_metal metal_paths with
           | Error msg ->
             (* a rejected spec makes the whole run meaningless: exit 3,
                with the compiler's located, classified diagnostics *)
@@ -342,24 +342,6 @@ let metal_arg =
     & info [ "m"; "metal" ] ~docv:"FILE"
         ~doc:"Compile and run a checker written in metal syntax \
               (repeatable).")
-
-let metal_mode_arg =
-  Arg.(
-    value
-    & vflag Mrun.Mode_compiled
-        [
-          ( Mrun.Mode_compiled,
-            info [ "metal-compiled" ]
-              ~doc:
-                "Run --metal specs compiled to transition tables (the \
-                 default)." );
-          ( Mrun.Mode_interp,
-            info [ "metal-interp" ]
-              ~doc:
-                "Run --metal specs through the Mdsl interpreter instead \
-                 of the compiler — the escape hatch.  Diagnostics are \
-                 byte-identical to the compiled path." );
-        ])
 
 let verbose_arg =
   Arg.(
@@ -444,7 +426,7 @@ let unit_fuel_arg =
         ~doc:"Per-unit step budget: a checker that visits more than \
               $(docv) (node, state) pairs on one work unit is cut off, \
               reported, and replaced by a degraded flow-insensitive \
-              pass.  Only applies with --jobs/--incremental.")
+              pass.")
 
 let unit_deadline_arg =
   Arg.(
@@ -452,7 +434,7 @@ let unit_deadline_arg =
     & info [ "unit-deadline" ] ~docv:"MS"
         ~doc:"Per-unit wall-clock budget in milliseconds; exceeded \
               units are cut off, reported, and degraded like \
-              --unit-fuel.  Only applies with --jobs/--incremental.")
+              --unit-fuel.")
 
 let server_arg =
   Arg.(
@@ -471,7 +453,7 @@ let cmd =
     (Cmd.info "mcheck" ~doc)
     Term.(
       const main $ checker_arg $ files_arg $ table_arg $ list_arg $ seed_arg
-      $ verbose_arg $ metal_arg $ metal_mode_arg $ fix_arg $ out_arg
+      $ verbose_arg $ metal_arg $ fix_arg $ out_arg
       $ jobs_arg $ incremental_arg $ cache_arg $ quiet_arg $ explain_arg
       $ trace_arg $ metrics_arg $ strict_arg $ unit_fuel_arg
       $ unit_deadline_arg $ server_arg)

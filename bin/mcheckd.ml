@@ -1,9 +1,9 @@
 (** mcheckd — the checking-as-a-service daemon.
 
     Serve mode (the default): bind a Unix or TCP socket, hold one warm
-    {!Mcheck_api.Session} (pre-built Preps via the fused engine, the
-    content-hash Mcd cache in memory), and answer [Serve.Proto] check
-    requests until drained.
+    {!Mcheck_api.Session} (the Mcd scheduler over the [Registry]
+    checking kernel, the content-hash Mcd cache in memory), and answer
+    [Serve.Proto] check requests until drained.
 
     - [mcheckd --socket PATH] / [mcheckd --tcp HOST:PORT] — listen;
     - [--jobs N] — Mcd domain count for each check;

@@ -121,7 +121,7 @@ let parse_strict srcs =
     Printf.eprintf "%s: lexical error: %s\n%!" (Loc.to_string loc) msg;
     raise (Robust_exit Robust.Unusable)
 
-let load_metal ?(mode = Mrun.Mode_compiled) paths =
+let load_metal paths =
   (* errors without a position still name the offending spec file *)
   let render path (e : Mir.error) =
     if Loc.is_none e.Mir.e_loc then
@@ -131,7 +131,7 @@ let load_metal ?(mode = Mrun.Mode_compiled) paths =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | path :: rest -> (
-      match Mrun.load_file ~mode path with
+      match Mrun.load_file path with
       | Ok m -> go ((path, m) :: acc) rest
       | Error errs ->
         Error (String.concat "\n" (List.map (render path) errs))
@@ -234,8 +234,6 @@ module Session = struct
       check_wall_ms = 0.;
     }
 
-  let use_mcd t = t.cfg.jobs > 1 || t.cfg.incremental
-
   (* per-call selection override (the daemon's per-request [-c] flags)
      falls back to the session config *)
   let effective_checkers t = function
@@ -305,39 +303,66 @@ module Session = struct
     Mctel.Metrics.inc ~by:stats.Mcd.units_run m_units_run;
     Mctel.Metrics.inc ~by:stats.Mcd.units_faulted m_units_faulted
 
-  (* one checking pass over parsed units: metal specs when configured,
-     else the Mcd pool (warm cache) or the product-automaton sequential
-     driver *)
-  let run_pipeline t ~names ~spec tus =
+  (* the one checking pass over parsed programs, one result list per
+     job: the loaded metal specs when configured, else the built-in
+     checkers through the Mcd scheduler at any [jobs] *)
+  let run_pipeline t ~names (jobs : Mcd.job list) =
     if t.cfg.metal <> [] then
       (* one Prep per function, shared across every loaded spec;
          machine-major concatenation keeps the output identical to
          running each spec alone *)
-      let diags =
-        List.concat
-          (Mrun.check_program_fused (List.map snd t.cfg.metal) tus)
-      in
-      ((if diags = [] then [] else [ ("metal", diags) ]), None, false)
-    else if use_mcd t then begin
+      let machines = List.map snd t.cfg.metal in
+      ( List.map
+          (fun (j : Mcd.job) ->
+            match List.concat (Mrun.check_program_fused machines j.Mcd.tus) with
+            | [] -> []
+            | diags -> [ ("metal", diags) ])
+          jobs,
+        None,
+        false )
+    else begin
       let results, stats =
-        Mcd.check_corpus ?cache:t.cache ~budget:t.cfg.budget
-          ~jobs:t.cfg.jobs ~spec tus
+        Mcd.check_jobs ?cache:t.cache ~budget:t.cfg.budget ~jobs:t.cfg.jobs
+          jobs
       in
-      report_sched_stats stats;
+      if t.cfg.jobs > 1 || t.cfg.incremental then report_sched_stats stats;
       t.units_run <- t.units_run + stats.Mcd.units_run;
       t.cache_hits <- t.cache_hits + stats.Mcd.cache_hits;
       observe_sched stats;
-      ( List.filter (fun (name, _) -> selected names name) results,
+      ( List.map (List.filter (fun (name, _) -> selected names name)) results,
         Some stats,
         stats.Mcd.units_faulted > 0 || stats.Mcd.workers_crashed > 0 )
     end
-    else
-      let results = Registry.run_all_product ~spec tus in
-      ( List.filter (fun (name, _) -> selected names name) results,
-        None,
-        List.exists
-          (fun (name, ds) -> String.equal name "internal" && ds <> [])
-          results )
+
+  (* the pipeline plus outcome classification over parsed programs;
+     [parse_diags], [skipped] and [had_input] describe the read and
+     parse step before it, when there was one *)
+  let check_programs t ~names ?(parse_diags = []) ?(skipped = 0)
+      ?(had_input = false) (jobs : Mcd.job list) =
+    let results, sched, units_degraded = run_pipeline t ~names jobs in
+    let flat = List.concat results in
+    let findings = count_findings flat in
+    (* a run where no function survived parsing checked nothing *)
+    let survived =
+      List.exists
+        (fun (j : Mcd.job) ->
+          List.exists (fun tu -> Ast.functions tu <> []) j.Mcd.tus)
+        jobs
+    in
+    let outcome =
+      Robust.classify
+        ~usable:(survived || (parse_diags = [] && skipped = 0 && had_input))
+        ~degraded:(parse_diags <> [] || skipped > 0 || units_degraded)
+        ~has_findings:(findings > 0)
+    in
+    ( results,
+      {
+        r_parse = parse_diags;
+        r_results = flat;
+        r_findings = findings;
+        r_outcome = outcome;
+        r_sched = sched;
+      } )
 
   let record t report ~files ~wall_ms =
     t.requests <- t.requests + 1;
@@ -377,36 +402,14 @@ module Session = struct
 
   (* the shared back half: parse the (path, source) pairs, run, classify *)
   let check_sources_uncached t ~names srcs ~skipped ~had_input =
-    let (report : report), wall_ms =
+    let (_, report), wall_ms =
       time_ms (fun () ->
           let tus, parse_diags =
             if t.cfg.strict then (parse_strict srcs, [])
             else Frontend.parse_strings srcs
           in
-          let spec = default_spec tus in
-          let results, sched, units_degraded =
-            run_pipeline t ~names ~spec tus
-          in
-          let findings = count_findings results in
-          (* a run where no function survived parsing checked nothing *)
-          let survived =
-            List.exists (fun tu -> Ast.functions tu <> []) tus
-          in
-          let outcome =
-            Robust.classify
-              ~usable:
-                (survived
-                || (parse_diags = [] && skipped = 0 && had_input))
-              ~degraded:(parse_diags <> [] || skipped > 0 || units_degraded)
-              ~has_findings:(findings > 0)
-          in
-          {
-            r_parse = parse_diags;
-            r_results = results;
-            r_findings = findings;
-            r_outcome = outcome;
-            r_sched = sched;
-          })
+          check_programs t ~names ~parse_diags ~skipped ~had_input
+            [ { Mcd.spec = default_spec tus; tus } ])
     in
     record t report ~files:(List.length srcs) ~wall_ms;
     report
@@ -445,109 +448,26 @@ module Session = struct
           [ (name, Prelude.text ^ contents) ]
           ~skipped:0 ~had_input:true)
 
+  let check_parsed t ~names jobs =
+    let (results, report), wall_ms =
+      time_ms (fun () -> check_programs t ~names jobs)
+    in
+    record t report ~files:0 ~wall_ms;
+    (results, report)
+
   let check_units ?checkers t ~spec tus =
     Mcobs.with_span "api.check_units" (fun () ->
-        let names = effective_checkers t checkers in
-        let report, wall_ms =
-          time_ms (fun () ->
-              let results, sched, units_degraded =
-                run_pipeline t ~names ~spec tus
-              in
-              let findings = count_findings results in
-              let survived =
-                List.exists (fun tu -> Ast.functions tu <> []) tus
-              in
-              let outcome =
-                Robust.classify ~usable:survived ~degraded:units_degraded
-                  ~has_findings:(findings > 0)
-              in
-              {
-                r_parse = [];
-                r_results = results;
-                r_findings = findings;
-                r_outcome = outcome;
-                r_sched = sched;
-              })
-        in
-        record t report ~files:0 ~wall_ms;
-        report)
+        snd
+          (check_parsed t
+             ~names:(effective_checkers t checkers)
+             [ { Mcd.spec; tus } ]))
 
   (* the corpus path: every protocol through one scheduling pass (one
      Mcd pool over the whole job list), per-job result lists preserved
      for per-protocol printing *)
   let check_jobs t (jobs : Mcd.job list) =
     Mcobs.with_span "api.check_jobs" (fun () ->
-        let names = t.cfg.checkers in
-        let select = List.filter (fun (name, _) -> selected names name) in
-        let (results, (report : report)), wall_ms =
-          time_ms (fun () ->
-              let results, sched, degraded =
-                if t.cfg.metal <> [] then
-                  ( List.map
-                      (fun (j : Mcd.job) ->
-                        let diags =
-                          List.concat
-                            (Mrun.check_program_fused
-                               (List.map snd t.cfg.metal)
-                               j.Mcd.tus)
-                        in
-                        if diags = [] then [] else [ ("metal", diags) ])
-                      jobs,
-                    None,
-                    false )
-                else if use_mcd t then begin
-                  let results, stats =
-                    Mcd.check_jobs ?cache:t.cache ~budget:t.cfg.budget
-                      ~jobs:t.cfg.jobs jobs
-                  in
-                  report_sched_stats stats;
-                  t.units_run <- t.units_run + stats.Mcd.units_run;
-                  t.cache_hits <- t.cache_hits + stats.Mcd.cache_hits;
-                  observe_sched stats;
-                  ( List.map select results,
-                    Some stats,
-                    stats.Mcd.units_faulted > 0
-                    || stats.Mcd.workers_crashed > 0 )
-                end
-                else
-                  let results =
-                    List.map
-                      (fun (j : Mcd.job) ->
-                        Registry.run_all_product ~spec:j.Mcd.spec j.Mcd.tus)
-                      jobs
-                  in
-                  ( List.map select results,
-                    None,
-                    List.exists
-                      (List.exists (fun (name, ds) ->
-                           String.equal name "internal" && ds <> []))
-                      results )
-              in
-              let flat = List.concat results in
-              let findings = count_findings flat in
-              let survived =
-                List.exists
-                  (fun (j : Mcd.job) ->
-                    List.exists
-                      (fun tu -> Ast.functions tu <> [])
-                      j.Mcd.tus)
-                  jobs
-              in
-              let outcome =
-                Robust.classify ~usable:survived ~degraded
-                  ~has_findings:(findings > 0)
-              in
-              ( results,
-                {
-                  r_parse = [];
-                  r_results = flat;
-                  r_findings = findings;
-                  r_outcome = outcome;
-                  r_sched = sched;
-                } ))
-        in
-        record t report ~files:0 ~wall_ms;
-        (results, report))
+        check_parsed t ~names:t.cfg.checkers jobs)
 
   let stats t =
     {

@@ -32,7 +32,9 @@ type config = {
           segment at [create], publish this session's entries with
           {!Session.publish_cache} (and at [close]) — the discipline
           that lets concurrent worker processes share warm results *)
-  budget : Engine.budget;  (** per-unit fuel / deadline under Mcd *)
+  budget : Engine.budget;
+      (** per-unit fuel / deadline for the built-in checkers, at any
+          [jobs] *)
   strict : bool;
       (** fail fast on unreadable or unparseable input instead of
           recovering *)
@@ -40,9 +42,8 @@ type config = {
       (** report only these checkers ([] = all); containment-layer
           ["internal"] entries always pass the filter *)
   metal : (string * Mrun.t) list;
-      (** when non-empty, run these loaded metal specs instead of the
-          nine built-in checkers — compiled to transition tables or
-          interpreted, per {!load_metal}'s mode *)
+      (** when non-empty, run these loaded metal specs (see
+          {!load_metal}) instead of the nine built-in checkers *)
 }
 
 val default_config : config
@@ -61,7 +62,8 @@ type report = {
           layer's [("internal", _)] entry rides along when present *)
   r_findings : int;  (** non-internal checker diagnostics *)
   r_outcome : Robust.outcome;
-  r_sched : Mcd.stats option;  (** present when the Mcd pool ran *)
+  r_sched : Mcd.stats option;
+      (** the Mcd scheduler's statistics; [None] for a metal-spec run *)
 }
 
 val report_diags : report -> Diag.t list
@@ -172,11 +174,8 @@ val parse_strict : (string * string) list -> Ast.tunit list
 (** [Frontend.of_strings] with the CLI's fail-fast error reporting.
     @raise Robust_exit on the first parse or lexical error *)
 
-val load_metal :
-  ?mode:Mrun.mode -> string list -> ((string * Mrun.t) list, string) result
-(** load metal spec files — compiled to transition tables by default
-    ([Mrun.Mode_compiled]), or through the interpreter with
-    [~mode:Mrun.Mode_interp] (the [--metal-interp] escape hatch).  The
+val load_metal : string list -> ((string * Mrun.t) list, string) result
+(** load metal spec files, compiled to transition tables.  The
     first unreadable or rejected spec fails the whole load (a broken
     spec makes any run meaningless); the error string carries the
     compiler's located, classified diagnostics, newline-separated *)

@@ -199,7 +199,7 @@ let run_with_annotations ~spec (tus : Ast.tunit list) : outcome =
 
 (* Staged: the spec-dependent state machine (and the annotation table,
    which only feeds the Table 4 counters, never the diagnostics) is built
-   once per [check_fn ~spec] application. *)
+   once per [check_prep ~spec] application. *)
 let check_prep ~spec : Prep.t -> Diag.t list =
   let suppress =
     Suppress.create
@@ -207,10 +207,6 @@ let check_prep ~spec : Prep.t -> Diag.t list =
   in
   let sm = make_sm ~spec ~suppress in
   fun prep -> Engine.check_prep ~at_exit:(exit_hook ~spec suppress) sm prep
-
-let check_fn ~spec : Ast.func -> Diag.t list =
-  let staged = check_prep ~spec in
-  fun f -> staged (Prep.build f)
 
 (* The product pack gets its own annotation table: the table only feeds
    the Table 4 counters of [run_with_annotations] (which builds its own),

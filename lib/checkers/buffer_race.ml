@@ -51,10 +51,6 @@ let check_prep ~spec : Prep.t -> Diag.t list =
   let _ = spec in
   fun prep -> Engine.check_prep sm prep
 
-let check_fn ~spec : Ast.func -> Diag.t list =
-  let staged = check_prep ~spec in
-  fun f -> staged (Prep.build f)
-
 (* One state, so the machine lowers onto the transition-table shape and
    the product scan gets array-load dispatch. *)
 let table = Engine.prebuild ~n_states:1 (Engine.reindex [| Start |] sm)

@@ -137,10 +137,6 @@ let check_prep ?nak_pruning ~spec : Prep.t -> Diag.t list =
   let sm = sm ?nak_pruning ~spec () in
   fun prep -> Engine.check_prep ~at_exit:exit_hook sm prep
 
-let check_fn ?nak_pruning ~spec : Ast.func -> Diag.t list =
-  let staged = check_prep ?nak_pruning ~spec in
-  fun f -> staged (Prep.build f)
-
 let product ?nak_pruning ~spec () : Engine.pmachine option =
   Some (Engine.pack ~at_exit:exit_hook (sm ?nak_pruning ~spec ()))
 

@@ -15,11 +15,6 @@ val product :
   ?nak_pruning:bool -> spec:Flash_api.spec -> unit -> Engine.pmachine option
 (** the machine packed for {!Engine.product_scan} *)
 
-val check_fn :
-  ?nak_pruning:bool -> spec:Flash_api.spec -> Ast.func -> Diag.t list
-(** staged: [check_fn ~spec] compiles the spec's state machine once and
-    returns the per-function phase the scheduler drives *)
-
 val run :
   ?nak_pruning:bool ->
   spec:Flash_api.spec ->

@@ -6,13 +6,10 @@
 val name : string
 val metal_loc : int
 
-val check_fn : spec:Flash_api.spec -> Ast.func -> Diag.t list
-(** check one function — results are unnormalized; the registry's
-    finalizer sorts and deduplicates the whole-program list *)
-
 val check_prep : spec:Flash_api.spec -> Prep.t -> Diag.t list
-(** [check_fn] over a prepared function (the CFG is unused — this checker
-    walks the AST directly) *)
+(** check one prepared function (the CFG is unused — this checker walks
+    the AST directly); results are unnormalized, the registry's finalizer
+    sorts and deduplicates the whole-program list *)
 
 val product : spec:Flash_api.spec -> Engine.pmachine option
 (** the machine packed for {!Engine.product_scan}, [None] for pure AST

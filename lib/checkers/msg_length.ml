@@ -78,10 +78,6 @@ let product ~spec : Engine.pmachine option =
   let _ = spec in
   Some (Engine.pack_table table)
 
-let check_fn ~spec : Ast.func -> Diag.t list =
-  let staged = check_prep ~spec in
-  fun f -> staged (Prep.build f)
-
 let run ~spec (tus : Ast.tunit list) : Diag.t list =
   let _ = spec in
   Engine.check sm (`Program tus)

@@ -17,9 +17,6 @@ val product : spec:Flash_api.spec -> Engine.pmachine option
 (** the machine packed for {!Engine.product_scan}, [None] for pure AST
     walkers with nothing to compose *)
 
-val check_fn : spec:Flash_api.spec -> Ast.func -> Diag.t list
-(** check one function — the per-function phase the scheduler drives *)
-
 val run : spec:Flash_api.spec -> Ast.tunit list -> Diag.t list
 
 val applied : Ast.tunit list -> int

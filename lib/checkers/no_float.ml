@@ -61,10 +61,6 @@ let check_func (f : Ast.func) : Diag.t list =
     f.Ast.f_params;
   !diags
 
-let check_fn ~spec (f : Ast.func) : Diag.t list =
-  let _ = spec in
-  check_func f
-
 (* Pure AST walker: the prep's CFG is unused, only the function. *)
 let check_prep ~spec (prep : Prep.t) : Diag.t list =
   let _ = spec in

@@ -1,5 +1,6 @@
 (** The nine FLASH checkers, with the metadata Table 7 reports, behind
-    the two-phase checker interface the [Mcd] scheduler drives. *)
+    the two-phase checker interface, and the one checking kernel every
+    driver — [run_all_product] here, the [Mcd] scheduler's units — runs. *)
 
 type ctx = {
   all_units : Ast.tunit list;
@@ -157,216 +158,152 @@ let names = List.map (fun c -> c.name) all
 let run_all ~spec (tus : Ast.tunit list) : (string * Diag.t list) list =
   List.map (fun c -> (c.name, c.run ~spec tus)) all
 
-(** Run every checker on one protocol, building each function's [Prep]
-    exactly once and sharing it across all per-function checkers — the
-    fused sequential driver.  Per-checker results accumulate in source
-    order, so the output is exactly [run_all]'s.
+(* ------------------------------------------------------------------ *)
+(* The checking kernel                                                 *)
+(* ------------------------------------------------------------------ *)
 
-    Each (checker, function) pair runs behind a fault barrier: an
-    exception is converted into a Warning-severity ["internal"]
-    diagnostic plus a degraded flow-insensitive retry, and the run
-    completes — a non-empty fault collection appends one extra
-    [("internal", _)] entry to the result list. *)
-let run_all_fused ~spec (tus : Ast.tunit list) :
-    (string * Diag.t list) list =
-  let ctx = make_ctx tus in
-  let faults = ref [] in
-  let fault ~loc ~func msg =
-    faults :=
-      Diag.make ~severity:Diag.Warning ~checker:"internal" ~loc ~func msg
-      :: !faults
-  in
-  let staged =
-    List.map
+let is_per_function c =
+  match c.phase with Per_function _ -> true | Whole_program _ -> false
+
+let n_per_function = List.length (List.filter is_per_function all)
+
+(* the per-function checkers in registry order — the order of the slices
+   a kernel call returns — with the machine-backed ones' packed machines
+   gathered for the product scan *)
+type staged = {
+  s_names : string array;
+  s_fns : (Prep.t -> Diag.t list) array;
+  s_machines : Engine.pmachine array;
+  s_owner : int array;  (** [s_owner.(i)]: the checker of [s_machines.(i)] *)
+}
+
+let stage ~spec ~ctx =
+  let pfs =
+    List.filter_map
       (fun c ->
         match c.phase with
-        | Per_function { check_fn; finalize; _ } ->
-          `Pf (c.name, check_fn ~spec ~ctx, finalize, ref [])
-        | Whole_program g -> `Wp g)
+        | Per_function { check_fn; product; _ } ->
+          Some (c.name, check_fn ~spec ~ctx, product ~spec)
+        | Whole_program _ -> None)
       all
   in
-  let run_one name fn prep (f : Ast.func) =
-    try fn prep
-    with exn ->
-      fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
+  let owned =
+    List.concat
+      (List.mapi
+         (fun k (_, _, m) -> Option.fold ~none:[] ~some:(fun m -> [ (k, m) ]) m)
+         pfs)
+  in
+  {
+    s_names = Array.of_list (List.map (fun (name, _, _) -> name) pfs);
+    s_fns = Array.of_list (List.map (fun (_, fn, _) -> fn) pfs);
+    s_machines = Array.of_list (List.map snd owned);
+    s_owner = Array.of_list (List.map fst owned);
+  }
+
+let internal ~loc ~func msg =
+  Diag.make ~severity:Diag.Warning ~checker:"internal" ~loc ~func msg
+
+(* The fault barrier: [go] runs under [budget]; an exception (checker
+   bug, injected fault, exhausted budget) becomes an ["internal"]
+   diagnostic and a degraded flow-insensitive retry takes its place. *)
+let guarded ~budget ~faults ~loc ~func ~what go =
+  match Engine.with_budget budget go with
+  | slice -> slice
+  | exception exn ->
+    faults :=
+      internal ~loc ~func
         (Printf.sprintf
-           "checker %s failed (%s); a degraded flow-insensitive pass \
-            was substituted"
-           name (Engine.describe_fault exn));
-      (try Engine.with_degraded (fun () -> fn prep) with _ -> [])
-  in
-  List.iter
-    (fun tu ->
-      List.iter
-        (fun f ->
-          match Prep.build f with
-          | exception exn ->
-            fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
-              (Printf.sprintf
-                 "function could not be prepared (%s); all checkers \
-                  skipped for this function"
-                 (Engine.describe_fault exn))
-          | prep ->
-            List.iter
-              (function
-                | `Pf (name, fn, _, acc) -> acc := run_one name fn prep f :: !acc
-                | `Wp _ -> ())
-              staged)
-        (Ast.functions tu))
-    tus;
+           "%s failed (%s); a degraded flow-insensitive pass was \
+            substituted"
+           what (Engine.describe_fault exn))
+      :: !faults;
+    (try Engine.with_degraded go with _ -> [])
+
+let check_function (st : staged Lazy.t) ~budget (f : Ast.func) =
+  match (Lazy.force st, Prep.build f) with
+  | exception exn ->
+    ( Array.make n_per_function [],
+      [
+        internal ~loc:f.Ast.f_loc ~func:f.Ast.f_name
+          (Printf.sprintf
+             "function could not be prepared (%s); all checkers skipped \
+              for this function"
+             (Engine.describe_fault exn));
+      ] )
+  | st, prep ->
+    let rerun = Array.make (Array.length st.s_fns) true in
+    (* the scan only detects; a budget or containment context needs the
+       exact per-checker semantics, so it sends every checker down the
+       ordinary path.  An overflow or a machine crash reruns everything,
+       and a real fault then surfaces through its own barrier. *)
+    if budget = Engine.no_budget && not (Engine.containment_active ())
+    then begin
+      match Engine.product_scan prep st.s_machines with
+      | dirty ->
+        Array.iteri (fun i k -> if not dirty.(i) then rerun.(k) <- false)
+          st.s_owner
+      | exception _ -> ()
+    end;
+    let faults = ref [] in
+    let slices =
+      Array.mapi
+        (fun k fn ->
+          if not rerun.(k) then []
+          else
+            guarded ~budget ~faults ~loc:f.Ast.f_loc ~func:f.Ast.f_name
+              ~what:("checker " ^ st.s_names.(k))
+              (fun () -> fn prep))
+        st.s_fns
+    in
+    (slices, List.rev !faults)
+
+let check_whole_program ~budget (c : checker) ~spec tus =
+  match c.phase with
+  | Per_function _ -> invalid_arg "Registry.check_whole_program"
+  | Whole_program g ->
+    let faults = ref [] in
+    let slice =
+      guarded ~budget ~faults ~loc:Loc.none ~func:"<whole-program>"
+        ~what:("whole-program checker " ^ c.name)
+        (fun () -> g ~spec tus)
+    in
+    (slice, !faults)
+
+let assemble ~per_function:batches ~whole_program ~faults =
+  let k = ref 0 and wp = ref whole_program in
   let entries =
-    List.map2
-      (fun c st ->
-        match st with
-        | `Pf (_, _, finalize, acc) ->
-          (c.name, finalize (List.concat (List.rev !acc)))
-        | `Wp g -> (
-          match g ~spec tus with
-          | slice -> (c.name, slice)
-          | exception exn ->
-            fault ~loc:Loc.none ~func:"<whole-program>"
-              (Printf.sprintf
-                 "whole-program checker %s failed (%s); a degraded \
-                  flow-insensitive pass was substituted"
-                 c.name (Engine.describe_fault exn));
-            ( c.name,
-              try Engine.with_degraded (fun () -> g ~spec tus)
-              with _ -> [] )))
-      all staged
+    List.map
+      (fun c ->
+        match (c.phase, !wp) with
+        | Per_function { finalize; _ }, _ ->
+          let i = !k in
+          incr k;
+          (c.name, finalize (List.concat_map (fun b -> b.(i)) batches))
+        | Whole_program _, slice :: rest ->
+          wp := rest;
+          (c.name, slice)
+        | Whole_program _, [] -> invalid_arg "Registry.assemble")
+      all
   in
-  match !faults with
+  match faults with
   | [] -> entries
   | fs -> entries @ [ ("internal", Diag.normalize fs) ]
 
-(* A per-function checker staged for the product driver. *)
-type staged_pf = {
-  s_name : string;
-  s_fn : Prep.t -> Diag.t list;
-  s_finalize : Diag.t list -> Diag.t list;
-  s_machine : Engine.pmachine option;
-  s_acc : Diag.t list list ref;
-}
-
-(** [run_all_fused] with the per-checker traversals replaced by one
-    product-automaton walk per function.  The scan only detects: a
-    machine flagged dirty (it could emit on this function) re-runs
-    through its ordinary per-checker traversal, whose output — witnesses
-    included — is authoritative; a clean machine's result is [] by
-    construction.  Checkers without a machine (the pure AST walkers)
-    always run directly; they are linear single passes already.
-
-    Containment (budgets, degraded mode, fault injection) delegates to
-    [run_all_fused] wholesale so those paths keep their exact
-    per-checker semantics.  A scan that overflows ([Product_overflow])
-    or crashes falls back to re-running every machine on that function —
-    same output, no walk saved. *)
 let run_all_product ~spec (tus : Ast.tunit list) :
     (string * Diag.t list) list =
-  if Engine.containment_active () then run_all_fused ~spec tus
-  else begin
-    let ctx = make_ctx tus in
-    let faults = ref [] in
-    let fault ~loc ~func msg =
-      faults :=
-        Diag.make ~severity:Diag.Warning ~checker:"internal" ~loc ~func msg
-        :: !faults
-    in
-    let staged =
-      List.map
-        (fun c ->
-          match c.phase with
-          | Per_function { check_fn; finalize; product } ->
-            `Pf
-              {
-                s_name = c.name;
-                s_fn = check_fn ~spec ~ctx;
-                s_finalize = finalize;
-                s_machine = product ~spec;
-                s_acc = ref [];
-              }
-          | Whole_program g -> `Wp g)
-        all
-    in
-    let pfs =
-      Array.of_list
-        (List.filter_map (function `Pf p -> Some p | `Wp _ -> None) staged)
-    in
-    (* the packed machines, in [pfs] order, skipping machine-less
-       checkers *)
-    let machines =
-      Array.of_list
-        (List.filter_map
-           (fun p -> p.s_machine)
-           (Array.to_list pfs))
-    in
-    let run_one name fn prep (f : Ast.func) =
-      try fn prep
-      with exn ->
-        fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
-          (Printf.sprintf
-             "checker %s failed (%s); a degraded flow-insensitive pass \
-              was substituted"
-             name (Engine.describe_fault exn));
-        (try Engine.with_degraded (fun () -> fn prep) with _ -> [])
-    in
-    List.iter
-      (fun tu ->
-        List.iter
-          (fun f ->
-            match Prep.build f with
-            | exception exn ->
-              fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
-                (Printf.sprintf
-                   "function could not be prepared (%s); all checkers \
-                    skipped for this function"
-                   (Engine.describe_fault exn))
-            | prep ->
-              let dirty =
-                if Array.length machines = 0 then [||]
-                else
-                  try Engine.product_scan prep machines
-                  with _ ->
-                    (* overflow or a machine crash: rerun everything;
-                       the guarded per-checker path reproduces (and
-                       contains) any crash *)
-                    Array.map (fun _ -> true) machines
-              in
-              let mi = ref 0 in
-              Array.iter
-                (fun p ->
-                  let rerun =
-                    match p.s_machine with
-                    | None -> true
-                    | Some _ ->
-                      let d = dirty.(!mi) in
-                      incr mi;
-                      d
-                  in
-                  if rerun then
-                    p.s_acc := run_one p.s_name p.s_fn prep f :: !(p.s_acc))
-                pfs)
-          (Ast.functions tu))
-      tus;
-    let entries =
-      List.map2
-        (fun c st ->
-          match st with
-          | `Pf p -> (c.name, p.s_finalize (List.concat (List.rev !(p.s_acc))))
-          | `Wp g -> (
-            match g ~spec tus with
-            | slice -> (c.name, slice)
-            | exception exn ->
-              fault ~loc:Loc.none ~func:"<whole-program>"
-                (Printf.sprintf
-                   "whole-program checker %s failed (%s); a degraded \
-                    flow-insensitive pass was substituted"
-                   c.name (Engine.describe_fault exn));
-              ( c.name,
-                try Engine.with_degraded (fun () -> g ~spec tus)
-                with _ -> [] )))
-        all staged
-    in
-    match !faults with
-    | [] -> entries
-    | fs -> entries @ [ ("internal", Diag.normalize fs) ]
-  end
+  let st = lazy (stage ~spec ~ctx:(make_ctx tus)) in
+  let budget = Engine.no_budget in
+  let batches =
+    List.concat_map
+      (fun tu -> List.map (check_function st ~budget) (Ast.functions tu))
+      tus
+  in
+  let globals =
+    List.map
+      (fun c -> check_whole_program ~budget c ~spec tus)
+      (List.filter (fun c -> not (is_per_function c)) all)
+  in
+  assemble
+    ~per_function:(List.map fst batches)
+    ~whole_program:(List.map fst globals)
+    ~faults:(List.concat_map snd batches @ List.concat_map snd globals)

@@ -1,7 +1,7 @@
 (** The nine FLASH checkers, with the metadata Table 7 reports.
 
     Checkers expose a two-phase interface so a scheduler (the [Mcd]
-    daemon core) can dispatch *(checker x function)* work units:
+    daemon core) can dispatch function-batch work units:
 
     - intra-procedural checkers provide a per-function phase
       [check_fn : spec -> ctx -> Prep.t -> Diag.t list] whose results,
@@ -10,8 +10,9 @@
     - inter-procedural checkers ([lanes]) provide a whole-program phase
       [check_global : spec -> tunits -> Diag.t list].
 
-    The derived [run] field keeps the original one-shot signature working
-    for every caller. *)
+    The derived [run] field runs one checker on its own, building a
+    {!Prep.t} per function; {!run_all} over it is the reference every
+    driver is tested against. *)
 
 type ctx = {
   all_units : Ast.tunit list;  (** the whole program being checked *)
@@ -56,44 +57,63 @@ type checker = {
       (** the "number of times the check was applied" metric *)
 }
 
-val run_of_phase :
-  phase -> spec:Flash_api.spec -> Ast.tunit list -> Diag.t list
-(** the derivation used for the [run] field: stage, map over every
-    function in source order, finalize (or delegate to the global
-    phase) *)
-
 val all : checker list
 val find : string -> checker option
 val names : string list
 val run_all : spec:Flash_api.spec -> Ast.tunit list -> (string * Diag.t list) list
 
-val run_all_fused :
-  spec:Flash_api.spec ->
-  Ast.tunit list ->
-  (string * Diag.t list) list
-(** [run_all] with each function's {!Prep.t} built exactly once and
-    shared across all per-function checkers; identical output, one CFG
-    construction per function instead of eight.
+(** {2 The checking kernel}
 
-    A fault barrier surrounds each (checker, function) pair: an
-    exception becomes a Warning-severity ["internal"] diagnostic plus a
-    degraded flow-insensitive retry, and a non-empty fault collection
-    appends one [("internal", _)] entry to the result list.  The clean
-    path is unchanged by the barrier. *)
+    One function of checking, shared by every driver: the sequential
+    {!run_all_product} below and the [Mcd] scheduler's function-batch
+    and whole-program units. *)
+
+type staged
+(** the per-function checkers staged for one spec: their closures
+    ([check_fn ~spec ~ctx]) and their product machines, registry order.
+    Not shareable across domains. *)
+
+val stage : spec:Flash_api.spec -> ctx:ctx -> staged
+
+val check_function :
+  staged Lazy.t -> budget:Engine.budget -> Ast.func ->
+  Diag.t list array * Diag.t list
+(** Check one function with every per-function checker: build its
+    {!Prep.t} once, run one {!Engine.product_scan} (skipped when
+    [budget] is not {!Engine.no_budget} or {!Engine.containment_active}),
+    and rerun the dirty and machine-less checkers, each behind the fault
+    barrier.  Returns one slice per per-function checker, registry
+    order, plus the ["internal"] fault diagnostics.
+
+    Fault barrier: each checker runs under [budget]; an exception or an
+    exhausted budget becomes a Warning-severity ["internal"] diagnostic
+    plus a degraded flow-insensitive retry.  A function whose staging or
+    {!Prep.t} fails gets empty slices and one fault.  On the clean path
+    the slices are exactly the per-checker traversals'. *)
+
+val check_whole_program :
+  budget:Engine.budget -> checker -> spec:Flash_api.spec ->
+  Ast.tunit list -> Diag.t list * Diag.t list
+(** a [Whole_program] checker behind the same fault barrier: its slice
+    plus its fault diagnostics.
+    @raise Invalid_argument on a per-function checker *)
+
+val assemble :
+  per_function:Diag.t list array list ->
+  whole_program:Diag.t list list ->
+  faults:Diag.t list ->
+  (string * Diag.t list) list
+(** the result list in registry order: each per-function checker's
+    slices of [per_function] (one array per function, source order)
+    concatenated and finalized, the whole-program checkers' slices in
+    registry order, and — when [faults] is non-empty — one extra
+    [("internal", _)] entry *)
 
 val run_all_product :
   spec:Flash_api.spec ->
   Ast.tunit list ->
   (string * Diag.t list) list
-(** [run_all_fused] with the per-checker traversals replaced by one
-    {!Engine.product_scan} walk per function.  The scan detects which
-    machines could emit on the function; only those (plus the pure AST
-    walkers, which have no machine) re-run per checker, so output —
-    witnesses included — stays byte-identical to [run_all_fused] while a
-    clean function costs one walk instead of seven.
-
-    Delegates to [run_all_fused] outright whenever
-    {!Engine.containment_active}, so budgets, degraded mode, and fault
-    injection keep their exact per-checker semantics; a scan that
-    overflows or crashes falls back to the per-checker path for that
-    function. *)
+(** the sequential driver: {!check_function} over every function in
+    source order, then the whole-program checkers, without a budget.
+    Output — witnesses included — is byte-identical to {!run_all}; a
+    fault appends one [("internal", _)] entry. *)

@@ -102,10 +102,6 @@ let product ~spec : Engine.pmachine option =
        ~at_exit:(fun ctx i -> exit_hook ctx product_states.(i))
        table)
 
-let check_fn ~spec : Ast.func -> Diag.t list =
-  let staged = check_prep ~spec in
-  fun f -> staged (Prep.build f)
-
 let run ~spec (tus : Ast.tunit list) : Diag.t list =
   let _ = spec in
   Engine.check ~at_exit:exit_hook sm (`Program tus)

@@ -17,9 +17,10 @@
     All per-function analysis the engine needs — the CFG and each node's
     flattened event array — comes from a {!Prep.t}, so a driver checking
     one function with several machines builds that work once and calls
-    {!check_prep} per machine ([Registry.run_all_fused] and the [Mcd]
-    function-batched units do exactly that).  {!check} remains the
-    convenient entry point and builds a private prep per call.
+    {!check_prep} per machine ([Registry.check_function], the kernel
+    behind every [Mcd] function-batch unit, does exactly that).
+    {!check} remains the convenient entry point and builds a private
+    prep per call.
 
     Rules are not scanned linearly per event: each state's rule list is
     compiled once (per checked function) into a {!Pattern.root_shapes}

@@ -241,7 +241,7 @@ type target = {
   t_files : (string * string) list;  (** with prelude *)
   t_tus : Ast.tunit list;
   t_spec : Flash_api.spec;
-  t_base : (string * Diag.t list) list;  (** clean fused run *)
+  t_base : (string * Diag.t list) list;  (** clean sequential run *)
   t_base_snap : string list;
   t_base_digests : (string * string, string) Hashtbl.t;
   t_base_groups : (string * string * string, string list) Hashtbl.t;
@@ -252,7 +252,7 @@ let build_target () : target =
   let files = with_prelude synth_sources in
   let tus = Frontend.of_strings files in
   let spec = spec_of_tus tus in
-  let base = Registry.run_all_fused ~spec tus in
+  let base = Registry.run_all_product ~spec tus in
   (* populate a cache and capture its on-disk container *)
   let cache = Mcd_cache.create () in
   let _ = Mcd.check_corpus ~cache ~jobs:1 ~spec tus in
@@ -300,7 +300,7 @@ let run_parser_fault (t : target) fault : string option =
   in
   (* totality: parse never raises, checking completes *)
   let tus, _parse_diags = Frontend.parse_strings files in
-  let results = Registry.run_all_fused ~spec:t.t_spec tus in
+  let results = Registry.run_all_product ~spec:t.t_spec tus in
   check_remainder ~base_digests:t.t_base_digests ~base_groups:t.t_base_groups
     ~tus ~results ()
 

@@ -42,10 +42,8 @@ let create () : (t, string) result =
   | Some dir ->
     let load1 name =
       let path = Filename.concat dir (name ^ ".metal") in
-      match
-        ( Mrun.load_file ~mode:Mrun.Mode_compiled path,
-          Mrun.load_file ~mode:Mrun.Mode_interp path )
-      with
+      let src = In_channel.with_open_bin path In_channel.input_all in
+      match (Mrun.compile ~file:path src, Mrun.interp ~file:path src) with
       | Ok c, Ok i -> Ok (name, c, i)
       | Error es, _ | _, Error es ->
         Error

@@ -1,20 +1,22 @@
 (** Differential oracles over the checking pipeline.
 
-    Every generated program (clean or mutated) is pushed through five
-    pipelines that must agree:
+    Every generated program (clean or mutated) is pushed through the
+    drivers below, and each must agree with the reference
+    {!Registry.run_all} (one checker at a time, a {!Prep.t} per checker
+    and function), diagnostic for diagnostic, including order:
 
-    + O1 [mcd-jobs2]: {!Mcd.check_corpus} with two domains must equal the
-      sequential {!Registry.run_all}, diagnostic for diagnostic,
-      including order;
+    + O1 [mcd-jobs2]: {!Mcd.check_corpus} with two domains;
     + O2 [mcd-jobs4]: the same with four domains;
     + O3 [cache]: a cold-cache run, an immediately repeated warm-cache
       run, and runs against a long-lived cache shared across many
       programs (so entries from *other* programs — and from the clean
       sibling of a mutant — must never leak in) all equal the sequential
       results;
-    + O4 [fused]: {!Registry.run_all_fused} — one shared {!Prep.t} per
-      function across all checkers — must equal the per-checker
-      sequential path;
+    + O4 [product] and [mcd-jobs1]: the production kernel
+      ({!Registry.check_function}: one shared {!Prep.t} per function, one
+      product-automaton scan, the dirty machines rerun) through its
+      sequential driver {!Registry.run_all_product} and through
+      {!Mcd.check_corpus} at one domain must equal the reference too;
     + O5 [roundtrip]: pretty-print, re-lex, re-parse, re-check: printing
       must reach a fixpoint, the AST must survive structurally, and the
       re-checked diagnostics must match modulo source locations. *)
@@ -54,7 +56,7 @@ let first_diff (a : string list) (b : string list) : string =
 
 let seq_check ~spec tus = Registry.run_all ~spec tus
 
-(** [check ?shared_cache ~seed ~spec ~tus ()] runs all five oracles and
+(** [check ?shared_cache ~seed ~spec ~tus ()] runs all the oracles and
     returns the disagreements (empty = all pipelines agree).  Also
     returns the sequential results so callers can reuse them. *)
 let check ?shared_cache ~seed ~(spec : Flash_api.spec) ~(tus : Ast.tunit list)
@@ -82,8 +84,9 @@ let check ?shared_cache ~seed ~(spec : Flash_api.spec) ~(tus : Ast.tunit list)
     compare_mcd "cache-shared"
       (fst (Mcd.check_corpus ~cache ~jobs:2 ~spec tus))
   | None -> ());
-  (* O4: the fused single-prep driver must equal the per-checker path *)
-  compare_mcd "fused" (Registry.run_all_fused ~spec tus);
+  (* O4: the kernel's sequential drivers must equal the reference *)
+  compare_mcd "product" (Registry.run_all_product ~spec tus);
+  compare_mcd "mcd-jobs1" (fst (Mcd.check_corpus ~jobs:1 ~spec tus));
   (* O5: print -> re-lex -> re-parse -> re-check *)
   let printed = List.map Pp.tunit_to_string tus in
   (match

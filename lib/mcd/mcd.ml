@@ -10,17 +10,19 @@
     decomposition sound: every intra-procedural checker runs its state
     machine over one function CFG at a time with no shared state.  A work
     unit is one *function batch*: all per-function checkers run back to
-    back over one shared {!Prep.t}, so the CFG and event arrays are built
-    once per function per run instead of once per (checker x function)
-    pair — and a unit is big enough that scheduling overhead cannot
-    dominate it.  A [Whole_program] checker ([lanes]) contributes a
-    single unit of its own.  Units are claimed in chunks from an
+    back over one shared {!Prep.t} — one {!Registry.check_function}
+    call — so the CFG and event arrays are built once per function per
+    run instead of once per (checker x function) pair, and a unit is big
+    enough that scheduling overhead cannot dominate it.  A
+    [Whole_program] checker ([lanes]) contributes a single unit of its
+    own.  Units are claimed in chunks from an
     {!Mcd_pool} atomic cursor by worker domains, and every unit writes
     into a pre-assigned result slot; reassembly walks the slots in the
-    canonical (job, function) order and applies each checker's
-    [finalize], so the output is diagnostic-for-diagnostic identical —
-    including order — to the sequential [Registry.run_all], whatever the
-    domain count.
+    canonical (job, function) order and hands the slices to
+    {!Registry.assemble}, so the output is diagnostic-for-diagnostic
+    identical — including order — to the sequential [Registry.run_all],
+    whatever the domain count.  One domain spawns nothing, and without a
+    cache no digest is computed: [mcheck --jobs 1] runs here too.
 
     {2 Hashing and invalidation}
 
@@ -53,20 +55,20 @@ type stats = {
   wall_ms : float;
 }
 
-let checkers = Array.of_list Registry.all
+(* the whole-program checkers, registry order, are the last units of
+   every job *)
+let per_function, globals =
+  let pf, wp =
+    List.partition
+      (fun (c : Registry.checker) ->
+        match c.Registry.phase with
+        | Registry.Per_function _ -> true
+        | Registry.Whole_program _ -> false)
+      Registry.all
+  in
+  (pf, Array.of_list wp)
 
-(* indices into [checkers] of the per-function checkers, registry
-   order — the order of slices within a batch unit's result *)
-let pf_indices : int array =
-  checkers
-  |> Array.to_seqi
-  |> Seq.filter_map (fun (i, (c : Registry.checker)) ->
-         match c.Registry.phase with
-         | Registry.Per_function _ -> Some i
-         | Registry.Whole_program _ -> None)
-  |> Array.of_seq
-
-let n_pf = Array.length pf_indices
+let n_global = Array.length globals
 
 (* the checker-set half of every batch key: a batch result is only
    reusable by a run scheduling the same per-function checkers in the
@@ -76,8 +78,8 @@ let pf_set_digest : string =
     (Digest.string
        (String.concat ","
           (List.map
-             (fun i -> checkers.(i).Registry.name)
-             (Array.to_list pf_indices))))
+             (fun (c : Registry.checker) -> c.Registry.name)
+             per_function)))
 
 let spec_digest (spec : Flash_api.spec) : string =
   Digest.to_hex (Digest.string (Marshal.to_string spec []))
@@ -157,34 +159,6 @@ let batch_key (p : prepared) (fi : int) : string =
     (Lazy.force p.p_sdigest)
     (Lazy.force p.p_fdigests).(fi)
 
-(* Walk every work unit in the canonical (job, function batch, global
-   checker) order, assigning consecutive slots.  Used twice — once to
-   build the schedule, once to reassemble — so the orders cannot drift
-   apart. *)
-let iter_units (prepared : prepared array)
-    (per_batch : slot:int -> job:int -> fn:int -> unit)
-    (global : slot:int -> job:int -> checker:int -> unit) : int =
-  let slot = ref 0 in
-  Array.iteri
-    (fun ji p ->
-      Array.iteri
-        (fun fi _ ->
-          per_batch ~slot:!slot ~job:ji ~fn:fi;
-          incr slot)
-        p.p_funcs;
-      Array.iteri
-        (fun ci (c : Registry.checker) ->
-          match c.Registry.phase with
-          | Registry.Whole_program _ ->
-            global ~slot:!slot ~job:ji ~checker:ci;
-            incr slot
-          | Registry.Per_function _ -> ())
-        checkers)
-    prepared;
-  !slot
-
-let describe_fault = Engine.describe_fault
-
 let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
     (job_list : job list) : (string * Diag.t list) list list * stats =
   (* one wall measurement, on the Mcobs clock: it produces both the
@@ -194,13 +168,16 @@ let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
     Mcobs.with_span "mcd.prepare" (fun () ->
         Array.of_list (List.map prepare job_list))
   in
-  let total =
-    iter_units prepared
-      (fun ~slot:_ ~job:_ ~fn:_ -> ())
-      (fun ~slot:_ ~job:_ ~checker:_ -> ())
-  in
-  (* a slot holds one unit's per-checker slices: [n_pf] for a function
-     batch, one for a whole-program unit *)
+  (* the canonical slot layout: job [ji]'s units start at [base.(ji)] —
+     its function batches in source order, then its whole-program
+     checkers in registry order *)
+  let base = Array.make (Array.length prepared + 1) 0 in
+  Array.iteri
+    (fun ji p -> base.(ji + 1) <- base.(ji) + Array.length p.p_funcs + n_global)
+    prepared;
+  let total = base.(Array.length prepared) in
+  (* a slot holds one unit's per-checker slices: one per per-function
+     checker for a function batch, one for a whole-program unit *)
   let results : Diag.t list array array = Array.make total [||] in
   (* per-slot fault diagnostics ([checker = "internal"]): written only
      by the worker that owns the slot, like [results] — non-empty means
@@ -235,164 +212,63 @@ let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
       miss_slots := (slot, run_of) :: !miss_slots;
       if cache <> None then miss_keys := (slot, key_of ()) :: !miss_keys
   in
-  (* staged per-function closures are domain-local: a fresh DLS key per
+  (* staged per-function checkers are domain-local: a fresh DLS key per
      call keeps one staging table per worker, so spec-dependent state
      machines compile once per (domain, job) and are never shared across
-     domains.  Alongside the per-checker closures we stage the product
-     machines: a batch first runs the composed product walk, and only
-     the checkers whose machine turned dirty (or that have no machine)
-     re-run individually — same detect-then-rerun contract as
-     [Registry.run_all_product], so the slices stay byte-identical. *)
-  let stage_key :
-      (int, (Prep.t -> Diag.t list) array * Engine.pmachine option array)
-      Hashtbl.t
-      Domain.DLS.key =
+     domains *)
+  let stage_key : (int, Registry.staged Lazy.t) Hashtbl.t Domain.DLS.key =
     Domain.DLS.new_key (fun () -> Hashtbl.create 8)
   in
-  let staged ~job :
-      (Prep.t -> Diag.t list) array * Engine.pmachine option array =
+  let staged job =
     let tbl = Domain.DLS.get stage_key in
     match Hashtbl.find_opt tbl job with
-    | Some fns -> fns
+    | Some st -> st
     | None ->
       let p = prepared.(job) in
-      let fns =
-        Array.map
-          (fun ci ->
-            match checkers.(ci).Registry.phase with
-            | Registry.Per_function { check_fn; _ } ->
-              check_fn ~spec:p.p_job.spec ~ctx:p.p_ctx
-            | Registry.Whole_program _ -> assert false)
-          pf_indices
-      in
-      let machines =
-        Array.map
-          (fun ci ->
-            match checkers.(ci).Registry.phase with
-            | Registry.Per_function { product; _ } ->
-              product ~spec:p.p_job.spec
-            | Registry.Whole_program _ -> assert false)
-          pf_indices
-      in
-      Hashtbl.add tbl job (fns, machines);
-      (fns, machines)
+      let st = lazy (Registry.stage ~spec:p.p_job.spec ~ctx:p.p_ctx) in
+      Hashtbl.add tbl job st;
+      st
   in
-  (* The per-unit fault barrier.  Each checker within a batch runs under
-     the unit budget; an exception (checker bug, injected fault) or an
-     exhausted budget is converted into an ["internal"] diagnostic and a
-     degraded flow-insensitive retry, and the unit completes either way —
-     the pool keeps draining, the other checkers of the batch are
-     untouched, and the faulted slot is never cached. *)
-  let fault ~loc ~func msg =
-    Mcobs.count "mcd.unit.checker_faults";
-    Diag.make ~severity:Diag.Warning ~checker:"internal" ~loc ~func msg
+  (* every unit runs the [Registry] kernel, whose fault barrier keeps a
+     crashing or over-budget checker inside its unit: the pool keeps
+     draining, and a faulted slot is never cached *)
+  let store ~slot (slices, fs) =
+    results.(slot) <- slices;
+    faults.(slot) <- fs;
+    if fs <> [] then
+      Mcobs.count ~by:(List.length fs) "mcd.unit.checker_faults"
   in
   let run_batch ~slot ~job ~fn () =
-    let p = prepared.(job) in
-    let f = p.p_funcs.(fn) in
-    match
-      let fns = staged ~job in
-      let prep = Prep.build f in
-      (fns, prep)
-    with
-    | exception exn ->
-      (* the batch never got off the ground: empty slices for every
-         checker, one fault covering the whole unit *)
-      results.(slot) <- Array.make n_pf [];
-      faults.(slot) <-
-        [
-          fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
-            (Printf.sprintf "function batch could not be prepared (%s); \
-                             all checkers skipped for this function"
-               (describe_fault exn));
-        ]
-    | (fns, machines), prep ->
-      let out = Array.make n_pf [] in
-      let unit_faults = ref [] in
-      (* Product fast path: one composed walk detects which machines
-         are dirty; clean machine-backed checkers are done (their slice
-         is [] by construction).  Only legal when nothing can interfere
-         with per-checker semantics — a real budget, degraded mode or
-         an armed fault hook sends every checker down the ordinary
-         per-checker path, exactly like [Registry.run_all_product]. *)
-      let needs_run = Array.make n_pf true in
-      if budget = Engine.no_budget && not (Engine.containment_active ())
-      then begin
-        let idx = ref [] and ms = ref [] in
-        Array.iteri
-          (fun k m ->
-            match m with
-            | Some pm ->
-              idx := k :: !idx;
-              ms := pm :: !ms
-            | None -> ())
-          machines;
-        let pms = Array.of_list (List.rev !ms) in
-        let ks = Array.of_list (List.rev !idx) in
-        match Engine.product_scan prep pms with
-        | dirty ->
-          Array.iteri
-            (fun mi k -> if not dirty.(mi) then needs_run.(k) <- false)
-            ks
-        | exception _ ->
-          (* overflow or a machine crash: every checker re-runs, and
-             any real fault surfaces through its own barrier below *)
-          ()
-      end;
-      Array.iteri
-        (fun k chk ->
-          if needs_run.(k) then
-            match Engine.with_budget budget (fun () -> chk prep) with
-            | slices -> out.(k) <- slices
-            | exception exn ->
-              let cname = checkers.(pf_indices.(k)).Registry.name in
-              unit_faults :=
-                fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
-                  (Printf.sprintf
-                     "checker %s failed (%s); a degraded flow-insensitive \
-                      pass was substituted"
-                     cname (describe_fault exn))
-                :: !unit_faults;
-              out.(k) <-
-                (try Engine.with_degraded (fun () -> chk prep)
-                 with _ -> []))
-        fns;
-      results.(slot) <- out;
-      faults.(slot) <- List.rev !unit_faults
+    store ~slot
+      (Registry.check_function (staged job) ~budget prepared.(job).p_funcs.(fn))
   in
-  let run_global ~slot ~job ~checker () =
+  let run_global ~slot ~job ~global () =
     let p = prepared.(job) in
-    match checkers.(checker).Registry.phase with
-    | Registry.Whole_program g ->
-      let go () = g ~spec:p.p_job.spec p.p_job.tus in
-      (match Engine.with_budget budget go with
-      | slice -> results.(slot) <- [| slice |]
-      | exception exn ->
-        faults.(slot) <-
-          [
-            fault ~loc:Loc.none ~func:"<whole-program>"
-              (Printf.sprintf
-                 "whole-program checker %s failed (%s); a degraded \
-                  flow-insensitive pass was substituted"
-                 checkers.(checker).Registry.name (describe_fault exn));
-          ];
-        results.(slot) <-
-          [| (try Engine.with_degraded go with _ -> []) |])
-    | Registry.Per_function _ -> assert false
+    let slice, fs =
+      Registry.check_whole_program ~budget globals.(global)
+        ~spec:p.p_job.spec p.p_job.tus
+    in
+    store ~slot ([| slice |], fs)
   in
   Mcobs.with_span "mcd.resolve" (fun () ->
-      ignore
-        (iter_units prepared
-           (fun ~slot ~job ~fn ->
-             consider ~slot ~cname:"fnbatch"
-               ~uname:prepared.(job).p_funcs.(fn).Ast.f_name
-               (fun () -> batch_key prepared.(job) fn)
-               (run_batch ~slot ~job ~fn))
-           (fun ~slot ~job ~checker ->
-             consider ~slot ~cname:checkers.(checker).Registry.name
-               ~uname:"<whole-program>"
-               (fun () -> global_key prepared.(job) checkers.(checker))
-               (run_global ~slot ~job ~checker))));
+      Array.iteri
+        (fun job p ->
+          let nf = Array.length p.p_funcs in
+          Array.iteri
+            (fun fn (f : Ast.func) ->
+              let slot = base.(job) + fn in
+              consider ~slot ~cname:"fnbatch" ~uname:f.Ast.f_name
+                (fun () -> batch_key p fn)
+                (run_batch ~slot ~job ~fn))
+            p.p_funcs;
+          Array.iteri
+            (fun global (c : Registry.checker) ->
+              let slot = base.(job) + nf + global in
+              consider ~slot ~cname:c.Registry.name ~uname:"<whole-program>"
+                (fun () -> global_key p c)
+                (run_global ~slot ~job ~global))
+            globals)
+        prepared);
   let tasks =
     Array.of_list (List.rev_map (fun (_, run) -> run) !miss_slots)
   in
@@ -425,74 +301,21 @@ let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
             if faults.(slot) = [] then Mcd_cache.add c key results.(slot))
           !miss_keys)
   | None -> ());
-  (* reassemble in canonical order: identical to the sequential run.
-     [acc_pf.(k)] collects per-function slices for the k-th per-function
-     checker, newest first; [acc_g.(ci)] holds a whole-program checker's
-     single slice. *)
-  let out = Array.make (Array.length prepared) [] in
-  let acc_pf : Diag.t list list array = Array.make n_pf [] in
-  let acc_g : Diag.t list array = Array.make (Array.length checkers) [] in
-  (* a job's unit faults, newest first; a non-empty collection appends
-     one ("internal", ...) entry to that job's result list — the clean
-     path stays byte-identical to the sequential pipeline *)
-  let acc_faults : Diag.t list list ref = ref [] in
-  let flush_job ji =
-    let pf_pos = ref 0 in
-    let entries =
-      Array.to_list
-        (Array.map
-           (fun (c : Registry.checker) ->
-             match c.Registry.phase with
-             | Registry.Per_function { finalize; _ } ->
-               let k = !pf_pos in
-               incr pf_pos;
-               (c.Registry.name, finalize (List.concat (List.rev acc_pf.(k))))
-             | Registry.Whole_program _ ->
-               let ci =
-                 (* position of [c] in [checkers]; whole-program checkers
-                    are rare enough that a scan is fine *)
-                 let rec find i =
-                   if checkers.(i).Registry.name = c.Registry.name then i
-                   else find (i + 1)
-                 in
-                 find 0
-               in
-               (c.Registry.name, acc_g.(ci)))
-           checkers)
-    in
-    out.(ji) <-
-      (match List.concat (List.rev !acc_faults) with
-      | [] -> entries
-      | fs -> entries @ [ ("internal", Diag.normalize fs) ]);
-    acc_faults := [];
-    Array.fill acc_pf 0 n_pf [];
-    Array.fill acc_g 0 (Array.length acc_g) []
+  (* reassemble in canonical order: identical to the sequential run *)
+  let out =
+    Mcobs.with_span "mcd.reassemble" (fun () ->
+        Array.mapi
+          (fun job p ->
+            let nf = Array.length p.p_funcs in
+            let slots k n = List.init n (fun i -> base.(job) + k + i) in
+            Registry.assemble
+              ~per_function:(List.map (Array.get results) (slots 0 nf))
+              ~whole_program:
+                (List.map (fun s -> results.(s).(0)) (slots nf n_global))
+              ~faults:
+                (List.concat_map (Array.get faults) (slots 0 (nf + n_global))))
+          prepared)
   in
-  let current_job = ref 0 in
-  let switch_to job =
-    if job <> !current_job then begin
-      flush_job !current_job;
-      current_job := job
-    end
-  in
-  Mcobs.with_span "mcd.reassemble" (fun () ->
-      ignore
-        (iter_units prepared
-           (fun ~slot ~job ~fn:_ ->
-             switch_to job;
-             Array.iteri
-               (fun k slice -> acc_pf.(k) <- slice :: acc_pf.(k))
-               results.(slot);
-             match faults.(slot) with
-             | [] -> ()
-             | fs -> acc_faults := fs :: !acc_faults)
-           (fun ~slot ~job ~checker ->
-             switch_to job;
-             acc_g.(checker) <- results.(slot).(0);
-             match faults.(slot) with
-             | [] -> ()
-             | fs -> acc_faults := fs :: !acc_faults));
-      if Array.length prepared > 0 then flush_job !current_job);
   let dur_us = Mcobs.now_us () -. t0 in
   (* the ambient request trace (when a daemon set one) is recorded on
      every span already; naming it in the args makes the scheduler the

@@ -54,9 +54,11 @@ val check_jobs :
     [Registry.run_all ~spec tus].  [jobs] is the requested domain count,
     clamped to [1 .. Domain.recommended_domain_count ()]: oversubscribing
     a small host only adds minor-GC contention, so [--jobs 4] on one core
-    degrades to the sequential loop instead of running slower than it.
-    With [?cache], hits are resolved before scheduling and misses are
-    stored after the pool joins.
+    degrades to the sequential loop instead of running slower than it;
+    one domain spawns nothing.  With [?cache], hits are resolved before
+    scheduling and misses are stored after the pool joins; without it
+    no digest is computed.  Every unit is one {!Registry.check_function}
+    or {!Registry.check_whole_program} call.
 
     Fault isolation: each checker within a unit runs under [?budget]
     (default {!Engine.no_budget}); an exception or an exhausted budget

@@ -10,14 +10,13 @@
     ([Sm.err ~checker:name] then the outcome, exactly
     {!Mdsl.to_sm}'s), and compiled state ids render back to their metal
     names, so diagnostics — messages, locations, witnesses — are
-    byte-identical; the seventh Mcfuzz oracle holds the two to that. *)
+    byte-identical; the seventh Mcfuzz oracle holds the two to that.
+    Production ({!load_file}, [mcheck --metal]) always compiles; the
+    interpreter ({!interp}) is the reference the tests compare against. *)
 
 type compiled = { c_gen : Mcodegen.t; c_table : Engine.table }
 
 type t = Interp of string Sm.t | Compiled of compiled
-
-(** which back end {!load} builds *)
-type mode = Mode_compiled | Mode_interp
 
 let name = function
   | Interp sm -> sm.Sm.name
@@ -85,19 +84,9 @@ let interp ?file (src : string) : (t, Mir.error list) result =
   | exception Mdsl.Parse_error (e_msg, e_loc) ->
     Error [ { Mir.e_class = "parse error"; e_msg; e_loc } ]
 
-let load ~mode ?file (src : string) : (t, Mir.error list) result =
-  match mode with
-  | Mode_compiled -> compile ?file src
-  | Mode_interp -> interp ?file src
-
-let load_file ~mode (path : string) : (t, Mir.error list) result =
-  let ic = open_in_bin path in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  load ~mode ~file:path src
+(** the production loader: a spec file, compiled *)
+let load_file (path : string) : (t, Mir.error list) result =
+  compile ~file:path (In_channel.with_open_bin path In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
 (* Checking                                                            *)
@@ -123,10 +112,10 @@ let check (t : t) (target : Engine.target) : Diag.t list =
 
 (** Run several machines over a program, building one {!Prep.t} per
     function and sharing it across all of them — the metal analogue of
-    [Registry.run_all_fused].  Results are per machine in input order,
-    each identical to what [check m (`Program tus)] would return (the
-    engine normalizes per function, so sharing preps cannot change the
-    output). *)
+    the built-in checkers' [Registry.check_function] kernel.  Results
+    are per machine in input order, each identical to what
+    [check m (`Program tus)] would return (the engine normalizes per
+    function, so sharing preps cannot change the output). *)
 let check_program_fused (ms : t list) (tus : Ast.tunit list) :
     Diag.t list list =
   match ms with

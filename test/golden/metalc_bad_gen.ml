@@ -28,7 +28,7 @@ let () =
     (fun f ->
       let src = read (Filename.concat dir f) in
       Printf.printf "== %s\n" f;
-      (match Mrun.load ~mode:Mrun.Mode_compiled ~file:f src with
+      (match Mrun.compile ~file:f src with
       | Ok _ -> print_endline "  ACCEPTED (expected a rejection)"
       | Error es ->
         List.iter (fun e -> print_endline ("  " ^ Mir.render_error e)) es);
@@ -67,7 +67,7 @@ let () =
           Loc.to_string loc ^ ": " ^ msg
       in
       let compiled =
-        match Mrun.load ~mode:Mrun.Mode_compiled ~file src with
+        match Mrun.compile ~file src with
         | Ok _ -> "accepted"
         | Error es ->
           String.concat "; " (List.map Mir.render_error es)

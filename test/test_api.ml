@@ -1,6 +1,6 @@
-(** The Mcheck_api session facade: equivalence with the raw pipeline,
-    selection, outcome classification, statistics, the whole-request
-    memo, and the deprecated one-shot shim. *)
+(** The Mcheck_api session facade: equivalence with the reference
+    pipeline, selection, outcome classification, budgets, statistics,
+    the whole-request memo, and the deprecated one-shot shim. *)
 
 let t = Alcotest.test_case
 
@@ -34,7 +34,7 @@ let session_cases =
           Frontend.of_strings [ ("b.c", Prelude.text ^ buggy_src) ]
         in
         let expected =
-          Registry.run_all_fused ~spec:(Mcheck_api.default_spec tus) tus
+          Registry.run_all ~spec:(Mcheck_api.default_spec tus) tus
         in
         with_session (fun s ->
             let r =
@@ -176,7 +176,7 @@ let session_cases =
         let expected =
           List.map
             (fun (j : Mcd.job) ->
-              Registry.run_all_fused ~spec:j.Mcd.spec j.Mcd.tus)
+              Registry.run_all ~spec:j.Mcd.spec j.Mcd.tus)
             jobs
         in
         with_session (fun s ->
@@ -214,6 +214,30 @@ let session_cases =
           (List.map
              (fun h -> h.Flash_api.h_name)
              spec.Flash_api.p_handlers));
+    t "a unit budget applies at every --jobs" `Quick (fun () ->
+        let p = Option.get (Corpus.find (Corpus.generate ()) "bitvector") in
+        let budgeted jobs =
+          let config =
+            {
+              Mcheck_api.default_config with
+              jobs;
+              budget = { Engine.fuel = Some 1; deadline_ms = None };
+            }
+          in
+          with_session ~config (fun s ->
+              Mcheck_api.Session.check_units s ~spec:p.Corpus.spec
+                p.Corpus.tus)
+        in
+        let r1 = budgeted 1 and r2 = budgeted 2 in
+        Alcotest.(check int)
+          "jobs 1 is partial"
+          (Robust.exit_code Robust.Partial)
+          (Robust.exit_code r1.Mcheck_api.r_outcome);
+        Alcotest.(check bool) "jobs 1 reports internal diagnostics" true
+          (match List.assoc_opt "internal" r1.Mcheck_api.r_results with
+          | Some (_ :: _) -> true
+          | _ -> false);
+        Alcotest.(check string) "jobs 1 = jobs 2" (render r2) (render r1));
     t "one-shot session check of a clean file" `Quick (fun () ->
         let path = write_tmp "api_shim.c" clean_src in
         let s = Mcheck_api.Session.create () in

@@ -29,8 +29,8 @@ let ir_of src =
 
 let gen_of src = Mcodegen.of_ir (ir_of src)
 
-let load_exn mode src =
-  match Mrun.load ~mode src with
+let load_exn load src =
+  match load ?file:None src with
   | Ok m -> m
   | Error es ->
     Alcotest.failf "load failed: %s"
@@ -38,11 +38,11 @@ let load_exn mode src =
 
 let run_both metal_src c_src =
   let tus = Frontend.of_strings [ ("t.c", Prelude.text ^ c_src) ] in
-  let run mode =
+  let run load =
     List.map Diag.to_string
-      (Mrun.check (load_exn mode metal_src) (`Program tus))
+      (Mrun.check (load_exn load metal_src) (`Program tus))
   in
-  (run Mrun.Mode_interp, run Mrun.Mode_compiled)
+  (run Mrun.interp, run Mrun.compile)
 
 (* ------------------------------------------------------------------ *)
 (* Surface -> IR                                                       *)

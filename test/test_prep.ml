@@ -1,7 +1,8 @@
-(** Prep-sharing tests: the fused driver's diagnostics — including the
-    rendered witness paths [--explain] prints — are identical to the
-    per-checker sequential path on arbitrary generated programs, and one
-    fused run builds exactly one [Prep.t] per function (pinned via the
+(** Prep-sharing tests: the checking kernel's diagnostics — including
+    the rendered witness paths [--explain] prints — are identical to the
+    per-checker reference [Registry.run_all] on arbitrary generated
+    programs and on the corpus and golden protocols, and one sequential
+    kernel run builds exactly one [Prep.t] per function (pinned via the
     [prep.build] Mcobs counter). *)
 
 let t = Alcotest.test_case
@@ -22,7 +23,7 @@ let prop_fused_identical =
       let p = Fuzz_gen.generate ~seed () in
       let spec = p.Fuzz_gen.spec and tus = p.Fuzz_gen.tus in
       let seq = explain_render (Registry.run_all ~spec tus) in
-      let fused = explain_render (Registry.run_all_fused ~spec tus) in
+      let fused = explain_render (Registry.run_all_product ~spec tus) in
       if seq <> fused then
         QCheck.Test.fail_reportf
           "seed %d: fused diagnostics/witnesses differ" seed;
@@ -42,7 +43,7 @@ let build_once_tests =
         in
         Mcobs.set_enabled true;
         Mcobs.reset ();
-        ignore (Registry.run_all_fused ~spec:p.Corpus.spec p.Corpus.tus);
+        ignore (Registry.run_all_product ~spec:p.Corpus.spec p.Corpus.tus);
         let snap = Mcobs.snapshot () in
         Mcobs.reset ();
         Alcotest.(check int)
@@ -54,12 +55,26 @@ let product_tests =
   [
     t "product walk is identical on the corpus and golden protocols"
       `Quick (fun () ->
-        match Fuzz_product.sweep () with
-        | [] -> ()
-        | fs ->
-          Alcotest.failf "product sweep: %d disagreement(s), first: %s"
-            (List.length fs)
-            (match fs with f :: _ -> f.Fuzz_oracle.f_detail | [] -> ""));
+        let corpus = Corpus.generate () in
+        let inputs =
+          List.map
+            (fun (p : Corpus.protocol) ->
+              ("corpus " ^ p.Corpus.name, p.Corpus.spec, p.Corpus.tus))
+            corpus.Corpus.protocols
+          @ List.map
+              (fun (v, label) -> (label, Golden.spec, Golden.program v))
+              [ (Golden.Clean, "golden-clean"); (Golden.Buggy, "golden-buggy") ]
+        in
+        List.iter
+          (fun (label, spec, tus) ->
+            let seq = explain_render (Registry.run_all ~spec tus) in
+            Alcotest.(check (list string))
+              (label ^ ": product driver") seq
+              (explain_render (Registry.run_all_product ~spec tus));
+            Alcotest.(check (list string))
+              (label ^ ": Mcd at one domain") seq
+              (explain_render (fst (Mcd.check_corpus ~jobs:1 ~spec tus))))
+          inputs);
   ]
 
 let suite =

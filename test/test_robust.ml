@@ -97,9 +97,9 @@ let test_recovery_keeps_neighbours () =
     diags;
   (* the surviving functions still check exactly as if alone *)
   let spec = spec_for tus in
-  let recovered = Registry.run_all_fused ~spec tus in
+  let recovered = Registry.run_all_product ~spec tus in
   let alone, _ = parse_sources [ ("r.c", clean ^ leaky) ] in
-  let solo = Registry.run_all_fused ~spec:(spec_for alone) alone in
+  let solo = Registry.run_all_product ~spec:(spec_for alone) alone in
   (* location-free comparison: the garbage region shifts line numbers
      below it, but checker, function, severity, and message survive *)
   let keys results =
@@ -136,7 +136,7 @@ let prop_parse_total =
       in
       let tus, _ = Frontend.parse_strings [ ("m.c", mutated) ] in
       (* and the surviving remainder is checkable *)
-      ignore (Registry.run_all_fused ~spec:(spec_for tus) tus);
+      ignore (Registry.run_all_product ~spec:(spec_for tus) tus);
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -215,10 +215,10 @@ let with_fault ~checker ~func f =
 let test_fused_fault_isolated () =
   let tus, _ = parse_sources [ ("f.c", clean ^ leaky) ] in
   let spec = spec_for tus in
-  let baseline = Registry.run_all_fused ~spec tus in
+  let baseline = Registry.run_all_product ~spec tus in
   let faulted =
     with_fault ~checker:"buffer_mgmt" ~func:"tidy" (fun () ->
-        Registry.run_all_fused ~spec tus)
+        Registry.run_all_product ~spec tus)
   in
   let internal = List.assoc_opt "internal" faulted in
   Alcotest.(check bool) "internal entry present" true (internal <> None);
@@ -269,7 +269,7 @@ let test_clean_path_unchanged () =
   let spec = spec_for tus in
   Alcotest.(check (list string)) "barrier leaves a clean run unchanged"
     (render (Registry.run_all ~spec tus))
-    (render (Registry.run_all_fused ~spec tus))
+    (render (Registry.run_all_product ~spec tus))
 
 (* ------------------------------------------------------------------ *)
 (* Budgets and dead workers                                            *)

@@ -9,20 +9,15 @@
     scores each checker's recall and precision.
 
     With [--serve], every clean program additionally runs through a
-    live in-process [mcheckd] daemon (warm parallel/incremental
-    session) and over the wire back — the sixth oracle: daemon output,
-    findings, and exit code must be byte-identical to the local CLI
-    path.
+    live [mcheckd] daemon (its supervised worker processes hold warm
+    parallel/incremental sessions) and over the wire back — the sixth
+    oracle: daemon output, findings, and exit code must be
+    byte-identical to the local CLI path.
 
     With [--metalc], the three in-tree metal specs run compiled and
     interpreted over the fixed corpus + golden programs and over every
     generated program — the seventh oracle: the two back ends'
     diagnostics must be byte-identical.
-
-    With [--supervised], every clean program also runs through a
-    daemon that dispatches into supervised worker processes — the
-    ninth oracle: the extra process hop, framing relay, and worker-side
-    session must not change a byte of output.
 
     Exit status 1 when any pipeline disagrees, any seeded-bug recall
     drops below the threshold, or a generated program crashes the
@@ -31,7 +26,7 @@
 
 open Cmdliner
 
-let main seed count mutate out quiet threshold serve metalc supervised =
+let main seed count mutate out quiet threshold serve metalc =
   let t0 = Unix.gettimeofday () in
   let log i =
     if (not quiet) && (i mod 100 = 0 || i = count) then
@@ -39,10 +34,6 @@ let main seed count mutate out quiet threshold serve metalc supervised =
         (Unix.gettimeofday () -. t0)
   in
   let daemon = if serve then Some (Serve.Serve_oracle.start ()) else None in
-  let sup_daemon =
-    if supervised then Some (Serve.Serve_oracle.start ~supervised:true ())
-    else None
-  in
   let mc =
     if not metalc then None
     else
@@ -67,21 +58,14 @@ let main seed count mutate out quiet threshold serve metalc supervised =
     let serve_fs =
       match daemon with Some d -> Serve.Serve_oracle.check d p | None -> []
     in
-    let sup_fs =
-      match sup_daemon with
-      | Some d -> Serve.Serve_oracle.check d p
-      | None -> []
-    in
     let metal_fs =
       match mc with Some t -> Fuzz_metalc.oracle t p | None -> []
     in
-    serve_fs @ sup_fs @ metal_fs
+    serve_fs @ metal_fs
   in
   let { Fuzz_driver.score; failures } =
     Fun.protect
-      ~finally:(fun () ->
-        Option.iter Serve.Serve_oracle.stop daemon;
-        Option.iter Serve.Serve_oracle.stop sup_daemon)
+      ~finally:(fun () -> Option.iter Serve.Serve_oracle.stop daemon)
       (fun () ->
         Fuzz_driver.run ~log ~extra_oracle ~base_seed:seed ~count ~mutate ())
   in
@@ -140,8 +124,8 @@ let serve_arg =
   Arg.(
     value & flag
     & info [ "serve" ]
-        ~doc:"Also run every clean program through a live in-process \
-              mcheckd daemon and require its wire output, findings, and \
+        ~doc:"Also run every clean program through a live mcheckd \
+              daemon (checks run in its worker processes) and require its wire output, findings, and \
               exit code to match the local CLI path byte-for-byte.")
 
 let metalc_arg =
@@ -153,22 +137,13 @@ let metalc_arg =
               once, then over every generated program — and require \
               the two back ends' diagnostics to match byte-for-byte.")
 
-let supervised_arg =
-  Arg.(
-    value & flag
-    & info [ "supervised" ]
-        ~doc:"Also run every clean program through a daemon that \
-              dispatches checks into supervised worker processes and \
-              require the wire output, findings, and exit code to match \
-              the local CLI path byte-for-byte.")
-
 let cmd =
   Cmd.v
     (Cmd.info "mcfuzz"
        ~doc:"differential fuzzing of the FLASH checking pipeline")
     Term.(
       const main $ seed_arg $ count_arg $ mutate_arg $ out_arg $ quiet_arg
-      $ threshold_arg $ serve_arg $ metalc_arg $ supervised_arg)
+      $ threshold_arg $ serve_arg $ metalc_arg)
 
 let () =
   Serve.Worker.exit_if_worker ();

@@ -1,25 +1,21 @@
 (** mcheckd — the checking-as-a-service daemon.
 
-    Serve mode (the default): bind a Unix or TCP socket, hold one warm
+    Serve mode (the default): bind a Unix or TCP socket and answer
+    [Serve.Proto] check requests until drained.  Every check runs in a
+    pool of supervised worker processes, each holding one warm
     {!Mcheck_api.Session} (the Mcd scheduler over the [Registry]
-    checking kernel, the content-hash Mcd cache in memory), and answer
-    [Serve.Proto] check requests until drained.
+    checking kernel, the content-hash Mcd cache in memory): a poisoned
+    unit can kill a worker but never the daemon.
 
     - [mcheckd --socket PATH] / [mcheckd --tcp HOST:PORT] — listen;
-    - [--jobs N] — Mcd domain count for each check;
-    - [--cache FILE] — load the result cache at startup, persist it at
-      drain/reload (in-memory only otherwise; the cache is always warm
-      within a daemon lifetime);
+    - [--workers N] — pool size (default 2, plus one hot spare; at
+      least 1); [--worker-mem MB] / [--worker-cpu S] set per-worker
+      RLIMIT_AS / RLIMIT_CPU, [--request-timeout MS] the per-request
+      wall deadline, [--cache-dir DIR] a shared multi-writer cache
+      directory that outlives the daemon;
+    - [--jobs N] — Mcd domain count for each check in a worker;
     - [--metal FILE] — serve a metal-spec checker instead of the nine
       builtins (re-read on reload);
-    - [--warm] — run the builtin corpus through the session before
-      accepting, so the first request is already incremental;
-    - [--workers N] — dispatch checks into a pool of N supervised
-      worker processes (0, the default, keeps the in-process path):
-      a poisoned unit can kill a worker but never the daemon.
-      [--worker-mem MB] / [--worker-cpu S] set per-worker RLIMIT_AS /
-      RLIMIT_CPU, [--request-timeout MS] the per-request wall deadline,
-      [--cache-dir DIR] a shared multi-writer cache directory;
     - [--max-inflight N] — admission bound: past N in-flight checks,
       new ones are shed with a fast R_overloaded + Retry-After.
 
@@ -30,8 +26,8 @@
     for rotation); the flight recorder keeps the span trees of recent
     requests, always retaining ones slower than [--flight-threshold]
     milliseconds or ending in an error ([--flight-capacity] per ring);
-    [--no-tracing] leaves span recording off (metrics and the access
-    log stay live).
+    [--no-tracing] leaves span recording off in the workers (metrics
+    and the access log stay live).
 
     Control mode (acts as a client against the same address, then
     exits): [--drain] finishes in-flight requests and shuts the daemon
@@ -84,8 +80,8 @@ let run_control addr ctl ~human ~json =
     | Error e -> fail_usable (Serve.Client.err_to_string e));
     0
 
-let run_serve addr jobs cache_file metal warm_flag strict unit_fuel
-    unit_deadline idle_timeout telemetry supervise max_inflight =
+let run_serve addr jobs metal strict unit_fuel unit_deadline idle_timeout
+    telemetry supervise max_inflight =
   (* a client that vanishes mid-reply must not kill the daemon: EPIPE
      becomes a counted metric, not a signal *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
@@ -94,7 +90,6 @@ let run_serve addr jobs cache_file metal warm_flag strict unit_fuel
       Mcheck_api.default_config with
       jobs;
       incremental = true;
-      cache_file;
       strict;
       budget = { Engine.fuel = unit_fuel; deadline_ms = unit_deadline };
     }
@@ -139,15 +134,11 @@ let run_serve addr jobs cache_file metal warm_flag strict unit_fuel
           done)
         ()
     in
-    if warm_flag then begin
-      Mcobs.logf Mcobs.Normal "mcheckd: warming on the builtin corpus";
-      Serve.Server.warm t
-    end;
     Serve.Server.run t;
     0
 
 let main socket tcp ctl_drain ctl_reload ctl_stats ctl_ping ctl_metrics
-    ctl_flight human json jobs cache metal warm_flag strict unit_fuel
+    ctl_flight human json jobs metal strict unit_fuel
     unit_deadline idle_timeout metrics_addr access_log log_sample
     flight_capacity flight_threshold no_tracing workers worker_mem
     worker_cpu request_timeout max_inflight cache_dir quiet verbose =
@@ -202,20 +193,17 @@ let main socket tcp ctl_drain ctl_reload ctl_stats ctl_ping ctl_metrics
       }
     in
     let supervise =
-      if workers <= 0 then None
-      else
-        Some
-          {
-            Serve.Server.sv_workers = workers;
-            sv_mem_mb = worker_mem;
-            sv_cpu_s = worker_cpu;
-            sv_wall_ms = request_timeout;
-            sv_cache_dir = cache_dir;
-            sv_allow_chaos = false;
-          }
+      {
+        Serve.Server.sv_workers = workers;
+        sv_mem_mb = worker_mem;
+        sv_cpu_s = worker_cpu;
+        sv_wall_ms = request_timeout;
+        sv_cache_dir = cache_dir;
+        sv_allow_chaos = false;
+      }
     in
-    run_serve addr jobs cache metal warm_flag strict unit_fuel unit_deadline
-      idle_timeout telemetry supervise max_inflight
+    run_serve addr jobs metal strict unit_fuel unit_deadline idle_timeout
+      telemetry supervise max_inflight
   | ctl -> run_control addr ctl ~human ~json
 
 let socket_arg =
@@ -244,7 +232,7 @@ let reload_arg =
     & info [ "reload" ]
         ~doc:
           "Control mode: ask the daemon to finish in-flight requests and \
-           rebuild its session (metal specs re-read, cache re-loaded).")
+           restart its workers (metal specs re-read).")
 
 let stats_arg =
   Arg.(
@@ -291,15 +279,6 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Mcd domain count used for each check request.")
 
-let cache_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "cache" ] ~docv:"FILE"
-        ~doc:
-          "Load the content-hash result cache from $(docv) at startup \
-           and persist it at drain/reload.  Without this the cache \
-           lives in memory for the daemon's lifetime.")
-
 let metal_arg =
   Arg.(
     value & opt_all file []
@@ -307,14 +286,6 @@ let metal_arg =
         ~doc:
           "Serve a checker written in metal syntax instead of the nine \
            builtins (repeatable; re-read on --reload).")
-
-let warm_arg =
-  Arg.(
-    value & flag
-    & info [ "warm" ]
-        ~doc:
-          "Run the builtin corpus through the session before accepting, \
-           so caches and code paths are hot for the first request.")
 
 let strict_arg =
   Arg.(
@@ -386,17 +357,26 @@ let no_tracing_arg =
           "Do not record request spans (disables the flight recorder's \
            span trees; metrics and the access log stay live).")
 
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "expected a count of at least 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let workers_arg =
   Arg.(
-    value & opt int 0
+    value & opt positive 2
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Dispatch each check into a pool of $(docv) supervised worker \
-           processes (plus one hot spare).  A worker that dies, blows \
-           its memory/CPU limit, or misses the request deadline is \
-           killed and respawned; the request is retried once on a \
-           fresh worker before the client sees an error.  0 (the \
-           default) keeps the historical in-process path.")
+           processes (plus one hot spare); at least 1.  A worker that \
+           dies, blows its memory/CPU limit, or misses the request \
+           deadline is killed and respawned; the request is retried \
+           once on a fresh worker before the client sees an error.")
 
 let worker_mem_arg =
   Arg.(
@@ -415,7 +395,7 @@ let request_timeout_arg =
     value & opt (some float) (Some 30000.)
     & info [ "request-timeout" ] ~docv:"MS"
         ~doc:
-          "Per-request wall deadline in supervised mode: a worker that \
+          "Per-request wall deadline: a worker that \
            has not answered within $(docv) milliseconds is killed and \
            the request retried once.")
 
@@ -433,10 +413,10 @@ let cache_dir_arg =
     value & opt (some string) None
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
-          "Shared result-cache directory for supervised workers: each \
-           worker publishes content-addressed segments atomically and \
-           loads the others' at startup (safe under concurrent \
-           writers).")
+          "Shared result-cache directory for the workers: each worker \
+           publishes content-addressed segments atomically and loads \
+           the others' at startup (safe under concurrent writers), so \
+           warm results outlive a worker and the daemon.")
 
 let quiet_arg =
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No status output.")
@@ -451,7 +431,7 @@ let cmd =
     Term.(
       const main $ socket_arg $ tcp_arg $ drain_arg $ reload_arg $ stats_arg
       $ ping_arg $ metrics_ctl_arg $ flight_ctl_arg $ human_arg $ json_arg
-      $ jobs_arg $ cache_arg $ metal_arg $ warm_arg $ strict_arg
+      $ jobs_arg $ metal_arg $ strict_arg
       $ unit_fuel_arg $ unit_deadline_arg $ idle_arg $ metrics_addr_arg
       $ access_log_arg $ log_sample_arg $ flight_capacity_arg
       $ flight_threshold_arg $ no_tracing_arg $ workers_arg $ worker_mem_arg

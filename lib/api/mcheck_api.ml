@@ -490,6 +490,19 @@ module Session = struct
       s.requests s.files_checked s.diags_emitted s.findings s.units_run
       s.cache_hits s.cache_entries s.check_wall_ms s.uptime_s
 
+  let map2_stats fi ff (a : stats) (b : stats) =
+    {
+      requests = fi a.requests b.requests;
+      files_checked = fi a.files_checked b.files_checked;
+      diags_emitted = fi a.diags_emitted b.diags_emitted;
+      findings = fi a.findings b.findings;
+      units_run = fi a.units_run b.units_run;
+      cache_hits = fi a.cache_hits b.cache_hits;
+      cache_entries = fi a.cache_entries b.cache_entries;
+      check_wall_ms = ff a.check_wall_ms b.check_wall_ms;
+      uptime_s = ff a.uptime_s b.uptime_s;
+    }
+
   (* share this session's warm results with concurrent writers; safe
      to call any time — failures are counted, never raised (a worker
      must not die because the cache directory got hostile) *)

@@ -142,6 +142,11 @@ module Session : sig
   val stats : t -> stats
   val pp_stats : Format.formatter -> stats -> unit
 
+  val map2_stats :
+    (int -> int -> int) -> (float -> float -> float) -> stats -> stats -> stats
+  (** field by field: [map2_stats (-) (-.) later earlier] is what the
+      calls in between added; [map2_stats (+) (+.)] sums such deltas *)
+
   val publish_cache : t -> unit
   (** publish the warm cache as a content-addressed segment in
       [config.cache_dir] (no-op otherwise); lock-free, atomic, and

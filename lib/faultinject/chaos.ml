@@ -109,15 +109,14 @@ let boot () =
       idle_timeout = 2.0;
       max_inflight = 4;
       supervise =
-        Some
-          {
-            Server.sv_workers = 2;
-            sv_mem_mb = Some 1024;
-            sv_cpu_s = Some 10;
-            sv_wall_ms = Some 1200.;
-            sv_cache_dir = Some cache_dir;
-            sv_allow_chaos = true;
-          };
+        {
+          Server.sv_workers = 2;
+          sv_mem_mb = Some 1024;
+          sv_cpu_s = Some 10;
+          sv_wall_ms = Some 1200.;
+          sv_cache_dir = Some cache_dir;
+          sv_allow_chaos = true;
+        };
     }
   in
   match Server.create cfg with
@@ -240,12 +239,10 @@ let inject_kill env i =
       ()
   in
   Thread.delay 0.08;
-  (match Server.supervisor env.srv with
-  | Some pool -> (
-    match Mcsup.busy_pids pool with
-    | pid :: _ -> ignore (Mcsup.kill_pid pool pid)
-    | [] -> ())
-  | None -> ());
+  (let pool = Server.supervisor env.srv in
+   match Mcsup.busy_pids pool with
+   | pid :: _ -> ignore (Mcsup.kill_pid pool pid)
+   | [] -> ());
   Thread.join th;
   !result
 

@@ -23,18 +23,21 @@ type t = {
 
 let spec_names = [ "wait_for_db"; "msglen_check"; "refcount" ]
 
-(* the test binaries run from _build/default/<dir>; walk up
-   until the in-tree metal/ directory appears *)
+(* the in-tree metal/ directory: up from the working directory (the
+   test binaries run in _build/default/<dir>), else up from the
+   executable itself, so a binary in the checkout finds it from any
+   working directory *)
 let find_spec_dir () =
-  List.find_opt
-    (fun d -> Sys.file_exists (Filename.concat d "wait_for_db.metal"))
-    [
-      "metal";
-      "../metal";
-      "../../metal";
-      "../../../metal";
-      "../../../../metal";
-    ]
+  let rec upward dir =
+    let d = Filename.concat dir "metal" in
+    if Sys.file_exists (Filename.concat d "wait_for_db.metal") then Some d
+    else
+      let parent = Filename.dirname dir in
+      if String.equal parent dir then None else upward parent
+  in
+  match upward (Sys.getcwd ()) with
+  | Some d -> Some d
+  | None -> upward (Filename.dirname Sys.executable_name)
 
 let create () : (t, string) result =
   match find_spec_dir () with

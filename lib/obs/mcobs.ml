@@ -33,6 +33,7 @@
 let t_origin = Unix.gettimeofday ()
 
 let now_us () = (Unix.gettimeofday () -. t_origin) *. 1e6
+let origin_s = t_origin
 
 (* ------------------------------------------------------------------ *)
 (* Enable flag and verbosity                                           *)
@@ -94,9 +95,10 @@ type span = {
 (* The ambient trace context.  One process-global cell rather than a
    DLS slot, deliberately: Mcd worker domains are spawned fresh for
    each scheduling pass, and a DLS value would not cross the spawn.
-   The daemon serializes checks on its session mutex, so at most one
-   traced request is in flight when workers run — the same discipline
-   [snapshot] already leans on. *)
+   The ambient trace is set only in a serve worker process, which runs
+   one request at a time, so at most one traced request is in flight
+   when Mcd domains run — the same discipline [snapshot] already leans
+   on.  The daemon builds its own spans and never sets the cell. *)
 let ambient_trace = Atomic.make ""
 
 let set_trace trace = Atomic.set ambient_trace trace

@@ -18,6 +18,11 @@ val now_us : unit -> float
 (** microseconds since the process-wide trace origin; every domain shares
     the same timeline *)
 
+val origin_s : float
+(** the trace origin itself, in [Unix.gettimeofday] seconds.  A
+    timestamp taken in another process whose origin is [o] moves onto
+    this process's timeline by adding [(o -. origin_s) *. 1e6]. *)
+
 (** {1 Enabling} *)
 
 val enabled : unit -> bool

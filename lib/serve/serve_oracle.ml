@@ -1,4 +1,4 @@
-(* The daemon-vs-CLI differential: one in-process daemon (parallel +
+(* The daemon-vs-CLI differential: one daemon (its workers parallel +
    incremental — the interesting warm path), one plain sequential local
    session, every generated program through both.  Anything that is not
    byte-identical — diagnostic text, findings count, exit code — is an
@@ -8,7 +8,6 @@ type t = {
   srv : Server.t;
   thread : Thread.t;
   o_addr : Proto.addr;
-  o_name : string;
   local : Mcheck_api.Session.t;
 }
 
@@ -21,21 +20,16 @@ let fresh_addr () =
        (Printf.sprintf "mcheckd-%d-%d.sock" (Unix.getpid ())
           (Atomic.fetch_and_add next_id 1)))
 
-let start
-    ?(config =
-      { Mcheck_api.default_config with jobs = 2; incremental = true })
-    ?(telemetry = Server.default_telemetry) ?(supervised = false) () =
+let default_config =
+  {
+    Server.default_config with
+    Server.api =
+      { Mcheck_api.default_config with jobs = 2; incremental = true };
+  }
+
+let start ?(config = default_config) () =
   let o_addr = fresh_addr () in
-  let cfg =
-    { Server.default_config with Server.addr = o_addr; api = config;
-      telemetry }
-  in
-  let cfg =
-    if supervised then
-      { cfg with Server.supervise = Some Server.default_supervise }
-    else cfg
-  in
-  match Server.create cfg with
+  match Server.create { config with Server.addr = o_addr } with
   | Error msg -> failwith ("serve_oracle: " ^ msg)
   | Ok srv ->
     let thread = Thread.create Server.run srv in
@@ -60,7 +54,6 @@ let start
       srv;
       thread;
       o_addr;
-      o_name = (if supervised then "serve-sup" else "serve");
       local = Mcheck_api.Session.create ~config:Mcheck_api.default_config ();
     }
 
@@ -89,12 +82,11 @@ let plain_opts =
     co_trace = "";
   }
 
-let fail t (p : Fuzz_gen.program) detail =
-  { Fuzz_oracle.f_seed = p.Fuzz_gen.seed; f_oracle = t.o_name;
+let fail (p : Fuzz_gen.program) detail =
+  { Fuzz_oracle.f_seed = p.Fuzz_gen.seed; f_oracle = "serve";
     f_detail = detail }
 
 let check t (p : Fuzz_gen.program) =
-  let fail = fail t in
   let name = "fz.c" in
   (* the prelude-free body: both sides' check_buffer prepend the
      prelude themselves, exactly like a file read *)

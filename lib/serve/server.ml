@@ -1,15 +1,14 @@
 (* The mcheckd daemon core.  One accept loop, one thread per
-   connection, one shared warm session; the session itself is not
-   thread-safe, so a mutex serializes check execution — concurrent
-   clients multiplex onto the one Mcd pool rather than spawning rival
-   pools.  All daemon state transitions (drain, reload, counters) go
-   through [t.mu].
+   connection; every check is dispatched into the Mcsup pool of worker
+   processes, so this address space never touches request data.  All
+   daemon state transitions (drain, counters) go through [t.mu].
 
    Telemetry rides every request: a trace id (client-minted or ours)
-   is installed as the ambient Mcobs context for the duration of the
-   check, the request's spans are harvested into the flight recorder,
-   latency/byte/outcome metrics feed the always-on Mctel registry, and
-   one JSONL access-log line is written per request. *)
+   travels to the worker in the request's options, the worker's
+   trailer brings back its spans and counter deltas, the flight
+   recorder keeps the merged span tree, latency/byte/outcome metrics
+   feed the always-on Mctel registry, and one JSONL access-log line is
+   written per request. *)
 
 type telemetry = {
   tel_tracing : bool;
@@ -55,7 +54,7 @@ type config = {
   metal_paths : string list;
   idle_timeout : float;
   telemetry : telemetry;
-  supervise : supervise option;
+  supervise : supervise;
   max_inflight : int;
 }
 
@@ -66,7 +65,7 @@ let default_config =
     metal_paths = [];
     idle_timeout = 10.0;
     telemetry = default_telemetry;
-    supervise = None;
+    supervise = default_supervise;
     max_inflight = 64;
   }
 
@@ -78,9 +77,9 @@ type t = {
   flight : Mctel.Flight.t;
   mu : Mutex.t;  (* flags and counters *)
   cond : Condition.t;  (* signalled when conns/inflight drop *)
-  session_mu : Mutex.t;  (* serializes session use (checks, reload) *)
-  mutable session : Mcheck_api.Session.t;
-  sup : Mcsup.t option;  (* the worker pool, in supervised mode *)
+  sup : Mcsup.t;  (* the worker pool every check runs in *)
+  mutable session : Mcheck_api.Session.stats;
+      (* the workers' session counters, summed from their trailers *)
   mutable is_draining : bool;
   mutable conns : int;
   mutable requests : int;
@@ -125,7 +124,7 @@ let m_inflight =
     "mcheckd_inflight"
 
 let m_queue =
-  Mctel.Metrics.gauge ~help:"admitted requests waiting for the session"
+  Mctel.Metrics.gauge ~help:"admitted requests waiting for a free worker"
     "mcheckd_queue_depth"
 
 let m_conns = Mctel.Metrics.gauge ~help:"open connections" "mcheckd_connections"
@@ -148,16 +147,13 @@ let m_client_aborts =
     ~help:"response writes that found the client gone (EPIPE/ECONNRESET)"
     "mcheckd_client_aborts_total"
 
-(* ------------------------------------------------------------------ *)
-(* Session construction                                                *)
-(* ------------------------------------------------------------------ *)
+(* a worker's session feeds this histogram in the worker's process;
+   the daemon's copy is fed from the trailers *)
+let m_check_ms = Mctel.Metrics.hist "mcheck_check_ms"
 
-let build_session cfg =
-  match Mcheck_api.load_metal cfg.metal_paths with
-  | Error _ as e -> e
-  | Ok metal ->
-    let api = { cfg.api with Mcheck_api.metal } in
-    Ok (Mcheck_api.Session.create ~config:api ())
+(* ------------------------------------------------------------------ *)
+(* Pool construction                                                   *)
+(* ------------------------------------------------------------------ *)
 
 (* listeners are close-on-exec: spawned workers must not inherit them
    (an inherited listener keeps the port bound past the daemon's own
@@ -178,9 +174,10 @@ let sock_of = function
     Unix.bind s (Unix.ADDR_INET (ip, port));
     s
 
-(* what each fresh worker process needs to rebuild the server's session
-   on its side of the exec: paths and scalars only, no closures *)
-let wconfig_of cfg sv =
+(* what each fresh worker process needs to build its session on its
+   side of the exec: paths and scalars only, no closures *)
+let wconfig_of cfg =
+  let sv = cfg.supervise in
   {
     Worker.wc_jobs = cfg.api.Mcheck_api.jobs;
     wc_incremental = cfg.api.Mcheck_api.incremental;
@@ -193,27 +190,38 @@ let wconfig_of cfg sv =
     wc_mem_mb = sv.sv_mem_mb;
     wc_cpu_s = sv.sv_cpu_s;
     wc_allow_chaos = sv.sv_allow_chaos;
+    wc_tracing = cfg.telemetry.tel_tracing;
   }
 
 let build_pool cfg =
-  match cfg.supervise with
-  | None -> Ok None
-  | Some sv -> (
-    let pool_cfg =
-      Worker.pool_config ~size:sv.sv_workers ~wall_ms:sv.sv_wall_ms
-        (wconfig_of cfg sv)
-    in
-    match Mcsup.create pool_cfg with
-    | Ok pool -> Ok (Some pool)
-    | Error msg -> Error ("cannot start worker pool: " ^ msg))
+  let sv = cfg.supervise in
+  Mcsup.create
+    (Worker.pool_config ~size:sv.sv_workers ~wall_ms:sv.sv_wall_ms
+       (wconfig_of cfg))
+  |> Result.map_error (fun msg -> "cannot start worker pool: " ^ msg)
 
+let no_stats =
+  {
+    Mcheck_api.Session.requests = 0;
+    files_checked = 0;
+    diags_emitted = 0;
+    findings = 0;
+    units_run = 0;
+    cache_hits = 0;
+    cache_entries = 0;
+    check_wall_ms = 0.;
+    uptime_s = 0.;
+  }
+
+(* the metal specs are validated here, not only in each worker: a spec
+   that does not compile is a startup error, not a pool of workers that
+   die at birth *)
 let create cfg =
-  match build_session cfg with
+  match Mcheck_api.load_metal cfg.metal_paths with
   | Error _ as e -> e
-  | Ok session -> (
+  | Ok _ -> (
     match sock_of cfg.addr with
     | exception e ->
-      Mcheck_api.Session.close session;
       Error
         (Printf.sprintf "cannot listen on %s: %s"
            (Proto.addr_to_string cfg.addr)
@@ -237,7 +245,6 @@ let create cfg =
       match msock with
       | Error msg ->
         (try Unix.close lsock with _ -> ());
-        Mcheck_api.Session.close session;
         Error msg
       | Ok msock ->
       match build_pool cfg with
@@ -246,13 +253,8 @@ let create cfg =
         (match msock with
         | Some s -> ( try Unix.close s with _ -> ())
         | None -> ());
-        Mcheck_api.Session.close session;
         Error msg
       | Ok sup ->
-        (* spans are the raw material for the flight recorder; turn
-           recording on when the telemetry wants them (never off — a
-           test harness may have enabled tracing for its own ends) *)
-        if cfg.telemetry.tel_tracing then Mcobs.set_enabled true;
         Ok
           {
             cfg;
@@ -267,8 +269,7 @@ let create cfg =
                 ~threshold_ms:cfg.telemetry.tel_flight_threshold_ms ();
             mu = Mutex.create ();
             cond = Condition.create ();
-            session_mu = Mutex.create ();
-            session;
+            session = no_stats;
             is_draining = false;
             conns = 0;
             requests = 0;
@@ -295,9 +296,12 @@ let access_log t = t.access
 let flight_recorder t = t.flight
 let reopen_access_log t = Mctel.Accesslog.reopen t.access
 
+let session_stats t =
+  { t.session with uptime_s = Unix.gettimeofday () -. t.started }
+
 let stats_text t =
-  let s = Mcheck_api.Session.stats t.session in
   locked t.mu (fun () ->
+      let s = session_stats t in
       Format.asprintf
         "mcheckd %s: up %.1f s, %d conn(s), %d request(s) served, %d \
          refused, %d error(s), %d in flight%s@.session: %a@."
@@ -308,8 +312,8 @@ let stats_text t =
         Mcheck_api.Session.pp_stats s)
 
 let stats_json t =
-  let s = Mcheck_api.Session.stats t.session in
   locked t.mu (fun () ->
+      let s = session_stats t in
       Printf.sprintf
         "{\"addr\":\"%s\",\"uptime_s\":%.1f,\"conns\":%d,\"requests\":%d,\"refused\":%d,\"errors\":%d,\"inflight\":%d,\"draining\":%b,\"access_log_lines\":%d,\"flight_notable\":%d,\"session\":{\"requests\":%d,\"files_checked\":%d,\"diags_emitted\":%d,\"findings\":%d,\"units_run\":%d,\"cache_hits\":%d,\"cache_entries\":%d,\"check_wall_ms\":%.1f,\"uptime_s\":%.1f}}\n"
         (Mcobs.json_escape (Proto.addr_to_string t.cfg.addr))
@@ -322,17 +326,6 @@ let stats_json t =
         s.Mcheck_api.Session.units_run s.Mcheck_api.Session.cache_hits
         s.Mcheck_api.Session.cache_entries
         s.Mcheck_api.Session.check_wall_ms s.Mcheck_api.Session.uptime_s)
-
-let warm t =
-  Mcobs.with_span "serve.warm" (fun () ->
-      let corpus = Corpus.generate () in
-      locked t.session_mu (fun () ->
-          List.iter
-            (fun (j : Mcd.job) ->
-              ignore
-                (Mcheck_api.Session.check_units t.session ~spec:j.Mcd.spec
-                   j.Mcd.tus))
-            (Mcheck_api.corpus_jobs corpus)))
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -348,9 +341,7 @@ let retry_after_ms t inflight =
     Option.value ~default:50.
       (Mcobs.quantile_hist (Mctel.Metrics.hist_snapshot m_req_ms) 0.5)
   in
-  let lanes =
-    match t.sup with Some pool -> max 1 (Mcsup.size pool) | None -> 1
-  in
+  let lanes = max 1 (Mcsup.size t.sup) in
   let ms = p50 *. float_of_int inflight /. float_of_int lanes in
   max 25 (min 5000 (int_of_float ms))
 
@@ -377,13 +368,6 @@ let finish_inflight t =
       Mctel.Metrics.set m_inflight t.inflight_n;
       Condition.broadcast t.cond)
 
-let render_opts (o : Proto.check_opts) =
-  {
-    Mcheck_api.ro_explain = o.Proto.co_explain;
-    ro_verbose = o.Proto.co_verbose;
-    ro_quiet = o.Proto.co_quiet;
-  }
-
 (* the request trace id: the client's, when well-formed; ours
    otherwise — every request is traceable either way *)
 let request_trace (opts : Proto.check_opts) =
@@ -391,20 +375,62 @@ let request_trace (opts : Proto.check_opts) =
   | Some id -> id
   | None -> Mctel.Trace.mint ()
 
-let req_seq = Atomic.make 0
+(* the request as the worker sees it: carrying the resolved trace id *)
+let with_trace_id trace = function
+  | Proto.Check_files (o, paths) ->
+    Proto.Check_files ({ o with Proto.co_trace = trace }, paths)
+  | Proto.Check_buffer (o, name, contents) ->
+    Proto.Check_buffer ({ o with Proto.co_trace = trace }, name, contents)
+  | req -> req
 
-(* al_outcome for a supervised check, recovered from the worker's own
-   R_done exit code (the report object never crosses the process line) *)
+(* al_outcome, recovered from the worker's own R_done exit code (the
+   report object never crosses the process line) *)
 let outcome_of_exit = function
   | 0 -> "clean"
   | 1 -> "findings"
   | 2 -> "partial"
   | _ -> "unusable"
 
-let run_check t fd ~peer ~kind ~bytes_in ~req (opts : Proto.check_opts) work =
+(* a span this thread measured itself; it goes straight into the
+   request's flight entry, never through Mcobs's shared buffers *)
+let span ~trace ?(args = []) ~depth name ~begin_us =
+  {
+    Mcobs.sp_name = name;
+    sp_tid = (Domain.self () :> int);
+    sp_trace = trace;
+    sp_begin_us = begin_us;
+    sp_dur_us = Mcobs.now_us () -. begin_us;
+    sp_depth = depth;
+    sp_args = args;
+  }
+
+(* fold a worker's trailer into the daemon's telemetry — the session
+   counters, the mcheck_* metrics — and return its spans moved onto
+   this process's clock, nested under serve.request and serve.dispatch *)
+let absorb t (tr : Worker.trailer) =
+  locked t.mu (fun () ->
+      t.session <-
+        Mcheck_api.Session.map2_stats ( + ) ( +. ) t.session tr.tr_stats);
+  List.iter
+    (fun (name, by) -> Mctel.Metrics.inc ~by (Mctel.Metrics.counter name))
+    tr.tr_counters;
+  if tr.tr_stats.requests > 0 then
+    Mctel.Metrics.observe m_check_ms tr.tr_stats.check_wall_ms;
+  let shift = (tr.tr_origin_s -. Mcobs.origin_s) *. 1e6 in
+  List.map
+    (fun (sp : Mcobs.span) ->
+      {
+        sp with
+        sp_begin_us = sp.sp_begin_us +. shift;
+        sp_depth = sp.sp_depth + 2;
+      })
+    tr.tr_spans
+
+let run_check t fd ~peer ~kind ~bytes_in req (opts : Proto.check_opts) =
   let begin_us = Mcobs.now_us () in
   let t0 = Unix.gettimeofday () in
   let trace = request_trace opts in
+  let tracing = t.cfg.telemetry.tel_tracing in
   let bytes_out = ref 0 in
   let send_counted resp =
     let payload = Proto.encode_response resp in
@@ -415,7 +441,7 @@ let run_check t fd ~peer ~kind ~bytes_in ~req (opts : Proto.check_opts) work =
   let findings = ref 0 in
   let diags_n = ref 0 in
   let cache_hits = ref 0 in
-  let harvested = ref [] in
+  let spans = ref [] in
   let logged = ref false in
   (* one terminal accounting step per request, wherever the request
      exits: latency histogram, byte counters, access-log line, flight
@@ -443,23 +469,62 @@ let run_check t fd ~peer ~kind ~bytes_in ~req (opts : Proto.check_opts) work =
              al_diags = !diags_n;
              al_cache_hits = !cache_hits;
            });
+      let spans =
+        if tracing then
+          span ~trace ~depth:0 "serve.request"
+            ~args:[ ("kind", kind); ("peer", peer) ]
+            ~begin_us
+          :: !spans
+        else []
+      in
       let notable0 = Mctel.Flight.retained t.flight in
       Mctel.Flight.record t.flight ~trace ~kind ~peer ~begin_us ~wall_ms
-        ~outcome:!outcome ~spans:!harvested;
+        ~outcome:!outcome ~spans;
       let kept = Mctel.Flight.retained t.flight - notable0 in
       if kept > 0 then Mctel.Metrics.inc ~by:kept m_flight_notable
     end
   in
-  (* the supervised path: ship the encoded request to a pooled worker
-     process and forward its response frames verbatim — byte-identical
-     to what the worker (sharing the in-process rendering code) wrote,
-     while this address space never touches request data.  On worker
-     failure (already retried once inside the pool) degrade to a
-     structured R_error. *)
-  let run_supervised pool =
-    match Mcsup.dispatch pool (Proto.encode_request req) with
-    | Ok frames ->
-      Mcobs.count "serve.check.ok";
+  let fault () =
+    locked t.mu (fun () -> t.errors <- t.errors + 1);
+    Mctel.Metrics.inc m_faults;
+    outcome := "fault"
+  in
+  (* ship the request to a pooled worker and forward its response
+     frames verbatim, minus the trailer — the worker renders with the
+     CLI's own code, and this address space never touches request
+     data.  On worker failure (already retried once inside the pool)
+     degrade to a structured R_error. *)
+  let dispatch () =
+    let hop_us = Mcobs.now_us () in
+    let r =
+      Mcsup.dispatch ~queue:m_queue t.sup
+        (Proto.encode_request (with_trace_id trace req))
+    in
+    let hop args =
+      if tracing then
+        spans :=
+          [ span ~trace ~depth:1 "serve.dispatch" ~args ~begin_us:hop_us ]
+    in
+    match r with
+    | Ok reply ->
+      let frames, trailers = Worker.split_trailers reply.Mcsup.rp_frames in
+      let dropped =
+        List.fold_left
+          (fun n (tr : Worker.trailer) -> n + tr.tr_spans_dropped)
+          0 trailers
+      in
+      hop
+        ([
+           ("worker_pid", string_of_int reply.Mcsup.rp_pid);
+           ("attempt", string_of_int reply.Mcsup.rp_attempt);
+         ]
+        @ if dropped > 0 then [ ("spans_dropped", string_of_int dropped) ]
+          else []);
+      List.iter
+        (fun (tr : Worker.trailer) ->
+          cache_hits := !cache_hits + tr.tr_stats.cache_hits;
+          spans := !spans @ absorb t tr)
+        trailers;
       (* one coalesced write: the whole frame list is already in hand
          (nothing was streamed during dispatch), so forwarding it frame
          by frame would only pay a syscall per diagnostic *)
@@ -481,17 +546,11 @@ let run_check t fd ~peer ~kind ~bytes_in ~req (opts : Proto.check_opts) work =
         outcome := outcome_of_exit rd_exit;
         findings := rd_findings;
         diags_n := rd_diags
-      | Ok (Proto.R_error _) ->
-        locked t.mu (fun () -> t.errors <- t.errors + 1);
-        Mcobs.count "serve.check.fault";
-        Mctel.Metrics.inc m_faults;
-        outcome := "fault"
+      | Ok (Proto.R_error _) -> fault ()
       | _ -> outcome := "ok")
     | Error f ->
-      locked t.mu (fun () -> t.errors <- t.errors + 1);
-      Mcobs.count "serve.check.fault";
-      Mctel.Metrics.inc m_faults;
-      outcome := "fault";
+      hop [ ("failure", Mcsup.failure_class f) ];
+      fault ();
       send_counted
         (Proto.R_error ("worker failed: " ^ Mcsup.describe_failure f))
   in
@@ -509,95 +568,11 @@ let run_check t fd ~peer ~kind ~bytes_in ~req (opts : Proto.check_opts) work =
     Fun.protect ~finally:finish_log (fun () ->
         send_counted (Proto.R_overloaded { ro_retry_after_ms = ms }))
   | `Admitted ->
-    Mctel.Metrics.add m_queue 1;
     Fun.protect
       ~finally:(fun () ->
         finish_inflight t;
         finish_log ())
-      (fun () ->
-        match t.sup with
-        | Some pool ->
-          Mctel.Metrics.add m_queue (-1);
-          Mcobs.with_span "serve.check" (fun () -> run_supervised pool)
-        | None ->
-        match
-          Mcobs.with_span "serve.check" (fun () ->
-              locked t.session_mu (fun () ->
-                  Mctel.Metrics.add m_queue (-1);
-                  let hits0 =
-                    (Mcheck_api.Session.stats t.session)
-                      .Mcheck_api.Session.cache_hits
-                  in
-                  (* the ambient trace context attributes every span the
-                     check records — across the session and the Mcd
-                     worker domains — to this request; session_mu is
-                     what makes the process-global context sound *)
-                  Fun.protect
-                    ~finally:(fun () ->
-                      Mcobs.set_trace "";
-                      Mcobs.record_span ~trace ~name:"serve.request"
-                        ~args:[ ("kind", kind); ("peer", peer) ]
-                        ~begin_us
-                        ~dur_us:(Mcobs.now_us () -. begin_us)
-                        ();
-                      harvested := Mcobs.drain_trace trace;
-                      (* periodically sweep spans recorded outside any
-                         trace so a long-lived daemon's buffers stay
-                         bounded without a coordinated reset *)
-                      if Atomic.fetch_and_add req_seq 1 land 0xff = 0xff
-                      then ignore (Mcobs.drain_trace ""))
-                    (fun () ->
-                      Mcobs.set_trace trace;
-                      let r = work t.session in
-                      cache_hits :=
-                        (Mcheck_api.Session.stats t.session)
-                          .Mcheck_api.Session.cache_hits - hits0;
-                      r)))
-        with
-        | (report : Mcheck_api.report) ->
-          Mcobs.count "serve.check.ok";
-          outcome := Robust.to_string report.Mcheck_api.r_outcome;
-          findings := report.Mcheck_api.r_findings;
-          let ropts = render_opts opts in
-          let diags = Mcheck_api.report_diags report in
-          diags_n := List.length diags;
-          List.iter
-            (fun (d : Diag.t) ->
-              send_counted
-                (Proto.R_diag
-                   {
-                     Proto.d_checker = d.Diag.checker;
-                     d_severity = Diag.severity_string d.Diag.severity;
-                     d_internal = Robust.is_internal d;
-                     d_text = Mcheck_api.render_diag ropts d;
-                   }))
-            diags;
-          send_counted
-            (Proto.R_done
-               {
-                 rd_exit = Robust.exit_code report.Mcheck_api.r_outcome;
-                 rd_findings = report.Mcheck_api.r_findings;
-                 rd_diags = List.length diags;
-               })
-        | exception Mcheck_api.Robust_exit out ->
-          (* strict-mode input failure: the daemon printed the reason on
-             its stderr, the wire carries the exit code *)
-          outcome := Robust.to_string out;
-          send_counted
-            (Proto.R_done
-               {
-                 rd_exit = Robust.exit_code out;
-                 rd_findings = 0;
-                 rd_diags = 0;
-               })
-        | exception exn ->
-          (* the per-request fault barrier: a poisoned request degrades
-             to an error frame, never kills the daemon *)
-          locked t.mu (fun () -> t.errors <- t.errors + 1);
-          Mcobs.count "serve.check.fault";
-          Mctel.Metrics.inc m_faults;
-          outcome := "fault";
-          send_counted (Proto.R_error (Engine.describe_fault exn)))
+      dispatch
 
 (* control requests get the same accounting as checks — a trace id,
    the latency histogram, and an access-log line — without the
@@ -649,40 +624,26 @@ let handle_request t fd ~peer ~bytes_in req =
     answer t fd ~peer ~kind:"flight" ~bytes_in
       (Proto.R_text (Mctel.Flight.dump_json t.flight))
   | Proto.Drain ->
-    Mcobs.count "serve.drain";
     initiate_drain t;
     answer t fd ~peer ~kind:"drain" ~bytes_in Proto.R_ok
   | Proto.Reload -> (
-    Mcobs.count "serve.reload";
-    match build_session t.cfg with
+    match Mcheck_api.load_metal t.cfg.metal_paths with
     | Error msg ->
       locked t.mu (fun () -> t.errors <- t.errors + 1);
       answer t fd ~peer ~kind:"reload" ~bytes_in
         (Proto.R_error ("reload failed: " ^ msg))
-    | Ok fresh ->
-      (* waits for in-flight checks (they hold session_mu), then swaps *)
-      locked t.session_mu (fun () ->
-          let old = t.session in
-          t.session <- fresh;
-          Mcheck_api.Session.close old);
-      (* supervised mode: roll every worker too — each retiring worker
-         publishes its warm cache on EOF, each fresh one reloads specs
-         from disk *)
-      Option.iter Mcsup.retire_all t.sup;
+    | Ok _ ->
+      (* roll every worker: each retiring worker publishes its warm
+         cache on EOF, each fresh one reloads the specs from disk *)
+      Mcsup.retire_all t.sup;
       answer t fd ~peer ~kind:"reload" ~bytes_in Proto.R_ok)
-  | Proto.Check_files (opts, paths) ->
-    (* the request's -c selection overrides the session's, per call, so
-       findings counts and exit codes match a local run with the same
-       flags *)
-    run_check t fd ~peer ~kind:"check_files" ~bytes_in ~req opts
-      (fun session ->
-        Mcheck_api.Session.check_files ~checkers:opts.Proto.co_checkers
-          session paths)
-  | Proto.Check_buffer (opts, name, contents) ->
-    run_check t fd ~peer ~kind:"check_buffer" ~bytes_in ~req opts
-      (fun session ->
-        Mcheck_api.Session.check_buffer ~checkers:opts.Proto.co_checkers
-          session ~name ~contents)
+  (* the request's -c selection overrides the worker session's, per
+     call, so findings counts and exit codes match a local run with the
+     same flags *)
+  | Proto.Check_files (opts, _) ->
+    run_check t fd ~peer ~kind:"check_files" ~bytes_in req opts
+  | Proto.Check_buffer (opts, _, _) ->
+    run_check t fd ~peer ~kind:"check_buffer" ~bytes_in req opts
 
 (* ------------------------------------------------------------------ *)
 (* Connections                                                         *)
@@ -722,7 +683,6 @@ let handle_conn t fd =
         Mctel.Metrics.inc m_proto_errors;
         locked t.mu (fun () -> t.errors <- t.errors + 1)
       | Ok req -> (
-        Mcobs.count "serve.request";
         match handle_request t fd ~peer ~bytes_in req with
         | () -> loop ()
         | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
@@ -766,9 +726,7 @@ let contains_sub s sub =
    503 once draining or when the worker pool has no live workers (a
    balancer stops routing, the process keeps finishing in-flight
    work) *)
-let ready t =
-  (not (draining t))
-  && match t.sup with None -> true | Some pool -> Mcsup.alive pool >= 1
+let ready t = (not (draining t)) && Mcsup.alive t.sup >= 1
 
 (* the smallest useful scrape endpoint: HTTP/1.0, four routes, close
    after each response — enough for Prometheus, curl, an orchestrator
@@ -883,8 +841,7 @@ let run t =
   (* every in-flight request has finished (the drain condition above),
      so this only retires idle workers — each publishes its cache on
      EOF and exits cleanly *)
-  Option.iter Mcsup.close t.sup;
-  locked t.session_mu (fun () -> Mcheck_api.Session.close t.session);
+  Mcsup.close t.sup;
   Mctel.Accesslog.close t.access;
   Mcobs.logf Mcobs.Normal "mcheckd: drained, %d request(s) served"
     t.requests

@@ -1,27 +1,32 @@
 (** The mcheckd daemon core: a listening socket, one thread per client
-    connection, all check requests multiplexed onto one shared warm
-    {!Mcheck_api.Session}.
+    connection, every check dispatched into a {!Mcsup} pool of worker
+    processes ({!Worker}), each holding a warm {!Mcheck_api.Session}.
 
-    Containment mirrors the pipeline's own fault barriers: a request
-    that fails inside the daemon (decode error, poisoned input, checker
-    crash that escapes the engine's own barriers) becomes an
-    {!Proto.R_error} frame — exit-code-2 semantics on the wire — and
-    the daemon keeps serving.
+    Containment: a request that fails inside a worker (poisoned input,
+    a checker crash that escapes the engine's own barriers) becomes an
+    {!Proto.R_error} frame — exit-code-2 semantics on the wire; a
+    worker that dies or blows its limits is replaced and the request
+    retried once.  The daemon keeps serving either way.
+
+    Observability: each worker's trailer frame brings back the
+    request's spans and session-counter deltas, so the flight entry,
+    the [Stats] session block and the [mcheck_*] metrics see into the
+    workers.
 
     Lifecycle: {!run} accepts until a drain is initiated (a
     {!Proto.Drain} request, {!initiate_drain}, or a SIGINT/SIGTERM the
     driver routes there), then stops admitting new requests, finishes
-    every admitted one, closes the listener, persists the session cache,
-    and returns.  {!Proto.Reload} waits for in-flight requests, then
-    swaps the session (metal specs re-read, cache rebuilt) without
-    dropping connections. *)
+    every admitted one, closes the listener, retires the workers (each
+    publishes its cache), and returns.  {!Proto.Reload} re-validates
+    the metal specs, then rolls every worker (in-flight requests finish
+    first) without dropping connections. *)
 
 type telemetry = {
   tel_tracing : bool;
-      (** install each request's trace id as the ambient {!Mcobs}
-          context and harvest its spans into the flight recorder.
-          [true] turns span recording on; [false] never turns it off
-          (the embedding harness may want it for its own ends). *)
+      (** workers record each request's spans under its trace id and
+          send them back; the daemon adds its own [serve.request] and
+          [serve.dispatch] spans and keeps the tree in the flight
+          recorder.  [false] leaves the span trees empty. *)
   tel_access_log : string option;  (** JSONL path; [None] disables *)
   tel_sample : int;  (** write every n-th access-log line *)
   tel_flight_capacity : int;  (** entries per flight-recorder ring *)
@@ -56,18 +61,17 @@ type config = {
   addr : Proto.addr;
   api : Mcheck_api.config;
   metal_paths : string list;
-      (** metal spec files, re-read on [Reload]; compiled into
-          [api.metal] at session build time *)
+      (** metal spec files, validated at {!create} and on [Reload];
+          each worker compiles them into its session *)
   idle_timeout : float;
       (** per-connection receive timeout in seconds; an idle client is
           kept, but during a drain its connection is closed once the
           timeout fires *)
   telemetry : telemetry;
-  supervise : supervise option;
-      (** [Some _] dispatches every check into a {!Mcsup} pool of
-          worker processes: a poisoned unit can kill a worker (one
-          request pays one transparent retry) but never this daemon.
-          [None] keeps the historical in-process path. *)
+  supervise : supervise;
+      (** the worker pool every check is dispatched into: a poisoned
+          unit can kill a worker (one request pays one transparent
+          retry) but never this daemon *)
   max_inflight : int;
       (** admission bound: past this many in-flight checks new ones
           are shed with [R_overloaded] + Retry-After instead of
@@ -76,22 +80,17 @@ type config = {
 
 val default_config : config
 (** unix socket ["mcheckd.sock"], incremental in-memory cache, 1 job,
-    {!default_telemetry}, in-process dispatch, [max_inflight = 64] *)
+    {!default_telemetry}, {!default_supervise}, [max_inflight = 64] *)
 
 type t
 
 val create : config -> (t, string) result
-(** bind and listen (stale unix-socket files are replaced); the session
-    is built — and its cache loaded — here, so the daemon is warm
-    before the first accept *)
+(** validate the metal specs, bind and listen (stale unix-socket files
+    are replaced), and start the worker pool — every worker has
+    answered its init frame before this returns *)
 
 val run : t -> unit
 (** the blocking accept loop; returns after a completed drain *)
-
-val warm : t -> unit
-(** pre-warm the session before serving: run the builtin corpus
-    through it once, so the Mcd cache, pattern tables, and code paths
-    are hot when the first real request lands *)
 
 val initiate_drain : t -> unit
 (** same effect as a wire [Drain]: safe from a signal handler or
@@ -99,13 +98,12 @@ val initiate_drain : t -> unit
 
 val draining : t -> bool
 
-val supervisor : t -> Mcsup.t option
-(** the worker pool in supervised mode — chaos campaigns pick their
-    kill victims here *)
+val supervisor : t -> Mcsup.t
+(** the worker pool — chaos campaigns pick their kill victims here *)
 
 val stats_text : t -> string
-(** the [Stats S_text] reply: server counters plus
-    {!Mcheck_api.Session} statistics *)
+(** the [Stats S_text] reply: server counters plus the workers'
+    {!Mcheck_api.Session} statistics, summed from their trailers *)
 
 val stats_json : t -> string
 (** the [Stats S_json] reply: the same counters as one JSON object *)

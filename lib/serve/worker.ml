@@ -17,27 +17,13 @@ type wconfig = {
   wc_mem_mb : int option;
   wc_cpu_s : int option;
   wc_allow_chaos : bool;
+  wc_tracing : bool;
 }
-
-let default_wconfig =
-  {
-    wc_jobs = 1;
-    wc_incremental = true;
-    wc_strict = false;
-    wc_fuel = None;
-    wc_deadline_ms = None;
-    wc_checkers = [];
-    wc_metal_paths = [];
-    wc_cache_dir = None;
-    wc_mem_mb = None;
-    wc_cpu_s = None;
-    wc_allow_chaos = false;
-  }
 
 (* The init frame crosses exec between two instances of the *same*
    binary, so Marshal is sound; a version marker catches the only way
    that can go wrong (a stale supervisor exec'ing a newer binary). *)
-let init_tag = "mcw1"
+let init_tag = "mcw2"
 let encode_init wc = Marshal.to_string (init_tag, wc) []
 
 let decode_init s =
@@ -45,6 +31,36 @@ let decode_init s =
   | tag, wc when String.equal tag init_tag -> Ok wc
   | _ -> Error "worker init: version mismatch"
   | exception _ -> Error "worker init: undecodable"
+
+(* ------------------------------------------------------------------ *)
+(* The trailer                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type trailer = {
+  tr_origin_s : float;
+  tr_spans : Mcobs.span list;
+  tr_spans_dropped : int;
+  tr_stats : Mcheck_api.Session.stats;
+  tr_counters : (string * int) list;
+}
+
+(* Marshal for the same reason as the init frame.  The tag keeps a
+   trailer apart from every Proto response, whose first byte is a
+   small tag number. *)
+let trailer_tag = "mcw-trailer1"
+let encode_trailer tr = trailer_tag ^ Marshal.to_string (tr : trailer) []
+
+let is_trailer = String.starts_with ~prefix:trailer_tag
+
+let split_trailers frames =
+  let trailers, frames = List.partition is_trailer frames in
+  ( frames,
+    List.filter_map
+      (fun s ->
+        match (Marshal.from_string s (String.length trailer_tag) : trailer) with
+        | tr -> Some tr
+        | exception _ -> None)
+      trailers )
 
 (* ------------------------------------------------------------------ *)
 (* The codec                                                           *)
@@ -56,21 +72,23 @@ let codec =
     cd_write = Proto.write_frame;
     cd_class =
       (fun payload ->
-        match Proto.decode_response payload with
-        | Ok (Proto.R_diag _) -> Mcsup.More
-        | Ok _ -> Mcsup.Final
-        | Error _ -> Mcsup.Garbage);
+        if is_trailer payload then Mcsup.More
+        else
+          match Proto.decode_response payload with
+          | Ok (Proto.R_diag _) -> Mcsup.More
+          | Ok _ -> Mcsup.Final
+          | Error _ -> Mcsup.Garbage);
     cd_split = Some Proto.split_frame;
   }
 
-let pool_config ?(name = "mcheckd") ~size ~wall_ms wc =
+let pool_config ~size ~wall_ms wc =
   {
     (Mcsup.default_config codec) with
     Mcsup.sp_size = size;
     sp_env_key = env_key;
     sp_init = encode_init wc;
     sp_wall_ms = wall_ms;
-    sp_name = name;
+    sp_name = "mcheckd";
   }
 
 (* ------------------------------------------------------------------ *)
@@ -145,54 +163,119 @@ let flush_out () =
     go 0
   end
 
-let reply resp =
-  Buffer.add_string out_buf (Proto.frame (Proto.encode_response resp));
-  match resp with
-  | Proto.R_diag _ -> if Buffer.length out_buf >= out_flush_bytes then flush_out ()
-  | _ -> flush_out ()
+let add_frame payload =
+  Buffer.add_string out_buf (Proto.frame payload);
+  if Buffer.length out_buf >= out_flush_bytes then flush_out ()
 
-(* exactly Server.run_check's frame generation: the supervisor forwards
-   these payloads verbatim, so any divergence here is a wire-visible
-   byte difference the differential oracle would catch *)
-let run_and_reply opts work =
-  match work () with
-  | (report : Mcheck_api.report) ->
-    let ropts = render_opts opts in
-    let diags = Mcheck_api.report_diags report in
-    List.iter
-      (fun (d : Diag.t) ->
-        reply
-          (Proto.R_diag
-             {
-               Proto.d_checker = d.Diag.checker;
-               d_severity = Diag.severity_string d.Diag.severity;
-               d_internal = Robust.is_internal d;
-               d_text = Mcheck_api.render_diag ropts d;
-             }))
-      diags;
-    reply
-      (Proto.R_done
-         {
-           rd_exit = Robust.exit_code report.Mcheck_api.r_outcome;
-           rd_findings = report.Mcheck_api.r_findings;
-           rd_diags = List.length diags;
-         })
-  | exception Mcheck_api.Robust_exit out ->
-    reply
-      (Proto.R_done
-         { rd_exit = Robust.exit_code out; rd_findings = 0; rd_diags = 0 })
-  | exception exn ->
-    reply (Proto.R_error (Engine.describe_fault exn));
-    (* the failed request's garbage still fills the address space that
-       RLIMIT_AS allows: collect it now, or the next request's first
-       large allocation runs out of memory too *)
-    (match exn with Out_of_memory -> Gc.full_major () | _ -> ())
+let reply resp =
+  add_frame (Proto.encode_response resp);
+  match resp with Proto.R_diag _ -> () | _ -> flush_out ()
+
+(* the counters that moved between two [Mctel.Metrics.counters]
+   snapshots, with how far *)
+let counter_deltas before after =
+  List.filter_map
+    (fun (name, v) ->
+      let v0 = Option.value ~default:0 (List.assoc_opt name before) in
+      if v = v0 then None else Some (name, v - v0))
+    after
+
+(* Runs the check under the request's trace id (the daemon resolved it
+   before dispatch) and answers with the diag frames, the trailer, and
+   the final frame.  The frames are exactly what a local run renders:
+   the daemon forwards them verbatim, so any divergence here is a
+   wire-visible byte difference the differential oracle would catch. *)
+(* The trailer must fit in one frame however large the request: keep
+   at most this many spans, the longest ones.  A span is never shorter
+   than a span it encloses, so what survives is the top of the span
+   tree ([api.check_files], [mcd.schedule], ...) and what goes is the
+   per-unit leaves. *)
+let max_trailer_spans = 4096
+
+let cap_spans spans =
+  let n = List.length spans in
+  if n <= max_trailer_spans then (spans, 0)
+  else
+    let by f a b = Float.compare (f a) (f b) in
+    ( List.stable_sort (by (fun sp -> -.sp.Mcobs.sp_dur_us)) spans
+      |> List.filteri (fun i _ -> i < max_trailer_spans)
+      |> List.stable_sort (by (fun sp -> sp.Mcobs.sp_begin_us)),
+      n - max_trailer_spans )
+
+let trailer_frame session ~trace ~stats0 ~counters0 =
+  let spans = if trace = "" then [] else Mcobs.drain_trace trace in
+  let kept, dropped = cap_spans spans in
+  let tr =
+    {
+      tr_origin_s = Mcobs.origin_s;
+      tr_spans = kept;
+      tr_spans_dropped = dropped;
+      tr_stats =
+        Mcheck_api.Session.(map2_stats ( - ) ( -. ) (stats session) stats0);
+      tr_counters = counter_deltas counters0 (Mctel.Metrics.counters ());
+    }
+  in
+  let frame = encode_trailer tr in
+  (* spans with outsized arguments could still overflow the frame: the
+     counters matter more than the spans, so send them alone *)
+  if String.length frame <= Proto.max_payload / 2 then frame
+  else
+    encode_trailer
+      { tr with tr_spans = []; tr_spans_dropped = List.length spans }
+
+(* Runs the check under the request's trace id (the daemon resolved it
+   before dispatch) and answers with the diag frames, the trailer, and
+   the final frame.  The frames are exactly what a local run renders:
+   the daemon forwards them verbatim, so any divergence here is a
+   wire-visible byte difference the differential oracle would catch. *)
+let run_and_reply session opts work =
+  let trace = opts.Proto.co_trace in
+  let stats0 = Mcheck_api.Session.stats session in
+  let counters0 = Mctel.Metrics.counters () in
+  let oom = ref false in
+  let final =
+    Mcobs.with_trace trace (fun () ->
+        match work () with
+        | (report : Mcheck_api.report) ->
+          let ropts = render_opts opts in
+          let diags = Mcheck_api.report_diags report in
+          List.iter
+            (fun (d : Diag.t) ->
+              reply
+                (Proto.R_diag
+                   {
+                     Proto.d_checker = d.Diag.checker;
+                     d_severity = Diag.severity_string d.Diag.severity;
+                     d_internal = Robust.is_internal d;
+                     d_text = Mcheck_api.render_diag ropts d;
+                   }))
+            diags;
+          Proto.R_done
+            {
+              rd_exit = Robust.exit_code report.Mcheck_api.r_outcome;
+              rd_findings = report.Mcheck_api.r_findings;
+              rd_diags = List.length diags;
+            }
+        | exception Mcheck_api.Robust_exit out ->
+          Proto.R_done
+            { rd_exit = Robust.exit_code out; rd_findings = 0; rd_diags = 0 }
+        | exception exn ->
+          oom := (match exn with Out_of_memory -> true | _ -> false);
+          Proto.R_error (Engine.describe_fault exn))
+  in
+  add_frame (trailer_frame session ~trace ~stats0 ~counters0);
+  reply final;
+  (* the failed request's garbage still fills the address space that
+     RLIMIT_AS allows: collect it now, or the next request's first
+     large allocation runs out of memory too.  After the reply, so the
+     collection does not count against the supervisor's deadline. *)
+  if !oom then Gc.full_major ()
 
 let handle_request wc session req =
   match req with
   | Proto.Ping -> reply Proto.R_ok
   | Proto.Check_files (opts, paths) ->
-    run_and_reply opts (fun () ->
+    run_and_reply session opts (fun () ->
         Mcheck_api.Session.check_files ~checkers:opts.Proto.co_checkers
           session paths)
   | Proto.Check_buffer (opts, name, contents) ->
@@ -203,7 +286,7 @@ let handle_request wc session req =
       if String.equal name "__chaos_kill__" then
         Unix.kill (Unix.getpid ()) Sys.sigkill
     end;
-    run_and_reply opts (fun () ->
+    run_and_reply session opts (fun () ->
         if wc.wc_allow_chaos then begin
           if String.equal name "__chaos_spin__" then chaos_spin ();
           if String.equal name "__chaos_oom__" then chaos_oom ();
@@ -231,6 +314,7 @@ let worker_main () : unit =
          are advisory (the supervisor's wall deadline backstops) *)
       Option.iter (fun mb -> ignore (Mcsup.set_mem_limit_mb mb)) wc.wc_mem_mb;
       Option.iter (fun s -> ignore (Mcsup.set_cpu_limit_s s)) wc.wc_cpu_s;
+      Mcobs.set_enabled wc.wc_tracing;
       match Mcheck_api.load_metal wc.wc_metal_paths with
       | Error msg ->
         (try reply (Proto.R_error ("worker: " ^ msg)) with _ -> ());
@@ -268,6 +352,9 @@ let worker_main () : unit =
             (* periodic publication keeps the shared directory warm
                even if this worker later dies mid-request *)
             if !served land 7 = 7 then Mcheck_api.Session.publish_cache session;
+            (* spans recorded outside any trace are never harvested:
+               sweep them now and then so the buffers stay bounded *)
+            if !served land 0xff = 0 then ignore (Mcobs.drain_trace "");
             loop ()
         in
         loop ()))

@@ -3,12 +3,13 @@
     [Mcsup] is protocol-agnostic; this module supplies the [Proto]
     codec, the worker-process main loop, and the init-frame
     configuration record the supervisor ships to each fresh worker.
-    The worker mirrors {!Server}'s response generation exactly —
+    The worker answers a check exactly as a local run renders it —
     [R_diag] frames rendered with {!Mcheck_api.render_diag}, then
     [R_done]; strict-mode input failures as [R_done]; the fault
-    barrier as [R_error] — so the supervisor can forward its frames to
-    the client verbatim and stay byte-identical to in-process
-    dispatch. *)
+    barrier as [R_error] — so the daemon forwards its frames to the
+    client verbatim.  Just before the final frame it sends one
+    {!trailer} frame, which the daemon strips: the request's spans and
+    counter deltas, so the daemon's telemetry sees into the worker. *)
 
 val env_key : string
 (** the environment gate ([MCSUP_WORKER]) that turns a re-exec of the
@@ -30,24 +31,41 @@ type wconfig = {
       (** recognize [__chaos_*__] buffer names as fault injections
           (spin / oom / stack / exit / kill / sleep); a production
           worker treats them as ordinary file names *)
+  wc_tracing : bool;
+      (** record spans: each check runs under the request's trace id
+          and the trailer carries them back *)
 }
 
-val default_wconfig : wconfig
-(** jobs 1, incremental, non-strict, no budget, no limits, no chaos *)
+type trailer = {
+  tr_origin_s : float;
+      (** the worker's {!Mcobs.origin_s}: span times are relative to it *)
+  tr_spans : Mcobs.span list;
+      (** the request's spans, drained: the {!max_trailer_spans}
+          longest, in start order *)
+  tr_spans_dropped : int;  (** the request's spans left out *)
+  tr_stats : Mcheck_api.Session.stats;
+      (** the request's session-counter deltas ([uptime_s] means
+          nothing) *)
+  tr_counters : (string * int) list;
+      (** the live counters the request moved in the worker (the
+          session's [mcheck_*] series), by name, with how far *)
+}
+
+val max_trailer_spans : int
+(** the most spans one trailer carries, so the trailer stays far below
+    {!Proto.max_payload} however many units a request runs *)
+
+val split_trailers : string list -> string list * trailer list
+(** a worker's reply frames without the trailer, and the trailer
+    decoded (Marshal behind a tag: both ends are the same binary) *)
 
 val codec : Mcsup.codec
-(** [Proto] framing: [R_diag] is [More], every other response is
-    [Final], an undecodable payload is [Garbage] *)
+(** [Proto] framing: [R_diag] and the trailer are [More], every other
+    response is [Final], an undecodable payload is [Garbage] *)
 
-val pool_config :
-  ?name:string -> size:int -> wall_ms:float option -> wconfig -> Mcsup.config
+val pool_config : size:int -> wall_ms:float option -> wconfig -> Mcsup.config
 (** a ready {!Mcsup.config}: [Proto] codec, {!env_key}, the encoded
     init frame for [wconfig] *)
-
-val encode_init : wconfig -> string
-(** the init-frame payload (shipped to a fresh worker as its first
-    frame); [pool_config] calls this — exposed for [retire_all ~init]
-    config swaps *)
 
 val exit_if_worker : unit -> unit
 (** the hosting binary's first statement: when the environment gate is

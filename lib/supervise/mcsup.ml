@@ -140,7 +140,6 @@ type worker = { w_pid : int; w_fd : Unix.file_descr }
 
 type t = {
   cfg : config;
-  mutable init : string;  (* current init frame; retire_all may swap it *)
   mu : Mutex.t;
   cond : Condition.t;
   mutable idle : worker list;
@@ -196,7 +195,7 @@ let spawn_worker t =
       try
         Unix.setsockopt_float sup_fd Unix.SO_RCVTIMEO
           (t.cfg.sp_spawn_timeout_ms /. 1000.);
-        t.cfg.sp_codec.cd_write sup_fd t.init;
+        t.cfg.sp_codec.cd_write sup_fd t.cfg.sp_init;
         match t.cfg.sp_codec.cd_read sup_fd with
         | Ok _ready ->
           Unix.setsockopt_float sup_fd Unix.SO_RCVTIMEO 0.;
@@ -292,8 +291,11 @@ let classify ~trigger st =
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let take t =
+(* [queue] counts callers waiting for a free worker: up when a caller
+   first has to wait, down when it is handed a worker (or given up) *)
+let take ~queue t =
   locked t (fun () ->
+      let waited = ref false in
       let rec go () =
         if t.closed then Error "pool closed"
         else begin
@@ -314,12 +316,17 @@ let take t =
               if alive_locked t = 0 && t.pending = 0 then
                 Error "no live workers"
               else begin
+                if not !waited then begin
+                  waited := true;
+                  Mctel.Metrics.add queue 1
+                end;
                 Condition.wait t.cond t.mu;
                 go ()
               end)
         end
       in
-      go ())
+      Fun.protect go ~finally:(fun () ->
+          if !waited then Mctel.Metrics.add queue (-1)))
 
 let release t w =
   locked t (fun () ->
@@ -341,8 +348,10 @@ let destroy t w ~trigger =
       Condition.broadcast t.cond);
   f
 
-let attempt t payload =
-  match take t with
+type reply = { rp_frames : string list; rp_pid : int; rp_attempt : int }
+
+let attempt ~queue t ~n payload =
+  match take ~queue t with
   | Error msg -> Error (F_spawn msg)
   | Ok w -> (
     let t0 = now () in
@@ -363,7 +372,12 @@ let attempt t payload =
         (try Unix.setsockopt_float w.w_fd Unix.SO_RCVTIMEO 0. with _ -> ());
         release t w;
         Mctel.Metrics.observe m_dispatch_ms ((now () -. t0) *. 1000.);
-        Ok (List.rev (frame :: acc))
+        Ok
+          {
+            rp_frames = List.rev (frame :: acc);
+            rp_pid = w.w_pid;
+            rp_attempt = n;
+          }
       in
       let rec collect acc =
         match remaining () with
@@ -442,15 +456,15 @@ let attempt t payload =
       | Some split -> collect_buffered split
       | None -> collect []))
 
-let dispatch t payload =
-  match attempt t payload with
+let dispatch ~queue t payload =
+  match attempt ~queue t ~n:1 payload with
   | Ok r -> Ok r
   | Error (F_spawn _ as f) -> Error f
   | Error _first ->
     (* the request's frames were never forwarded, so a retry on a fresh
        worker is invisible to the caller *)
     Mctel.Metrics.inc m_retries;
-    attempt t payload
+    attempt ~queue t ~n:2 payload
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -462,7 +476,6 @@ let create cfg =
     let t =
       {
         cfg;
-        init = cfg.sp_init;
         mu = Mutex.create ();
         cond = Condition.create ();
         idle = [];
@@ -551,12 +564,11 @@ let grab_all_locked t =
   t.spare <- None;
   all
 
-let retire_all ?init t =
+let retire_all t =
   let old =
     locked t (fun () ->
         drain_busy_locked t ~cap:60.;
         t.gen <- t.gen + 1;
-        Option.iter (fun i -> t.init <- i) init;
         grab_all_locked t)
   in
   List.iter (retire_worker t) old;
@@ -610,10 +622,6 @@ let close t =
 
 let alive t = locked t (fun () -> alive_locked t)
 let size t = t.cfg.sp_size
-
-let live_pids t =
-  locked t (fun () ->
-      List.map (fun w -> w.w_pid) (t.idle @ t.busy @ Option.to_list t.spare))
 
 let busy_pids t = locked t (fun () -> List.map (fun w -> w.w_pid) t.busy)
 

@@ -110,20 +110,28 @@ val create : config -> (t, string) result
     answer its init frame; [Error] if any fails to come up (already
     spawned workers are torn down) *)
 
-val dispatch : t -> string -> (string list, failure) result
+type reply = {
+  rp_frames : string list;  (** every response frame, the final one last *)
+  rp_pid : int;  (** the worker that answered *)
+  rp_attempt : int;  (** 1, or 2 when the answer came from the retry *)
+}
+
+val dispatch :
+  queue:Mctel.Metrics.gauge -> t -> string -> (reply, failure) result
 (** run one request: block until a worker is idle, send the request
     frame, collect response frames until the codec says [Final], under
     the wall deadline.  On worker failure the worker is killed with
     escalation, replaced, and the request retried once on a fresh
     worker; only a second failure surfaces as [Error].  The returned
     frames are complete or the call is an [Error] — callers never see a
-    partial response. *)
+    partial response.  [queue] goes up by one while this call waits
+    for a free worker and down when it is handed one. *)
 
-val retire_all : ?init:string -> t -> unit
+val retire_all : t -> unit
 (** graceful rolling restart: wait for in-flight requests, close every
     worker's channel (EOF lets it publish its cache and exit 0), reap,
-    and respawn the full complement — with a new init frame when
-    [init] is given (config reload) *)
+    and respawn the full complement (a fresh worker re-reads whatever
+    its init frame names, such as spec files) *)
 
 val close : t -> unit
 (** retire every worker (EOF, grace, escalation) without respawning;
@@ -133,9 +141,6 @@ val alive : t -> int
 (** live worker processes (idle + busy + spare) *)
 
 val size : t -> int
-
-val live_pids : t -> int list
-(** every live worker pid — chaos campaigns pick victims here *)
 
 val busy_pids : t -> int list
 (** pids currently serving a request — for kill-mid-request injection *)

@@ -118,6 +118,13 @@ module Metrics = struct
 
   let inc ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
   let counter_value c = Atomic.get c
+
+  let counters () =
+    locked (fun () ->
+        Hashtbl.fold
+          (fun name (_, m) acc ->
+            match m with M_counter c -> (name, Atomic.get c) :: acc | _ -> acc)
+          registry [])
   let set g v = Atomic.set g v
   let add g by = ignore (Atomic.fetch_and_add g by)
   let gauge_value g = Atomic.get g

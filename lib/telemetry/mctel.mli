@@ -61,6 +61,10 @@ module Metrics : sig
   val inc : ?by:int -> counter -> unit
   val counter_value : counter -> int
 
+  val counters : unit -> (string * int) list
+  (** every counter series (a labeled one under its full series name)
+      with its current value, in no particular order *)
+
   val set : gauge -> int -> unit
   val add : gauge -> int -> unit
   val gauge_value : gauge -> int

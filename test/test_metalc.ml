@@ -229,6 +229,19 @@ let diff_cases =
         Alcotest.(check int) "found the race" 1 (List.length dc));
     QCheck_alcotest.to_alcotest prop_random_machines;
     QCheck_alcotest.to_alcotest prop_fuzz_programs;
+    t "the oracle finds the specs from outside the checkout" `Quick
+      (fun () ->
+        let cwd = Sys.getcwd () in
+        let dir = Filename.temp_dir "metalc-cwd" "" in
+        Fun.protect
+          ~finally:(fun () ->
+            Sys.chdir cwd;
+            try Sys.rmdir dir with _ -> ())
+          (fun () ->
+            Sys.chdir dir;
+            match Fuzz_metalc.create () with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e));
     (* A speed tripwire, not a measurement: no benchmark workload loads
        a metal spec, so this is the only place a compiled back end
        slower than the interpreter would show.  Best of 5 per side, the

@@ -1,9 +1,10 @@
 (** The serving stack: wire-protocol totality and round-tripping,
-    framing safety against hostile bytes, a live in-process daemon
-    (checks, interleaved sessions, drain under load, reload, fault
-    containment), daemon ≡ CLI byte-identity, the telemetry surface
+    framing safety against hostile bytes, a live daemon whose checks
+    run in supervised worker processes (checks, interleaved sessions,
+    drain under load, reload, worker kills and overload), daemon ≡ CLI
+    byte-identity, the telemetry surface seen through the workers
     (stats formats, live metrics, access log, flight recorder, trace
-    propagation), and the dogfood check —
+    propagation, queue depth, span capping), and the dogfood check —
     our own [msg_length] checker run over a Clite model of
     [Serve.Proto]'s framing discipline. *)
 
@@ -245,6 +246,22 @@ let with_daemon ?config f =
   Fun.protect ~finally:(fun () -> try Oracle.stop d with _ -> ()) (fun () ->
       f d)
 
+(* a daemon whose workers honour chaos units only when [allow_chaos]
+   asks for them *)
+let sup_config ?(allow_chaos = false) ?(max_inflight = 64) ?(wall_ms = 10_000.)
+    () =
+  {
+    Oracle.default_config with
+    Serve.Server.idle_timeout = 2.0;
+    max_inflight;
+    supervise =
+      {
+        Serve.Server.default_supervise with
+        Serve.Server.sv_wall_ms = Some wall_ms;
+        sv_allow_chaos = allow_chaos;
+      };
+  }
+
 let with_client addr f =
   match Client.connect addr with
   | Error e -> Alcotest.fail (Client.err_to_string e)
@@ -298,6 +315,15 @@ let read_file path =
   let s = really_input_string ic len in
   close_in ic;
   s
+
+(* the daemon's own scrape of one bare series *)
+let scrape_value c name =
+  match Client.metrics c Proto.M_prom with
+  | Error e -> Alcotest.fail (Client.err_to_string e)
+  | Ok m -> (
+    match prom_value m name with
+    | Some v -> v
+    | None -> Alcotest.failf "%s sample missing" name)
 
 let expect_checked = function
   | Ok (Client.Checked r) -> r
@@ -398,36 +424,6 @@ let daemon_cases =
                       "alternating requests"
                       [ 1; 1; 1; 1 ]
                       [ check c1; check c2; check c1; check c2 ]))));
-    t "drain under load: zero admitted responses lost" `Quick (fun () ->
-        with_daemon (fun d ->
-            let n = 6 in
-            let completed = Atomic.make 0
-            and refused = Atomic.make 0
-            and lost = Atomic.make 0 in
-            let worker _ =
-              match Client.connect (Oracle.addr d) with
-              | Error _ -> Atomic.incr lost
-              | Ok c ->
-                Fun.protect
-                  ~finally:(fun () -> Client.close c)
-                  (fun () ->
-                    match
-                      Client.check_buffer c plain ~name:"b.c"
-                        ~contents:buggy_src
-                    with
-                    | Ok (Client.Checked _) -> Atomic.incr completed
-                    | Ok (Client.Refused _) | Ok (Client.Overloaded _) ->
-                      Atomic.incr refused
-                    | Error _ -> Atomic.incr lost)
-            in
-            let threads = List.init n (fun i -> Thread.create worker i) in
-            Thread.delay 0.002;
-            Oracle.stop d;
-            List.iter Thread.join threads;
-            Alcotest.(check int) "lost" 0 (Atomic.get lost);
-            Alcotest.(check int)
-              "every request accounted" n
-              (Atomic.get completed + Atomic.get refused)));
     t "draining daemon refuses new checks explicitly" `Quick (fun () ->
         let d = Oracle.start () in
         with_client (Oracle.addr d) (fun c ->
@@ -534,88 +530,15 @@ let daemon_cases =
 (* Supervised dispatch: worker pool, retry, overload, drain            *)
 (* ------------------------------------------------------------------ *)
 
-let sup_sock_seq = Atomic.make 0
-
-(* a daemon whose checks run in supervised worker processes; chaos
-   units are only honoured when [allow_chaos] asks for them *)
-let with_sup_daemon ?(allow_chaos = false) ?(max_inflight = 64)
-    ?(wall_ms = 10_000.) f =
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcsup-test-%d-%d.sock" (Unix.getpid ())
-         (Atomic.fetch_and_add sup_sock_seq 1))
-  in
-  let addr = Proto.Unix_sock path in
-  let cfg =
-    {
-      Serve.Server.default_config with
-      Serve.Server.addr;
-      idle_timeout = 2.0;
-      max_inflight;
-      supervise =
-        Some
-          {
-            Serve.Server.default_supervise with
-            Serve.Server.sv_wall_ms = Some wall_ms;
-            sv_allow_chaos = allow_chaos;
-          };
-    }
-  in
-  match Serve.Server.create cfg with
-  | Error msg -> Alcotest.fail msg
-  | Ok srv ->
-    let th = Thread.create Serve.Server.run srv in
-    let rec wait n =
-      if n = 0 then Alcotest.fail "supervised daemon did not answer pings"
-      else
-        match Client.connect addr with
-        | Error _ ->
-          Thread.delay 0.05;
-          wait (n - 1)
-        | Ok c -> (
-          let r = Client.ping c in
-          Client.close c;
-          match r with
-          | Ok () -> ()
-          | Error _ ->
-            Thread.delay 0.05;
-            wait (n - 1))
-    in
-    wait 100;
-    Fun.protect
-      ~finally:(fun () ->
-        (match Client.connect addr with
-        | Ok c ->
-          ignore (Client.drain c);
-          Client.close c
-        | Error _ -> Serve.Server.initiate_drain srv);
-        (try Thread.join th with _ -> ());
-        try Unix.unlink path with _ -> ())
-      (fun () -> f srv addr)
-
 let retries_now () =
   Mctel.Metrics.counter_value (Mctel.Metrics.counter "mcsup_retries_total")
 
 let supervised_cases =
   [
-    t "supervised serve oracle: daemon = CLI on generated programs" `Quick
-      (fun () ->
-        let d = Oracle.start ~supervised:true () in
-        Fun.protect
-          ~finally:(fun () -> try Oracle.stop d with _ -> ())
-          (fun () ->
-            List.iter
-              (fun seed ->
-                let p = Fuzz_gen.generate ~seed () in
-                match Oracle.check d p with
-                | [] -> ()
-                | f :: _ ->
-                  Alcotest.failf "seed %d: %s" seed f.Fuzz_oracle.f_detail)
-              [ 1; 2 ]));
     t "worker killed mid-request: one transparent retry, same answer" `Quick
       (fun () ->
-        with_sup_daemon ~allow_chaos:true (fun srv addr ->
+        with_daemon ~config:(sup_config ~allow_chaos:true ()) (fun d ->
+            let addr = Oracle.addr d in
             let retries0 = retries_now () in
             let result = ref None in
             let th =
@@ -629,11 +552,7 @@ let supervised_cases =
                              ~contents:buggy_src)))
                 ()
             in
-            let pool =
-              match Serve.Server.supervisor srv with
-              | Some p -> p
-              | None -> Alcotest.fail "no worker pool"
-            in
+            let pool = Serve.Server.supervisor (Oracle.server d) in
             let rec busy n =
               if n = 0 then Alcotest.fail "no busy worker to kill"
               else
@@ -658,7 +577,9 @@ let supervised_cases =
               (retries_now () > retries0)));
     t "queue full: R_overloaded with nothing partial written" `Quick
       (fun () ->
-        with_sup_daemon ~allow_chaos:true ~max_inflight:1 (fun _ addr ->
+        with_daemon ~config:(sup_config ~allow_chaos:true ~max_inflight:1 ())
+          (fun d ->
+            let addr = Oracle.addr d in
             let blocker =
               Thread.create
                 (fun () ->
@@ -690,7 +611,8 @@ let supervised_cases =
             Alcotest.(check bool) "at least one request shed" true (!shed > 0)));
     t "worker death answered with a structured error, daemon survives" `Quick
       (fun () ->
-        with_sup_daemon ~allow_chaos:true (fun _ addr ->
+        with_daemon ~config:(sup_config ~allow_chaos:true ()) (fun d ->
+            let addr = Oracle.addr d in
             with_client addr (fun c ->
                 match
                   Client.check_buffer c plain ~name:"__chaos_exit__"
@@ -709,16 +631,16 @@ let supervised_cases =
                 in
                 Alcotest.(check int) "daemon recovered on a fresh worker" 1
                   r.Client.cr_exit)));
-    t "supervised drain under load: zero admitted responses lost" `Quick
-      (fun () ->
-        with_sup_daemon (fun srv addr ->
+    t "drain under load: zero admitted responses lost" `Quick (fun () ->
+        with_daemon (fun d ->
+            let addr = Oracle.addr d in
             let n = 6 in
             let completed = Atomic.make 0
             and refused = Atomic.make 0
             and lost = Atomic.make 0 in
             let worker _ =
               match Client.connect addr with
-              | Error _ -> Atomic.incr refused
+              | Error _ -> Atomic.incr lost
               | Ok c ->
                 Fun.protect
                   ~finally:(fun () -> Client.close c)
@@ -734,12 +656,98 @@ let supervised_cases =
             in
             let threads = List.init n (fun i -> Thread.create worker i) in
             Thread.delay 0.05;
-            Serve.Server.initiate_drain srv;
+            Serve.Server.initiate_drain (Oracle.server d);
             List.iter Thread.join threads;
             Alcotest.(check int) "lost" 0 (Atomic.get lost);
             Alcotest.(check int)
               "every request accounted" n
               (Atomic.get completed + Atomic.get refused)));
+    t "queue depth counts a request waiting for a free worker" `Quick
+      (fun () ->
+        with_daemon ~config:(sup_config ~allow_chaos:true ()) (fun d ->
+            let addr = Oracle.addr d in
+            let pool = Serve.Server.supervisor (Oracle.server d) in
+            (* every worker, the hot spare included *)
+            let slots = Mcsup.size pool + 1 in
+            let check name () =
+              with_client addr (fun c ->
+                  ignore
+                    (expect_checked
+                       (Client.check_buffer c plain ~name ~contents:buggy_src)))
+            in
+            let holders =
+              List.init slots (fun i ->
+                  Thread.create
+                    (check (Printf.sprintf "__chaos_sleep_3000__h%d.c" i))
+                    ())
+            in
+            let rec until n what ok =
+              if n = 0 then Alcotest.failf "timed out waiting for %s" what
+              else if not (ok ()) then begin
+                Thread.delay 0.02;
+                until (n - 1) what ok
+              end
+            in
+            until 100 "every worker busy" (fun () ->
+                List.length (Mcsup.busy_pids pool) = slots);
+            let waiter = Thread.create (check "b.c") () in
+            with_client addr (fun c ->
+                until 100 "mcheckd_queue_depth 1" (fun () ->
+                    scrape_value c "mcheckd_queue_depth" = 1.0));
+            List.iter Thread.join (waiter :: holders);
+            with_client addr (fun c ->
+                Alcotest.(check (float 0.)) "queue drained" 0.
+                  (scrape_value c "mcheckd_queue_depth"))));
+    t "a request with more spans than a trailer carries still gets its answer"
+      `Quick (fun () ->
+        (* one mcd.unit span per function: this buffer's spans overflow
+           one trailer, which keeps the longest and counts the rest *)
+        let n = Serve.Worker.max_trailer_spans + 200 in
+        let contents =
+          String.concat "\n"
+            (List.init n (fun i ->
+                 Printf.sprintf "void f%d(int x) { if (x) { x = x + 1; } }" i))
+        in
+        let local =
+          Mcheck_api.report_diags
+            (Mcheck_api.Session.check_buffer
+               (Mcheck_api.Session.create ~config:Oracle.default_config.api ())
+               ~name:"many.c" ~contents)
+        in
+        with_daemon (fun d ->
+            with_client (Oracle.addr d) (fun c ->
+                let trace = Mctel.Trace.mint () in
+                let r =
+                  expect_checked
+                    (Client.check_buffer c
+                       { plain with Proto.co_trace = trace }
+                       ~name:"many.c" ~contents)
+                in
+                Alcotest.(check int) "every diagnostic forwarded"
+                  (List.length local)
+                  (List.length r.Client.cr_diags);
+                let fr = Serve.Server.flight_recorder (Oracle.server d) in
+                match
+                  List.find_opt
+                    (fun e -> String.equal e.Mctel.Flight.fl_trace trace)
+                    (Mctel.Flight.entries fr)
+                with
+                | None -> Alcotest.fail "no flight entry for the trace"
+                | Some e ->
+                  let spans = e.Mctel.Flight.fl_spans in
+                  let has name =
+                    List.exists (fun sp -> sp.Mcobs.sp_name = name) spans
+                  in
+                  Alcotest.(check bool) "the span tree's top survives" true
+                    (has "api.check_buffer" && has "mcd.schedule");
+                  Alcotest.(check bool) "the spans are capped" true
+                    (List.length spans <= Serve.Worker.max_trailer_spans + 2);
+                  Alcotest.(check bool) "the dispatch hop counts the drop" true
+                    (List.exists
+                       (fun sp ->
+                         sp.Mcobs.sp_name = "serve.dispatch"
+                         && List.mem_assoc "spans_dropped" sp.Mcobs.sp_args)
+                       spans))));
     t "client errors: a refused connection is not a timeout" `Quick (fun () ->
         (match
            Client.connect (Proto.Unix_sock "/tmp/mcsup-no-such-daemon.sock")
@@ -827,10 +835,15 @@ let telemetry_cases =
       (fun () ->
         with_daemon (fun d ->
             with_client (Oracle.addr d) (fun c ->
+                let units0 = scrape_value c "mcheck_units_run_total" in
                 ignore
                   (expect_checked
                      (Client.check_buffer c plain ~name:"b.c"
                         ~contents:buggy_src));
+                (* the worker ran the units; its trailer moved the
+                   daemon's counter *)
+                Alcotest.(check bool) "mcheck_units_run_total moved" true
+                  (scrape_value c "mcheck_units_run_total" > units0);
                 (match Client.stats c with
                 | Ok s ->
                   Alcotest.(check bool) "text mentions requests" true
@@ -847,11 +860,14 @@ let telemetry_cases =
                   | Some n ->
                     Alcotest.(check bool) "served at least one" true (n >= 1)
                   | None -> Alcotest.fail "no requests field");
-                  (match json_int_field j "findings" with
-                  | Some n ->
-                    Alcotest.(check bool) "session findings counted" true
-                      (n >= 1)
-                  | None -> Alcotest.fail "no session findings field"))));
+                  List.iter
+                    (fun field ->
+                      match json_int_field j field with
+                      | Some n ->
+                        Alcotest.(check bool) ("session " ^ field ^ " counted")
+                          true (n >= 1)
+                      | None -> Alcotest.failf "no session %s field" field)
+                    [ "findings"; "units_run"; "files_checked" ])));
     t "metrics exposition: required series present and monotone" `Quick
       (fun () ->
         with_daemon (fun d ->
@@ -910,7 +926,9 @@ let telemetry_cases =
                 tel_access_log = Some log_path;
               }
             in
-            let d = Oracle.start ~telemetry () in
+            let d =
+              Oracle.start ~config:{ Oracle.default_config with telemetry } ()
+            in
             let n = 6 in
             let completed = Atomic.make 0
             and refused = Atomic.make 0
@@ -964,56 +982,64 @@ let telemetry_cases =
                   (contains_sub l "\"trace\":\"t-"))
               buffer_lines));
     t "a fault-barrier trip lands in the flight recorder" `Quick (fun () ->
-        with_daemon (fun d ->
-            (* the hook is installed after the daemon warmed, so only the
-               request below trips it; Mcd spawns its pool per schedule,
-               so the workers see the hook *)
-            Engine.set_fault_hook
-              (Some (fun ~checker:_ ~func -> String.equal func "H"));
-            Fun.protect
-              ~finally:(fun () -> Engine.set_fault_hook None)
-              (fun () ->
-                with_client (Oracle.addr d) (fun c ->
-                    (match
-                       Client.check_buffer c plain ~name:"b.c"
-                         ~contents:buggy_src
-                     with
-                    | Error e -> Alcotest.fail (Client.err_to_string e)
-                    | Ok _ -> ());
-                    (* same-connection fetch: the entry is committed
-                       before the daemon reads this request's frame *)
-                    (match Client.flight c with
-                    | Error e -> Alcotest.fail (Client.err_to_string e)
-                    | Ok dump ->
-                      Alcotest.(check bool) "dump shows the partial outcome"
-                        true
-                        (contains_sub dump "\"outcome\":\"partial\""));
-                    let fr =
-                      Serve.Server.flight_recorder (Oracle.server d)
-                    in
-                    Alcotest.(check bool) "tail rule retained the fault"
-                      true
-                      (Mctel.Flight.retained fr >= 1);
-                    Alcotest.(check bool)
-                      "a notable check_buffer entry survives" true
-                      (List.exists
-                         (fun e ->
-                           e.Mctel.Flight.fl_notable
-                           && String.equal e.Mctel.Flight.fl_kind
-                                "check_buffer"
-                           && String.equal e.Mctel.Flight.fl_outcome
-                                "partial")
-                         (Mctel.Flight.entries fr))))));
+        (* a one-step unit budget: every unit runs out of fuel in the
+           worker, and the check degrades to a partial outcome *)
+        let config =
+          {
+            Oracle.default_config with
+            Serve.Server.api =
+              {
+                Oracle.default_config.Serve.Server.api with
+                Mcheck_api.budget =
+                  { Engine.no_budget with Engine.fuel = Some 1 };
+              };
+          }
+        in
+        with_daemon ~config (fun d ->
+            with_client (Oracle.addr d) (fun c ->
+                (match
+                   Client.check_buffer c plain ~name:"b.c"
+                     ~contents:buggy_src
+                 with
+                | Error e -> Alcotest.fail (Client.err_to_string e)
+                | Ok _ -> ());
+                (* same-connection fetch: the entry is committed
+                   before the daemon reads this request's frame *)
+                (match Client.flight c with
+                | Error e -> Alcotest.fail (Client.err_to_string e)
+                | Ok dump ->
+                  Alcotest.(check bool) "dump shows the partial outcome"
+                    true
+                    (contains_sub dump "\"outcome\":\"partial\""));
+                let fr =
+                  Serve.Server.flight_recorder (Oracle.server d)
+                in
+                Alcotest.(check bool) "tail rule retained the fault"
+                  true
+                  (Mctel.Flight.retained fr >= 1);
+                Alcotest.(check bool)
+                  "a notable check_buffer entry survives" true
+                  (List.exists
+                     (fun e ->
+                       e.Mctel.Flight.fl_notable
+                       && String.equal e.Mctel.Flight.fl_kind
+                            "check_buffer"
+                       && String.equal e.Mctel.Flight.fl_outcome
+                            "partial")
+                     (Mctel.Flight.entries fr)))));
     t "a client trace id spans server, session, and scheduler" `Quick
       (fun () ->
         with_daemon (fun d ->
             with_client (Oracle.addr d) (fun c ->
                 let trace = Mctel.Trace.mint () in
+                let units0 = scrape_value c "mcheck_units_run_total" in
                 ignore
                   (expect_checked
                      (Client.check_buffer c
                         { plain with Proto.co_trace = trace }
                         ~name:"b.c" ~contents:buggy_src));
+                Alcotest.(check bool) "mcheck_units_run_total moved" true
+                  (scrape_value c "mcheck_units_run_total" > units0);
                 (match Client.flight c with
                 | Error e -> Alcotest.fail (Client.err_to_string e)
                 | Ok dump ->

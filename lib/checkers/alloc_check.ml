@@ -63,14 +63,11 @@ let sm : state Sm.t =
 
 let check_prep ~spec : Prep.t -> Diag.t list =
   let _ = spec in
-  fun prep -> Engine.check_prep sm prep
+  Engine.check_prep (Engine.machine sm)
 
-(* [Unchecked] carries the stored-into expression, so the state space is
-   not statically enumerable; the product scan interns states
-   dynamically. *)
 let product ~spec : Engine.pmachine option =
   let _ = spec in
-  Some (Engine.pack sm)
+  Some (Engine.pack (Engine.machine sm))
 
 let run ~spec (tus : Ast.tunit list) : Diag.t list =
   let _ = spec in

@@ -205,8 +205,8 @@ let check_prep ~spec : Prep.t -> Diag.t list =
     Suppress.create
       ~reserved:[ Flash_api.ann_has_buffer; Flash_api.ann_no_free_needed ]
   in
-  let sm = make_sm ~spec ~suppress in
-  fun prep -> Engine.check_prep ~at_exit:(exit_hook ~spec suppress) sm prep
+  Engine.check_prep
+    (Engine.machine ~at_exit:(exit_hook ~spec suppress) (make_sm ~spec ~suppress))
 
 (* The product pack gets its own annotation table: the table only feeds
    the Table 4 counters of [run_with_annotations] (which builds its own),
@@ -216,7 +216,9 @@ let product ~spec : Engine.pmachine option =
     Suppress.create
       ~reserved:[ Flash_api.ann_has_buffer; Flash_api.ann_no_free_needed ]
   in
-  Some (Engine.pack ~at_exit:(exit_hook ~spec suppress) (make_sm ~spec ~suppress))
+  Some
+    (Engine.pack
+       (Engine.machine ~at_exit:(exit_hook ~spec suppress) (make_sm ~spec ~suppress)))
 
 let run ~spec (tus : Ast.tunit list) : Diag.t list =
   (run_with_annotations ~spec tus).diags

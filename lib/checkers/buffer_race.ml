@@ -49,15 +49,11 @@ let sm : state Sm.t =
 
 let check_prep ~spec : Prep.t -> Diag.t list =
   let _ = spec in
-  fun prep -> Engine.check_prep sm prep
-
-(* One state, so the machine lowers onto the transition-table shape and
-   the product scan gets array-load dispatch. *)
-let table = Engine.prebuild ~n_states:1 (Engine.reindex [| Start |] sm)
+  Engine.check_prep (Engine.machine sm)
 
 let product ~spec : Engine.pmachine option =
   let _ = spec in
-  Some (Engine.pack_table table)
+  Some (Engine.pack (Engine.machine sm))
 
 let run ~spec (tus : Ast.tunit list) : Diag.t list =
   let _ = spec in

@@ -134,11 +134,10 @@ let exit_hook : state Engine.exit_hook =
 (* Staged: [check_prep ~spec] compiles the spec-dependent state machine
    once, the returned closure checks one prepared function at a time. *)
 let check_prep ?nak_pruning ~spec : Prep.t -> Diag.t list =
-  let sm = sm ?nak_pruning ~spec () in
-  fun prep -> Engine.check_prep ~at_exit:exit_hook sm prep
+  Engine.check_prep (Engine.machine ~at_exit:exit_hook (sm ?nak_pruning ~spec ()))
 
 let product ?nak_pruning ~spec () : Engine.pmachine option =
-  Some (Engine.pack ~at_exit:exit_hook (sm ?nak_pruning ~spec ()))
+  Some (Engine.pack (Engine.machine ~at_exit:exit_hook (sm ?nak_pruning ~spec ())))
 
 let run ?nak_pruning ~spec (tus : Ast.tunit list) : Diag.t list =
   Engine.check ~at_exit:exit_hook (sm ?nak_pruning ~spec ()) (`Program tus)

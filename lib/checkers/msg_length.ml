@@ -66,17 +66,11 @@ let sm : state Sm.t =
 
 let check_prep ~spec : Prep.t -> Diag.t list =
   let _ = spec in
-  fun prep -> Engine.check_prep sm prep
-
-(* Three states, so the machine lowers onto the transition-table shape
-   and the product scan gets array-load dispatch. *)
-let table =
-  Engine.prebuild ~n_states:3
-    (Engine.reindex [| Unknown; Zero_len; Nonzero_len |] sm)
+  Engine.check_prep (Engine.machine sm)
 
 let product ~spec : Engine.pmachine option =
   let _ = spec in
-  Some (Engine.pack_table table)
+  Some (Engine.pack (Engine.machine sm))
 
 let run ~spec (tus : Ast.tunit list) : Diag.t list =
   let _ = spec in

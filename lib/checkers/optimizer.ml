@@ -46,7 +46,7 @@ let redundant_waits_prep (prep : Prep.t) : Loc.t list =
         ])
       ()
   in
-  ignore (Engine.check_prep sm prep);
+  ignore (Engine.check_prep (Engine.machine sm) prep);
   Hashtbl.fold
     (fun loc (in_unsynced, in_synced) acc ->
       if in_synced && not in_unsynced then loc :: acc else acc)

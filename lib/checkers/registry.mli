@@ -71,7 +71,9 @@ val run_all : spec:Flash_api.spec -> Ast.tunit list -> (string * Diag.t list) li
 type staged
 (** the per-function checkers staged for one spec: their closures
     ([check_fn ~spec ~ctx]) and their product machines, registry order.
-    Not shareable across domains. *)
+    Each staged {!Engine.machine} memoises its per-state dispatch across
+    the functions it checks, so a [staged] is not shareable across
+    domains. *)
 
 val stage : spec:Flash_api.spec -> ctx:ctx -> staged
 

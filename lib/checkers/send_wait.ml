@@ -85,22 +85,11 @@ let exit_hook : state Engine.exit_hook =
 
 let check_prep ~spec : Prep.t -> Diag.t list =
   let _ = spec in
-  fun prep -> Engine.check_prep ~at_exit:exit_hook sm prep
-
-(* Three reachable states, so the machine lowers onto the
-   transition-table shape; the exit hook translates back through the
-   state array. *)
-let product_states = [| Idle; Waiting PI; Waiting IO |]
-
-let table =
-  Engine.prebuild ~n_states:3 (Engine.reindex product_states sm)
+  Engine.check_prep (Engine.machine ~at_exit:exit_hook sm)
 
 let product ~spec : Engine.pmachine option =
   let _ = spec in
-  Some
-    (Engine.pack_table
-       ~at_exit:(fun ctx i -> exit_hook ctx product_states.(i))
-       table)
+  Some (Engine.pack (Engine.machine ~at_exit:exit_hook sm))
 
 let run ~spec (tus : Ast.tunit list) : Diag.t list =
   let _ = spec in

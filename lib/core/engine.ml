@@ -12,53 +12,21 @@
     order, so a pattern for [FREE_BUF()] fires before the pattern for the
     enclosing send in [NI_SEND(FREE_BUF(), ...)].
 
-    {2 The fused fast path}
+    {2 One walk}
 
-    All per-function analysis the engine needs — the CFG and each node's
-    flattened event array — comes from a {!Prep.t}, so a driver checking
-    one function with several machines builds that work once and calls
-    {!check_prep} per machine ([Registry.check_function], the kernel
-    behind every [Mcd] function-batch unit, does exactly that).
-    {!check} remains the convenient entry point and builds a private
-    prep per call.
-
-    Rules are not scanned linearly per event: each state's rule list is
-    compiled once (per checked function) into a {!Pattern.root_shapes}
-    index, so an event is only offered to rules whose pattern root could
-    match it — for most events (plain identifiers, arithmetic) that is
-    the empty list.
+    Every walker — the path-sensitive walk, the degraded flat walk and
+    the product scan — reads the same {!Prep.soa} event columns and
+    hands each event to the same rule-firing step ({!fire}).  Rules are
+    not scanned linearly per event: each state's rule list is compiled
+    into a {!Pattern.root_shapes} index, screened on the event's root
+    tag and callee symbol, so an event is only offered to rules whose
+    pattern root could match it — for most events (plain identifiers,
+    arithmetic) that is the empty list.  A staged {!machine} memoises
+    those indexes per state across every function it checks.
 
     Witness steps are recorded as raw (location, expression, state)
     tuples and only rendered to strings when a diagnostic is actually
-    emitted, so a match on a clean path costs no pretty-printing.
-
-    Statistics are immutable snapshots accumulated into a caller-supplied
-    [stats ref]: the engine itself only touches domain-local counters, so
-    concurrent checks from several domains are race-free as long as each
-    domain passes its own ref (merge the per-domain records with
-    {!stats_add} at join — that is what [Mcd] does). *)
-
-type stats = {
-  nodes_visited : int;
-  events_matched : int;
-  paths_stopped : int;
-}
-
-let stats_zero = { nodes_visited = 0; events_matched = 0; paths_stopped = 0 }
-
-let stats_add a b =
-  {
-    nodes_visited = a.nodes_visited + b.nodes_visited;
-    events_matched = a.events_matched + b.events_matched;
-    paths_stopped = a.paths_stopped + b.paths_stopped;
-  }
-
-let fresh_stats () = ref stats_zero
-
-(* Sub-expressions in evaluation (post-) order — now owned by [Prep],
-   re-exported here because the engine is where callers historically
-   found it. *)
-let subexprs_post = Prep.subexprs_post
+    emitted, so a match on a clean path costs no pretty-printing. *)
 
 type 'state exit_hook = Sm.action_ctx -> 'state -> unit
 
@@ -178,17 +146,13 @@ let event_string (e : Ast.expr) : string =
 
 (* Candidate rules per event root shape, in original rule order (state
    rules before [all] rules), so "first matching rule fires" is
-   preserved exactly.  A call event with an identifier callee looks its
-   name up in [d_by_name]; names no pattern mentions — and calls through
-   non-identifier callees — fall back to the generic [Ast.Call] bucket
-   of [d_by_tag], which holds only callee-wildcard call patterns and
-   root-wildcard patterns. *)
+   preserved exactly.  A call event with a direct callee looks its
+   interned symbol up in [d_by_sym]; symbols no pattern mentions — and
+   calls through non-identifier callees — fall back to the generic
+   [Ast.Call] bucket of [d_by_tag], which holds only callee-wildcard
+   call patterns and root-wildcard patterns. *)
 type 'state dispatch = {
-  d_by_name : (string, 'state Sm.rule list) Hashtbl.t;
   d_by_sym : (int, 'state Sm.rule list) Hashtbl.t;
-      (** the same buckets keyed by interned callee symbol — what the
-          SoA product scan probes, an int hash instead of a string
-          hash *)
   d_by_tag : 'state Sm.rule list array;
 }
 
@@ -219,7 +183,6 @@ let build_dispatch (rules : 'state Sm.rule list) : 'state dispatch =
           | Pattern.Root_tag _ | Pattern.Root_any -> ())
         shapes)
     classified;
-  let d_by_name = Hashtbl.create (Hashtbl.length names) in
   let d_by_sym = Hashtbl.create (Hashtbl.length names) in
   Hashtbl.iter
     (fun n () ->
@@ -231,23 +194,96 @@ let build_dispatch (rules : 'state Sm.rule list) : 'state dispatch =
             | Pattern.Root_call m -> String.equal m n)
           shapes
       in
-      let bucket =
-        List.filter_map
-          (fun (r, shapes) -> if admits shapes then Some r else None)
-          classified
-      in
-      Hashtbl.replace d_by_name n bucket;
-      Hashtbl.replace d_by_sym (Symtab.intern n) bucket)
+      Hashtbl.replace d_by_sym (Symtab.intern n)
+        (List.filter_map
+           (fun (r, shapes) -> if admits shapes then Some r else None)
+           classified))
     names;
-  { d_by_name; d_by_sym; d_by_tag }
+  { d_by_sym; d_by_tag }
 
-let candidates (d : 'state dispatch) (e : Ast.expr) : 'state Sm.rule list =
-  match e.Ast.edesc with
-  | Ast.Call ({ Ast.edesc = Ast.Ident name; _ }, _) -> (
-    match Hashtbl.find_opt d.d_by_name name with
-    | Some rules -> rules
-    | None -> d.d_by_tag.(Pattern.tag_call))
-  | _ -> d.d_by_tag.(Pattern.tag_of_expr e)
+(* ------------------------------------------------------------------ *)
+(* Staged machines                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A machine staged for checking.  [memo] holds each state's dispatch
+   index, compiled on the state's first encounter and kept across every
+   function this value checks — it also hoists the [rules state @ all]
+   allocation out of the event loop.  It is mutable and unsynchronised,
+   so a value belongs to one domain, like a staged checker closure. *)
+type 'state machine = {
+  sm : 'state Sm.t;
+  at_exit : 'state exit_hook option;
+  memo : ('state, 'state dispatch) Hashtbl.t;
+}
+
+let machine ?at_exit (sm : 'state Sm.t) : 'state machine =
+  { sm; at_exit; memo = Hashtbl.create 16 }
+
+let dispatch (m : 'state machine) (state : 'state) : 'state dispatch =
+  match Hashtbl.find_opt m.memo state with
+  | Some d -> d
+  | None ->
+    let d = build_dispatch (m.sm.Sm.rules state @ m.sm.Sm.all) in
+    Hashtbl.add m.memo state d;
+    d
+
+(* The one rule-firing step every walker shares: offer event [j] of
+   [soa] to the candidate rules of [disp] — screened on the event's root
+   tag and, for a direct call, its callee symbol, before any pattern or
+   expression is touched — and run the action of the first rule whose
+   pattern matches.  [trace] is newest-first; [None] when no rule
+   fires. *)
+let fire ~func ~trace ~emit (soa : Prep.soa) (disp : 'state dispatch)
+    (j : int) : 'state Sm.outcome option =
+  let cls = soa.Prep.ev_class.(j) in
+  let rules =
+    if cls <> Pattern.tag_call then disp.d_by_tag.(cls)
+    else
+      match Hashtbl.find_opt disp.d_by_sym soa.Prep.ev_callee.(j) with
+      | Some rules -> rules
+      | None -> disp.d_by_tag.(cls)
+  in
+  match rules with
+  | [] -> None
+  | rules ->
+    let event = soa.Prep.ev_expr.(j) in
+    let rec first = function
+      | [] -> None
+      | (r : 'state Sm.rule) :: rest -> (
+        match Pattern.match_expr r.Sm.pattern event with
+        | None -> first rest
+        | Some bindings ->
+          Some
+            (r.Sm.action
+               {
+                 Sm.func;
+                 matched = event;
+                 loc = event.Ast.eloc;
+                 bindings;
+                 trace = List.rev trace;
+                 emit;
+               }))
+    in
+    first rules
+
+(* The context an exit hook runs in: a synthetic [return] event at the
+   function's exit node. *)
+let exit_loc (cfg : Cfg.t) : Loc.t = (Cfg.node cfg cfg.Cfg.exit).Cfg.loc
+
+let exit_ctx ~func ~trace ~emit (cfg : Cfg.t) : Sm.action_ctx =
+  {
+    Sm.func;
+    matched = Ast.ident "return";
+    loc = exit_loc cfg;
+    bindings = Binding.empty;
+    trace;
+    emit;
+  }
+
+(* is event [j] hidden from this machine? *)
+let hidden (sm : _ Sm.t) (soa : Prep.soa) j =
+  (not sm.Sm.observe_branches)
+  && soa.Prep.ev_flags.(j) land Prep.soa_hidden_bit <> 0
 
 (* ------------------------------------------------------------------ *)
 (* Lazy witness steps                                                  *)
@@ -281,96 +317,51 @@ let render_steps (state_str : 'state -> string)
 (* The traversal                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Run one state machine over one prepared function.  [at_exit] is
-   invoked once per distinct state in which a path reaches the function
-   exit.  All counters are local; the optional [stats] ref is touched
-   exactly once, at the end. *)
-(* Default per-state dispatch: compiled on first encounter into a cache
-   private to this call — this also hoists the [rules state @ all]
-   allocation out of the event loop.  Compiled tables (see {!prebuild})
-   pass their own provider instead, built once per machine rather than
-   once per checked function. *)
-let cached_dispatch_for (sm : 'state Sm.t) : 'state -> 'state dispatch =
-  let dispatch_cache : ('state, 'state dispatch) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  fun state ->
-    match Hashtbl.find_opt dispatch_cache state with
-    | Some d -> d
-    | None ->
-      let d = build_dispatch (sm.Sm.rules state @ sm.Sm.all) in
-      Hashtbl.add dispatch_cache state d;
-      d
-
-let check_prep_full ?(stats : stats ref option)
-    ?(at_exit : 'state exit_hook option)
-    ?(dispatch_for : ('state -> 'state dispatch) option) (sm : 'state Sm.t)
-    (prep : Prep.t) : Diag.t list =
+(** Run one staged machine over one prepared function.  Path-sensitive
+    by default; inside {!with_degraded} the same node step is folded
+    over the node ids in order, threading a single state — branches not
+    explored, [branch] refinement skipped, linear in event count, hence
+    total.  Diagnostics the degraded walk emits are real (every event it
+    matches is in the function); it can only miss path-dependent ones.
+    [at_exit] runs once per distinct state in which a path reaches the
+    function exit (once, at the end, in the degraded walk). *)
+let check_prep (m : 'state machine) (prep : Prep.t) : Diag.t list =
+  let sm = m.sm in
   let func = prep.Prep.func in
+  check_fault_hook ~checker:sm.Sm.name ~func:func.Ast.f_name;
   match sm.Sm.start func with
   | None -> []
   | Some start_state ->
+    let degraded = Domain.DLS.get degraded_key in
     let limiter = Domain.DLS.get limiter_key in
     let cfg = prep.Prep.cfg in
-    let events =
-      Prep.events prep ~observe_branches:sm.Sm.observe_branches
-    in
+    let soa = prep.Prep.soa in
     let nodes_visited = ref 0 in
     let events_matched = ref 0 in
     let paths_stopped = ref 0 in
     let diags = ref [] in
     let emit d = diags := d :: !diags in
+    (* an action's emissions wait here until its step — whose to-state
+       only the outcome reveals — can be attached as the witness *)
+    let pending = ref [] in
+    let buffer d = pending := d :: !pending in
     let state_str = sm.Sm.state_to_string in
-    (* sized from the CFG: most functions see a handful of states per
-       node, so 4x nodes keeps the load factor low without rehashing *)
-    let visited : (int * 'state, unit) Hashtbl.t =
-      Hashtbl.create (max 16 (4 * Array.length cfg.Cfg.nodes))
-    in
-    let exit_states : ('state, unit) Hashtbl.t = Hashtbl.create 8 in
-    let dispatch_for =
-      match dispatch_for with
-      | Some f -> f
-      | None -> cached_dispatch_for sm
-    in
     (* Process all events of node [id] starting from [state]; returns
        the resulting (state, dispatch, witness), or [None] when a rule
        stopped the path. *)
     let step (id : int) (state : 'state) (disp : 'state dispatch)
         (trace : Loc.t list) (steps : 'state raw_step list) :
         ('state * 'state dispatch * 'state raw_step list) option =
-      let evs = events.(id) in
-      let n = Array.length evs in
-      let rec consume i state disp steps =
-        if i >= n then Some (state, disp, steps)
-        else begin
-          let event = evs.(i) in
-          let fired =
-            List.find_map
-              (fun (r : 'state Sm.rule) ->
-                match Pattern.match_expr r.Sm.pattern event with
-                | Some bindings -> Some (r, bindings)
-                | None -> None)
-              (candidates disp event)
-          in
-          match fired with
-          | None -> consume (i + 1) state disp steps
-          | Some (r, bindings) ->
+      let stop_at = soa.Prep.node_off.(id) + soa.Prep.node_len.(id) in
+      let rec consume j state disp steps =
+        if j >= stop_at then Some (state, disp, steps)
+        else if hidden sm soa j then consume (j + 1) state disp steps
+        else
+          match fire ~func ~trace ~emit:buffer soa disp j with
+          | None -> consume (j + 1) state disp steps
+          | Some outcome ->
             incr events_matched;
-            (* buffer emissions during the action so the completed step
-               (whose to-state is only known from the outcome) can be
-               attached to them *)
-            let pending = ref [] in
-            let ctx =
-              {
-                Sm.func;
-                matched = event;
-                loc = event.Ast.eloc;
-                bindings;
-                trace = List.rev trace;
-                emit = (fun d -> pending := d :: !pending);
-              }
-            in
-            let outcome = r.Sm.action ctx in
+            let event = soa.Prep.ev_expr.(j) in
             let r_to =
               match outcome with
               | Sm.Stay -> Some state
@@ -384,61 +375,62 @@ let check_prep_full ?(stats : stats ref option)
             in
             (match !pending with
             | [] -> ()
-            | pending ->
+            | ds ->
+              pending := [];
               let witness = render_steps state_str steps in
-              List.iter
-                (fun d -> emit (Diag.with_witness witness d))
-                (List.rev pending));
+              List.iter (fun d -> emit (Diag.with_witness witness d))
+                (List.rev ds));
             (match outcome with
-            | Sm.Stay -> consume (i + 1) state disp steps
-            | Sm.Goto next -> consume (i + 1) next (dispatch_for next) steps
+            | Sm.Stay -> consume (j + 1) state disp steps
+            | Sm.Goto next -> consume (j + 1) next (dispatch m next) steps
             | Sm.Stop ->
               incr paths_stopped;
               None)
-        end
       in
-      consume 0 state disp steps
+      incr nodes_visited;
+      consume soa.Prep.node_off.(id) state disp steps
+    in
+    (* diagnostics from the exit hook witness the whole path plus a
+       synthetic return step *)
+    let exit_states : ('state, unit) Hashtbl.t = Hashtbl.create 8 in
+    let at_exit state trace steps =
+      if not (Hashtbl.mem exit_states state) then begin
+        Hashtbl.replace exit_states state ();
+        match m.at_exit with
+        | None -> ()
+        | Some hook ->
+          let witness =
+            render_steps state_str
+              ({ r_loc = exit_loc cfg; r_event = None; r_from = state;
+                 r_to = Some state }
+              :: steps)
+          in
+          hook
+            (exit_ctx ~func ~trace:(List.rev trace)
+               ~emit:(fun d -> emit (Diag.with_witness witness d))
+               cfg)
+            state
+      end
+    in
+    (* sized from the CFG: most functions see a handful of states per
+       node, so 4x nodes keeps the load factor low without rehashing *)
+    let visited : (int * 'state, unit) Hashtbl.t =
+      Hashtbl.create (if degraded then 1 else max 16 (4 * Prep.n_nodes prep))
     in
     let rec visit (id : int) (state : 'state) (disp : 'state dispatch)
         (trace : Loc.t list) (steps : 'state raw_step list) =
       (* single hash probe: [replace] adds iff the key is new, which the
-         length reveals — the old [mem]-then-[replace] hashed twice *)
+         length reveals *)
       let before = Hashtbl.length visited in
       Hashtbl.replace visited (id, state) ();
       if Hashtbl.length visited > before then begin
-        incr nodes_visited;
         (match limiter with Some lim -> consume_fuel lim | None -> ());
         let node = Cfg.node cfg id in
         let trace = node.Cfg.loc :: trace in
         match step id state disp trace steps with
         | None -> ()
         | Some (state, disp, steps) ->
-          if id = cfg.Cfg.exit then begin
-            if not (Hashtbl.mem exit_states state) then begin
-              Hashtbl.replace exit_states state ();
-              match at_exit with
-              | Some hook ->
-                (* diagnostics from the exit hook witness the whole path
-                   plus a synthetic return step *)
-                let ret_step =
-                  { r_loc = node.Cfg.loc; r_event = None; r_from = state;
-                    r_to = Some state }
-                in
-                let witness = render_steps state_str (ret_step :: steps) in
-                let ctx =
-                  {
-                    Sm.func;
-                    matched = Ast.ident "return";
-                    loc = node.Cfg.loc;
-                    bindings = Binding.empty;
-                    trace = List.rev trace;
-                    emit = (fun d -> emit (Diag.with_witness witness d));
-                  }
-                in
-                hook ctx state
-              | None -> ()
-            end
-          end
+          if id = cfg.Cfg.exit then at_exit state trace steps
           else
             List.iter
               (fun (label, succ) ->
@@ -451,24 +443,28 @@ let check_prep_full ?(stats : stats ref option)
                   | _ -> state
                 in
                 let disp' =
-                  if state' == state then disp else dispatch_for state'
+                  if state' == state then disp else dispatch m state'
                 in
                 visit succ state' disp' trace steps)
               node.Cfg.succs
       end
     in
+    (* the degraded walk: the node step folded over node ids in order;
+       its budget is suspended and its actions see an empty trace *)
+    let rec flat id state disp steps =
+      if id >= Prep.n_nodes prep then at_exit state [] steps
+      else
+        match step id state disp [] steps with
+        | None -> ()
+        | Some (state, disp, steps) -> flat (id + 1) state disp steps
+    in
     let traverse () =
-      visit cfg.Cfg.entry start_state (dispatch_for start_state) [] [];
-      (match stats with
-      | Some r ->
-        r :=
-          stats_add !r
-            {
-              nodes_visited = !nodes_visited;
-              events_matched = !events_matched;
-              paths_stopped = !paths_stopped;
-            }
-      | None -> ());
+      let disp = dispatch m start_state in
+      if degraded then begin
+        flat 0 start_state disp [];
+        Mcobs.count "engine.degraded_runs"
+      end
+      else visit cfg.Cfg.entry start_state disp [] [];
       Mcobs.count ~by:!nodes_visited "engine.nodes_visited";
       Mcobs.count ~by:!events_matched "engine.events_matched";
       Mcobs.count ~by:!paths_stopped "engine.paths_stopped";
@@ -481,228 +477,11 @@ let check_prep_full ?(stats : stats ref option)
           [
             ("checker", sm.Sm.name);
             ("func", func.Ast.f_name);
-            ("cfg_nodes", string_of_int (Array.length cfg.Cfg.nodes));
+            ("cfg_nodes", string_of_int (Prep.n_nodes prep));
             ("cfg_edges", string_of_int prep.Prep.n_edges);
           ]
         traverse
     else traverse ()
-
-(* ------------------------------------------------------------------ *)
-(* The degraded (flow-insensitive) traversal                           *)
-(* ------------------------------------------------------------------ *)
-
-(* One pass over the nodes in id (roughly source) order, threading a
-   single machine state; branches are not explored and [branch]
-   refinement is skipped.  Linear in event count, hence total — the
-   fallback when the path-sensitive traversal crashed or blew its
-   budget.  Diagnostics it emits are real (every event it matches is in
-   the function), it can only miss path-dependent ones. *)
-let check_prep_flat ?(stats : stats ref option)
-    ?(at_exit : 'state exit_hook option)
-    ?(dispatch_for : ('state -> 'state dispatch) option) (sm : 'state Sm.t)
-    (prep : Prep.t) : Diag.t list =
-  let func = prep.Prep.func in
-  match sm.Sm.start func with
-  | None -> []
-  | Some start_state ->
-    let cfg = prep.Prep.cfg in
-    let events =
-      Prep.events prep ~observe_branches:sm.Sm.observe_branches
-    in
-    let nodes_visited = ref 0 in
-    let events_matched = ref 0 in
-    let paths_stopped = ref 0 in
-    let diags = ref [] in
-    let emit d = diags := d :: !diags in
-    let state_str = sm.Sm.state_to_string in
-    let dispatch_for =
-      match dispatch_for with
-      | Some f -> f
-      | None -> cached_dispatch_for sm
-    in
-    let state = ref start_state in
-    let disp = ref (dispatch_for start_state) in
-    let steps = ref ([] : 'state raw_step list) in
-    let stopped = ref false in
-    let n_nodes = Array.length cfg.Cfg.nodes in
-    (try
-       for id = 0 to n_nodes - 1 do
-         incr nodes_visited;
-         let evs = events.(id) in
-         for i = 0 to Array.length evs - 1 do
-           let event = evs.(i) in
-           let fired =
-             List.find_map
-               (fun (r : 'state Sm.rule) ->
-                 match Pattern.match_expr r.Sm.pattern event with
-                 | Some bindings -> Some (r, bindings)
-                 | None -> None)
-               (candidates !disp event)
-           in
-           match fired with
-           | None -> ()
-           | Some (r, bindings) ->
-             incr events_matched;
-             let pending = ref [] in
-             let ctx =
-               {
-                 Sm.func;
-                 matched = event;
-                 loc = event.Ast.eloc;
-                 bindings;
-                 trace = [];
-                 emit = (fun d -> pending := d :: !pending);
-               }
-             in
-             let outcome = r.Sm.action ctx in
-             let r_to =
-               match outcome with
-               | Sm.Stay -> Some !state
-               | Sm.Goto next -> Some next
-               | Sm.Stop -> None
-             in
-             steps :=
-               { r_loc = event.Ast.eloc; r_event = Some event;
-                 r_from = !state; r_to }
-               :: !steps;
-             (match !pending with
-             | [] -> ()
-             | pending ->
-               let witness = render_steps state_str !steps in
-               List.iter
-                 (fun d -> emit (Diag.with_witness witness d))
-                 (List.rev pending));
-             (match outcome with
-             | Sm.Stay -> ()
-             | Sm.Goto next ->
-               state := next;
-               disp := dispatch_for next
-             | Sm.Stop ->
-               incr paths_stopped;
-               stopped := true;
-               raise Exit)
-         done
-       done
-     with Exit -> ());
-    (if not !stopped then
-       match at_exit with
-       | Some hook ->
-         let exit_loc = (Cfg.node cfg cfg.Cfg.exit).Cfg.loc in
-         let ret_step =
-           { r_loc = exit_loc; r_event = None; r_from = !state;
-             r_to = Some !state }
-         in
-         let witness = render_steps state_str (ret_step :: !steps) in
-         let ctx =
-           {
-             Sm.func;
-             matched = Ast.ident "return";
-             loc = exit_loc;
-             bindings = Binding.empty;
-             trace = [];
-             emit = (fun d -> emit (Diag.with_witness witness d));
-           }
-         in
-         hook ctx !state
-       | None -> ());
-    (match stats with
-    | Some r ->
-      r :=
-        stats_add !r
-          {
-            nodes_visited = !nodes_visited;
-            events_matched = !events_matched;
-            paths_stopped = !paths_stopped;
-          }
-    | None -> ());
-    Mcobs.count "engine.degraded_runs";
-    Diag.normalize !diags
-
-(** Run one machine over one prepared function.  Honours the domain's
-    containment context: raises {!Injected_fault} if the test hook
-    matches, runs flow-insensitively inside {!with_degraded}, and
-    raises {!Budget_exhausted} when a {!with_budget} limit runs out. *)
-let check_prep ?stats ?at_exit (sm : 'state Sm.t) (prep : Prep.t) :
-    Diag.t list =
-  check_fault_hook ~checker:sm.Sm.name ~func:prep.Prep.func.Ast.f_name;
-  if Domain.DLS.get degraded_key then check_prep_flat ?stats ?at_exit sm prep
-  else check_prep_full ?stats ?at_exit sm prep
-
-(* ------------------------------------------------------------------ *)
-(* Prebuilt dispatch tables                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A machine over dense integer states with every state's dispatch index
-   compiled up front — once per machine, not once per checked function.
-   This is what the metal compiler's transition tables plug into: same
-   traversal, same containment context, but the per-function
-   [dispatch_cache] hashing is replaced by an array load. *)
-type table = { t_sm : int Sm.t; t_dispatch : int dispatch array }
-
-let prebuild ~(n_states : int) (sm : int Sm.t) : table =
-  {
-    t_sm = sm;
-    t_dispatch =
-      Array.init n_states (fun s -> build_dispatch (sm.Sm.rules s @ sm.Sm.all));
-  }
-
-let table_sm (t : table) : int Sm.t = t.t_sm
-
-(** [check_prep] for a prebuilt table — honours the same fault hook,
-    degraded mode, and budget as the generic path. *)
-let check_prep_table ?stats ?at_exit (t : table) (prep : Prep.t) :
-    Diag.t list =
-  check_fault_hook ~checker:t.t_sm.Sm.name ~func:prep.Prep.func.Ast.f_name;
-  let dispatch_for s = t.t_dispatch.(s) in
-  if Domain.DLS.get degraded_key then
-    check_prep_flat ?stats ?at_exit ~dispatch_for t.t_sm prep
-  else check_prep_full ?stats ?at_exit ~dispatch_for t.t_sm prep
-
-(* ------------------------------------------------------------------ *)
-(* Generic reindexing: a finite machine lowered onto dense int states   *)
-(* ------------------------------------------------------------------ *)
-
-(** Lower a machine whose reachable states are exactly the entries of
-    [states] onto dense integer states — the transition-table shape the
-    metal compiler emits — so it can be {!prebuild}-compiled once per
-    machine.  Actions are wrapped to translate their outcomes;
-    [action_ctx] is state-independent, so behaviour is unchanged. *)
-let reindex (states : 'state array) (sm : 'state Sm.t) : int Sm.t =
-  let n = Array.length states in
-  let id_of (s : 'state) : int =
-    let rec go i =
-      if i >= n then
-        invalid_arg
-          (Printf.sprintf "Engine.reindex: %s reached a state outside its \
-                           declared set"
-             sm.Sm.name)
-      else if states.(i) = s then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let wrap (r : 'state Sm.rule) : int Sm.rule =
-    {
-      Sm.pattern = r.Sm.pattern;
-      action =
-        (fun ctx ->
-          match r.Sm.action ctx with
-          | Sm.Stay -> Sm.Stay
-          | Sm.Goto s -> Sm.Goto (id_of s)
-          | Sm.Stop -> Sm.Stop);
-    }
-  in
-  Sm.make ~name:sm.Sm.name
-    ~start:(fun f -> Option.map id_of (sm.Sm.start f))
-    ~rules:(fun i -> List.map wrap (sm.Sm.rules states.(i)))
-    ~all:(List.map wrap sm.Sm.all)
-    ~observe_branches:sm.Sm.observe_branches
-    ?branch:
-      (Option.map
-         (fun refine i cond dir -> id_of (refine states.(i) cond dir))
-         sm.Sm.branch)
-    ~state_to_string:(fun i -> sm.Sm.state_to_string states.(i))
-    ()
 
 (* ------------------------------------------------------------------ *)
 (* The product scan: one walk per function, all machines               *)
@@ -716,25 +495,11 @@ let containment_active () =
   || Option.is_some (Domain.DLS.get limiter_key)
   || Option.is_some !fault_hook
 
-(** A machine packed for the product scan, its state type hidden. *)
-type pmachine =
-  | Pmachine : {
-      p_sm : 'state Sm.t;
-      p_at_exit : 'state exit_hook option;
-      p_dispatch : ('state -> 'state dispatch) option;
-    }
-      -> pmachine
+(** A staged machine packed for the product scan, its state type
+    hidden. *)
+type pmachine = Pmachine : 'state machine -> pmachine
 
-let pack ?at_exit (sm : 'state Sm.t) : pmachine =
-  Pmachine { p_sm = sm; p_at_exit = at_exit; p_dispatch = None }
-
-let pack_table ?at_exit (t : table) : pmachine =
-  Pmachine
-    {
-      p_sm = t.t_sm;
-      p_at_exit = at_exit;
-      p_dispatch = Some (fun s -> t.t_dispatch.(s));
-    }
+let pack (m : 'state machine) : pmachine = Pmachine m
 
 exception Product_overflow
 (** the product vector space of this function blew the scan's visit cap;
@@ -768,7 +533,6 @@ let p_stopped = -1
    still reaches every sub-vector). *)
 type pinst = {
   i_start : int option;
-  i_observe : bool;
   i_has_branch : bool;
   i_step : int -> int -> int;  (** node -> state id -> out id / stopped *)
   i_refine : int -> Ast.expr -> bool -> int;
@@ -780,7 +544,6 @@ type pinst = {
 let inactive_inst : pinst =
   {
     i_start = None;
-    i_observe = true;
     i_has_branch = false;
     i_step = (fun _ s -> s);
     i_refine = (fun s _ _ -> s);
@@ -789,148 +552,83 @@ let inactive_inst : pinst =
     i_dirty = (fun () -> false);
   }
 
-let make_inst (prep : Prep.t) (pm : pmachine) : pinst =
-  match pm with
-  | Pmachine { p_sm = sm; p_at_exit; p_dispatch } -> (
-    let func = prep.Prep.func in
-    match sm.Sm.start func with
-    | None -> inactive_inst
-    | Some start_state ->
-      let soa = prep.Prep.soa in
-      let cfg = prep.Prep.cfg in
-      let n_nodes = Array.length cfg.Cfg.nodes in
-      let dirty = ref false in
-      let emit _ = dirty := true in
-      let dispatch_for =
-        match p_dispatch with
-        | Some f -> f
-        | None -> cached_dispatch_for sm
-      in
-      (* dynamic state interning: dense ids under structural equality —
-         the same equality the per-checker visited set uses *)
-      let states = ref (Array.make 8 start_state) in
-      let ids = Hashtbl.create 8 in
-      let n_states = ref 0 in
-      let id_of s =
-        match Hashtbl.find_opt ids s with
-        | Some id -> id
-        | None ->
-          let id = !n_states in
-          if id >= Array.length !states then begin
-            let bigger = Array.make (2 * Array.length !states) s in
-            Array.blit !states 0 bigger 0 (Array.length !states);
-            states := bigger
-          end;
-          !states.(id) <- s;
-          Hashtbl.add ids s id;
-          incr n_states;
-          id
-      in
-      let start_id = id_of start_state in
-      (* whole-node step memo: state-in -> state-out per node, actions
-         run exactly once per fresh (node, state-in) configuration *)
-      let memo : (int, int) Hashtbl.t = Hashtbl.create 64 in
-      let observe = sm.Sm.observe_branches in
-      let step node s_id =
-        let key = (s_id * n_nodes) + node in
-        match Hashtbl.find_opt memo key with
-        | Some out -> out
-        | None ->
-          let off = soa.Prep.node_off.(node) in
-          let stop_at = off + soa.Prep.node_len.(node) in
-          let rec consume j state disp =
-            if j >= stop_at then id_of state
-            else if
-              (not observe)
-              && soa.Prep.ev_flags.(j) land Prep.soa_hidden_bit <> 0
-            then consume (j + 1) state disp
-            else begin
-              (* int screening over the SoA columns before any pattern
-                 or expression is touched *)
-              let cls = soa.Prep.ev_class.(j) in
-              let rules =
-                if cls = Pattern.tag_call then begin
-                  let callee = soa.Prep.ev_callee.(j) in
-                  if callee >= 0 then
-                    match Hashtbl.find_opt disp.d_by_sym callee with
-                    | Some rs -> rs
-                    | None -> disp.d_by_tag.(Pattern.tag_call)
-                  else disp.d_by_tag.(Pattern.tag_call)
-                end
-                else disp.d_by_tag.(cls)
-              in
-              match rules with
-              | [] -> consume (j + 1) state disp
-              | rules -> (
-                let event = soa.Prep.ev_expr.(j) in
-                let fired =
-                  List.find_map
-                    (fun (r : _ Sm.rule) ->
-                      match Pattern.match_expr r.Sm.pattern event with
-                      | Some bindings -> Some (r, bindings)
-                      | None -> None)
-                    rules
-                in
-                match fired with
-                | None -> consume (j + 1) state disp
-                | Some (r, bindings) ->
-                  let ctx =
-                    {
-                      Sm.func;
-                      matched = event;
-                      loc = event.Ast.eloc;
-                      bindings;
-                      trace = [];
-                      emit;
-                    }
-                  in
-                  (match r.Sm.action ctx with
-                  | Sm.Stay -> consume (j + 1) state disp
-                  | Sm.Goto next -> consume (j + 1) next (dispatch_for next)
-                  | Sm.Stop -> p_stopped))
-            end
-          in
-          let state = !states.(s_id) in
-          let out = consume off state (dispatch_for state) in
-          Hashtbl.add memo key out;
-          out
-      in
-      let refine =
-        match sm.Sm.branch with
-        | None -> fun s _ _ -> s
-        | Some f -> fun s_id cond dir -> id_of (f !states.(s_id) cond dir)
-      in
-      let exit_seen : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-      let finish () =
-        match p_at_exit with
-        | Some hook when not !dirty ->
-          let exit_loc = (Cfg.node cfg cfg.Cfg.exit).Cfg.loc in
-          Hashtbl.iter
-            (fun s_id () ->
-              let ctx =
-                {
-                  Sm.func;
-                  matched = Ast.ident "return";
-                  loc = exit_loc;
-                  bindings = Binding.empty;
-                  trace = [];
-                  emit;
-                }
-              in
-              hook ctx !states.(s_id))
-            exit_seen
-        | _ -> ()
-      in
-      {
-        i_start = Some start_id;
-        i_observe = observe;
-        i_has_branch = Option.is_some sm.Sm.branch;
-        i_step = step;
-        i_refine = refine;
-        i_record_exit = (fun s_id -> Hashtbl.replace exit_seen s_id ());
-        i_finish = finish;
-        i_dirty = (fun () -> !dirty);
-      })
+let make_inst (prep : Prep.t) (Pmachine m : pmachine) : pinst =
+  let sm = m.sm in
+  let func = prep.Prep.func in
+  match sm.Sm.start func with
+  | None -> inactive_inst
+  | Some start_state ->
+    let soa = prep.Prep.soa in
+    let cfg = prep.Prep.cfg in
+    let n_nodes = Prep.n_nodes prep in
+    let dirty = ref false in
+    let emit _ = dirty := true in
+    (* dynamic state interning: dense ids under structural equality —
+       the same equality the per-checker visited set uses *)
+    let states = ref (Array.make 8 start_state) in
+    let ids = Hashtbl.create 8 in
+    let n_states = ref 0 in
+    let id_of s =
+      match Hashtbl.find_opt ids s with
+      | Some id -> id
+      | None ->
+        let id = !n_states in
+        if id >= Array.length !states then begin
+          let bigger = Array.make (2 * Array.length !states) s in
+          Array.blit !states 0 bigger 0 (Array.length !states);
+          states := bigger
+        end;
+        !states.(id) <- s;
+        Hashtbl.add ids s id;
+        incr n_states;
+        id
+    in
+    let start_id = id_of start_state in
+    (* whole-node step memo: state-in -> state-out per node, actions
+       run exactly once per fresh (node, state-in) configuration *)
+    let memo : (int, int) Hashtbl.t = Hashtbl.create 64 in
+    let step node s_id =
+      let key = (s_id * n_nodes) + node in
+      match Hashtbl.find_opt memo key with
+      | Some out -> out
+      | None ->
+        let stop_at = soa.Prep.node_off.(node) + soa.Prep.node_len.(node) in
+        let rec consume j state disp =
+          if j >= stop_at then id_of state
+          else if hidden sm soa j then consume (j + 1) state disp
+          else
+            match fire ~func ~trace:[] ~emit soa disp j with
+            | None | Some Sm.Stay -> consume (j + 1) state disp
+            | Some (Sm.Goto next) -> consume (j + 1) next (dispatch m next)
+            | Some Sm.Stop -> p_stopped
+        in
+        let state = !states.(s_id) in
+        let out = consume soa.Prep.node_off.(node) state (dispatch m state) in
+        Hashtbl.add memo key out;
+        out
+    in
+    let refine =
+      match sm.Sm.branch with
+      | None -> fun s _ _ -> s
+      | Some f -> fun s_id cond dir -> id_of (f !states.(s_id) cond dir)
+    in
+    let exit_seen : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+    let finish () =
+      match m.at_exit with
+      | Some hook when not !dirty ->
+        let ctx = exit_ctx ~func ~trace:[] ~emit cfg in
+        Hashtbl.iter (fun s_id () -> hook ctx !states.(s_id)) exit_seen
+      | _ -> ()
+    in
+    {
+      i_start = Some start_id;
+      i_has_branch = Option.is_some sm.Sm.branch;
+      i_step = step;
+      i_refine = refine;
+      i_record_exit = (fun s_id -> Hashtbl.replace exit_seen s_id ());
+      i_finish = finish;
+      i_dirty = (fun () -> !dirty);
+    }
 
 exception Pack_overflow
 (* internal to [product_scan]: a dynamic machine outgrew the 8-bit
@@ -1092,27 +790,17 @@ let product_scan (prep : Prep.t) (machines : pmachine array) : bool array =
       run ~packed:false
   else run ~packed:false
 
-let check_func ?stats ?at_exit (sm : 'state Sm.t) (func : Ast.func) :
-    Diag.t list =
-  check_prep ?stats ?at_exit sm (Prep.build func)
-
 type target =
   [ `Func of Ast.func | `Unit of Ast.tunit | `Program of Ast.tunit list ]
 
-(** The single entry point: check a function, a translation unit, or a
-    whole program. *)
-let check ?stats ?at_exit (sm : 'state Sm.t) (target : target) : Diag.t list
-    =
+(** The convenience entry point: check a function, a translation unit,
+    or a whole program with one machine staged for the call. *)
+let check ?at_exit (sm : 'state Sm.t) (target : target) : Diag.t list =
+  let check_func = check_prep (machine ?at_exit sm) in
+  let check_unit tu =
+    List.concat_map (fun f -> check_func (Prep.build f)) (Ast.functions tu)
+  in
   match target with
-  | `Func f -> check_func ?stats ?at_exit sm f
-  | `Unit tu ->
-    List.concat_map
-      (fun f -> check_func ?stats ?at_exit sm f)
-      (Ast.functions tu)
-  | `Program tus ->
-    List.concat_map
-      (fun tu ->
-        List.concat_map
-          (fun f -> check_func ?stats ?at_exit sm f)
-          (Ast.functions tu))
-      tus
+  | `Func f -> check_func (Prep.build f)
+  | `Unit tu -> check_unit tu
+  | `Program tus -> List.concat_map check_unit tus

@@ -12,23 +12,6 @@
     order; the first matching rule (state rules before [all] rules)
     fires. *)
 
-type stats = {
-  nodes_visited : int;
-  events_matched : int;
-  paths_stopped : int;
-}
-(** An immutable statistics snapshot.  The engine never mutates shared
-    state: counts are accumulated domain-locally and folded into the
-    caller's [stats ref] once per checked function, so concurrent domains
-    each passing their own ref are race-free.  Merge per-domain records
-    with {!stats_add} at join. *)
-
-val stats_zero : stats
-val stats_add : stats -> stats -> stats
-
-val fresh_stats : unit -> stats ref
-(** a fresh accumulator, [ref stats_zero] *)
-
 type 'state exit_hook = Sm.action_ctx -> 'state -> unit
 (** called once per distinct state in which a path reaches the function
     exit; used for "must do X before returning" rules *)
@@ -60,9 +43,9 @@ val with_budget : budget -> (unit -> 'a) -> 'a
     within raise {!Budget_exhausted} once it runs out *)
 
 val with_degraded : (unit -> 'a) -> 'a
-(** run in degraded, flow-insensitive mode: {!check_prep} makes a single
-    pass over each function's events in source order (no branch
-    exploration, no path sensitivity) — linear, hence total.  Budgets
+(** run in degraded, flow-insensitive mode: {!check_prep} folds its node
+    step over the function's nodes in id order (no branch exploration,
+    no path sensitivity) — linear, hence total.  Budgets
     are suspended inside.  Diagnostics it emits are real; it can only
     miss path-dependent ones. *)
 
@@ -79,59 +62,39 @@ type target =
 (** what to check: one function, every function of a translation unit, or
     a whole program *)
 
-val check :
-  ?stats:stats ref ->
-  ?at_exit:'state exit_hook ->
-  'state Sm.t ->
-  target ->
-  Diag.t list
-(** the single entry point; diagnostics come back sorted and deduplicated
-    per function, concatenated in source order across functions *)
+(** {2 Staged machines}
 
-val check_prep :
-  ?stats:stats ref ->
-  ?at_exit:'state exit_hook ->
-  'state Sm.t ->
-  Prep.t ->
-  Diag.t list
-(** the fused fast path: check one prepared function, reusing its CFG
-    and event arrays — [check sm (`Func f)] is
-    [check_prep sm (Prep.build f)].  Drivers running several machines
-    over the same function build the prep once and call this per
-    machine.
+    A {!machine} is a state machine staged for checking: the machine,
+    its optional exit hook, and a memo of each state's rule-dispatch
+    index, compiled on the state's first encounter and kept across every
+    function the value checks.  The memo is mutable and unsynchronised,
+    so a machine value is domain-local in the same way a staged checker
+    closure is: create one per staging ([Registry.stage], a checker's
+    [check_prep ~spec] or [product ~spec], one [Mrun] call), never at
+    module level, and never share one across domains. *)
 
-    Honours the domain's containment context: raises {!Injected_fault}
-    if the fault hook matches, runs flow-insensitively inside
-    {!with_degraded}, raises {!Budget_exhausted} under an exhausted
+type 'state machine
+
+val machine : ?at_exit:'state exit_hook -> 'state Sm.t -> 'state machine
+
+val check_prep : 'state machine -> Prep.t -> Diag.t list
+(** check one prepared function, reusing its CFG and event columns —
+    drivers running several machines over the same function build the
+    prep once and call this per machine.
+
+    Every walk reads {!Prep.soa} and fires rules through one step: the
+    path-sensitive walk by default, and inside {!with_degraded} the same
+    node step folded over the node ids in order.  Honours the domain's
+    containment context: raises {!Injected_fault} if the fault hook
+    matches, raises {!Budget_exhausted} under an exhausted
     {!with_budget}. *)
 
-(** {2 Prebuilt dispatch tables}
-
-    A machine over dense integer states [0 .. n_states-1] can have every
-    state's root-dispatch index compiled up front — once per machine
-    instead of once per checked function.  This is what the metal
-    compiler ([lib/metalc]) plugs its transition tables into: same
-    traversal and containment semantics as {!check_prep}, with the
-    per-function dispatch cache replaced by an array load. *)
-
-type table
-(** an [int Sm.t] with prebuilt per-state dispatch *)
-
-val prebuild : n_states:int -> int Sm.t -> table
-(** compile the dispatch index of every state in [0 .. n_states-1]; the
-    machine must only ever reach states in that range *)
-
-val table_sm : table -> int Sm.t
-(** the underlying machine *)
-
-val check_prep_table :
-  ?stats:stats ref ->
-  ?at_exit:int exit_hook ->
-  table ->
-  Prep.t ->
-  Diag.t list
-(** {!check_prep} for a prebuilt table — honours the same fault hook,
-    degraded mode, and budget *)
+val check :
+  ?at_exit:'state exit_hook -> 'state Sm.t -> target -> Diag.t list
+(** the convenience entry point: stage a machine for this call and
+    {!check_prep} every function of the target; diagnostics come back
+    sorted and deduplicated per function, concatenated in source order
+    across functions *)
 
 (** {2 The product automaton}
 
@@ -149,18 +112,9 @@ val check_prep_table :
     keep their exact per-checker semantics that way. *)
 
 type pmachine
-(** a state machine packed for the product scan, state type hidden *)
+(** a staged machine packed for the product scan, state type hidden *)
 
-val pack : ?at_exit:'state exit_hook -> 'state Sm.t -> pmachine
-
-val pack_table : ?at_exit:int exit_hook -> table -> pmachine
-(** pack a prebuilt table; per-state dispatch is an array load *)
-
-val reindex : 'state array -> 'state Sm.t -> int Sm.t
-(** [reindex states sm] lowers a machine whose reachable states are
-    exactly the entries of [states] onto dense integer states — the
-    transition-table shape — so it can be {!prebuild}-compiled once.
-    @raise Invalid_argument if the machine leaves the declared set *)
+val pack : 'state machine -> pmachine
 
 exception Product_overflow
 (** the product vector space of a function blew the scan's visit cap;
@@ -172,8 +126,8 @@ val containment_active : unit -> bool
 val product_scan : Prep.t -> pmachine array -> bool array
 (** one fused walk; [result.(i)] is [true] iff machine [i] may emit on
     this function and must re-run per checker.  Honours an installed
-    budget. @raise Product_overflow when the visit cap blows *)
-
-val subexprs_post : Ast.expr -> Ast.expr list
-(** sub-expressions in evaluation (post-) order, including the root —
-    the event order rules see *)
+    budget.  Its visited set packs (node, state vector) into one int
+    while every machine has fewer than 255 live states, and reruns with
+    structural keys once one outgrows that (the
+    [engine.product_pack_fallbacks] counter).
+    @raise Product_overflow when the visit cap blows *)

@@ -159,6 +159,19 @@ let batch_key (p : prepared) (fi : int) : string =
     (Lazy.force p.p_sdigest)
     (Lazy.force p.p_fdigests).(fi)
 
+(* Staged per-function checkers (closures, state-machine dispatch memos,
+   annotation tables) are domain-local: each domain stages a job on
+   first use, so spec-dependent machines compile once per (domain, job)
+   and are never shared across domains.  One module-level key holds the
+   staging of the current [check_jobs] call, tagged with the call's id;
+   a domain that finds another call's tag replaces the table.  A key per
+   call would leak: OCaml never reclaims a DLS key, so a long-lived
+   coordinating domain would keep every call's staging. *)
+let stage_key : (int * (int, Registry.staged Lazy.t) Hashtbl.t) Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> (-1, Hashtbl.create 1))
+
+let calls = Atomic.make 0
+
 let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
     (job_list : job list) : (string * Diag.t list) list list * stats =
   (* one wall measurement, on the Mcobs clock: it produces both the
@@ -212,15 +225,16 @@ let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
       miss_slots := (slot, run_of) :: !miss_slots;
       if cache <> None then miss_keys := (slot, key_of ()) :: !miss_keys
   in
-  (* staged per-function checkers are domain-local: a fresh DLS key per
-     call keeps one staging table per worker, so spec-dependent state
-     machines compile once per (domain, job) and are never shared across
-     domains *)
-  let stage_key : (int, Registry.staged Lazy.t) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-  in
+  let call = Atomic.fetch_and_add calls 1 in
   let staged job =
-    let tbl = Domain.DLS.get stage_key in
+    let tbl =
+      match Domain.DLS.get stage_key with
+      | c, tbl when c = call -> tbl
+      | _ ->
+        let tbl = Hashtbl.create 8 in
+        Domain.DLS.set stage_key (call, tbl);
+        tbl
+    in
     match Hashtbl.find_opt tbl job with
     | Some st -> st
     | None ->
@@ -287,7 +301,13 @@ let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
           ("tasks", string_of_int (Array.length tasks));
           ("chunk", string_of_int chunk);
         ]
-      (fun () -> Mcd_pool.run ~chunk ~domains tasks)
+      (fun () ->
+        (* the spawned domains' stagings die with them; drop this
+           domain's too, so nothing staged outlives the call *)
+        Fun.protect
+          ~finally:(fun () ->
+            Domain.DLS.set stage_key (-1, Hashtbl.create 1))
+          (fun () -> Mcd_pool.run ~chunk ~domains tasks))
   in
   (* store the fresh results; done after the join so the cache is only
      ever touched from this domain.  Faulted slots are not stored: a

@@ -1,12 +1,13 @@
 (** Running metal checkers: compiled tables or the interpreter.
 
     A {!t} is a loaded metal checker in either back end.  [Compiled]
-    carries the codegen tables lowered onto an {!Engine.table} — an
-    [int Sm.t] whose per-state rule lists are precomputed arrays of
-    single-branch rules and whose root-dispatch index is prebuilt once
-    per machine ({!Engine.prebuild}) instead of once per checked
-    function.  Both back ends run the same engine traversal over the
-    same {!Prep.t} events with the same action semantics
+    carries the codegen tables lowered onto an [int Sm.t] whose
+    per-state rule lists are precomputed lists of single-branch rules.
+    Each check call stages it as one {!Engine.machine}, whose memo
+    builds each state's root-dispatch index once per call rather than
+    once per checked function.  Both back ends run the same engine
+    traversal over the same {!Prep.t} events with the same action
+    semantics
     ([Sm.err ~checker:name] then the outcome, exactly
     {!Mdsl.to_sm}'s), and compiled state ids render back to their metal
     names, so diagnostics — messages, locations, witnesses — are
@@ -14,7 +15,7 @@
     Production ({!load_file}, [mcheck --metal]) always compiles; the
     interpreter ({!interp}) is the reference the tests compare against. *)
 
-type compiled = { c_gen : Mcodegen.t; c_table : Engine.table }
+type compiled = { c_gen : Mcodegen.t; c_sm : int Sm.t }
 
 type t = Interp of string Sm.t | Compiled of compiled
 
@@ -56,14 +57,7 @@ let sm_of_tables (g : Mcodegen.t) : int Sm.t =
     ()
 
 let of_tables (g : Mcodegen.t) : t =
-  Compiled
-    {
-      c_gen = g;
-      c_table =
-        Engine.prebuild
-          ~n_states:(Array.length g.Mcodegen.g_states)
-          (sm_of_tables g);
-    }
+  Compiled { c_gen = g; c_sm = sm_of_tables g }
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)
@@ -92,23 +86,18 @@ let load_file (path : string) : (t, Mir.error list) result =
 (* Checking                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let check_prep (t : t) (prep : Prep.t) : Diag.t list =
+(* Stage [t] for one call: the returned closure checks prepared
+   functions through one machine value, so its dispatch memo lives as
+   long as the call and never crosses domains. *)
+let stage (t : t) : Prep.t -> Diag.t list =
   match t with
-  | Interp sm -> Engine.check_prep sm prep
-  | Compiled c -> Engine.check_prep_table c.c_table prep
+  | Interp sm -> Engine.check_prep (Engine.machine sm)
+  | Compiled c -> Engine.check_prep (Engine.machine c.c_sm)
 
 let check (t : t) (target : Engine.target) : Diag.t list =
   match t with
   | Interp sm -> Engine.check sm target
-  | Compiled _ -> (
-    let check_func f = check_prep t (Prep.build f) in
-    match target with
-    | `Func f -> check_func f
-    | `Unit tu -> List.concat_map check_func (Ast.functions tu)
-    | `Program tus ->
-      List.concat_map
-        (fun tu -> List.concat_map check_func (Ast.functions tu))
-        tus)
+  | Compiled c -> Engine.check c.c_sm target
 
 (** Run several machines over a program, building one {!Prep.t} per
     function and sharing it across all of them — the metal analogue of
@@ -121,16 +110,16 @@ let check_program_fused (ms : t list) (tus : Ast.tunit list) :
   match ms with
   | [] -> []
   | _ ->
-    let n = List.length ms in
-    let accs = Array.make n [] in
+    let fns = List.map stage ms in
+    let accs = Array.make (List.length ms) [] in
     List.iter
       (fun tu ->
         List.iter
           (fun f ->
             let prep = Prep.build f in
             List.iteri
-              (fun i m -> accs.(i) <- check_prep m prep :: accs.(i))
-              ms)
+              (fun i fn -> accs.(i) <- fn prep :: accs.(i))
+              fns)
           (Ast.functions tu))
       tus;
     Array.to_list (Array.map (fun l -> List.concat (List.rev l)) accs)

@@ -349,3 +349,47 @@ let front_end_cases =
 let suite =
   let name, cases0 = suite in
   (name, cases0 @ front_end_cases)
+
+(* The degraded (flow-insensitive) walk, pinned: the md5 of every
+   protocol's [--explain] rendering under [Engine.with_degraded] for
+   corpus seeds 0-3.  The walk is the fault barrier's fallback, so its
+   diagnostics and witnesses must not drift under engine refactors. *)
+let degraded_digest seed =
+  let buf = Buffer.create 65536 in
+  let ppf = Format.formatter_of_buffer buf in
+  List.iter
+    (fun (p : Corpus.protocol) ->
+      Format.fprintf ppf "== %s@." p.Corpus.name;
+      List.iter
+        (fun (checker, diags) ->
+          Format.fprintf ppf "-- %s: %d@." checker (List.length diags);
+          List.iter (fun d -> Format.fprintf ppf "%a@." Diag.pp_explain d) diags)
+        (Engine.with_degraded (fun () ->
+             Registry.run_all_product ~spec:p.Corpus.spec p.Corpus.tus)))
+    (Corpus.generate ~seed ()).Corpus.protocols;
+  Format.pp_print_flush ppf ();
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pinned_degraded_digests =
+  [
+    (0, "bc5caeb757f8b8a9864b6acb35a37979");
+    (1, "f2b2faf9b58ff47bc2b95220fa64f654");
+    (2, "9b96de28d63c9e67b93dc8c9b3262a93");
+    (3, "cfb912a983f102c7bc76750e156e65a1");
+  ]
+
+let degraded_cases =
+  [
+    Alcotest.test_case "degraded walk output is pinned (corpus seeds 0-3)"
+      `Slow (fun () ->
+        List.iter
+          (fun (seed, want) ->
+            Alcotest.(check string)
+              (Printf.sprintf "seed %d" seed)
+              want (degraded_digest seed))
+          pinned_degraded_digests);
+  ]
+
+let suite =
+  let name, cases0 = suite in
+  (name, cases0 @ degraded_cases)

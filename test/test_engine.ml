@@ -174,14 +174,22 @@ let cases =
         in
         Alcotest.(check int) "one site" 1 (List.length diags));
     t "engine stats count visits" `Quick (fun () ->
-        let stats = Engine.fresh_stats () in
+        let was = Mcobs.enabled () in
+        Mcobs.set_enabled true;
+        Mcobs.reset ();
         ignore
-          (Engine.check ~stats oc_sm
+          (Engine.check oc_sm
              (`Func (func_of "void f(void) { open_it(); close_it(); }")));
+        let snap = Mcobs.snapshot () in
+        Mcobs.reset ();
+        Mcobs.set_enabled was;
+        let counter name =
+          Option.value ~default:0 (List.assoc_opt name snap.Mcobs.counters)
+        in
         Alcotest.(check bool) "visited nodes" true
-          (!stats.Engine.nodes_visited > 0);
+          (counter "engine.nodes_visited" > 0);
         Alcotest.(check bool) "matched events" true
-          (!stats.Engine.events_matched >= 2));
+          (counter "engine.events_matched" >= 2));
   ]
 
 let suite = ("engine", cases)

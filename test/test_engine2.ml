@@ -27,7 +27,7 @@ let replay_path (sm : 'st Sm.t) ~(at_exit : 'st Engine.exit_hook option)
           | Cfg.Return (Some e) -> [ e ]
           | _ -> []
         in
-        let events = List.concat_map Engine.subexprs_post exprs in
+        let events = List.concat_map Prep.subexprs_post exprs in
         List.iter
           (fun event ->
             if not !stopped then

@@ -77,7 +77,44 @@ let product_tests =
           inputs);
   ]
 
+(* A function that drives [alloc_check] past 254 live states — one
+   [Unchecked xi] state per allocation site, all on one path — overflows
+   the scan's 8-bit packed state field, so the scan reruns with
+   structural keys.  The result must still be the reference's. *)
+let fallback_tests =
+  [
+    t "product scan falls back to structural keys past 254 states" `Quick
+      (fun () ->
+        let sites =
+          List.init 300 (fun i ->
+              Printf.sprintf "  x%d = %s();\n" i Flash_api.allocate_db)
+        in
+        let src =
+          "void deep_allocs(void) {\n" ^ String.concat "" sites
+          ^ Printf.sprintf "  %s(x299, 0, 0);\n}\n" Flash_api.miscbus_write_db
+        in
+        let tus = Frontend.of_strings [ ("deep.c", src) ] in
+        let spec = Golden.spec in
+        let reference = Registry.run_all ~spec tus in
+        let seq = explain_render reference in
+        let was = Mcobs.enabled () in
+        Mcobs.set_enabled true;
+        Mcobs.reset ();
+        let product = explain_render (Registry.run_all_product ~spec tus) in
+        let snap = Mcobs.snapshot () in
+        Mcobs.reset ();
+        Mcobs.set_enabled was;
+        Alcotest.(check int)
+          "one packed-key fallback" 1
+          (counter_of snap "engine.product_pack_fallbacks");
+        Alcotest.(check int) "one product scan" 1
+          (counter_of snap "engine.product_scans");
+        Alcotest.(check int) "alloc_check reports the unchecked use" 1
+          (List.length (List.assoc Alloc_check.name reference));
+        Alcotest.(check (list string)) "identical to run_all" seq product);
+  ]
+
 let suite =
   ( "prep",
-    build_once_tests @ product_tests
+    build_once_tests @ product_tests @ fallback_tests
     @ [ QCheck_alcotest.to_alcotest prop_fused_identical ] )

@@ -239,23 +239,19 @@ let prop_interned_matching_string_semantics =
       List.for_all
         (fun f ->
           let prep = Prep.build f in
-          let events = Prep.events prep ~observe_branches:true in
           Array.for_all
-            (fun evs ->
-              Array.for_all
-                (fun e ->
-                  let e' = copy_expr e in
-                  List.for_all
-                    (fun pat ->
-                      match
-                        (Pattern.match_expr pat e, Pattern.match_expr pat e')
-                      with
-                      | None, None -> true
-                      | Some b, Some b' -> same_binding b b'
-                      | _ -> false)
-                    (Lazy.force match_patterns))
-                evs)
-            events)
+            (fun e ->
+              let e' = copy_expr e in
+              List.for_all
+                (fun pat ->
+                  match
+                    (Pattern.match_expr pat e, Pattern.match_expr pat e')
+                  with
+                  | None, None -> true
+                  | Some b, Some b' -> same_binding b b'
+                  | _ -> false)
+                (Lazy.force match_patterns))
+            prep.Prep.soa.Prep.ev_expr)
         funcs)
 
 let suite =

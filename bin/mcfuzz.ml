@@ -14,10 +14,11 @@
     oracle: daemon output, findings, and exit code must be
     byte-identical to the local CLI path.
 
-    With [--metalc], the three in-tree metal specs run compiled and
-    interpreted over the fixed corpus + golden programs and over every
-    generated program — the seventh oracle: the two back ends'
-    diagnostics must be byte-identical.
+    With [--metalc], the three in-tree metal specs run compiled, as
+    checkers through the Mcd kernel at one and two domains, and
+    interpreted, over the fixed corpus + golden programs and over every
+    generated program — the seventh oracle: the diagnostics must be
+    byte-identical.
 
     Exit status 1 when any pipeline disagrees, any seeded-bug recall
     drops below the threshold, or a generated program crashes the
@@ -132,10 +133,11 @@ let metalc_arg =
   Arg.(
     value & flag
     & info [ "metalc" ]
-        ~doc:"Also run the three in-tree metal specs compiled and \
-              interpreted — over the fixed corpus and golden programs \
-              once, then over every generated program — and require \
-              the two back ends' diagnostics to match byte-for-byte.")
+        ~doc:"Also run the three in-tree metal specs compiled (through \
+              the scheduler at one and two domains) and interpreted — \
+              over the fixed corpus and golden programs once, then over \
+              every generated program — and require the diagnostics to \
+              match byte-for-byte.")
 
 let cmd =
   Cmd.v

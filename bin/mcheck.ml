@@ -119,29 +119,43 @@ let run_table n seed =
         (Experiments.all corpus)
     else prerr_endline "tables are numbered 1-7 (0 = all)"
 
+(* findings leave a --metal run at exit 0; a degraded or unusable run
+   exits with its outcome's code, as the built-ins do *)
+let metal_exit (r : Mcheck_api.report) =
+  match r.Mcheck_api.r_outcome with
+  | Robust.Clean | Robust.Findings -> 0
+  | outcome -> Robust.exit_code outcome
+
 let run_metal files ropts seed config =
   with_session config (fun session ->
       match files with
       | [] ->
-        (* no files: run over the builtin corpus *)
+        (* no files: the builtin corpus, every protocol in one
+           scheduling pass as in [run_corpus] *)
         let corpus = Corpus.generate ~seed () in
-        let total =
-          List.fold_left
-            (fun acc (p : Corpus.protocol) ->
-              say "=== %s ===\n" p.Corpus.name;
-              let r =
-                Session.check_units session ~spec:p.Corpus.spec p.Corpus.tus
-              in
-              List.iter
-                (fun d -> print_string (Mcheck_api.render_diag ropts d))
-                (Mcheck_api.report_diags r);
-              acc + r.Mcheck_api.r_findings)
-            0 corpus.Corpus.protocols
+        let results, report =
+          Session.check_jobs session (Mcheck_api.corpus_jobs corpus)
         in
-        if total = 0 then say "no violations found\n"
+        List.iter2
+          (fun (p : Corpus.protocol) result ->
+            say "=== %s ===\n" p.Corpus.name;
+            List.iter
+              (fun (_, diags) ->
+                List.iter
+                  (fun d -> print_string (Mcheck_api.render_diag ropts d))
+                  diags)
+              result)
+          corpus.Corpus.protocols results;
+        if report.Mcheck_api.r_findings = 0 then say "no violations found\n";
+        if metal_exit report <> 0 then
+          Mcobs.logf Mcobs.Normal "mcheck: run was %s (exit %d)"
+            (Robust.to_string report.Mcheck_api.r_outcome)
+            (metal_exit report);
+        metal_exit report
       | files ->
         let report = Session.check_files session files in
-        Mcheck_api.print_report ropts report)
+        Mcheck_api.print_report ropts report;
+        metal_exit report)
 
 let run_fix files out_dir =
   if files = [] then begin
@@ -286,9 +300,7 @@ let main checker_names files table list_flag seed verbose metal_paths
                with the compiler's located, classified diagnostics *)
             Printf.eprintf "%s\n" msg;
             Robust.exit_code Robust.Unusable
-          | Ok metal ->
-            run_metal files ropts seed (config checker_names metal);
-            0)
+          | Ok metal -> run_metal files ropts seed (config checker_names metal))
         | None, None, [], [] ->
           run_corpus checker_names seed ropts (config checker_names []);
           0

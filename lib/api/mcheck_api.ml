@@ -10,7 +10,7 @@ type config = {
   budget : Engine.budget;
   strict : bool;
   checkers : string list;
-  metal : (string * Mrun.t) list;
+  metal : (string * Registry.checker) list;
 }
 
 let default_config =
@@ -30,7 +30,7 @@ type report = {
   r_results : (string * Diag.t list) list;
   r_findings : int;
   r_outcome : Robust.outcome;
-  r_sched : Mcd.stats option;
+  r_sched : Mcd.stats;
 }
 
 let report_diags r = r.r_parse @ List.concat_map snd r.r_results
@@ -303,36 +303,36 @@ module Session = struct
     Mctel.Metrics.inc ~by:stats.Mcd.units_run m_units_run;
     Mctel.Metrics.inc ~by:stats.Mcd.units_faulted m_units_faulted
 
+  (* the loaded specs' entries, the first [n] of a job's results,
+     folded spec by spec into one ["metal"] entry (none when empty);
+     an ["internal"] entry after them stays *)
+  let fold_metal n results =
+    let specs = List.filteri (fun i _ -> i < n) results
+    and rest = List.filteri (fun i _ -> i >= n) results in
+    match List.concat_map snd specs with
+    | [] -> rest
+    | diags -> ("metal", diags) :: rest
+
   (* the one checking pass over parsed programs, one result list per
-     job: the loaded metal specs when configured, else the built-in
-     checkers through the Mcd scheduler at any [jobs] *)
+     job: the Mcd scheduler at any [jobs], over the loaded metal specs
+     when configured, else the built-in checkers *)
   let run_pipeline t ~names (jobs : Mcd.job list) =
-    if t.cfg.metal <> [] then
-      (* one Prep per function, shared across every loaded spec;
-         machine-major concatenation keeps the output identical to
-         running each spec alone *)
-      let machines = List.map snd t.cfg.metal in
-      ( List.map
-          (fun (j : Mcd.job) ->
-            match List.concat (Mrun.check_program_fused machines j.Mcd.tus) with
-            | [] -> []
-            | diags -> [ ("metal", diags) ])
-          jobs,
-        None,
-        false )
-    else begin
-      let results, stats =
-        Mcd.check_jobs ?cache:t.cache ~budget:t.cfg.budget ~jobs:t.cfg.jobs
-          jobs
-      in
-      if t.cfg.jobs > 1 || t.cfg.incremental then report_sched_stats stats;
-      t.units_run <- t.units_run + stats.Mcd.units_run;
-      t.cache_hits <- t.cache_hits + stats.Mcd.cache_hits;
-      observe_sched stats;
-      ( List.map (List.filter (fun (name, _) -> selected names name)) results,
-        Some stats,
-        stats.Mcd.units_faulted > 0 || stats.Mcd.workers_crashed > 0 )
-    end
+    let checkers, shape =
+      match List.map snd t.cfg.metal with
+      | [] -> (None, List.filter (fun (name, _) -> selected names name))
+      | metal -> (Some metal, fold_metal (List.length metal))
+    in
+    let results, stats =
+      Mcd.check_jobs ?cache:t.cache ~budget:t.cfg.budget ?checkers
+        ~jobs:t.cfg.jobs jobs
+    in
+    if t.cfg.jobs > 1 || t.cfg.incremental then report_sched_stats stats;
+    t.units_run <- t.units_run + stats.Mcd.units_run;
+    t.cache_hits <- t.cache_hits + stats.Mcd.cache_hits;
+    observe_sched stats;
+    ( List.map shape results,
+      stats,
+      stats.Mcd.units_faulted > 0 || stats.Mcd.workers_crashed > 0 )
 
   (* the pipeline plus outcome classification over parsed programs;
      [parse_diags], [skipped] and [had_input] describe the read and

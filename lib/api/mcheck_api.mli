@@ -33,17 +33,19 @@ type config = {
           {!Session.publish_cache} (and at [close]) — the discipline
           that lets concurrent worker processes share warm results *)
   budget : Engine.budget;
-      (** per-unit fuel / deadline for the built-in checkers, at any
-          [jobs] *)
+      (** per-unit fuel / deadline for every checker, built-in or
+          metal, at any [jobs] *)
   strict : bool;
       (** fail fast on unreadable or unparseable input instead of
           recovering *)
   checkers : string list;
       (** report only these checkers ([] = all); containment-layer
           ["internal"] entries always pass the filter *)
-  metal : (string * Mrun.t) list;
+  metal : (string * Registry.checker) list;
       (** when non-empty, run these loaded metal specs (see
-          {!load_metal}) instead of the nine built-in checkers *)
+          {!load_metal}) instead of the nine built-in checkers, through
+          the same scheduler; their diagnostics form one [("metal", _)]
+          entry, spec by spec, and [checkers] does not filter them *)
 }
 
 val default_config : config
@@ -62,8 +64,7 @@ type report = {
           layer's [("internal", _)] entry rides along when present *)
   r_findings : int;  (** non-internal checker diagnostics *)
   r_outcome : Robust.outcome;
-  r_sched : Mcd.stats option;
-      (** the Mcd scheduler's statistics; [None] for a metal-spec run *)
+  r_sched : Mcd.stats;  (** the Mcd scheduler's statistics *)
 }
 
 val report_diags : report -> Diag.t list
@@ -179,8 +180,9 @@ val parse_strict : (string * string) list -> Ast.tunit list
 (** [Frontend.of_strings] with the CLI's fail-fast error reporting.
     @raise Robust_exit on the first parse or lexical error *)
 
-val load_metal : string list -> ((string * Mrun.t) list, string) result
-(** load metal spec files, compiled to transition tables.  The
+val load_metal :
+  string list -> ((string * Registry.checker) list, string) result
+(** load metal spec files, each compiled to a checker ({!Mrun}).  The
     first unreadable or rejected spec fails the whole load (a broken
     spec makes any run meaningless); the error string carries the
     compiler's located, classified diagnostics, newline-separated *)

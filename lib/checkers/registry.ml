@@ -22,6 +22,7 @@ type phase =
 
 type checker = {
   name : string;
+  key : string;
   description : string;
   metal_loc : int;
   phase : phase;
@@ -46,7 +47,15 @@ let run_of_phase (phase : phase) : spec:Flash_api.spec -> Ast.tunit list ->
   | Whole_program g -> fun ~spec tus -> g ~spec tus
 
 let make ~name ~description ~metal_loc ~phase ~applied =
-  { name; description; metal_loc; phase; run = run_of_phase phase; applied }
+  {
+    name;
+    key = name;
+    description;
+    metal_loc;
+    phase;
+    run = run_of_phase phase;
+    applied;
+  }
 
 (* lift a checker module's [check_prep ~spec] (staged on the spec alone)
    into the registry signature *)
@@ -150,6 +159,23 @@ let all : checker list =
       ~applied:No_float.applied;
   ]
 
+let of_sm ~key (sm : _ Sm.t) : checker =
+  let machine () = Engine.machine sm in
+  {
+    (make ~name:sm.Sm.name ~description:"loaded metal spec" ~metal_loc:0
+       ~phase:
+         (Per_function
+            {
+              check_fn =
+                (fun ~spec:_ ~ctx:_ -> Engine.check_prep (machine ()));
+              finalize = Fun.id;
+              product = (fun ~spec:_ -> Some (Engine.pack (machine ())));
+            })
+       ~applied:(fun _ -> 0))
+    with
+    key;
+  }
+
 let find name = List.find_opt (fun c -> String.equal c.name name) all
 
 let names = List.map (fun c -> c.name) all
@@ -165,19 +191,21 @@ let run_all ~spec (tus : Ast.tunit list) : (string * Diag.t list) list =
 let is_per_function c =
   match c.phase with Per_function _ -> true | Whole_program _ -> false
 
-let n_per_function = List.length (List.filter is_per_function all)
-
 (* the per-function checkers in registry order — the order of the slices
    a kernel call returns — with the machine-backed ones' packed machines
    gathered for the product scan *)
-type staged = {
+type staged_fns = {
   s_names : string array;
   s_fns : (Prep.t -> Diag.t list) array;
   s_machines : Engine.pmachine array;
   s_owner : int array;  (** [s_owner.(i)]: the checker of [s_machines.(i)] *)
 }
 
-let stage ~spec ~ctx =
+(* the slice count is known before staging, so a function whose staging
+   fails still gets one (empty) slice per per-function checker *)
+type staged = { s_count : int; s_staged : staged_fns Lazy.t }
+
+let stage_fns ~checkers ~spec ~ctx =
   let pfs =
     List.filter_map
       (fun c ->
@@ -185,7 +213,7 @@ let stage ~spec ~ctx =
         | Per_function { check_fn; product; _ } ->
           Some (c.name, check_fn ~spec ~ctx, product ~spec)
         | Whole_program _ -> None)
-      all
+      checkers
   in
   let owned =
     List.concat
@@ -198,6 +226,12 @@ let stage ~spec ~ctx =
     s_fns = Array.of_list (List.map (fun (_, fn, _) -> fn) pfs);
     s_machines = Array.of_list (List.map snd owned);
     s_owner = Array.of_list (List.map fst owned);
+  }
+
+let stage ~checkers ~spec ~ctx =
+  {
+    s_count = List.length (List.filter is_per_function checkers);
+    s_staged = lazy (stage_fns ~checkers ~spec ~ctx);
   }
 
 let internal ~loc ~func msg =
@@ -219,10 +253,10 @@ let guarded ~budget ~faults ~loc ~func ~what go =
       :: !faults;
     (try Engine.with_degraded go with _ -> [])
 
-let check_function (st : staged Lazy.t) ~budget (f : Ast.func) =
-  match (Lazy.force st, Prep.build f) with
+let check_function (st : staged) ~budget (f : Ast.func) =
+  match (Lazy.force st.s_staged, Prep.build f) with
   | exception exn ->
-    ( Array.make n_per_function [],
+    ( Array.make st.s_count [],
       [
         internal ~loc:f.Ast.f_loc ~func:f.Ast.f_name
           (Printf.sprintf
@@ -269,7 +303,7 @@ let check_whole_program ~budget (c : checker) ~spec tus =
     in
     (slice, !faults)
 
-let assemble ~per_function:batches ~whole_program ~faults =
+let assemble ~checkers ~per_function:batches ~whole_program ~faults =
   let k = ref 0 and wp = ref whole_program in
   let entries =
     List.map
@@ -283,7 +317,7 @@ let assemble ~per_function:batches ~whole_program ~faults =
           wp := rest;
           (c.name, slice)
         | Whole_program _, [] -> invalid_arg "Registry.assemble")
-      all
+      checkers
   in
   match faults with
   | [] -> entries
@@ -291,7 +325,7 @@ let assemble ~per_function:batches ~whole_program ~faults =
 
 let run_all_product ~spec (tus : Ast.tunit list) :
     (string * Diag.t list) list =
-  let st = lazy (stage ~spec ~ctx:(make_ctx tus)) in
+  let st = stage ~checkers:all ~spec ~ctx:(make_ctx tus) in
   let budget = Engine.no_budget in
   let batches =
     List.concat_map
@@ -303,7 +337,7 @@ let run_all_product ~spec (tus : Ast.tunit list) :
       (fun c -> check_whole_program ~budget c ~spec tus)
       (List.filter (fun c -> not (is_per_function c)) all)
   in
-  assemble
+  assemble ~checkers:all
     ~per_function:(List.map fst batches)
     ~whole_program:(List.map fst globals)
     ~faults:(List.concat_map snd batches @ List.concat_map snd globals)

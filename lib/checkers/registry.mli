@@ -48,6 +48,11 @@ type phase =
 
 type checker = {
   name : string;
+  key : string;
+      (** the checker's part of a cache key: its name for a built-in,
+          the machine name plus a digest of the spec source for a loaded
+          metal spec, so two specs that share a name never share a
+          cached result *)
   description : string;
   metal_loc : int;  (** size of the paper's metal extension (Table 7) *)
   phase : phase;
@@ -58,6 +63,14 @@ type checker = {
 }
 
 val all : checker list
+
+val of_sm : key:string -> 'state Sm.t -> checker
+(** a state machine as a per-function checker: its [check_fn] and its
+    product machine each stage one {!Engine.machine} per staging, its
+    [finalize] is [Fun.id], and it ignores the spec.  How a loaded metal
+    spec joins the kernel; [key] must change whenever the machine's
+    rules do. *)
+
 val find : string -> checker option
 val names : string list
 val run_all : spec:Flash_api.spec -> Ast.tunit list -> (string * Diag.t list) list
@@ -68,6 +81,8 @@ val run_all : spec:Flash_api.spec -> Ast.tunit list -> (string * Diag.t list) li
     {!run_all_product} below and the [Mcd] scheduler's function-batch
     and whole-program units. *)
 
+val is_per_function : checker -> bool
+
 type staged
 (** the per-function checkers staged for one spec: their closures
     ([check_fn ~spec ~ctx]) and their product machines, registry order.
@@ -75,17 +90,19 @@ type staged
     the functions it checks, so a [staged] is not shareable across
     domains. *)
 
-val stage : spec:Flash_api.spec -> ctx:ctx -> staged
+val stage : checkers:checker list -> spec:Flash_api.spec -> ctx:ctx -> staged
+(** stage the per-function members of [checkers]; the closures and
+    machines are built on the first {!check_function} *)
 
 val check_function :
-  staged Lazy.t -> budget:Engine.budget -> Ast.func ->
-  Diag.t list array * Diag.t list
+  staged -> budget:Engine.budget -> Ast.func -> Diag.t list array * Diag.t list
 (** Check one function with every per-function checker: build its
     {!Prep.t} once, run one {!Engine.product_scan} (skipped when
     [budget] is not {!Engine.no_budget} or {!Engine.containment_active}),
     and rerun the dirty and machine-less checkers, each behind the fault
-    barrier.  Returns one slice per per-function checker, registry
-    order, plus the ["internal"] fault diagnostics.
+    barrier.  Returns one slice per per-function checker of the list the
+    staging was made from, in list order,
+    plus the ["internal"] fault diagnostics.
 
     Fault barrier: each checker runs under [budget]; an exception or an
     exhausted budget becomes a Warning-severity ["internal"] diagnostic
@@ -101,15 +118,16 @@ val check_whole_program :
     @raise Invalid_argument on a per-function checker *)
 
 val assemble :
+  checkers:checker list ->
   per_function:Diag.t list array list ->
   whole_program:Diag.t list list ->
   faults:Diag.t list ->
   (string * Diag.t list) list
-(** the result list in registry order: each per-function checker's
-    slices of [per_function] (one array per function, source order)
-    concatenated and finalized, the whole-program checkers' slices in
-    registry order, and — when [faults] is non-empty — one extra
-    [("internal", _)] entry *)
+(** the result list in [checkers] order: each
+    per-function checker's slices of [per_function] (one array per
+    function, source order) concatenated and finalized, the
+    whole-program checkers' slices in list order, and — when [faults]
+    is non-empty — one extra [("internal", _)] entry *)
 
 val run_all_product :
   spec:Flash_api.spec ->

@@ -70,8 +70,8 @@ type target =
     function the value checks.  The memo is mutable and unsynchronised,
     so a machine value is domain-local in the same way a staged checker
     closure is: create one per staging ([Registry.stage], a checker's
-    [check_prep ~spec] or [product ~spec], one [Mrun] call), never at
-    module level, and never share one across domains. *)
+    [check_prep ~spec] or [product ~spec]), never at module level, and
+    never share one across domains. *)
 
 type 'state machine
 

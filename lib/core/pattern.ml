@@ -128,7 +128,7 @@ let root_shapes (t : t) : root_shape list =
 (* ------------------------------------------------------------------ *)
 
 (** The [Alt] branches of a pattern, in match order — the granularity the
-    metal compiler's transition tables work at. *)
+    metal compiler's lowered rules work at. *)
 let branches (t : t) : (Ast.expr * decl list) list =
   let rec go acc = function
     | Expr (p, decls) -> (p, decls) :: acc

@@ -79,8 +79,8 @@ val root_shapes : t -> root_shape list
 
 val branches : t -> (Ast.expr * decl list) list
 (** the [Alt] branches in match order, each with its wildcard
-    declarations — the granularity the metal compiler's transition
-    tables work at *)
+    declarations — the granularity the metal compiler's lowered rules
+    work at *)
 
 val of_branch : Ast.expr * decl list -> t
 (** rebuild a single-branch pattern from a {!branches} entry *)

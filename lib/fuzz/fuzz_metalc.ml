@@ -1,15 +1,16 @@
-(** O7 [metalc]: the compiled metal back end must equal the interpreter.
+(** O7 [metalc]: the production metal path must equal the interpreter.
 
     The three in-tree specs are loaded twice — through {!Mrun.compile}
-    (parser → typed IR → transition tables → prebuilt engine dispatch)
-    and through {!Mrun.interp} ({!Mdsl.load} unchanged) — and every
-    program the fuzzer produces is checked under both.  The rendered
-    diagnostics (order included) must be byte-identical; since
-    {!Fuzz_oracle.keyset} is a projection of the same diagnostics, key
-    sets are byte-identical a fortiori.  A third differential holds the
-    fused multi-machine driver ({!Mrun.check_program_fused}) to the
-    standalone compiled runs, so the [mcheck --metal A --metal B] path
-    is covered too.
+    (parser → typed IR → lowered machine → {!Registry.of_sm} checker)
+    and through {!Mdsl.load}, the interpreter kept as the reference —
+    and every program the fuzzer produces is checked both ways: the
+    three checkers together through {!Mcd.check_jobs} at one and at two
+    domains (one shared {!Prep.t} per function, the product scan, the
+    pool — what [mcheck --metal A --metal B] runs), and each interpreted
+    machine alone through {!Engine.check}, concatenated in spec order.
+    The rendered diagnostics (order included) must be byte-identical;
+    since {!Fuzz_oracle.keyset} is a projection of the same diagnostics,
+    key sets are byte-identical a fortiori.
 
     [sweep] is the one-shot fixed-input pass — the five corpus
     protocols and both golden-protocol variants — run once per fuzz
@@ -17,8 +18,8 @@
     shaped for {!Fuzz_driver.run}'s [extra_oracle]. *)
 
 type t = {
-  specs : (string * Mrun.t * Mrun.t) list;
-      (** name, compiled back end, interpreted back end *)
+  specs : (string * Registry.checker * string Sm.t) list;
+      (** name, production checker, interpreted machine *)
 }
 
 let spec_names = [ "wait_for_db"; "msglen_check"; "refcount" ]
@@ -46,12 +47,16 @@ let create () : (t, string) result =
     let load1 name =
       let path = Filename.concat dir (name ^ ".metal") in
       let src = In_channel.with_open_bin path In_channel.input_all in
-      match (Mrun.compile ~file:path src, Mrun.interp ~file:path src) with
-      | Ok c, Ok i -> Ok (name, c, i)
-      | Error es, _ | _, Error es ->
+      match (Mrun.compile ~file:path src, Mdsl.load ~file:path src) with
+      | Ok c, i -> Ok (name, c, i)
+      | Error es, _ ->
         Error
           (Printf.sprintf "metalc oracle: %s: %s" path
              (String.concat "; " (List.map Mir.render_error es)))
+      | exception Mdsl.Parse_error (msg, loc) ->
+        Error
+          (Printf.sprintf "metalc oracle: %s: %s: %s" path
+             (Loc.to_string loc) msg)
     in
     let rec load acc = function
       | [] -> Ok { specs = List.rev acc }
@@ -62,51 +67,37 @@ let create () : (t, string) result =
     in
     load [] spec_names
 
-(* compiled vs interpreted on one program, all three machines *)
+(* the production path at one and two domains vs the interpreted
+   machines run alone, on one program *)
 let compare_on (t : t) ~(seed : int) ~(label : string)
-    (tus : Ast.tunit list) : Fuzz_oracle.failure list =
-  let per_machine =
-    List.filter_map
-      (fun (name, compiled, interp) ->
-        let rc = Fuzz_oracle.render [ (name, Mrun.check compiled (`Program tus)) ]
-        and ri = Fuzz_oracle.render [ (name, Mrun.check interp (`Program tus)) ] in
-        if rc <> ri then
-          Some
-            {
-              Fuzz_oracle.f_seed = seed;
-              f_oracle = "metalc-" ^ name;
-              f_detail = label ^ ": " ^ Fuzz_oracle.first_diff rc ri;
-            }
-        else None)
-      t.specs
+    ~(spec : Flash_api.spec) (tus : Ast.tunit list) :
+    Fuzz_oracle.failure list =
+  let checkers = List.map (fun (_, c, _) -> c) t.specs in
+  let reference =
+    Fuzz_oracle.render
+      (List.map
+         (fun (name, _, sm) -> (name, Engine.check sm (`Program tus)))
+         t.specs)
   in
-  (* fused driver (one shared Prep.t per function across machines) must
-     equal the standalone compiled runs *)
-  let fused =
-    Mrun.check_program_fused (List.map (fun (_, c, _) -> c) t.specs) tus
-  in
-  let fused_diffs =
-    List.map2
-      (fun (name, compiled, _) ds ->
-        let rf = Fuzz_oracle.render [ (name, ds) ]
-        and rs = Fuzz_oracle.render [ (name, Mrun.check compiled (`Program tus)) ] in
-        if rf <> rs then
-          Some
-            {
-              Fuzz_oracle.f_seed = seed;
-              f_oracle = "metalc-fused-" ^ name;
-              f_detail = label ^ ": " ^ Fuzz_oracle.first_diff rf rs;
-            }
-        else None)
-      t.specs fused
-    |> List.filter_map Fun.id
-  in
-  per_machine @ fused_diffs
+  List.filter_map
+    (fun jobs ->
+      let results, _ = Mcd.check_jobs ~checkers ~jobs [ { Mcd.spec; tus } ] in
+      let got = Fuzz_oracle.render (List.concat results) in
+      if got = reference then None
+      else
+        Some
+          {
+            Fuzz_oracle.f_seed = seed;
+            f_oracle = Printf.sprintf "metalc-jobs%d" jobs;
+            f_detail = label ^ ": " ^ Fuzz_oracle.first_diff got reference;
+          })
+    [ 1; 2 ]
 
 (** the per-generated-program hook for {!Fuzz_driver.run}'s
     [extra_oracle] *)
 let oracle (t : t) (p : Fuzz_gen.program) : Fuzz_oracle.failure list =
-  compare_on t ~seed:p.Fuzz_gen.seed ~label:"fuzz program" p.Fuzz_gen.tus
+  compare_on t ~seed:p.Fuzz_gen.seed ~label:"fuzz program"
+    ~spec:p.Fuzz_gen.spec p.Fuzz_gen.tus
 
 (** the fixed-input pass: every corpus protocol plus both golden
     variants, reported under seed 0 *)
@@ -115,12 +106,14 @@ let sweep (t : t) : Fuzz_oracle.failure list =
   let corpus_fs =
     List.concat_map
       (fun (p : Corpus.protocol) ->
-        compare_on t ~seed:0 ~label:("corpus " ^ p.Corpus.name) p.Corpus.tus)
+        compare_on t ~seed:0 ~label:("corpus " ^ p.Corpus.name)
+          ~spec:p.Corpus.spec p.Corpus.tus)
       corpus.Corpus.protocols
   in
   let golden_fs =
     List.concat_map
-      (fun (v, lbl) -> compare_on t ~seed:0 ~label:lbl (Golden.program v))
+      (fun (v, lbl) ->
+        compare_on t ~seed:0 ~label:lbl ~spec:Golden.spec (Golden.program v))
       [ (Golden.Clean, "golden-clean"); (Golden.Buggy, "golden-buggy") ]
   in
   corpus_fs @ golden_fs

@@ -27,8 +27,10 @@
     {2 Hashing and invalidation}
 
     A function batch's cache key is
-    [fnbatch @ digest(per-function checker set) @ digest(spec)
-     @ digest(file:loc:pretty-printed AST)].  The key covers everything
+    [fnbatch @ digest(per-function checker keys) @ digest(spec)
+     @ digest(file:loc:pretty-printed AST)]; a built-in checker's key is
+    its name, a loaded metal spec's its name plus a digest of its
+    source.  The key covers everything
     the result depends on, so invalidation is automatic: editing a
     function changes its digest and the unit misses; every untouched
     function hits.  A whole-program unit's key replaces the function
@@ -55,30 +57,15 @@ type stats = {
   wall_ms : float;
 }
 
-(* the whole-program checkers, registry order, are the last units of
-   every job *)
-let per_function, globals =
-  let pf, wp =
-    List.partition
-      (fun (c : Registry.checker) ->
-        match c.Registry.phase with
-        | Registry.Per_function _ -> true
-        | Registry.Whole_program _ -> false)
-      Registry.all
-  in
-  (pf, Array.of_list wp)
-
-let n_global = Array.length globals
-
 (* the checker-set half of every batch key: a batch result is only
-   reusable by a run scheduling the same per-function checkers in the
-   same order *)
-let pf_set_digest : string =
+   reusable by a run scheduling the same per-function checkers, by key,
+   in the same order *)
+let pf_set_digest (per_function : Registry.checker list) : string =
   Digest.to_hex
     (Digest.string
        (String.concat ","
           (List.map
-             (fun (c : Registry.checker) -> c.Registry.name)
+             (fun (c : Registry.checker) -> c.Registry.key)
              per_function)))
 
 let spec_digest (spec : Flash_api.spec) : string =
@@ -154,29 +141,25 @@ let global_key (p : prepared) (c : Registry.checker) : string =
     (Lazy.force p.p_sdigest)
     (Digest.to_hex (Digest.string (String.concat ";" parts)))
 
-let batch_key (p : prepared) (fi : int) : string =
-  Printf.sprintf "fnbatch@%s@%s@%s" pf_set_digest
+let batch_key ~pf_digest (p : prepared) (fi : int) : string =
+  Printf.sprintf "fnbatch@%s@%s@%s" pf_digest
     (Lazy.force p.p_sdigest)
     (Lazy.force p.p_fdigests).(fi)
 
-(* Staged per-function checkers (closures, state-machine dispatch memos,
-   annotation tables) are domain-local: each domain stages a job on
-   first use, so spec-dependent machines compile once per (domain, job)
-   and are never shared across domains.  One module-level key holds the
-   staging of the current [check_jobs] call, tagged with the call's id;
-   a domain that finds another call's tag replaces the table.  A key per
-   call would leak: OCaml never reclaims a DLS key, so a long-lived
-   coordinating domain would keep every call's staging. *)
-let stage_key : (int * (int, Registry.staged Lazy.t) Hashtbl.t) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (-1, Hashtbl.create 1))
-
-let calls = Atomic.make 0
-
-let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
-    (job_list : job list) : (string * Diag.t list) list list * stats =
+let check_jobs ?cache ?(budget = Engine.no_budget)
+    ?(checkers = Registry.all) ~jobs (job_list : job list) :
+    (string * Diag.t list) list list * stats =
   (* one wall measurement, on the Mcobs clock: it produces both the
      [mcd.schedule] span and [stats.wall_ms] *)
   let t0 = Mcobs.now_us () in
+  (* the whole-program checkers, in list order, are the last units of
+     every job *)
+  let per_function, globals =
+    List.partition Registry.is_per_function checkers
+  in
+  let globals = Array.of_list globals in
+  let n_global = Array.length globals in
+  let pf_digest = pf_set_digest per_function in
   let prepared =
     Mcobs.with_span "mcd.prepare" (fun () ->
         Array.of_list (List.map prepare job_list))
@@ -213,35 +196,32 @@ let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
       let run_of =
         if Mcobs.enabled () then begin
           let enqueued_us = Mcobs.now_us () in
-          fun () ->
+          fun worker ->
             Mcobs.observe "mcd.queue_wait_ms"
               ((Mcobs.now_us () -. enqueued_us) /. 1000.);
             Mcobs.with_span "mcd.unit"
               ~args:[ ("checker", cname); ("unit", uname) ]
-              run_of
+              (fun () -> run_of worker)
         end
         else run_of
       in
       miss_slots := (slot, run_of) :: !miss_slots;
       if cache <> None then miss_keys := (slot, key_of ()) :: !miss_keys
   in
-  let call = Atomic.fetch_and_add calls 1 in
-  let staged job =
-    let tbl =
-      match Domain.DLS.get stage_key with
-      | c, tbl when c = call -> tbl
-      | _ ->
-        let tbl = Hashtbl.create 8 in
-        Domain.DLS.set stage_key (call, tbl);
-        tbl
-    in
-    match Hashtbl.find_opt tbl job with
-    | Some st -> st
-    | None ->
-      let p = prepared.(job) in
-      let st = lazy (Registry.stage ~spec:p.p_job.spec ~ctx:p.p_ctx) in
-      Hashtbl.add tbl job st;
-      st
+  (* never spawn more domains than the host has cores: extra domains
+     only add minor-GC contention, so requesting [--jobs 4] on a 1-core
+     box must degrade to the sequential loop, not run slower than it *)
+  let domains = min (max 1 jobs) (Domain.recommended_domain_count ()) in
+  (* Staged per-function checkers (closures, state-machine dispatch
+     memos, annotation tables) are domain-local: pool worker [w] stages
+     job [j] on first use into [stagings.(w).(j)], so spec-dependent
+     machines compile once per (worker, job) and never cross domains.
+     The array dies with the call. *)
+  let stagings =
+    Array.init domains (fun _ ->
+        Array.map
+          (fun p -> Registry.stage ~checkers ~spec:p.p_job.spec ~ctx:p.p_ctx)
+          prepared)
   in
   (* every unit runs the [Registry] kernel, whose fault barrier keeps a
      crashing or over-budget checker inside its unit: the pool keeps
@@ -252,11 +232,12 @@ let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
     if fs <> [] then
       Mcobs.count ~by:(List.length fs) "mcd.unit.checker_faults"
   in
-  let run_batch ~slot ~job ~fn () =
+  let run_batch ~slot ~job ~fn worker =
     store ~slot
-      (Registry.check_function (staged job) ~budget prepared.(job).p_funcs.(fn))
+      (Registry.check_function stagings.(worker).(job) ~budget
+         prepared.(job).p_funcs.(fn))
   in
-  let run_global ~slot ~job ~global () =
+  let run_global ~slot ~job ~global _worker =
     let p = prepared.(job) in
     let slice, fs =
       Registry.check_whole_program ~budget globals.(global)
@@ -272,7 +253,7 @@ let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
             (fun fn (f : Ast.func) ->
               let slot = base.(job) + fn in
               consider ~slot ~cname:"fnbatch" ~uname:f.Ast.f_name
-                (fun () -> batch_key p fn)
+                (fun () -> batch_key ~pf_digest p fn)
                 (run_batch ~slot ~job ~fn))
             p.p_funcs;
           Array.iteri
@@ -286,10 +267,6 @@ let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
   let tasks =
     Array.of_list (List.rev_map (fun (_, run) -> run) !miss_slots)
   in
-  (* never spawn more domains than the host has cores: extra domains
-     only add minor-GC contention, so requesting [--jobs 4] on a 1-core
-     box must degrade to the sequential loop, not run slower than it *)
-  let domains = min (max 1 jobs) (Domain.recommended_domain_count ()) in
   (* chunked claiming: aim for ~8 chunks per worker so the tail still
      balances while the cursor is touched rarely *)
   let chunk = max 1 (Array.length tasks / (domains * 8)) in
@@ -301,13 +278,7 @@ let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
           ("tasks", string_of_int (Array.length tasks));
           ("chunk", string_of_int chunk);
         ]
-      (fun () ->
-        (* the spawned domains' stagings die with them; drop this
-           domain's too, so nothing staged outlives the call *)
-        Fun.protect
-          ~finally:(fun () ->
-            Domain.DLS.set stage_key (-1, Hashtbl.create 1))
-          (fun () -> Mcd_pool.run ~chunk ~domains tasks))
+      (fun () -> Mcd_pool.run ~chunk ~domains tasks)
   in
   (* store the fresh results; done after the join so the cache is only
      ever touched from this domain.  Faulted slots are not stored: a
@@ -328,7 +299,7 @@ let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
           (fun job p ->
             let nf = Array.length p.p_funcs in
             let slots k n = List.init n (fun i -> base.(job) + k + i) in
-            Registry.assemble
+            Registry.assemble ~checkers
               ~per_function:(List.map (Array.get results) (slots 0 nf))
               ~whole_program:
                 (List.map (fun s -> results.(s).(0)) (slots nf n_global))

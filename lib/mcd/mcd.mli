@@ -13,9 +13,9 @@
     (job, function) order, so domain scheduling never shows.
 
     Incrementality: unit results are cached under content-hash keys
-    (the per-function checker set x spec digest x the function's
-    pretty-printed AST; whole-program checkers hash their
-    callgraph-reachable dependency set instead), so a re-check after
+    (the per-function checkers' {!Registry.checker.key}s x spec digest
+    x the function's pretty-printed AST; whole-program checkers hash
+    their callgraph-reachable dependency set instead), so a re-check after
     editing one function re-runs only that function's batch plus any
     inter-procedural checker whose closure the edit invalidates. *)
 
@@ -47,11 +47,14 @@ type stats = {
 val check_jobs :
   ?cache:Mcd_cache.t ->
   ?budget:Engine.budget ->
+  ?checkers:Registry.checker list ->
   jobs:int ->
   job list ->
   (string * Diag.t list) list list * stats
-(** check every job; per-job results are exactly
-    [Registry.run_all ~spec tus].  [jobs] is the requested domain count,
+(** check every job with [checkers] (default {!Registry.all}; a loaded
+    metal spec is one {!Registry.of_sm} checker); per-job results are
+    one entry per checker, in list order, exactly what each checker's
+    [run ~spec tus] returns.  [jobs] is the requested domain count,
     clamped to [1 .. Domain.recommended_domain_count ()]: oversubscribing
     a small host only adds minor-GC contention, so [--jobs 4] on one core
     degrades to the sequential loop instead of running slower than it;

@@ -51,7 +51,8 @@ let kill_hook : (worker:int -> task:int -> bool) option ref = ref None
 let set_test_kill h = kill_hook := h
 
 (** Execute every task of [tasks] exactly once across [domains] worker
-    domains (clamped to at least 1).  Workers claim [chunk] consecutive
+    domains (clamped to at least 1), passing each task the index of the
+    worker running it.  Workers claim [chunk] consecutive
     tasks at a time (default 1); a larger chunk amortises the shared
     cursor when tasks are small and plentiful.  Returns per-domain
     statistics, in domain order.  Re-raises the first task exception
@@ -62,7 +63,7 @@ let set_test_kill h = kill_hook := h
     clock): the measurement is recorded as an [mcd.worker] span — the
     per-domain timeline in the Chrome trace — and the same numbers back
     the returned {!worker_stats}, so the two can never disagree. *)
-let run ?(chunk = 1) ~domains (tasks : (unit -> unit) array) :
+let run ?(chunk = 1) ~domains (tasks : (int -> unit) array) :
     worker_stats array =
   let domains = max 1 domains in
   let chunk = max 1 chunk in
@@ -70,8 +71,8 @@ let run ?(chunk = 1) ~domains (tasks : (unit -> unit) array) :
   let next = Atomic.make 0 in
   let failure : exn option Atomic.t = Atomic.make None in
   let completed = Array.make n false in
-  let run_task i =
-    (try tasks.(i) () with
+  let run_task ~worker i =
+    (try tasks.(i) worker with
     | exn -> ignore (Atomic.compare_and_set failure None (Some exn)));
     completed.(i) <- true
   in
@@ -89,7 +90,7 @@ let run ?(chunk = 1) ~domains (tasks : (unit -> unit) array) :
              | Some k when k ~worker:wid ~task:i ->
                raise (Killed (Printf.sprintf "worker %d at task %d" wid i))
              | _ -> ());
-             run_task i;
+             run_task ~worker:wid i;
              incr count
            done;
            loop ()
@@ -112,14 +113,16 @@ let run ?(chunk = 1) ~domains (tasks : (unit -> unit) array) :
      to a plain sequential loop with no spawn at all *)
   let mine = worker 0 () in
   let others = Array.map Domain.join spawned in
-  (* re-claim: any task a dead worker claimed but never ran.  The kill
-     hook is not consulted here, so the sweep always terminates. *)
+  (* re-claim: any task a dead worker claimed but never ran, run here as
+     worker 0 — this is worker 0's domain and its own loop has ended.
+     The kill hook is not consulted here, so the sweep always
+     terminates. *)
   let orphans = ref 0 in
   Array.iteri
     (fun i done_ ->
       if not done_ then begin
         incr orphans;
-        run_task i
+        run_task ~worker:0 i
       end)
     completed;
   if !orphans > 0 then Mcobs.count ~by:!orphans "mcd.pool.reclaimed";

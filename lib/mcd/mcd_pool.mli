@@ -31,10 +31,14 @@ val set_test_kill : (worker:int -> task:int -> bool) option -> unit
     Install before {!run}, clear after. *)
 
 val run :
-  ?chunk:int -> domains:int -> (unit -> unit) array -> worker_stats array
+  ?chunk:int -> domains:int -> (int -> unit) array -> worker_stats array
 (** Execute every task exactly once across [domains] worker domains
     (clamped to at least 1; the calling domain is worker 0, so
-    [~domains:1] is a plain sequential loop).  Workers claim [chunk]
+    [~domains:1] is a plain sequential loop).  Each task gets the index
+    of the worker running it, [0 .. domains - 1]; a worker index names
+    one domain for the whole call, and orphaned tasks re-run as worker
+    0 after the join, so per-worker state indexed by it is never touched
+    by two domains at once.  Workers claim [chunk]
     consecutive tasks per cursor bump (default 1, clamped to at least 1);
     larger chunks amortise contention when tasks are small.  Per-domain
     statistics come back in domain order.  The first exception a task

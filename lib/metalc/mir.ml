@@ -42,8 +42,8 @@ let render_error (e : error) : string =
 type target = Stay | Goto of int | Stop
 
 type branch = { b_expr : Ast.expr; b_decls : Pattern.decl list }
-(** one [Alt] branch of a rule's pattern — the granularity the
-    transition tables work at *)
+(** one [Alt] branch of a rule's pattern — the granularity the lowered
+    machine's rules work at *)
 
 type rule = {
   r_branches : branch list;  (** in match order *)

@@ -250,4 +250,125 @@ let session_cases =
           (Robust.exit_code r.Mcheck_api.r_outcome));
   ]
 
-let suite = ("api", session_cases)
+(* ------------------------------------------------------------------ *)
+(* --metal runs through the same scheduler as the built-ins            *)
+(* ------------------------------------------------------------------ *)
+
+let load_metal paths =
+  match Mcheck_api.load_metal paths with
+  | Ok m -> m
+  | Error e -> Alcotest.fail e
+
+let in_tree_metal () =
+  let dir =
+    match Fuzz_metalc.find_spec_dir () with
+    | Some d -> d
+    | None -> Alcotest.fail "cannot locate metal/"
+  in
+  load_metal
+    (List.map
+       (fun n -> Filename.concat dir (n ^ ".metal"))
+       [ "wait_for_db"; "msglen_check" ])
+
+let metal_check ?(jobs = 1) ?cache_file ?(budget = Engine.no_budget) metal
+    ~spec tus =
+  let config =
+    {
+      Mcheck_api.default_config with
+      jobs;
+      incremental = cache_file <> None;
+      cache_file;
+      budget;
+      metal;
+    }
+  in
+  with_session ~config (fun s -> Mcheck_api.Session.check_units s ~spec tus)
+
+let bitvector () = Option.get (Corpus.find (Corpus.generate ()) "bitvector")
+
+let fresh_cache_file () =
+  let f = Filename.temp_file "api_metal" ".cache" in
+  Sys.remove f;
+  f
+
+let metal_cases =
+  [
+    t "--metal at --jobs 2 equals --jobs 1, on 2 domains" `Quick (fun () ->
+        let p = bitvector () and metal = in_tree_metal () in
+        let run jobs =
+          metal_check ~jobs metal ~spec:p.Corpus.spec p.Corpus.tus
+        in
+        let r1 = run 1 and r2 = run 2 in
+        Alcotest.(check bool) "the specs find something" true
+          (r1.Mcheck_api.r_findings > 0);
+        Alcotest.(check string) "jobs 1 = jobs 2" (render r1) (render r2);
+        Alcotest.(check int) "domains"
+          (min 2 (Domain.recommended_domain_count ()))
+          r2.Mcheck_api.r_sched.Mcd.domains);
+    t "--metal --incremental: a warm run hits every unit" `Quick (fun () ->
+        let p = bitvector () and metal = in_tree_metal () in
+        let cache_file = fresh_cache_file () in
+        let run () =
+          metal_check ~cache_file metal ~spec:p.Corpus.spec p.Corpus.tus
+        in
+        let cold = run () in
+        let warm = run () in
+        Sys.remove cache_file;
+        let st = warm.Mcheck_api.r_sched in
+        Alcotest.(check int) "every unit cached" st.Mcd.units_total
+          st.Mcd.cache_hits;
+        Alcotest.(check bool) "units exist" true (st.Mcd.units_total > 0);
+        Alcotest.(check string) "same output" (render cold) (render warm));
+    t "--metal: a changed spec with the same name misses the cache" `Quick
+      (fun () ->
+        let spec_file msg =
+          write_tmp "api_same_name.metal"
+            (Printf.sprintf
+               "sm same { decl { scalar } a;
+               \  start: { FOO(a); } ==> { err(\"%s\"); } ; }
+"
+               msg)
+        in
+        let tus =
+          Frontend.of_strings
+            [ ("f.c", Prelude.text ^ "void H(void) { long x; FOO(x); }") ]
+        in
+        let spec = Mcheck_api.default_spec tus in
+        let cache_file = fresh_cache_file () in
+        let run ?cache_file msg =
+          let metal = load_metal [ spec_file msg ] in
+          metal_check ?cache_file metal ~spec tus
+        in
+        let first = run ~cache_file "first" in
+        let first_warm = run ~cache_file "first" in
+        let second = run ~cache_file "second" in
+        Sys.remove cache_file;
+        let st = first_warm.Mcheck_api.r_sched in
+        Alcotest.(check int) "the same spec hits" st.Mcd.units_total
+          st.Mcd.cache_hits;
+        Alcotest.(check int) "the changed spec misses" 0
+          second.Mcheck_api.r_sched.Mcd.cache_hits;
+        Alcotest.(check bool) "the specs disagree" true
+          (render first <> render (run "second"));
+        Alcotest.(check string) "the changed spec's own output"
+          (render (run "second")) (render second));
+    t "--metal with --unit-fuel 1 degrades like the built-ins" `Quick
+      (fun () ->
+        let p = bitvector () and metal = in_tree_metal () in
+        let r =
+          metal_check
+            ~budget:{ Engine.fuel = Some 1; deadline_ms = None }
+            metal ~spec:p.Corpus.spec p.Corpus.tus
+        in
+        Alcotest.(check int) "partial"
+          (Robust.exit_code Robust.Partial)
+          (Robust.exit_code r.Mcheck_api.r_outcome);
+        Alcotest.(check bool) "internal diagnostics" true
+          (match List.assoc_opt "internal" r.Mcheck_api.r_results with
+          | Some (_ :: _) -> true
+          | _ -> false);
+        Alcotest.(check bool) "units degraded" true
+          (r.Mcheck_api.r_sched.Mcd.units_faulted > 0));
+  ]
+
+let suite = ("api", session_cases @ metal_cases)

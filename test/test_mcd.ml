@@ -34,7 +34,7 @@ let pool_tests =
         let hits = Array.make n 0 in
         let m = Mutex.create () in
         let tasks =
-          Array.init n (fun i () ->
+          Array.init n (fun i _ ->
               Mutex.lock m;
               hits.(i) <- hits.(i) + 1;
               Mutex.unlock m)
@@ -52,7 +52,7 @@ let pool_tests =
         Alcotest.(check int) "tasks accounted per-domain" n total);
     t "task exception is re-raised after join" `Quick (fun () ->
         let tasks =
-          Array.init 8 (fun i () -> if i = 3 then failwith "boom")
+          Array.init 8 (fun i _ -> if i = 3 then failwith "boom")
         in
         Alcotest.check_raises "boom" (Failure "boom") (fun () ->
             ignore (Mcd_pool.run ~domains:2 tasks)));

@@ -1,10 +1,10 @@
-(** The metal compiler, held to the interpreter at every lowering
-    stage: surface parse -> typed IR (name resolution, targets), IR ->
-    transition tables (deterministic codegen, printable round trip),
-    and tables -> engine runs that match {!Mdsl} interpretation
-    step for step — on hand-written programs, on random well-formed
-    machines over random drivers, and on the fuzzer's generated
-    programs under the three in-tree specs (the O7 smoke). *)
+(** The metal compiler, held to the interpreter: surface parse -> typed
+    IR (name resolution, targets), and the lowered machine run as a
+    checker through the {!Mcd} kernel — the [mcheck --metal] path —
+    matching {!Mdsl} interpretation step for step on hand-written
+    programs, on random well-formed machines over random drivers, and
+    on the fuzzer's generated programs under the three in-tree specs
+    (the O7 smoke). *)
 
 let t = Alcotest.test_case
 
@@ -27,22 +27,27 @@ let ir_of src =
     Alcotest.failf "compiler rejected: %s"
       (String.concat "; " (List.map Mir.render_error es))
 
-let gen_of src = Mcodegen.of_ir (ir_of src)
-
-let load_exn load src =
-  match load ?file:None src with
-  | Ok m -> m
+let compile_exn src =
+  match Mrun.compile src with
+  | Ok c -> c
   | Error es ->
-    Alcotest.failf "load failed: %s"
+    Alcotest.failf "compile failed: %s"
       (String.concat "; " (List.map Mir.render_error es))
 
+(* interpreted (the reference) and compiled (the production path: the
+   spec's checker through the Mcd kernel) diagnostics, rendered *)
 let run_both metal_src c_src =
   let tus = Frontend.of_strings [ ("t.c", Prelude.text ^ c_src) ] in
-  let run load =
-    List.map Diag.to_string
-      (Mrun.check (load_exn load metal_src) (`Program tus))
+  let compiled =
+    match
+      Mcd.check_jobs ~checkers:[ compile_exn metal_src ] ~jobs:1
+        [ { Mcd.spec = Mcheck_api.default_spec tus; tus } ]
+    with
+    | [ [ (_, ds) ] ], _ -> ds
+    | _ -> Alcotest.fail "expected one result entry"
   in
-  (run Mrun.interp, run Mrun.compile)
+  ( List.map Diag.to_string (Engine.check (Mdsl.load metal_src) (`Program tus)),
+    List.map Diag.to_string compiled )
 
 (* ------------------------------------------------------------------ *)
 (* Surface -> IR                                                       *)
@@ -89,42 +94,6 @@ let ir_cases =
           Alcotest.(check int) "two branches" 2
             (List.length r.Mir.r_branches)
         | rs -> Alcotest.failf "start has %d rules" (List.length rs));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* IR -> tables                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let codegen_cases =
-  [
-    t "codegen is deterministic" `Quick (fun () ->
-        Alcotest.(check string) "two compiles agree"
-          (Mcodegen.to_string (gen_of spec_src))
-          (Mcodegen.to_string (gen_of spec_src)));
-    t "table dump round-trips" `Quick (fun () ->
-        let g = gen_of spec_src in
-        let s = Mcodegen.to_string g in
-        Alcotest.(check string) "to_string . of_string = id" s
-          (Mcodegen.to_string (Mcodegen.of_string s)));
-    t "in-tree specs round-trip too" `Quick (fun () ->
-        let dir =
-          match Fuzz_metalc.find_spec_dir () with
-          | Some d -> d
-          | None -> Alcotest.fail "cannot locate metal/"
-        in
-        List.iter
-          (fun name ->
-            let path = Filename.concat dir (name ^ ".metal") in
-            let ic = open_in_bin path in
-            let src =
-              Fun.protect
-                ~finally:(fun () -> close_in ic)
-                (fun () -> really_input_string ic (in_channel_length ic))
-            in
-            let s = Mcodegen.to_string (gen_of src) in
-            Alcotest.(check string) name s
-              (Mcodegen.to_string (Mcodegen.of_string s)))
-          [ "wait_for_db"; "msglen_check"; "refcount" ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -243,7 +212,7 @@ let diff_cases =
             | Ok _ -> ()
             | Error e -> Alcotest.fail e));
     (* A speed tripwire, not a measurement: no benchmark workload loads
-       a metal spec, so this is the only place a compiled back end
+       a metal spec, so this is the only place a production metal path
        slower than the interpreter would show.  Best of 5 per side, the
        sides interleaved in alternating order so host drift and heap
        growth hit both; the 1.25x margin absorbs the remaining noise. *)
@@ -254,25 +223,41 @@ let diff_cases =
           | Ok t -> t
           | Error e -> Alcotest.fail e
         in
-        let corpus = Corpus.generate () in
-        let compiled = List.map (fun (_, c, _) -> c) mc.Fuzz_metalc.specs
+        let jobs = Mcheck_api.corpus_jobs (Corpus.generate ()) in
+        let checkers = List.map (fun (_, c, _) -> c) mc.Fuzz_metalc.specs
         and interp = List.map (fun (_, _, i) -> i) mc.Fuzz_metalc.specs in
-        let time machines best =
-          let t0 = Unix.gettimeofday () in
+        let compiled () = ignore (Mcd.check_jobs ~checkers ~jobs:1 jobs)
+        and interpreted () =
+          (* one Prep per function shared by every machine, as the
+             compiled side shares it, so only the dispatch differs *)
+          let ms = List.map (fun sm -> Engine.machine sm) interp in
           List.iter
-            (fun (p : Corpus.protocol) ->
-              ignore (Mrun.check_program_fused machines p.Corpus.tus))
-            corpus.Corpus.protocols;
+            (fun (j : Mcd.job) ->
+              List.iter
+                (fun tu ->
+                  List.iter
+                    (fun f ->
+                      let prep = Prep.build f in
+                      List.iter
+                        (fun m -> ignore (Engine.check_prep m prep))
+                        ms)
+                    (Ast.functions tu))
+                j.Mcd.tus)
+            jobs
+        in
+        let time run best =
+          let t0 = Unix.gettimeofday () in
+          run ();
           best := Float.min !best (Unix.gettimeofday () -. t0)
         in
         let best_c = ref infinity and best_i = ref infinity in
         for i = 0 to 4 do
           if i mod 2 = 0 then (
-            time interp best_i;
+            time interpreted best_i;
             time compiled best_c)
           else (
             time compiled best_c;
-            time interp best_i)
+            time interpreted best_i)
         done;
         if !best_c > 1.25 *. !best_i then
           Alcotest.failf "compiled %.1f ms > 1.25 x interpreted %.1f ms"
@@ -280,4 +265,4 @@ let diff_cases =
   ]
 
 let suite =
-  ("metalc", ir_cases @ codegen_cases @ diff_cases)
+  ("metalc", ir_cases @ diff_cases)

@@ -7,14 +7,17 @@
     conservative and sound only "for straight-line code without function
     pointers"). *)
 
-
-
 type call_site = { cs_callee : string; cs_loc : Loc.t }
 
+(* Only the name table is built eagerly: every consumer but the key of
+   a whole-program unit asks [find_func] alone, and that key walks the
+   functions reachable from the handlers, a quarter of the corpus's
+   expressions.  Call sites are collected on demand, from the
+   definition [find_func] returns, so building is linear in the number
+   of functions and nothing is mutated afterwards. *)
 type t = {
-  funcs : (string, Ast.func) Hashtbl.t;
-  calls : (string, call_site list) Hashtbl.t;  (** caller -> sites *)
-  callers : (string, string list) Hashtbl.t;  (** callee -> callers *)
+  funcs : (string, Ast.func) Hashtbl.t;  (** name -> its last definition *)
+  defs : Ast.func list;  (** every definition, in source order *)
 }
 
 (* Call sites of [f], in syntactic order. *)
@@ -33,43 +36,34 @@ let call_sites_of_func (f : Ast.func) : call_site list =
   List.rev !sites
 
 let build (tus : Ast.tunit list) : t =
-  let t =
-    {
-      funcs = Hashtbl.create 128;
-      calls = Hashtbl.create 128;
-      callers = Hashtbl.create 128;
-    }
-  in
-  List.iter
-    (fun tu ->
-      List.iter
-        (function
-          | Ast.Gfunc f ->
-            Hashtbl.replace t.funcs f.Ast.f_name f;
-            let sites = call_sites_of_func f in
-            Hashtbl.replace t.calls f.Ast.f_name sites;
-            List.iter
-              (fun site ->
-                let existing =
-                  Option.value ~default:[]
-                    (Hashtbl.find_opt t.callers site.cs_callee)
-                in
-                if not (List.mem f.Ast.f_name existing) then
-                  Hashtbl.replace t.callers site.cs_callee
-                    (f.Ast.f_name :: existing))
-              sites
-          | _ -> ())
-        tu.Ast.tu_globals)
-    tus;
-  t
+  let defs = List.concat_map Ast.functions tus in
+  let funcs = Hashtbl.create 128 in
+  List.iter (fun f -> Hashtbl.replace funcs f.Ast.f_name f) defs;
+  { funcs; defs }
 
 let find_func t name = Hashtbl.find_opt t.funcs name
 
 let callees t name : call_site list =
-  Option.value ~default:[] (Hashtbl.find_opt t.calls name)
+  match find_func t name with Some f -> call_sites_of_func f | None -> []
 
+(* A name defined twice calls what either definition calls; each caller
+   is listed once, newest first. *)
 let callers t name : string list =
-  Option.value ~default:[] (Hashtbl.find_opt t.callers name)
+  let seen = Hashtbl.create 16 in
+  List.fold_left
+    (fun acc (f : Ast.func) ->
+      let caller = f.Ast.f_name in
+      if
+        (not (Hashtbl.mem seen caller))
+        && List.exists
+             (fun site -> String.equal site.cs_callee name)
+             (call_sites_of_func f)
+      then begin
+        Hashtbl.add seen caller ();
+        caller :: acc
+      end
+      else acc)
+    [] t.defs
 
 let functions t : Ast.func list =
   Hashtbl.fold (fun _ f acc -> f :: acc) t.funcs []

@@ -10,12 +10,19 @@ type call_site = { cs_callee : string; cs_loc : Loc.t }
 type t
 
 val build : Ast.tunit list -> t
+(** the name table alone, linear in the number of functions: call sites
+    are collected on demand *)
+
 val find_func : t -> string -> Ast.func option
+(** the last definition of the name *)
 
 val callees : t -> string -> call_site list
-(** call sites inside the named function, in syntactic order *)
+(** call sites inside the named function ({!find_func}'s definition), in
+    syntactic order *)
 
 val callers : t -> string -> string list
+(** every function with a definition that calls the name, each once, in
+    reverse order of first call; scans every definition *)
 
 val functions : t -> Ast.func list
 (** all defined functions, sorted by name *)

@@ -101,6 +101,10 @@ type func = {
   f_loc : Loc.t;
   f_static : bool;
   f_end_loc : Loc.t;  (** location of the closing brace; used for LOC *)
+  f_src_digest : Digest.t option;
+      (** MD5 of the source text from [f_loc] through the closing brace,
+          taken by the parser; [None] for a function built or rewritten
+          in memory *)
 }
 
 type global =
@@ -125,6 +129,7 @@ let mk_stmt ?(loc = Loc.none) sdesc = { sdesc; sloc = loc }
 let int_lit ?loc n = mk_expr ?loc (Int_lit (Int64.of_int n, string_of_int n))
 let ident ?loc name = mk_expr ?loc (Ident name)
 let call ?loc name args = mk_expr ?loc (Call (ident ?loc name, args))
+let with_body f body = { f with f_body = body; f_src_digest = None }
 
 (* ------------------------------------------------------------------ *)
 (* Traversal helpers                                                   *)

@@ -102,6 +102,11 @@ type func = {
   f_loc : Loc.t;
   f_static : bool;
   f_end_loc : Loc.t;  (** location of the closing brace *)
+  f_src_digest : Digest.t option;
+      (** MD5 of the source text from [f_loc] through the closing brace,
+          taken by the parser.  [None] for a function built or rewritten
+          in memory: a copy that changes the body must reset it, since
+          {!Mcd} keys cached results on it. *)
 }
 
 type global =
@@ -123,6 +128,10 @@ val mk_stmt : ?loc:Loc.t -> sdesc -> stmt
 val int_lit : ?loc:Loc.t -> int -> expr
 val ident : ?loc:Loc.t -> string -> expr
 val call : ?loc:Loc.t -> string -> expr list -> expr
+
+val with_body : func -> stmt list -> func
+(** the function with its body replaced; the copy has no source digest,
+    so it never shares a cached result with the original *)
 
 (** {2 Traversal} *)
 

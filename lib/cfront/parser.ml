@@ -15,23 +15,29 @@ exception Error of string * Loc.t
    [Loc.t] only where an AST node stores it. *)
 type t = {
   buf : Lexer.buf;
+  src : string;  (** the text [buf] was lexed from *)
   kinds : Token.kind array;
   last : int;  (** index of the EOF token *)
   mutable pos : int;
   typedefs : (int, unit) Hashtbl.t;  (** interned ids of typedef names *)
   mutable loc_pos : int;
   mutable loc : Loc.t;  (** the location of token [loc_pos] *)
+  mutable line_no : int;
+  mutable line_off : int;  (** byte offset in [src] where [line_no] starts *)
 }
 
-let create (buf : Lexer.buf) =
+let create ~src (buf : Lexer.buf) =
   {
     buf;
+    src;
     kinds = buf.Lexer.kinds;
     last = buf.Lexer.len - 1;
     pos = 0;
     typedefs = Hashtbl.create 16;
     loc_pos = -1;
     loc = Loc.none;
+    line_no = 1;
+    line_off = 0;
   }
 
 let cur p = p.kinds.(p.pos)
@@ -90,6 +96,24 @@ let cur_int p =
   match cur_lit p with
   | Token.INT (v, _) -> v
   | _ -> error p "expected integer"
+
+(* The byte offset of [loc] in [src].  The lexer counts a line per
+   '\n' and a column per byte, so a cursor over line starts finds it.
+   The parser never moves back, so the locations asked for never
+   decrease: the cursor only moves forward and the whole file costs one
+   scan. *)
+let offset p (loc : Loc.t) =
+  while p.line_no < loc.Loc.line do
+    p.line_off <- String.index_from p.src p.line_off '\n' + 1;
+    p.line_no <- p.line_no + 1
+  done;
+  p.line_off + loc.Loc.col - 1
+
+(* a function's source digest: its text from [start] through the closing
+   brace at [close] *)
+let src_digest p ~(start : Loc.t) ~(close : Loc.t) =
+  let a = offset p start in
+  Digest.substring p.src a (offset p close + 1 - a)
 
 let add_typedef p name = Hashtbl.replace p.typedefs (Symtab.intern name) ()
 
@@ -808,6 +832,7 @@ let parse_global p : Ast.global list =
                 f_loc = loc;
                 f_static = sp.sp_static;
                 f_end_loc = !end_loc;
+                f_src_digest = Some (src_digest p ~start:loc ~close:!end_loc);
               };
           ]
       end
@@ -887,8 +912,8 @@ let resync p =
 (* The one driver loop: every intact global is kept, every error is
    recorded and skipped.  The raising entry points report the first
    diagnostic of the same run. *)
-let parse_buf ~typedefs (buf : Lexer.buf) : Ast.tunit * Diag.t list =
-  let p = create buf in
+let parse_buf ~typedefs ~src (buf : Lexer.buf) : Ast.tunit * Diag.t list =
+  let p = create ~src buf in
   List.iter (add_typedef p) typedefs;
   let globals = ref [] in
   let diags = ref [] in
@@ -921,7 +946,7 @@ let parse_string_recovering ?(file = "<string>") ?(typedefs = []) src : Ast.tuni
             [ ("file", file); ("bytes", string_of_int (String.length src)) ]
           (fun () -> Lexer.lex ~file src)
       in
-      parse_buf ~typedefs buf)
+      parse_buf ~typedefs ~src buf)
 
 let raise_diag (d : Diag.t) =
   let msg = d.Diag.message and loc = d.Diag.loc in
@@ -940,7 +965,7 @@ let parse_string ?file src : Ast.tunit =
 let parse_fragment ~file ~what parse src =
   let buf = Lexer.lex ~file src in
   List.iter raise_diag buf.Lexer.diags;
-  let p = create buf in
+  let p = create ~src buf in
   let x = parse p in
   if cur p <> Token.EOF then error p ("trailing tokens after " ^ what);
   x

@@ -80,9 +80,8 @@ let fix_hooks ~(spec : Flash_api.spec) (tu : Ast.tunit) : Ast.tunit =
            && fn.Ast.f_body <> []
         then fn
         else
-          { fn with
-            Ast.f_body =
-              Cb.do_call Flash_api.sim_procedure_hook [] :: fn.Ast.f_body }
+          Ast.with_body fn
+            (Cb.do_call Flash_api.sim_procedure_hook [] :: fn.Ast.f_body)
       | kind ->
         let hook =
           match kind with
@@ -108,13 +107,8 @@ let fix_hooks ~(spec : Flash_api.spec) (tu : Ast.tunit) : Ast.tunit =
           then List.tl b
           else b
         in
-        {
-          fn with
-          Ast.f_body =
-            Cb.do_call Flash_api.handler_defs []
-            :: Cb.do_call hook []
-            :: rest;
-        })
+        Ast.with_body fn
+          (Cb.do_call Flash_api.handler_defs [] :: Cb.do_call hook [] :: rest))
     tu
 
 (* ------------------------------------------------------------------ *)
@@ -154,16 +148,13 @@ let fix_races ~(diags : Diag.t list) (tu : Ast.tunit) : Ast.tunit =
   else
     map_funcs
       (fun fn ->
-        {
-          fn with
-          Ast.f_body =
-            map_stmt_list
-              (fun s ->
-                match flagged_read_in s locs with
-                | Some addr -> [ Cb.wait_db addr; s ]
-                | None -> [ s ])
-              fn.Ast.f_body;
-        })
+        Ast.with_body fn
+          (map_stmt_list
+             (fun s ->
+               match flagged_read_in s locs with
+               | Some addr -> [ Cb.wait_db addr; s ]
+               | None -> [ s ])
+             fn.Ast.f_body))
       tu
 
 (* ------------------------------------------------------------------ *)
@@ -215,7 +206,7 @@ let fix_leaks ~(spec : Flash_api.spec) ~(diags : Diag.t list)
             if !patched then body else body @ [ Cb.free_db () ]
           in
           ignore spec;
-          { fn with Ast.f_body = body }
+          Ast.with_body fn body
         end)
       tu
 

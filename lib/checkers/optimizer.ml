@@ -58,22 +58,19 @@ let redundant_waits (func : Ast.func) : Loc.t list =
 
 (* drop statements that are exactly a wait at one of [locs] *)
 let remove_waits (locs : Loc.t list) (fn : Ast.func) : Ast.func =
-  {
-    fn with
-    Ast.f_body =
-      Fixer.map_stmt_list
-        (fun s ->
-          match s.Ast.sdesc with
-          | Ast.Sexpr e -> (
-            match (Ast.callee_name e, e.Ast.eloc) with
-            | Some n, loc
-              when String.equal n Flash_api.wait_for_db_full
-                   && List.exists (Loc.equal loc) locs ->
-              []
-            | _ -> [ s ])
-          | _ -> [ s ])
-        fn.Ast.f_body;
-  }
+  Ast.with_body fn
+    (Fixer.map_stmt_list
+       (fun s ->
+         match s.Ast.sdesc with
+         | Ast.Sexpr e -> (
+           match (Ast.callee_name e, e.Ast.eloc) with
+           | Some n, loc
+             when String.equal n Flash_api.wait_for_db_full
+                  && List.exists (Loc.equal loc) locs ->
+             []
+           | _ -> [ s ])
+         | _ -> [ s ])
+       fn.Ast.f_body)
 
 type report = {
   functions_changed : int;

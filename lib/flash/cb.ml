@@ -87,6 +87,7 @@ let func ?(static = false) ?(ret = Ctype.Void) ?(params = []) name body =
     f_loc = Loc.none;
     f_static = static;
     f_end_loc = Loc.none;
+    f_src_digest = None;
   }
 
 (* ------------------------------------------------------------------ *)

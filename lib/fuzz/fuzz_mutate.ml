@@ -279,7 +279,7 @@ let apply rng kind (raw : Ast.tunit) : (Ast.tunit * mutation) option =
             match edit_nth pred edit site f.Ast.f_body with
             | Some body ->
               mutated := true;
-              Ast.Gfunc { f with Ast.f_body = body }
+              Ast.Gfunc (Ast.with_body f body)
             | None -> g)
           | _ -> g)
         raw.Ast.tu_globals

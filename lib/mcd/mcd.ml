@@ -28,17 +28,27 @@
 
     A function batch's cache key is
     [fnbatch @ digest(per-function checker keys) @ digest(spec)
-     @ digest(file:loc:pretty-printed AST)]; a built-in checker's key is
-    its name, a loaded metal spec's its name plus a digest of its
-    source.  The key covers everything
-    the result depends on, so invalidation is automatic: editing a
-    function changes its digest and the unit misses; every untouched
-    function hits.  A whole-program unit's key replaces the function
-    digest with a digest of the checker's *dependency set* — the
-    callgraph closure reachable from the spec's handlers — so an edit
-    anywhere in that closure (equivalently: any function whose
-    reverse-dependency closure meets a handler) re-runs the
-    inter-procedural checker, and an edit to dead code does not. *)
+     @ digest(env) @ digest(file:line:col:source digest)]; a built-in
+    checker's key is its name, a loaded metal spec's its name plus a
+    digest of its source.  The source digest is the MD5 of the
+    function's text, from its start through its closing brace, which the
+    parser takes while it holds the file ({!Ast.func.f_src_digest}); with
+    the start location it fixes every location inside the function.  The
+    env digest covers what the unit reads from outside that text: the
+    non-function globals and every function's signature, which give
+    {!Typecheck} its types and the parser its typedef names.  The key
+    covers everything the result depends on, so invalidation is
+    automatic: editing a function changes its digest and the unit misses;
+    every untouched function hits.  A function rewritten in memory has no
+    source digest and no key: its batch always runs and is never stored.
+    A whole-program unit's key replaces the function digest with a
+    digest of the checker's *dependency set* — the callgraph closure
+    reachable from the spec's handlers, each name standing for the
+    definition {!Callgraph.find_func} picks — so an edit anywhere in that
+    closure (equivalently: any function whose reverse-dependency closure
+    meets a handler) re-runs the inter-procedural checker, and an edit to
+    dead code does not.  A closure holding a function without a key
+    leaves the unit without one. *)
 
 type job = { spec : Flash_api.spec; tus : Ast.tunit list }
 
@@ -71,80 +81,105 @@ let pf_set_digest (per_function : Registry.checker list) : string =
 let spec_digest (spec : Flash_api.spec) : string =
   Digest.to_hex (Digest.string (Marshal.to_string spec []))
 
-(* [file] and the function's own location are part of the key: two
-   textually identical functions in different places must not share
-   diagnostics, whose locations differ.  (Inner locations that shift
-   while the function text *and* its start location stay identical are
-   not covered — post-cpp text, the paper's input, cannot do that.) *)
-let func_digest (file : string) (f : Ast.func) : string =
+(* The per-function half of a key: [file], the function's start
+   location and the digest of its source text.  Two textually identical
+   functions in different places must not share diagnostics, whose
+   locations differ; and since the text fixes every inner column relative
+   to the start, a cached result never carries a stale location.  (A
+   parsed function's [f_loc] names its unit's file, so the scheduler
+   takes [file] from there.)  A function without a source digest (built
+   or rewritten in memory) has no key: its batch runs and is not
+   stored. *)
+let func_key (file : string) (f : Ast.func) : string option =
+  Option.map
+    (fun d ->
+      Digest.to_hex
+        (Digest.string
+           (Printf.sprintf "%s:%d:%d:%s" file f.Ast.f_loc.Loc.line
+              f.Ast.f_loc.Loc.col d)))
+    f.Ast.f_src_digest
+
+let func_digest file f = Option.value (func_key file f) ~default:""
+
+(* What a unit's result depends on outside its functions' own text: the
+   types {!Typecheck} writes into [ety] come from the non-function
+   globals and from every function's signature, and typedef names steer
+   the parse.  Locations and initialisers are left out (no function's
+   result reads them), so a declaration that only shifts lines leaves
+   every key of the job valid. *)
+type env_item =
+  | Sig of string * Ctype.t * (string * Ctype.t) list
+  | Decl of Ast.global
+
+let env_digest (tus : Ast.tunit list) : string =
+  let item = function
+    | Ast.Gfunc f -> Sig (f.Ast.f_name, f.Ast.f_ret, f.Ast.f_params)
+    | Ast.Gvar d ->
+      Decl (Ast.Gvar { d with Ast.v_loc = Loc.none; v_init = None })
+    | Ast.Gtypedef (n, t, _) -> Decl (Ast.Gtypedef (n, t, Loc.none))
+    | Ast.Gstruct (n, fs, _) -> Decl (Ast.Gstruct (n, fs, Loc.none))
+    | Ast.Gunion (n, fs, _) -> Decl (Ast.Gunion (n, fs, Loc.none))
+    | Ast.Genum (n, cs, _) -> Decl (Ast.Genum (n, cs, Loc.none))
+    | Ast.Gfunc_decl (n, r, ps, _) ->
+      Decl (Ast.Gfunc_decl (n, r, ps, Loc.none))
+  in
+  let items = List.map (fun tu -> List.map item tu.Ast.tu_globals) tus in
   Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "%s:%d:%d:%s" file f.Ast.f_loc.Loc.line
-          f.Ast.f_loc.Loc.col
-          (Format.asprintf "%a" Pp.pp_func f)))
+    (Digest.string (Marshal.to_string items [ Marshal.No_sharing ]))
 
 type prepared = {
   p_job : job;
   p_ctx : Registry.ctx;
   p_funcs : Ast.func array;  (** every function, in source order *)
-  p_fdigests : string array Lazy.t;
   p_sdigest : string Lazy.t;
+  p_edigest : string Lazy.t;
 }
 
 let prepare (j : job) : prepared =
-  let with_files =
-    List.concat_map
-      (fun tu ->
-        List.map (fun f -> (tu.Ast.tu_file, f)) (Ast.functions tu))
-      j.tus
-  in
-  let funcs = Array.of_list (List.map snd with_files) in
-  let files = Array.of_list (List.map fst with_files) in
   {
     p_job = j;
     p_ctx = Registry.make_ctx j.tus;
-    p_funcs = funcs;
-    p_fdigests =
-      lazy (Array.mapi (fun i f -> func_digest files.(i) f) funcs);
+    p_funcs = Array.of_list (List.concat_map Ast.functions j.tus);
     p_sdigest = lazy (spec_digest j.spec);
+    p_edigest = lazy (env_digest j.tus);
   }
 
 (* The dependency set of a whole-program checker: every function the
    callgraph can reach from the spec's handlers, digested in sorted name
-   order.  Functions outside the closure do not appear, so edits to them
-   leave the key — and the cached result — valid. *)
-let global_key (p : prepared) (c : Registry.checker) : string =
+   order.  Each name stands for the definition {!Callgraph.find_func}
+   returns, the one the checker analyses.  Functions outside the closure
+   do not appear, so edits to them leave the key — and the cached
+   result — valid; a function without a source digest inside it leaves
+   the unit without a key. *)
+let global_key (p : prepared) (c : Registry.checker) : string option =
   let cg = Lazy.force p.p_ctx.Registry.callgraph in
   let roots =
     List.map
       (fun (h : Flash_api.handler_spec) -> h.Flash_api.h_name)
       p.p_job.spec.Flash_api.p_handlers
   in
-  let reach =
-    List.sort_uniq String.compare (Callgraph.reachable_from cg roots)
+  let rec parts acc = function
+    | [] -> Some (String.concat ";" (List.rev acc))
+    | n :: rest -> (
+      match
+        Option.bind (Callgraph.find_func cg n) (fun f ->
+            func_key f.Ast.f_loc.Loc.file f)
+      with
+      | Some d -> parts ((n ^ "=" ^ d) :: acc) rest
+      | None -> None)
   in
-  let digests = Lazy.force p.p_fdigests in
-  let by_name = Hashtbl.create (Array.length p.p_funcs) in
-  Array.iteri
-    (fun i (f : Ast.func) ->
-      if not (Hashtbl.mem by_name f.Ast.f_name) then
-        Hashtbl.add by_name f.Ast.f_name digests.(i))
-    p.p_funcs;
-  let parts =
-    List.map
-      (fun n ->
-        n ^ "="
-        ^ Option.value (Hashtbl.find_opt by_name n) ~default:"undef")
-      reach
-  in
-  Printf.sprintf "%s@%s@%s" c.Registry.name
-    (Lazy.force p.p_sdigest)
-    (Digest.to_hex (Digest.string (String.concat ";" parts)))
+  Option.map
+    (fun parts ->
+      Printf.sprintf "%s@%s@%s@%s" c.Registry.name
+        (Lazy.force p.p_sdigest) (Lazy.force p.p_edigest)
+        (Digest.to_hex (Digest.string parts)))
+    (parts [] (Callgraph.reachable_from cg roots))
 
-let batch_key ~pf_digest (p : prepared) (fi : int) : string =
-  Printf.sprintf "fnbatch@%s@%s@%s" pf_digest
-    (Lazy.force p.p_sdigest)
-    (Lazy.force p.p_fdigests).(fi)
+let batch_key ~pf_digest (p : prepared) (f : Ast.func) : string option =
+  Option.map
+    (Printf.sprintf "fnbatch@%s@%s@%s@%s" pf_digest
+       (Lazy.force p.p_sdigest) (Lazy.force p.p_edigest))
+    (func_key f.Ast.f_loc.Loc.file f)
 
 let check_jobs ?cache ?(budget = Engine.no_budget)
     ?(checkers = Registry.all) ~jobs (job_list : job list) :
@@ -188,7 +223,9 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
   let miss_slots = ref [] in
   let miss_keys = ref [] in
   let consider ~slot ~cname ~uname key_of run_of =
-    match Option.bind cache (fun c -> Mcd_cache.find c (key_of ())) with
+    (* no cache, no digest; a unit without a key runs and is not stored *)
+    let key = Option.bind cache (fun _ -> key_of ()) in
+    match Option.bind cache (fun c -> Option.bind key (Mcd_cache.find c)) with
     | Some slices ->
       results.(slot) <- slices;
       incr hits
@@ -206,7 +243,7 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
         else run_of
       in
       miss_slots := (slot, run_of) :: !miss_slots;
-      if cache <> None then miss_keys := (slot, key_of ()) :: !miss_keys
+      Option.iter (fun k -> miss_keys := (slot, k) :: !miss_keys) key
   in
   (* never spawn more domains than the host has cores: extra domains
      only add minor-GC contention, so requesting [--jobs 4] on a 1-core
@@ -245,17 +282,13 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
     in
     store ~slot ([| slice |], fs)
   in
+  (* tasks are claimed in the order they are considered: the
+     whole-program units go first, since each is one long task that,
+     claimed last, would leave the other domains idle while it runs *)
   Mcobs.with_span "mcd.resolve" (fun () ->
       Array.iteri
         (fun job p ->
           let nf = Array.length p.p_funcs in
-          Array.iteri
-            (fun fn (f : Ast.func) ->
-              let slot = base.(job) + fn in
-              consider ~slot ~cname:"fnbatch" ~uname:f.Ast.f_name
-                (fun () -> batch_key ~pf_digest p fn)
-                (run_batch ~slot ~job ~fn))
-            p.p_funcs;
           Array.iteri
             (fun global (c : Registry.checker) ->
               let slot = base.(job) + nf + global in
@@ -263,6 +296,16 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
                 (fun () -> global_key p c)
                 (run_global ~slot ~job ~global))
             globals)
+        prepared;
+      Array.iteri
+        (fun job p ->
+          Array.iteri
+            (fun fn (f : Ast.func) ->
+              let slot = base.(job) + fn in
+              consider ~slot ~cname:"fnbatch" ~uname:f.Ast.f_name
+                (fun () -> batch_key ~pf_digest p f)
+                (run_batch ~slot ~job ~fn))
+            p.p_funcs)
         prepared);
   let tasks =
     Array.of_list (List.rev_map (fun (_, run) -> run) !miss_slots)

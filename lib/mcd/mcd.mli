@@ -14,10 +14,13 @@
 
     Incrementality: unit results are cached under content-hash keys
     (the per-function checkers' {!Registry.checker.key}s x spec digest
-    x the function's pretty-printed AST; whole-program checkers hash
+    x a digest of the globals and function signatures x the function's
+    file, start location and source digest; whole-program checkers hash
     their callgraph-reachable dependency set instead), so a re-check after
     editing one function re-runs only that function's batch plus any
-    inter-procedural checker whose closure the edit invalidates. *)
+    inter-procedural checker whose closure the edit invalidates.  A
+    function without a source digest (built or rewritten in memory) is
+    never cached, nor is a whole-program unit whose closure holds one. *)
 
 type job = {
   spec : Flash_api.spec;
@@ -81,8 +84,9 @@ val check_corpus :
 (** single-job convenience wrapper *)
 
 val func_digest : string -> Ast.func -> string
-(** content hash of one function (file, start location, pretty-printed
-    AST) — the per-function half of a cache key *)
+(** content hash of one function (file, start location and
+    {!Ast.func.f_src_digest}) — the per-function half of a cache key;
+    [""] for a function without a source digest, which has no key *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

@@ -1,10 +1,10 @@
 (** The incremental result cache.
 
     Maps a content-hash key — the per-function-checker set x protocol
-    spec x the pretty-printed AST of a function (or, for whole-program
-    checkers, the checker identity x spec x its callgraph-reachable
-    dependency set) — to the per-checker diagnostic slices that unit
-    produced.  Because the key covers everything a unit's result depends
+    spec x the job's globals and signatures x a function's location and
+    source digest (or, for whole-program checkers, the checker identity
+    x spec x globals x its callgraph-reachable dependency set) — to the
+    per-checker diagnostic slices that unit produced.  Because the key covers everything a unit's result depends
     on, invalidation is automatic: an edited function hashes to a fresh
     key and simply misses.
 

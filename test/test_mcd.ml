@@ -114,14 +114,9 @@ let edit_nth_function (tus : Ast.tunit list) (idx : int) :
                   if i = idx then begin
                     edited := f.Ast.f_name;
                     Ast.Gfunc
-                      {
-                        f with
-                        Ast.f_body =
-                          f.Ast.f_body
-                          @ [
-                              Ast.mk_stmt (Ast.Sexpr (Ast.int_lit 424242));
-                            ];
-                      }
+                      (Ast.with_body f
+                         (f.Ast.f_body
+                         @ [ Ast.mk_stmt (Ast.Sexpr (Ast.int_lit 424242)) ]))
                   end
                   else Ast.Gfunc f
                 | g -> g)
@@ -287,6 +282,113 @@ let incremental_tests =
               (Mcd_cache.size (Mcd_cache.load_dir "/no/such/dir"))));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* exact keys: a warm re-check after an edit equals a cold one        *)
+(* ------------------------------------------------------------------ *)
+
+(* source files as the CLI reads them: prelude prepended, one job under
+   the default spec *)
+let job_of_files files =
+  let tus, _ =
+    Frontend.parse_strings
+      (List.map (fun (name, src) -> (name, Prelude.text ^ src)) files)
+  in
+  { Mcd.spec = Mcheck_api.default_spec tus; tus }
+
+let check_files ?cache files =
+  List.hd (fst (Mcd.check_jobs ?cache ~jobs:1 [ job_of_files files ]))
+
+(* fill a cache from [before], then check [after] against it and cold;
+   returns the renderings of [before], warm [after] and cold [after] *)
+let warm_and_cold before after =
+  let cache = Mcd_cache.create () in
+  let filled = check_files ~cache before in
+  let warm = check_files ~cache after in
+  let cold = check_files after in
+  (render filled, render warm, cold)
+
+let n_diags checker results = List.length (List.assoc checker results)
+
+let handler_with_sends n =
+  "void H() { HANDLER_DEFS(); SIM_HANDLER_HOOK();"
+  ^ String.concat ""
+      (List.init n (fun _ -> " NI_SEND(MSG_NAK, F_NODATA, 0, W_NOWAIT, 1, 0);"))
+  ^ " }\n"
+
+let use_g = "void H() { g = g + 1; g = 2; }\n"
+
+let key_tests =
+  [
+    t "lanes key digests the definition lanes analyses" `Quick (fun () ->
+        (* two definitions of H: lanes reads the last one, so an edit to
+           it must re-run the lanes unit *)
+        let a = ("a.c", handler_with_sends 0) in
+        let _, warm, cold =
+          warm_and_cold
+            [ a; ("b.c", handler_with_sends 1) ]
+            [ a; ("b.c", handler_with_sends 2) ]
+        in
+        Alcotest.(check int) "cold reports the lanes overflow" 1
+          (n_diags "lanes" cold);
+        Alcotest.(check (list string)) "warm = cold" (render cold) warm);
+    t "a global's type change re-runs the functions using it" `Quick
+      (fun () ->
+        let b = ("b.c", use_g) in
+        let _, warm, cold =
+          warm_and_cold
+            [ ("a.c", "long g;\n"); b ]
+            [ ("a.c", "double g;\n"); b ]
+        in
+        Alcotest.(check int) "cold reports the float uses" 6
+          (n_diags "no_float" cold);
+        Alcotest.(check (list string)) "warm = cold" (render cold) warm);
+    t "an in-line whitespace edit gives fresh columns" `Quick (fun () ->
+        let a = ("a.c", "double g;\n") in
+        let before, warm, cold =
+          warm_and_cold
+            [ a; ("b.c", use_g) ]
+            [ a; ("b.c", "void H() { g  =  g  +  1; g = 2; }\n") ]
+        in
+        Alcotest.(check bool) "columns moved" true (before <> render cold);
+        Alcotest.(check (list string)) "warm = cold" (render cold) warm);
+    t "a function moved down one line gets fresh locations" `Quick
+      (fun () ->
+        let a = ("a.c", "double g;\n") in
+        let before, warm, cold =
+          warm_and_cold [ a; ("b.c", use_g) ] [ a; ("b.c", "\n" ^ use_g) ]
+        in
+        Alcotest.(check bool) "lines moved" true (before <> render cold);
+        Alcotest.(check (list string)) "warm = cold" (render cold) warm);
+    t "a body-rewriting copy never hits its original's entry" `Quick
+      (fun () ->
+        let job = job_of_files [ ("b.c", use_g) ] in
+        let cache = Mcd_cache.create () in
+        let _, cold = Mcd.check_jobs ~cache ~jobs:1 [ job ] in
+        let stored = Mcd_cache.size cache in
+        (* an identical body: only the copy itself differs *)
+        let copy =
+          List.map
+            (fun tu ->
+              {
+                tu with
+                Ast.tu_globals =
+                  List.map
+                    (function
+                      | Ast.Gfunc f -> Ast.Gfunc (Ast.with_body f f.Ast.f_body)
+                      | g -> g)
+                    tu.Ast.tu_globals;
+              })
+            job.Mcd.tus
+        in
+        let _, warm =
+          Mcd.check_jobs ~cache ~jobs:1 [ { job with Mcd.tus = copy } ]
+        in
+        (* H's batch, and the lanes unit whose closure holds H *)
+        Alcotest.(check int) "every unit re-ran" cold.Mcd.units_total
+          warm.Mcd.units_run;
+        Alcotest.(check int) "nothing stored" stored (Mcd_cache.size cache));
+  ]
+
 let suite =
   ( "mcd",
-    pool_tests @ identity_tests @ incremental_tests )
+    pool_tests @ identity_tests @ incremental_tests @ key_tests )

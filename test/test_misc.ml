@@ -68,6 +68,20 @@ let callgraph_cases =
         let cg = Callgraph.build [ tu ] in
         Alcotest.(check (list string)) "callers" [ "f"; "g" ]
           (List.sort compare (Callgraph.callers cg "shared")));
+    t "callers: one entry per caller, newest first" `Quick (fun () ->
+        let tu file src = Frontend.of_string ~file src in
+        let cg =
+          Callgraph.build
+            [
+              tu "a.c"
+                "void shared(void) { }\n\
+                 void f(void) { shared(); shared(); }\n\
+                 void g(void) { shared(); }";
+              tu "b.c" "void f(void) { shared(); }\nvoid h(void) { shared(); }";
+            ]
+        in
+        Alcotest.(check (list string)) "callers" [ "h"; "g"; "f" ]
+          (Callgraph.callers cg "shared"));
     t "reachability is transitive" `Quick (fun () ->
         let tu =
           Frontend.of_string ~file:"t.c"

@@ -185,6 +185,23 @@ let global_cases =
           ->
           ()
         | _ -> Alcotest.fail "expected long *[8]");
+    t "a function's source digest covers exactly its text" `Quick
+      (fun () ->
+        let f_text = "static int f(int x)\n{\n\treturn x; /* } */\n}"
+        and h_text = "void h() { }" in
+        (* a broken global between them: recovery must not shift the
+           spans of the functions around it *)
+        let tu, diags =
+          Parser.parse_string_recovering ~file:"d.c"
+            ("int g;\n\n  " ^ f_text ^ "\nint @ bad;\n" ^ h_text ^ "\n")
+        in
+        Alcotest.(check bool) "the bad global is reported" true (diags <> []);
+        Alcotest.(check (list (option string)))
+          "digests"
+          [ Some (Digest.string f_text); Some (Digest.string h_text) ]
+          (List.map (fun f -> f.Ast.f_src_digest) (Ast.functions tu));
+        Alcotest.(check (option string)) "a rewritten body has none" None
+          (Ast.with_body (first_func h_text) []).Ast.f_src_digest);
     t "parse error has a location" `Quick (fun () ->
         match parse_unit "void f(void) { if }" with
         | exception Parser.Error (_, loc) ->

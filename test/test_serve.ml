@@ -932,9 +932,12 @@ let telemetry_cases =
             let n = 6 in
             let completed = Atomic.make 0
             and refused = Atomic.make 0
-            and lost = Atomic.make 0 in
+            and lost = Atomic.make 0
+            and connected = Atomic.make 0 in
             let worker _ =
-              match Client.connect (Oracle.addr d) with
+              let conn = Client.connect (Oracle.addr d) in
+              Atomic.incr connected;
+              match conn with
               | Error _ -> Atomic.incr lost
               | Ok c ->
                 Fun.protect
@@ -950,7 +953,11 @@ let telemetry_cases =
                     | Error _ -> Atomic.incr lost)
             in
             let threads = List.init n (fun i -> Thread.create worker i) in
-            Thread.delay 0.002;
+            (* drain once every client holds a connection, however slowly
+               the threads were scheduled *)
+            while Atomic.get connected < n do
+              Thread.delay 0.001
+            done;
             Oracle.stop d;
             List.iter Thread.join threads;
             Alcotest.(check int) "lost" 0 (Atomic.get lost);

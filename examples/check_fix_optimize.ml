@@ -61,15 +61,21 @@ let report label tus =
   if not !any then print_endline "  (clean)";
   print_newline ()
 
+(* parse as one program, printing any lex/parse diagnostic *)
+let parse units =
+  let tus, syntax = Frontend.parse_strings units in
+  List.iter (fun d -> Format.printf "  %a@." Diag.pp d) syntax;
+  tus
+
 let () =
-  let tus = Frontend.of_strings [ ("messy.c", Prelude.text ^ messy) ] in
+  let tus = parse [ ("messy.c", Prelude.text ^ messy) ] in
   report "CHECK: the original handler" tus;
 
   print_endline "FIX: repairing hooks, races and leaks...";
   let fixed = Fixer.fix_all ~spec tus in
   (* round-trip through source so the repair is a real rewrite *)
   let fixed =
-    Frontend.of_strings
+    parse
       (List.map (fun tu -> (tu.Ast.tu_file, Pp.tunit_to_string tu)) fixed)
   in
   print_newline ();

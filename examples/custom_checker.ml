@@ -76,7 +76,8 @@ int probe(int want)
 
 let () =
   print_endline "Checking driver code with a custom lock checker...";
-  let tu = Frontend.of_string ~file:"driver.c" driver_source in
+  let tu, syntax = Frontend.parse ~file:"driver.c" driver_source in
+  List.iter (fun d -> Format.printf "  %a@." Diag.pp d) syntax;
   let diags = Engine.check ~at_exit checker (`Unit tu) in
   List.iter (fun d -> Format.printf "  %a@." Diag.pp d) diags;
   Printf.printf "found %d violation(s) (expected 2)\n" (List.length diags)

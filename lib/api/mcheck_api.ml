@@ -112,13 +112,18 @@ let read_sources ~strict files =
   (srcs, !skipped)
 
 let parse_strict srcs =
-  match Frontend.of_strings srcs with
-  | tus -> tus
-  | exception Parser.Error (msg, loc) ->
-    Printf.eprintf "%s: parse error: %s\n%!" (Loc.to_string loc) msg;
-    raise (Robust_exit Robust.Unusable)
-  | exception Lexer.Error (msg, loc) ->
-    Printf.eprintf "%s: lexical error: %s\n%!" (Loc.to_string loc) msg;
+  match Frontend.parse_strings srcs with
+  | tus, [] -> tus
+  | _, d :: ds ->
+    (* the list holds each file's lex diagnostics before its parse ones;
+       report the earliest in source order *)
+    let d =
+      List.fold_left (fun a b -> if Diag.compare b a < 0 then b else a) d ds
+    in
+    Printf.eprintf "%s: %s error: %s\n%!"
+      (Loc.to_string d.Diag.loc)
+      (if d.Diag.checker = "lex" then "lexical" else "parse")
+      d.Diag.message;
     raise (Robust_exit Robust.Unusable)
 
 let load_metal paths =

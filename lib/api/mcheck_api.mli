@@ -177,8 +177,11 @@ exception Robust_exit of Robust.outcome
     printed; drivers map it to [Robust.exit_code] *)
 
 val parse_strict : (string * string) list -> Ast.tunit list
-(** [Frontend.of_strings] with the CLI's fail-fast error reporting.
-    @raise Robust_exit on the first parse or lexical error *)
+(** [Frontend.parse_strings] with the CLI's fail-fast error reporting:
+    on any diagnostic, prints the earliest one in source order (as
+    [FILE:LINE:COL: lexical error: ...] or [... parse error: ...]) and
+    raises.
+    @raise Robust_exit [Unusable] if the sources do not parse cleanly *)
 
 val load_metal :
   string list -> ((string * Registry.checker) list, string) result

@@ -16,8 +16,6 @@
     character (or truncated literal) is skipped and recorded as a [lex]
     diagnostic. *)
 
-exception Error of string * Loc.t
-
 type buf = {
   file : string;
   len : int;
@@ -539,16 +537,6 @@ let to_list b =
     if i < 0 then acc else go (i - 1) ((token b i, loc b i) :: acc)
   in
   go (b.len - 1) []
-
-let raise_first b =
-  match b.diags with
-  | d :: _ -> raise (Error (d.Diag.message, d.Diag.loc))
-  | [] -> ()
-
-let tokens ?file src =
-  let b = lex ?file src in
-  raise_first b;
-  to_list b
 
 let tokens_recovering ?file src =
   let b = lex ?file src in

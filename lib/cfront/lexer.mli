@@ -6,8 +6,6 @@
     post-expansion, with macros as ordinary calls, mirroring what xg++
     saw after cpp. *)
 
-exception Error of string * Loc.t
-
 (** One file's tokens as a structure of arrays: token [i] (for
     [0 <= i < len]) has kind [kinds.(i)] and 1-based position
     [lines.(i)]:[cols.(i)].  [payloads.(i)] is the
@@ -38,10 +36,7 @@ val loc : buf -> int -> Loc.t
 val token : buf -> int -> Token.t
 (** token [i] with its payload *)
 
-val tokens : ?file:string -> string -> (Token.t * Loc.t) list
-(** list view of {!lex}, ending with [EOF]
-    @raise Error with the first [lex] diagnostic, if any *)
-
 val tokens_recovering :
   ?file:string -> string -> (Token.t * Loc.t) list * Diag.t list
-(** list view of {!lex} and its diagnostics; never raises *)
+(** list view of {!lex}, ending with [EOF], and its diagnostics; never
+    raises *)

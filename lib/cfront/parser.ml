@@ -7,7 +7,9 @@
     so that declarations can be distinguished from expressions, as in any C
     parser. *)
 
-exception Error of string * Loc.t
+(* raised at the offending token; only the recovery loop and
+   [parse_expr_string] catch it, turning it into a [parse] diagnostic *)
+exception Syntax_error of string * Loc.t
 
 (* The parser reads the lexer's token buffer by index: it compares
    [Token.kind]s (immediates), fetches an identifier's interned name or a
@@ -66,7 +68,7 @@ let advance p = if p.pos < p.last then p.pos <- p.pos + 1
 
 let error p msg =
   raise
-    (Error
+    (Syntax_error
        ( Printf.sprintf "%s (found %s)" msg
            (Token.to_string (Lexer.token p.buf p.pos)),
          cur_loc p ))
@@ -870,11 +872,11 @@ let parse_global p : Ast.global list =
 
 (* One bad construct must not abort a whole-corpus run (XCheck's
    micro-grammar lesson: bug finders stay useful by skipping what they
-   cannot parse).  On [Error] the recovering driver records a [parse]
-   diagnostic and resynchronises: it skips forward to a ';' or '}' at
-   the error's own brace depth — which closes the enclosing function
-   body when the error was inside one — or to a token that can begin a
-   top-level declaration.  Every syntactically-intact global that
+   cannot parse).  On [Syntax_error] the recovering driver records a
+   [parse] diagnostic and resynchronises: it skips forward to a ';' or
+   '}' at the error's own brace depth — which closes the enclosing
+   function body when the error was inside one — or to a token that can
+   begin a top-level declaration.  Every syntactically-intact global that
    follows is still parsed, so every intact function is still checked. *)
 
 let max_parse_diags = 100
@@ -910,8 +912,7 @@ let resync p =
   done
 
 (* The one driver loop: every intact global is kept, every error is
-   recorded and skipped.  The raising entry points report the first
-   diagnostic of the same run. *)
+   recorded and skipped. *)
 let parse_buf ~typedefs ~src (buf : Lexer.buf) : Ast.tunit * Diag.t list =
   let p = create ~src buf in
   List.iter (add_typedef p) typedefs;
@@ -922,7 +923,7 @@ let parse_buf ~typedefs ~src (buf : Lexer.buf) : Ast.tunit * Diag.t list =
     let start = p.pos in
     match parse_global p with
     | gs -> globals := List.rev_append gs !globals
-    | exception Error (msg, loc) ->
+    | exception Syntax_error (msg, loc) ->
       incr n_diags;
       if !n_diags <= max_parse_diags then
         diags := parse_diag msg loc :: !diags;
@@ -948,32 +949,20 @@ let parse_string_recovering ?(file = "<string>") ?(typedefs = []) src : Ast.tuni
       in
       parse_buf ~typedefs ~src buf)
 
-let raise_diag (d : Diag.t) =
-  let msg = d.Diag.message and loc = d.Diag.loc in
-  if d.Diag.checker = "lex" then raise (Lexer.Error (msg, loc))
-  else raise (Error (msg, loc))
-
-(** Parse a complete translation unit from source text. *)
-let parse_string ?file src : Ast.tunit =
-  match parse_string_recovering ?file src with
-  | tu, [] -> tu
-  | _, d :: _ -> raise_diag d
-
-(* A fragment (expression, statement) parsed on its own: the many tiny
-   calls made when compiling checker patterns get no trace spans, as
-   they would flood the trace buffer. *)
-let parse_fragment ~file ~what parse src =
+(** Parse a single expression (checker patterns, tests): the first
+    [lex] or [parse] diagnostic, if any.  Never raises.  The many tiny
+    calls made when compiling checker patterns get no trace spans, as
+    they would flood the trace buffer. *)
+let parse_expr_string ?(file = "<string>") src : (Ast.expr, Diag.t) result =
   let buf = Lexer.lex ~file src in
-  List.iter raise_diag buf.Lexer.diags;
-  let p = create ~src buf in
-  let x = parse p in
-  if cur p <> Token.EOF then error p ("trailing tokens after " ^ what);
-  x
-
-(** Parse a single expression (handy in tests and example checkers). *)
-let parse_expr_string ?(file = "<string>") src : Ast.expr =
-  parse_fragment ~file ~what:"expression" parse_expr src
-
-(** Parse a statement (or a brace-enclosed block). *)
-let parse_stmt_string ?(file = "<string>") src : Ast.stmt =
-  parse_fragment ~file ~what:"statement" parse_stmt src
+  match buf.Lexer.diags with
+  | d :: _ -> Error d
+  | [] -> (
+    let p = create ~src buf in
+    match
+      let e = parse_expr p in
+      if cur p <> Token.EOF then error p "trailing tokens after expression";
+      e
+    with
+    | e -> Ok e
+    | exception Syntax_error (msg, loc) -> Error (parse_diag msg loc))

@@ -6,8 +6,6 @@
     expression grammar with standard precedence.  Typedef names are
     tracked so declarations can be distinguished from expressions. *)
 
-exception Error of string * Loc.t
-
 val parse_string_recovering :
   ?file:string ->
   ?typedefs:string list ->
@@ -20,15 +18,6 @@ val parse_string_recovering :
     still returned.  [typedefs] are typedef names already in scope
     (multi-file programs that share headers).  Never raises. *)
 
-val parse_string : ?file:string -> string -> Ast.tunit
-(** the raising form of {!parse_string_recovering}
-    @raise Lexer.Error / Error with the first diagnostic, if any *)
-
-val raise_diag : Diag.t -> 'a
-(** raise a [lex] diagnostic as [Lexer.Error], any other as [Error],
-    with its message and location *)
-
-val parse_expr_string : ?file:string -> string -> Ast.expr
-(** a single expression — used by {!Pattern} and in tests *)
-
-val parse_stmt_string : ?file:string -> string -> Ast.stmt
+val parse_expr_string : ?file:string -> string -> (Ast.expr, Diag.t) result
+(** a single expression, or the first [lex] or [parse] diagnostic — used
+    by {!Pattern} and in tests; never raises *)

@@ -241,22 +241,9 @@ let check_func env (f : Ast.func) =
   List.iter (check_stmt env) f.Ast.f_body;
   pop_scope env
 
-(** Annotate a whole translation unit in place, returning the environment
-    (useful to typecheck several units sharing headers: thread the same env
-    through [load_globals] first for every unit, then [annotate_unit]). *)
-let annotate ?(env = create_env ()) (tu : Ast.tunit) : env =
-  Mcobs.with_span "cfront.typecheck"
-    ~args:[ ("file", tu.Ast.tu_file) ]
-    (fun () ->
-      load_globals env tu;
-      List.iter
-        (function Ast.Gfunc f -> check_func env f | _ -> ())
-        tu.Ast.tu_globals;
-      env)
-
-(** Annotate several translation units as one program: all globals are
-    loaded first so cross-unit references resolve. *)
-let annotate_program (tus : Ast.tunit list) : env =
+(** Annotate several translation units as one program, in place: all
+    globals are loaded first so cross-unit references resolve. *)
+let annotate_program (tus : Ast.tunit list) : unit =
   Mcobs.with_span "cfront.typecheck"
     ~args:[ ("units", string_of_int (List.length tus)) ]
     (fun () ->
@@ -267,10 +254,4 @@ let annotate_program (tus : Ast.tunit list) : env =
           List.iter
             (function Ast.Gfunc f -> check_func env f | _ -> ())
             tu.Ast.tu_globals)
-        tus;
-      env)
-
-(** The inferred type of an annotated expression; [Int] if the expression
-    was never annotated. *)
-let type_of (e : Ast.expr) : Ctype.t =
-  match e.Ast.ety with Some t -> t | None -> Ctype.Int
+        tus)

@@ -7,24 +7,6 @@
     checkers rely on is that float-typed expressions and unsigned/scalar
     classifications are computed reliably. *)
 
-type env
-
-val create_env : unit -> env
-
-val resolve : env -> Ctype.t -> Ctype.t
-(** resolve typedef names; unknown names default to [Int] *)
-
-val load_globals : env -> Ast.tunit -> unit
-(** register a unit's typedefs, struct layouts, enum constants, globals
-    and function signatures *)
-
-val annotate : ?env:env -> Ast.tunit -> env
-(** annotate a whole translation unit in place *)
-
-val annotate_program : Ast.tunit list -> env
-(** annotate several units as one program: all globals are loaded first so
-    cross-unit references resolve *)
-
-val type_of : Ast.expr -> Ctype.t
-(** the inferred type of an annotated expression; [Int] if never
-    annotated *)
+val annotate_program : Ast.tunit list -> unit
+(** annotate several units as one program, in place: all globals are
+    loaded first so cross-unit references resolve *)

@@ -49,16 +49,14 @@ exception Parse_error of string
     larger source (the metal front ends) can rebase it onto the file. *)
 let expr_located ?(decls : decl list = []) (src : string) :
     (t, string * int * int) result =
-  let fail msg (loc : Loc.t) =
+  match Parser.parse_expr_string ~file:"<pattern>" src with
+  | Ok e -> Ok (Expr (e, decls))
+  | Error d ->
+    let loc = d.Diag.loc in
     Error
-      ( Printf.sprintf "bad pattern %S: %s" src msg,
+      ( Printf.sprintf "bad pattern %S: %s" src d.Diag.message,
         max 1 loc.Loc.line,
         max 1 loc.Loc.col )
-  in
-  match Parser.parse_expr_string ~file:"<pattern>" src with
-  | e -> Ok (Expr (e, decls))
-  | exception Parser.Error (msg, loc) -> fail msg loc
-  | exception Lexer.Error (msg, loc) -> fail msg loc
 
 (** [expr ~decls src] parses [src] as a Clite expression and treats each
     identifier named in [decls] as a wildcard.

@@ -250,7 +250,15 @@ type target = {
 
 let build_target () : target =
   let files = with_prelude synth_sources in
-  let tus = Frontend.of_strings files in
+  let tus =
+    match Frontend.parse_strings files with
+    | tus, [] -> tus
+    | _, diags ->
+      failwith
+        (String.concat "\n"
+           ("Faultinject: the target source does not parse:"
+           :: List.map Diag.to_string diags))
+  in
   let spec = spec_of_tus tus in
   let base = Registry.run_all_product ~spec tus in
   (* populate a cache and capture its on-disk container *)

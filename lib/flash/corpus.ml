@@ -453,7 +453,15 @@ let generate_protocol ~seed (name : string) (cfg : Profile.config) : protocol
               Prelude.text ^ "\n" ^ body ^ "\n" ))
       [ "pi"; "ni"; "io"; "sw"; "util" ]
   in
-  let tus = Frontend.of_strings files in
+  let tus =
+    match Frontend.parse_strings files with
+    | tus, [] -> tus
+    | _, diags ->
+      failwith
+        (String.concat "\n"
+           ("Corpus: generated source does not parse:"
+           :: List.map Diag.to_string diags))
+  in
   let loc =
     List.fold_left
       (fun acc (_, src) -> acc + Frontend.loc_count src - Prelude.loc)

@@ -340,7 +340,13 @@ let source (v : variant) : string =
 
 (** Parse a variant into a checked program. *)
 let program (v : variant) : Ast.tunit list =
-  Frontend.of_strings [ ("golden.c", source v) ]
+  match Frontend.parse_strings [ ("golden.c", source v) ] with
+  | tus, [] -> tus
+  | _, diags ->
+    failwith
+      (String.concat "\n"
+         ("Golden: the protocol source does not parse:"
+         :: List.map Diag.to_string diags))
 
 (** Protocol spec for the golden handlers (used when static-checking the
     same source the simulator runs). *)

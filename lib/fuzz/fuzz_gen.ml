@@ -437,6 +437,19 @@ let handler_spec name =
     h_no_stack = false;
   }
 
+(** Print a (possibly mutated) raw unit after the prelude and parse it
+    back, as [generate] does.  The printer's output always parses, so a
+    diagnostic is a printer or parser bug: fail with all of them. *)
+let materialize ?(file = "fz.c") (raw : Ast.tunit) : string * Ast.tunit list =
+  let src = Prelude.text ^ Pp.tunit_to_string raw in
+  match Frontend.parse_strings [ (file, src) ] with
+  | tus, [] -> (src, tus)
+  | _, diags ->
+    failwith
+      (String.concat "\n"
+         ("Fuzz_gen: a printed unit does not parse:"
+         :: List.map Diag.to_string diags))
+
 let generate ?(file = "fz.c") ~seed () : program =
   let rng = Rng.create ~seed in
   let n_calc = Rng.range rng 1 2 in
@@ -472,12 +485,5 @@ let generate ?(file = "fz.c") ~seed () : program =
       p_cond_free_funcs = [];
     }
   in
-  let src = Prelude.text ^ Pp.tunit_to_string raw in
-  let tus = Frontend.of_strings [ (file, src) ] in
+  let src, tus = materialize ~file raw in
   { seed; spec; raw; src; tus }
-
-(** Re-materialise a (possibly mutated) raw unit the same way
-    [generate] does. *)
-let materialize ?(file = "fz.c") (raw : Ast.tunit) : string * Ast.tunit list =
-  let src = Prelude.text ^ Pp.tunit_to_string raw in
-  (src, Frontend.of_strings [ (file, src) ])

@@ -89,14 +89,16 @@ let check ?shared_cache ~seed ~(spec : Flash_api.spec) ~(tus : Ast.tunit list)
   compare_mcd "mcd-jobs1" (fst (Mcd.check_corpus ~jobs:1 ~spec tus));
   (* O5: print -> re-lex -> re-parse -> re-check *)
   let printed = List.map Pp.tunit_to_string tus in
-  (match
-     List.map2
-       (fun tu src -> Frontend.of_string ~file:tu.Ast.tu_file src)
-       tus printed
-   with
-  | exception exn ->
-    fail "roundtrip-parse" (Printexc.to_string exn)
-  | tus2 ->
+  let reparsed =
+    List.map2
+      (fun tu src -> Frontend.parse ~file:tu.Ast.tu_file src)
+      tus printed
+  in
+  (match List.concat_map snd reparsed with
+  | _ :: _ as diags ->
+    fail "roundtrip-parse" (String.concat "\n" (List.map Diag.to_string diags))
+  | [] ->
+    let tus2 = List.map fst reparsed in
     let printed2 = List.map Pp.tunit_to_string tus2 in
     if not (List.for_all2 String.equal printed printed2) then
       fail "roundtrip-fixpoint"

@@ -22,7 +22,7 @@ type t = {
   mutable bol : int;  (** offset of the beginning of the current line *)
 }
 
-let create ?(file = "<string>") src = { src; file; pos = 0; line = 1; bol = 0 }
+let create ~file src = { src; file; pos = 0; line = 1; bol = 0 }
 
 let loc lx =
   Loc.make ~file:lx.file ~line:lx.line ~col:(lx.pos - lx.bol + 1)
@@ -322,16 +322,6 @@ let next lx : Token.t * Loc.t =
         | _ -> error lx (Printf.sprintf "unexpected character %C" c))
     in
     (tok, l)
-
-(** Tokenise a whole string. *)
-let tokens ?file src =
-  let lx = create ?file src in
-  let rec go acc =
-    let tok, l = next lx in
-    if tok = Token.EOF then List.rev ((tok, l) :: acc)
-    else go ((tok, l) :: acc)
-  in
-  go []
 
 (* More than this many lexical diagnostics means the input is not C at
    all (a binary splice, say); keep consuming so the token stream still

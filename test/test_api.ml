@@ -31,7 +31,9 @@ let session_cases =
   [
     t "check_buffer matches the raw fused pipeline" `Quick (fun () ->
         let tus =
-          Frontend.of_strings [ ("b.c", Prelude.text ^ buggy_src) ]
+          Parsed.ok
+            (Frontend.parse_strings
+               [ ("b.c", Prelude.text ^ buggy_src) ])
         in
         let expected =
           Registry.run_all ~spec:(Mcheck_api.default_spec tus) tus
@@ -200,13 +202,14 @@ let session_cases =
     t "default_spec takes void/no-arg functions as handlers" `Quick
       (fun () ->
         let tus =
-          Frontend.of_strings
-            [
-              ( "s.c",
-                Prelude.text
-                ^ "void H(void) { } int helper(void) { return 1; } void \
-                   takes_arg(int x) { x = x; }" );
-            ]
+          Parsed.ok
+            (Frontend.parse_strings
+               [
+                 ( "s.c",
+                   Prelude.text
+                   ^ "void H(void) { } int helper(void) { return 1; } void \
+                      takes_arg(int x) { x = x; }" );
+               ])
         in
         let spec = Mcheck_api.default_spec tus in
         Alcotest.(check (list string))
@@ -330,8 +333,9 @@ let metal_cases =
                msg)
         in
         let tus =
-          Frontend.of_strings
-            [ ("f.c", Prelude.text ^ "void H(void) { long x; FOO(x); }") ]
+          Parsed.ok
+            (Frontend.parse_strings
+               [ ("f.c", Prelude.text ^ "void H(void) { long x; FOO(x); }") ])
         in
         let spec = Mcheck_api.default_spec tus in
         let cache_file = fresh_cache_file () in

@@ -3,7 +3,7 @@
 let t = Alcotest.test_case
 
 let cfg_of src =
-  let tu = Frontend.of_string ~file:"t.c" src in
+  let tu = Parsed.ok (Frontend.parse ~file:"t.c" src) in
   match Ast.functions tu with
   | [ f ] -> Cfg.build f
   | _ -> Alcotest.fail "expected exactly one function"

@@ -31,7 +31,8 @@ let spec_for ?(free_funcs = []) ?(use_funcs = []) ?(cond_free = [])
     p_cond_free_funcs = cond_free;
   }
 
-let parse src = Frontend.of_strings [ ("t.c", Prelude.text ^ src) ]
+let parse src =
+  Parsed.ok (Frontend.parse_strings [ ("t.c", Prelude.text ^ src) ])
 
 let count_diags run ?spec src =
   let spec =

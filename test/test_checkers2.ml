@@ -30,7 +30,8 @@ let spec_for ?(no_stack = []) ?(sw = []) handlers : Flash_api.spec =
     p_cond_free_funcs = [];
   }
 
-let parse src = Frontend.of_strings [ ("t.c", Prelude.text ^ src) ]
+let parse src =
+  Parsed.ok (Frontend.parse_strings [ ("t.c", Prelude.text ^ src) ])
 
 (* ------------------------------------------------------------------ *)
 (* execution restrictions                                              *)

@@ -43,9 +43,11 @@ let ctype_cases =
   ]
 
 (* typecheck annotation tests *)
-let type_of_expr_in src expr_text =
+let inferred_type_in src expr_text =
   let tu =
-    Frontend.of_string ~file:"t.c" (src ^ "\nvoid probe(void) { sink = " ^ expr_text ^ "; }")
+    Parsed.ok
+      (Frontend.parse
+         ~file:"t.c" (src ^ "\nvoid probe(void) { sink = " ^ expr_text ^ "; }"))
   in
   let result = ref None in
   List.iter
@@ -69,39 +71,40 @@ let typecheck_cases =
   [
     t "int literal" `Quick (fun () ->
         Alcotest.(check string) "42" "int"
-          (type_of_expr_in "long sink;" "42"));
+          (inferred_type_in "long sink;" "42"));
     t "float literal" `Quick (fun () ->
         Alcotest.(check string) "1.5" "double"
-          (type_of_expr_in "double sink;" "1.5"));
+          (inferred_type_in "double sink;" "1.5"));
     t "global variable type" `Quick (fun () ->
         Alcotest.(check string) "g" "unsigned long"
-          (type_of_expr_in "unsigned long g; long sink;" "g"));
+          (inferred_type_in "unsigned long g; long sink;" "g"));
     t "struct field through global" `Quick (fun () ->
         Alcotest.(check string) "h.len" "int"
-          (type_of_expr_in
+          (inferred_type_in
              "struct hdr { int len; }; struct hdr h; long sink;" "h.len"));
     t "typedef resolves" `Quick (fun () ->
         Alcotest.(check string) "u32 var" "unsigned long"
-          (type_of_expr_in "typedef unsigned long u32; u32 v; long sink;" "v"));
+          (inferred_type_in "typedef unsigned long u32; u32 v; long sink;" "v"));
     t "mixed arithmetic promotes to float" `Quick (fun () ->
         Alcotest.(check string) "i + f" "double"
-          (type_of_expr_in "int i; double f; double sink;" "i + f"));
+          (inferred_type_in "int i; double f; double sink;" "i + f"));
     t "comparison yields int" `Quick (fun () ->
         Alcotest.(check string) "f < g" "int"
-          (type_of_expr_in "double f; double g; int sink;" "f < g"));
+          (inferred_type_in "double f; double g; int sink;" "f < g"));
     t "function return type" `Quick (fun () ->
         Alcotest.(check string) "call" "long"
-          (type_of_expr_in "long get(void); long sink;" "get()"));
+          (inferred_type_in "long get(void); long sink;" "get()"));
     t "pointer deref" `Quick (fun () ->
         Alcotest.(check string) "*p" "long"
-          (type_of_expr_in "long *p; long sink;" "*p"));
+          (inferred_type_in "long *p; long sink;" "*p"));
     t "array index" `Quick (fun () ->
         Alcotest.(check string) "a[0]" "int"
-          (type_of_expr_in "int a[4]; int sink;" "a[0]"));
+          (inferred_type_in "int a[4]; int sink;" "a[0]"));
     t "locals shadow globals" `Quick (fun () ->
         let tu =
-          Frontend.of_string ~file:"t.c"
-            "double x;\nvoid f(void) { int x; x = 1; }"
+          Parsed.ok
+            (Frontend.parse ~file:"t.c"
+               "double x;\nvoid f(void) { int x; x = 1; }")
         in
         let found = ref "<none>" in
         List.iter

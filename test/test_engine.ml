@@ -4,7 +4,7 @@
 let t = Alcotest.test_case
 
 let func_of src =
-  let tu = Frontend.of_string ~file:"t.c" src in
+  let tu = Parsed.ok (Frontend.parse ~file:"t.c" src) in
   match Ast.functions tu with
   | [ f ] -> f
   | _ -> Alcotest.fail "expected one function"

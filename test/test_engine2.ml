@@ -184,8 +184,9 @@ let extra_cases =
             ()
         in
         let tu =
-          Frontend.of_string ~file:"t.c"
-            "void f(void) { if (evt()) { x = 1; } }"
+          Parsed.ok
+            (Frontend.parse ~file:"t.c"
+               "void f(void) { if (evt()) { x = 1; } }")
         in
         Alcotest.(check int) "condition invisible" 0
           (List.length (Engine.check sm (`Unit tu))));
@@ -198,8 +199,9 @@ let extra_cases =
             ()
         in
         let tu =
-          Frontend.of_string ~file:"t.c"
-            "void f(void) { switch (evt()) { case 1: x = 1; break; } }"
+          Parsed.ok
+            (Frontend.parse ~file:"t.c"
+               "void f(void) { switch (evt()) { case 1: x = 1; break; } }")
         in
         Alcotest.(check int) "seen once" 1
           (List.length (Engine.check sm (`Unit tu))));
@@ -221,8 +223,9 @@ let extra_cases =
             ()
         in
         let tu =
-          Frontend.of_string ~file:"t.c"
-            "void f(void) { x = g(1) + h(g(2), g(3)); }"
+          Parsed.ok
+            (Frontend.parse ~file:"t.c"
+               "void f(void) { x = g(1) + h(g(2), g(3)); }")
         in
         ignore (Engine.check sm (`Unit tu));
         Alcotest.(check (list string)) "order"

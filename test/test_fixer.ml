@@ -22,12 +22,14 @@ let spec_for ?(procs = true) handlers : Flash_api.spec =
     p_cond_free_funcs = [];
   }
 
-let parse src = Frontend.of_strings [ ("t.c", Prelude.text ^ src) ]
+let parse src =
+  Parsed.ok (Frontend.parse_strings [ ("t.c", Prelude.text ^ src) ])
 
 (* re-parse through the printer so the fix is a genuine source rewrite *)
 let reparse (tus : Ast.tunit list) : Ast.tunit list =
-  Frontend.of_strings
-    (List.map (fun tu -> (tu.Ast.tu_file, Pp.tunit_to_string tu)) tus)
+  Parsed.ok
+    (Frontend.parse_strings
+       (List.map (fun tu -> (tu.Ast.tu_file, Pp.tunit_to_string tu)) tus))
 
 let cases =
   [

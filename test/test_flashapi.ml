@@ -92,7 +92,11 @@ let corpus_io_cases =
           Filename.concat dir (fst (List.hd
             (List.hd corpus.Corpus.protocols).Corpus.files))
         in
-        let tu = Frontend.of_file sample in
+        let tu =
+          Parsed.ok
+            (Frontend.parse ~file:sample
+               (In_channel.with_open_bin sample In_channel.input_all))
+        in
         Alcotest.(check bool) "parses from disk" true
           (Ast.functions tu <> []));
     t "prelude LOC constant matches the text" `Quick (fun () ->

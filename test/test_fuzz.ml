@@ -91,7 +91,7 @@ let materialize (f : Ast.func) : Ast.tunit list =
   let printed =
     Pp.tunit_to_string { Ast.tu_file = "fz.c"; tu_globals = [ Ast.Gfunc f ] }
   in
-  Frontend.of_strings [ ("fz.c", Prelude.text ^ printed) ]
+  Parsed.ok (Frontend.parse_strings [ ("fz.c", Prelude.text ^ printed) ])
 
 let prop_pipeline_never_crashes =
   QCheck.Test.make
@@ -127,7 +127,8 @@ let prop_pipeline_never_crashes =
       | None -> ());
       true)
 
-(* mutate corpus text: the parser must parse or raise its own errors *)
+(* mutate corpus text: the front end must not raise, and every
+   diagnostic it returns is a [lex] or [parse] one inside the file *)
 let prop_parser_total_on_mutations =
   let corpus_file =
     lazy
@@ -135,7 +136,9 @@ let prop_parser_total_on_mutations =
        snd (List.hd (List.hd corpus.Corpus.protocols).Corpus.files))
   in
   QCheck.Test.make
-    ~name:"parser is total (parses or raises Parser/Lexer.Error) on mutations"
+    ~name:
+      "front end is total on mutations (never raises, diagnostics are \
+       lex/parse ones located in the file)"
     ~count:100
     QCheck.(pair (int_bound 1_000_000) (int_bound 255))
     (fun (pos_seed, byte) ->
@@ -144,10 +147,20 @@ let prop_parser_total_on_mutations =
       let pos = pos_seed mod Bytes.length b in
       Bytes.set b pos (Char.chr byte);
       let mutated = Bytes.to_string b in
-      match Parser.parse_string ~file:"mut.c" mutated with
-      | _ -> true
-      | exception Parser.Error _ -> true
-      | exception Lexer.Error _ -> true)
+      let lines = List.length (String.split_on_char '\n' mutated) in
+      let _, diags = Frontend.parse_strings [ ("mut.c", mutated) ] in
+      match
+        List.find_opt
+          (fun (d : Diag.t) ->
+            not
+              ((d.Diag.checker = "lex" || d.Diag.checker = "parse")
+              && d.Diag.loc.Loc.file = "mut.c"
+              && d.Diag.loc.Loc.line >= 1
+              && d.Diag.loc.Loc.line <= lines))
+          diags
+      with
+      | None -> true
+      | Some d -> QCheck.Test.fail_report (Diag.to_string d))
 
 (* the metal DSL parser likewise *)
 let prop_mdsl_total_on_mutations =
@@ -170,14 +183,18 @@ let prop_mdsl_total_on_mutations =
 let cases =
   [
     t "empty translation unit is fine everywhere" `Quick (fun () ->
-        let tus = Frontend.of_strings [ ("e.c", Prelude.text) ] in
+        let tus =
+          Parsed.ok (Frontend.parse_strings [ ("e.c", Prelude.text) ])
+        in
         List.iter
           (fun (c : Registry.checker) -> ignore (c.Registry.run ~spec tus))
           Registry.all;
         ignore (Optimizer.optimize tus));
     t "empty function body" `Quick (fun () ->
         let tus =
-          Frontend.of_strings [ ("e.c", Prelude.text ^ "void Fuzzed(void) { }") ]
+          Parsed.ok
+            (Frontend.parse_strings
+               [ ("e.c", Prelude.text ^ "void Fuzzed(void) { }") ])
         in
         List.iter
           (fun (c : Registry.checker) -> ignore (c.Registry.run ~spec tus))

@@ -4,7 +4,9 @@ let t = Alcotest.test_case
 
 (* run [main] in a program and return its result *)
 let eval_program ?(name = "main") src : int =
-  let tus = Frontend.of_strings [ ("t.c", Prelude.text ^ src) ] in
+  let tus =
+    Parsed.ok (Frontend.parse_strings [ ("t.c", Prelude.text ^ src) ])
+  in
   let program = Callgraph.build tus in
   let consts = Interp.consts_of_program tus in
   let node = Interp.create_node 0 in
@@ -94,8 +96,9 @@ let semantics_cases =
       1;
     t "infinite loop runs out of fuel, not forever" `Quick (fun () ->
         let tus =
-          Frontend.of_strings
-            [ ("t.c", Prelude.text ^ "void spin(void) { while (1) { x = x + 1; } }") ]
+          Parsed.ok
+            (Frontend.parse_strings
+               [ ("t.c", Prelude.text ^ "void spin(void) { while (1) { x = x + 1; } }") ])
         in
         let program = Callgraph.build tus in
         let consts = Interp.consts_of_program tus in
@@ -112,7 +115,9 @@ let semantics_cases =
 
 (* builtin semantics against a fresh node *)
 let run_handler_src src ~name =
-  let tus = Frontend.of_strings [ ("t.c", Prelude.text ^ src) ] in
+  let tus =
+    Parsed.ok (Frontend.parse_strings [ ("t.c", Prelude.text ^ src) ])
+  in
   let program = Callgraph.build tus in
   let consts = Interp.consts_of_program tus in
   let node = Interp.create_node 0 in
@@ -179,14 +184,15 @@ let builtin_cases =
     t "allocation failure path" `Quick (fun () ->
         (* exhaust the pool first, then ALLOCATE_DB must fail the check *)
         let tus =
-          Frontend.of_strings
-            [
-              ( "t.c",
-                Prelude.text
-                ^ "void H(void) { long b; b = ALLOCATE_DB(); if \
-                   (ALLOC_FAILED(b)) { HANDLER_GLOBALS(header.nh.misc) = \
-                   77; return; } FREE_DB(); }" );
-            ]
+          Parsed.ok
+            (Frontend.parse_strings
+               [
+                 ( "t.c",
+                   Prelude.text
+                   ^ "void H(void) { long b; b = ALLOCATE_DB(); if \
+                      (ALLOC_FAILED(b)) { HANDLER_GLOBALS(header.nh.misc) = \
+                      77; return; } FREE_DB(); }" );
+               ])
         in
         let program = Callgraph.build tus in
         let consts = Interp.consts_of_program tus in

@@ -41,7 +41,7 @@ end
 module A = Interproc.Make (Client)
 
 let summarize src root =
-  let tus = [ Frontend.of_string ~file:"t.c" src ] in
+  let tus = [ Parsed.ok (Frontend.parse ~file:"t.c" src) ] in
   let cg = Callgraph.build tus in
   let ctx = A.create cg in
   (ctx, A.summarize ctx root)

@@ -288,7 +288,7 @@ let incremental_tests =
 
 (* source files as the CLI reads them: prelude prepended, one job under
    the default spec *)
-let job_of_files files =
+let job_from_files files =
   let tus, _ =
     Frontend.parse_strings
       (List.map (fun (name, src) -> (name, Prelude.text ^ src)) files)
@@ -296,7 +296,7 @@ let job_of_files files =
   { Mcd.spec = Mcheck_api.default_spec tus; tus }
 
 let check_files ?cache files =
-  List.hd (fst (Mcd.check_jobs ?cache ~jobs:1 [ job_of_files files ]))
+  List.hd (fst (Mcd.check_jobs ?cache ~jobs:1 [ job_from_files files ]))
 
 (* fill a cache from [before], then check [after] against it and cold;
    returns the renderings of [before], warm [after] and cold [after] *)
@@ -361,7 +361,7 @@ let key_tests =
         Alcotest.(check (list string)) "warm = cold" (render cold) warm);
     t "a body-rewriting copy never hits its original's entry" `Quick
       (fun () ->
-        let job = job_of_files [ ("b.c", use_g) ] in
+        let job = job_from_files [ ("b.c", use_g) ] in
         let cache = Mcd_cache.create () in
         let _, cold = Mcd.check_jobs ~cache ~jobs:1 [ job ] in
         let stored = Mcd_cache.size cache in

@@ -63,7 +63,9 @@ sm msglen_check {
 
 let run_on metal_src c_src =
   let sm = Mdsl.load metal_src in
-  let tus = Frontend.of_strings [ ("t.c", Prelude.text ^ c_src) ] in
+  let tus =
+    Parsed.ok (Frontend.parse_strings [ ("t.c", Prelude.text ^ c_src) ])
+  in
   Engine.check sm (`Program tus)
 
 let parse_cases =
@@ -178,12 +180,13 @@ let shipped_cases =
       (fun () ->
         let sm = load "refcount.metal" in
         let tus =
-          Frontend.of_strings
-            [
-              ( "t.c",
-                Prelude.text
-                ^ "void H(void) { DB_INC_REFCOUNT(); FREE_DB(); }" );
-            ]
+          Parsed.ok
+            (Frontend.parse_strings
+               [
+                 ( "t.c",
+                   Prelude.text
+                   ^ "void H(void) { DB_INC_REFCOUNT(); FREE_DB(); }" );
+               ])
         in
         let diags =
           Engine.check sm (`Program tus)

@@ -37,7 +37,9 @@ let compile_exn src =
 (* interpreted (the reference) and compiled (the production path: the
    spec's checker through the Mcd kernel) diagnostics, rendered *)
 let run_both metal_src c_src =
-  let tus = Frontend.of_strings [ ("t.c", Prelude.text ^ c_src) ] in
+  let tus =
+    Parsed.ok (Frontend.parse_strings [ ("t.c", Prelude.text ^ c_src) ])
+  in
   let compiled =
     match
       Mcd.check_jobs ~checkers:[ compile_exn metal_src ] ~jobs:1

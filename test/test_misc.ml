@@ -51,25 +51,27 @@ let callgraph_cases =
   [
     t "call sites in order" `Quick (fun () ->
         let tu =
-          Frontend.of_string ~file:"t.c"
-            "void a(void); void b(void);\n\
-             void f(void) { a(); if (x) { b(); } a(); }"
+          Parsed.ok
+            (Frontend.parse ~file:"t.c"
+               "void a(void); void b(void);\n\
+                void f(void) { a(); if (x) { b(); } a(); }")
         in
         let cg = Callgraph.build [ tu ] in
         Alcotest.(check (list string)) "sites" [ "a"; "b"; "a" ]
           (List.map (fun s -> s.Callgraph.cs_callee) (Callgraph.callees cg "f")));
     t "callers are reverse edges" `Quick (fun () ->
         let tu =
-          Frontend.of_string ~file:"t.c"
-            "void shared(void) { }\n\
-             void f(void) { shared(); }\n\
-             void g(void) { shared(); }"
+          Parsed.ok
+            (Frontend.parse ~file:"t.c"
+               "void shared(void) { }\n\
+                void f(void) { shared(); }\n\
+                void g(void) { shared(); }")
         in
         let cg = Callgraph.build [ tu ] in
         Alcotest.(check (list string)) "callers" [ "f"; "g" ]
           (List.sort compare (Callgraph.callers cg "shared")));
     t "callers: one entry per caller, newest first" `Quick (fun () ->
-        let tu file src = Frontend.of_string ~file src in
+        let tu file src = Parsed.ok (Frontend.parse ~file src) in
         let cg =
           Callgraph.build
             [
@@ -84,18 +86,20 @@ let callgraph_cases =
           (Callgraph.callers cg "shared"));
     t "reachability is transitive" `Quick (fun () ->
         let tu =
-          Frontend.of_string ~file:"t.c"
-            "void c(void) { }\nvoid b(void) { c(); }\nvoid a(void) { b(); }\n\
-             void unrelated(void) { }"
+          Parsed.ok
+            (Frontend.parse ~file:"t.c"
+               "void c(void) { }\nvoid b(void) { c(); }\nvoid a(void) { b(); }\n\
+                void unrelated(void) { }")
         in
         let cg = Callgraph.build [ tu ] in
         Alcotest.(check (list string)) "reach" [ "a"; "b"; "c" ]
           (Callgraph.reachable_from cg [ "a" ]));
     t "recursive functions detected" `Quick (fun () ->
         let tu =
-          Frontend.of_string ~file:"t.c"
-            "void even(void); void odd(void) { even(); }\n\
-             void even(void) { odd(); }\nvoid leaf(void) { }"
+          Parsed.ok
+            (Frontend.parse ~file:"t.c"
+               "void even(void); void odd(void) { even(); }\n\
+                void even(void) { odd(); }\nvoid leaf(void) { }")
         in
         let cg = Callgraph.build [ tu ] in
         let rec_fns = Callgraph.recursive_functions cg in
@@ -146,7 +150,7 @@ let metrics_cases =
           (Frontend.loc_count "a\n\n  b\n\nc\n"));
     t "measure aggregates functions" `Quick (fun () ->
         let src = "void f(void) { a = 1; }\nvoid g(void) { if (x) { b = 2; } }" in
-        let tu = Frontend.of_string ~file:"m.c" src in
+        let tu = Parsed.ok (Frontend.parse ~file:"m.c" src) in
         let m = Metrics.measure ~name:"m" ~sources:[ src ] ~tus:[ tu ] in
         Alcotest.(check int) "paths" 3 m.Metrics.n_paths;
         Alcotest.(check bool) "loc positive" true (m.Metrics.loc > 0));

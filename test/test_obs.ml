@@ -629,7 +629,8 @@ let spec_for handlers : Flash_api.spec =
     p_cond_free_funcs = [];
   }
 
-let parse src = Frontend.of_strings [ ("t.c", Prelude.text ^ src) ]
+let parse src =
+  Parsed.ok (Frontend.parse_strings [ ("t.c", Prelude.text ^ src) ])
 
 let check_step msg (step : Diag.step) ~event_prefix ~from_state ~to_state =
   let prefix p s =

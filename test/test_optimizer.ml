@@ -21,7 +21,8 @@ let spec =
     p_cond_free_funcs = [];
   }
 
-let parse src = Frontend.of_strings [ ("t.c", Prelude.text ^ src) ]
+let parse src =
+  Parsed.ok (Frontend.parse_strings [ ("t.c", Prelude.text ^ src) ])
 
 let waits tus = Cutil.count_calls tus [ Flash_api.wait_for_db_full ]
 

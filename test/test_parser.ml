@@ -2,14 +2,15 @@
 
 let t = Alcotest.test_case
 
-let parse_expr s = Parser.parse_expr_string s
+let parse_expr s = Parsed.expr s
 let show_expr e = Pp.expr_to_string e
 
 let check_expr name src expected =
   t name `Quick (fun () ->
       Alcotest.(check string) name expected (show_expr (parse_expr src)))
 
-let parse_unit src = Parser.parse_string ~file:"test.c" src
+let parse_unit src =
+  Parsed.ok (Parser.parse_string_recovering ~file:"test.c" src)
 
 let first_func src =
   match Ast.functions (parse_unit src) with
@@ -112,7 +113,7 @@ let stmt_cases =
     t "adjacent strings concatenate; a string then a name is an error"
       `Quick (fun () ->
         (match
-           (Parser.parse_expr_string "f(\"ab\" \"c\")").Ast.edesc
+           (Parsed.expr "f(\"ab\" \"c\")").Ast.edesc
          with
         | Ast.Call (_, [ { Ast.edesc = Ast.Str_lit s; _ } ]) ->
           Alcotest.(check string) "concatenated" "abc" s
@@ -203,10 +204,16 @@ let global_cases =
         Alcotest.(check (option string)) "a rewritten body has none" None
           (Ast.with_body (first_func h_text) []).Ast.f_src_digest);
     t "parse error has a location" `Quick (fun () ->
-        match parse_unit "void f(void) { if }" with
-        | exception Parser.Error (_, loc) ->
-          Alcotest.(check bool) "line known" true (loc.Loc.line >= 1)
-        | _ -> Alcotest.fail "expected a parse error");
+        match
+          Parser.parse_string_recovering ~file:"test.c" "void f(void) { if }"
+        with
+        | _, [ d ] ->
+          Alcotest.(check string) "checker" "parse" d.Diag.checker;
+          Alcotest.(check string) "file" "test.c" d.Diag.loc.Loc.file;
+          Alcotest.(check bool) "line known" true (d.Diag.loc.Loc.line >= 1)
+        | _, ds ->
+          Alcotest.failf "expected one parse diagnostic, got %d"
+            (List.length ds));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -242,7 +249,7 @@ let prop_roundtrip =
         Pp.tunit_to_string { Ast.tu_file = "t.c"; tu_globals = [ Ast.Gfunc f ] }
       in
       let src = Prelude.text ^ printed in
-      let tu = Parser.parse_string ~file:"t.c" src in
+      let tu = Parsed.ok (Parser.parse_string_recovering ~file:"t.c" src) in
       match Ast.find_function tu "Handler" with
       | None -> false
       | Some f2 ->
@@ -261,11 +268,13 @@ let prop_corpus_reparses =
         (fun (p : Corpus.protocol) ->
           List.for_all
             (fun (file, src) ->
-              let tu = Parser.parse_string ~file src in
+              let tu = Parsed.ok (Parser.parse_string_recovering ~file src) in
               (* printing then reparsing must preserve function count *)
               let n1 = List.length (Ast.functions tu) in
               let printed = Pp.tunit_to_string tu in
-              let tu2 = Parser.parse_string ~file printed in
+              let tu2 =
+                Parsed.ok (Parser.parse_string_recovering ~file printed)
+              in
               n1 = List.length (Ast.functions tu2))
             p.Corpus.files)
         corpus.Corpus.protocols)

@@ -3,13 +3,14 @@
 
 let t = Alcotest.test_case
 
-let e s = Parser.parse_expr_string s
+let e s = Parsed.expr s
 
 let annotated src expr_text =
   (* parse a tiny program so the expression gets real types *)
   let tu =
-    Frontend.of_string ~file:"t.c"
-      (src ^ "\nvoid probe(void) { " ^ expr_text ^ "; }")
+    Parsed.ok
+      (Frontend.parse ~file:"t.c"
+         (src ^ "\nvoid probe(void) { " ^ expr_text ^ "; }"))
   in
   let result = ref None in
   List.iter

@@ -5,9 +5,9 @@ let t = Alcotest.test_case
 (* print a parsed unit and re-parse: structure must survive, and the
    second print must be identical (fixpoint) *)
 let stable src =
-  let tu = Parser.parse_string ~file:"t.c" src in
+  let tu = Parsed.ok (Parser.parse_string_recovering ~file:"t.c" src) in
   let p1 = Pp.tunit_to_string tu in
-  let tu2 = Parser.parse_string ~file:"t.c" p1 in
+  let tu2 = Parsed.ok (Parser.parse_string_recovering ~file:"t.c" p1) in
   let p2 = Pp.tunit_to_string tu2 in
   String.equal p1 p2
 
@@ -23,9 +23,9 @@ let check_stable name src =
    digits, silently corrupting string contents. *)
 let roundtrip_equal name src =
   t name `Quick (fun () ->
-      let tu = Parser.parse_string ~file:"t.c" src in
+      let tu = Parsed.ok (Parser.parse_string_recovering ~file:"t.c" src) in
       let p1 = Pp.tunit_to_string tu in
-      let tu2 = Parser.parse_string ~file:"t.c" p1 in
+      let tu2 = Parsed.ok (Parser.parse_string_recovering ~file:"t.c" p1) in
       Alcotest.(check bool) "ast equal" true (Ast.equal_tunit tu tu2);
       Alcotest.(check string) "fixpoint" p1 (Pp.tunit_to_string tu2))
 
@@ -61,9 +61,15 @@ let printer_cases =
     check_stable "casts and sizeof"
       "void f(void) { x = (unsigned long)p + sizeof(int) + sizeof(x + 1); }";
     t "pointer return type survives" `Quick (fun () ->
-        let tu = Parser.parse_string ~file:"t.c" "long *get(void) { return 0; }" in
+        let tu =
+          Parsed.ok
+            (Parser.parse_string_recovering
+               ~file:"t.c" "long *get(void) { return 0; }")
+        in
         let printed = Pp.tunit_to_string tu in
-        let tu2 = Parser.parse_string ~file:"t.c" printed in
+        let tu2 =
+          Parsed.ok (Parser.parse_string_recovering ~file:"t.c" printed)
+        in
         match Ast.functions tu2 with
         | [ f ] ->
           Alcotest.(check bool) "ptr ret" true
@@ -71,7 +77,9 @@ let printer_cases =
         | _ -> Alcotest.fail "one function expected");
     t "describe_kind labels nodes" `Quick (fun () ->
         let tu =
-          Frontend.of_string ~file:"t.c" "void f(void) { if (x) { y(); } }"
+          Parsed.ok
+            (Frontend.parse
+               ~file:"t.c" "void f(void) { if (x) { y(); } }")
         in
         let cfg = Cfg.build (List.hd (Ast.functions tu)) in
         let kinds =
@@ -90,18 +98,19 @@ let cutil_cases =
   [
     t "count_calls counts once per site" `Quick (fun () ->
         let tu =
-          Frontend.of_string ~file:"t.c"
-            "void f(void) { if (a) { g(); } while (b) { g(); g(); } }"
+          Parsed.ok
+            (Frontend.parse ~file:"t.c"
+               "void f(void) { if (a) { g(); } while (b) { g(); g(); } }")
         in
         Alcotest.(check int) "three sites" 3 (Cutil.count_calls [ tu ] [ "g" ]));
     t "count_calls sees nested call arguments" `Quick (fun () ->
         let tu =
-          Frontend.of_string ~file:"t.c" "void f(void) { g(g(g(1))); }"
+          Parsed.ok (Frontend.parse ~file:"t.c" "void f(void) { g(g(g(1))); }")
         in
         Alcotest.(check int) "three" 3 (Cutil.count_calls [ tu ] [ "g" ]));
     t "refs_handler_global roots correctly" `Quick (fun () ->
         let e =
-          Parser.parse_expr_string
+          Parsed.expr
             "HANDLER_GLOBALS(dirEntry.vector) + HANDLER_GLOBALS(header.nh.len)"
         in
         Alcotest.(check bool) "dirEntry" true
@@ -112,20 +121,20 @@ let cutil_cases =
           (Cutil.refs_handler_global e ~root:"protoStats"));
     t "send_wait_flag extracts the 4th argument" `Quick (fun () ->
         let e =
-          Parser.parse_expr_string "PI_SEND(F_NODATA, 0, 0, W_WAIT, 1, 0)"
+          Parsed.expr "PI_SEND(F_NODATA, 0, 0, W_WAIT, 1, 0)"
         in
         Alcotest.(check (option string)) "wait" (Some "W_WAIT")
           (Cutil.send_wait_flag e);
-        let e2 = Parser.parse_expr_string "NI_SEND(MSG_PUT, F_DATA, 0, W_NOWAIT, 1, 0)" in
+        let e2 = Parsed.expr "NI_SEND(MSG_PUT, F_DATA, 0, W_NOWAIT, 1, 0)" in
         Alcotest.(check (option string)) "nowait" (Some "W_NOWAIT")
           (Cutil.send_wait_flag e2));
     t "ni_opcode reads the first argument" `Quick (fun () ->
         let e =
-          Parser.parse_expr_string "NI_SEND(MSG_INVAL, F_NODATA, 0, W_NOWAIT, 1, 0)"
+          Parsed.expr "NI_SEND(MSG_INVAL, F_NODATA, 0, W_NOWAIT, 1, 0)"
         in
         Alcotest.(check (option string)) "opcode" (Some "MSG_INVAL")
           (Cutil.ni_opcode e);
-        let e2 = Parser.parse_expr_string "PI_SEND(F_DATA, 0, 0, 0, 1, 0)" in
+        let e2 = Parsed.expr "PI_SEND(F_DATA, 0, 0, 0, 1, 0)" in
         Alcotest.(check (option string)) "not NI" None (Cutil.ni_opcode e2));
   ]
 

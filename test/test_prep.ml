@@ -93,7 +93,7 @@ let fallback_tests =
           "void deep_allocs(void) {\n" ^ String.concat "" sites
           ^ Printf.sprintf "  %s(x299, 0, 0);\n}\n" Flash_api.miscbus_write_db
         in
-        let tus = Frontend.of_strings [ ("deep.c", src) ] in
+        let tus = Parsed.ok (Frontend.parse_strings [ ("deep.c", src) ]) in
         let spec = Golden.spec in
         let reference = Registry.run_all ~spec tus in
         let seq = explain_render reference in

@@ -50,7 +50,9 @@ let leaky_program ~annot a b =
     (a + b)
 
 let outcome_of src =
-  let tus = Frontend.of_strings [ ("p.c", Prelude.text ^ src) ] in
+  let tus =
+    Parsed.ok (Frontend.parse_strings [ ("p.c", Prelude.text ^ src) ])
+  in
   Buffer_mgmt.run_with_annotations ~spec:two_handler_spec tus
 
 let diags_in func (o : Buffer_mgmt.outcome) =

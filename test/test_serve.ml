@@ -1113,7 +1113,8 @@ let lying_model =
   "void write_frame_lying_header(void) { HANDLER_GLOBALS(header.nh.len) = \
    LEN_NODATA; NI_SEND(MSG_PUT, F_DATA, 0, W_NOWAIT, 1, 0); }"
 
-let parse src = Frontend.of_strings [ ("proto_model.c", Prelude.text ^ src) ]
+let parse src =
+  Parsed.ok (Frontend.parse_strings [ ("proto_model.c", Prelude.text ^ src) ])
 
 let dogfood_cases =
   [

@@ -74,7 +74,9 @@ let cases =
             List.iter
               (fun tu ->
                 let printed = Pp.tunit_to_string tu in
-                let tu2 = Parser.parse_string ~file:"g.c" printed in
+                let tu2 =
+                  Parsed.ok (Parser.parse_string_recovering ~file:"g.c" printed)
+                in
                 Alcotest.(check int) "function count"
                   (List.length (Ast.functions tu))
                   (List.length (Ast.functions tu2)))
@@ -130,12 +132,13 @@ let cases =
           }
         in
         let tus =
-          Frontend.of_strings
-            [
-              ( "t.c",
-                Prelude.text
-                ^ "void H(void) { has_buffer(); FREE_DB(); }" );
-            ]
+          Parsed.ok
+            (Frontend.parse_strings
+               [
+                 ( "t.c",
+                   Prelude.text
+                   ^ "void H(void) { has_buffer(); FREE_DB(); }" );
+               ])
         in
         let outcome = Buffer_mgmt.run_with_annotations ~spec tus in
         Alcotest.(check int) "unused" 1

@@ -111,12 +111,11 @@ let read_sources ~strict files =
   in
   (srcs, !skipped)
 
-let parse_strict srcs =
-  match Frontend.parse_strings srcs with
+(* fail fast on any front-end diagnostic, naming the earliest in source
+   order (each file's lex diagnostics precede its parse ones) *)
+let fail_fast = function
   | tus, [] -> tus
   | _, d :: ds ->
-    (* the list holds each file's lex diagnostics before its parse ones;
-       report the earliest in source order *)
     let d =
       List.fold_left (fun a b -> if Diag.compare b a < 0 then b else a) d ds
     in
@@ -125,6 +124,125 @@ let parse_strict srcs =
       (if d.Diag.checker = "lex" then "lexical" else "parse")
       d.Diag.message;
     raise (Robust_exit Robust.Unusable)
+
+let parse_strict srcs = fail_fast (Frontend.parse_strings srcs)
+
+(* Each file's front-end diagnostics in source order, files in input
+   order: the front end returns a file's lex diagnostics before its
+   parse ones. *)
+let in_source_order (diags : Diag.t list) =
+  let rank = Hashtbl.create 8 in
+  List.iter
+    (fun (d : Diag.t) ->
+      let file = d.Diag.loc.Loc.file in
+      if not (Hashtbl.mem rank file) then
+        Hashtbl.add rank file (Hashtbl.length rank))
+    diags;
+  let rank (d : Diag.t) = Hashtbl.find rank d.Diag.loc.Loc.file in
+  List.stable_sort
+    (fun a b ->
+      let c = Int.compare (rank a) (rank b) in
+      if c <> 0 then c else Diag.compare a b)
+    diags
+
+(* ------------------------------------------------------------------ *)
+(* Front-end reuse across runs                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [f] on every item, on at most [jobs] domains *)
+let pool_iter ~jobs f items =
+  let tasks = Array.of_list (List.map (fun x _ -> f x) items) in
+  ignore (Mcd_pool.run ~domains:(min jobs (Array.length tasks)) tasks)
+
+(* [Frontend.parse_strings], reusing each file whose text and typedef
+   scope match its entry in [cache] (the cache file [path]'s index):
+   - in file order, compute each key and parse the misses in place;
+   - decode every hit's blob on [jobs] domains; a missing or corrupt
+     blob is parsed instead;
+   - if every decoded unit was annotated under the new program's env
+     digest, annotate only the parsed files, else annotate every unit;
+   - store a blob for every unit annotated here.
+   The result is a function of (source, typedef scope, env), as a cold
+   parse's is.  Returns it with the [cfront.reuse] span's arguments. *)
+let parse_reusing ~jobs ~path cache (srcs : (string * string) list) =
+  let srcs = Array.of_list srcs in
+  let n = Array.length srcs in
+  let keys = Array.make n "" and scopes = Array.make n [] in
+  let units = Array.make n None and entries = Array.make n None in
+  let parse i =
+    let file, src = srcs.(i) in
+    let u = Parser.parse_string_recovering ~file ~typedefs:scopes.(i) src in
+    units.(i) <- Some u;
+    Frontend.typedef_names (fst u)
+  in
+  let scope = ref [] in
+  Array.iteri
+    (fun i (file, src) ->
+      scopes.(i) <- !scope;
+      keys.(i) <- Mcd_cache.unit_key ~file ~scope:!scope src;
+      let own =
+        match Mcd_cache.find_unit cache file with
+        | Some e when String.equal e.Mcd_cache.u_key keys.(i) ->
+          entries.(i) <- Some e;
+          e.Mcd_cache.u_typedefs
+        | _ ->
+          Mcobs.count "cfront.reuse.miss";
+          parse i
+      in
+      scope := List.rev_append own !scope)
+    srcs;
+  let all = List.init n Fun.id in
+  let hits = List.filter (fun i -> entries.(i) <> None) all in
+  let decoded = Array.make n (Error `Missing) in
+  pool_iter ~jobs
+    (fun i -> decoded.(i) <- Mcd_cache.read_unit ~path (Option.get entries.(i)))
+    hits;
+  let reused = Array.make n false and failed = ref 0 in
+  List.iter
+    (fun i ->
+      match decoded.(i) with
+      | Ok u ->
+        Mcobs.count "cfront.reuse.hit";
+        units.(i) <- Some u;
+        reused.(i) <- true
+      | Error e ->
+        Mcobs.count
+          (match e with
+          | `Missing -> "cfront.reuse.missing"
+          | `Corrupt -> "cfront.reuse.corrupt");
+        incr failed;
+        ignore (parse i))
+    hits;
+  let units = Array.map Option.get units in
+  let tus = Array.to_list (Array.map fst units) in
+  let env = Mcd.env_digest tus in
+  let redo =
+    List.exists
+      (fun i -> reused.(i) && (Option.get entries.(i)).Mcd_cache.u_env <> env)
+      all
+  in
+  let fresh = List.filter (fun i -> redo || not reused.(i)) all in
+  if fresh <> [] then
+    Typecheck.annotate_units ~program:tus
+      (List.map (fun i -> fst units.(i)) fresh);
+  pool_iter ~jobs
+    (fun i ->
+      Mcd_cache.store_unit cache ~file:(fst srcs.(i)) ~key:keys.(i)
+        ~typedefs:(Frontend.typedef_names (fst units.(i))) ~env units.(i))
+    fresh;
+  let n_reused = List.length (List.filter (Array.get reused) all) in
+  let annotations = if redo then "redone" else "reused" in
+  Mcobs.logf Mcobs.Verbose
+    "front end: %d file(s) reused, %d parsed (%d blob(s) failed), \
+     annotations %s"
+    n_reused (n - n_reused) !failed annotations;
+  ( (tus, List.concat_map snd (Array.to_list units)),
+    [
+      ("reused", string_of_int n_reused);
+      ("parsed", string_of_int (n - n_reused));
+      ("failed", string_of_int !failed);
+      ("annotations", annotations);
+    ] )
 
 let load_metal paths =
   (* errors without a position still name the offending spec file *)
@@ -362,7 +480,7 @@ module Session = struct
     in
     ( results,
       {
-        r_parse = parse_diags;
+        r_parse = in_source_order parse_diags;
         r_results = flat;
         r_findings = findings;
         r_outcome = outcome;
@@ -405,13 +523,24 @@ module Session = struct
       Hashtbl.replace memo key report
     | _ -> ()
 
+  (* a session persisting its cache to a file keeps each file's parsed
+     unit there too, so a warm re-check parses only what changed *)
+  let parse t srcs =
+    match (t.cache, t.cfg.cache_file) with
+    | Some cache, Some path ->
+      let jobs = max 1 (min t.cfg.jobs (Domain.recommended_domain_count ())) in
+      fst
+        (Mcobs.with_span "cfront.reuse" ~result_args:snd (fun () ->
+             parse_reusing ~jobs ~path cache srcs))
+    | _ -> Frontend.parse_strings srcs
+
   (* the shared back half: parse the (path, source) pairs, run, classify *)
   let check_sources_uncached t ~names srcs ~skipped ~had_input =
     let (_, report), wall_ms =
       time_ms (fun () ->
           let tus, parse_diags =
-            if t.cfg.strict then (parse_strict srcs, [])
-            else Frontend.parse_strings srcs
+            let parsed = parse t srcs in
+            if t.cfg.strict then (fail_fast parsed, []) else parsed
           in
           check_programs t ~names ~parse_diags ~skipped ~had_input
             [ { Mcd.spec = default_spec tus; tus } ])

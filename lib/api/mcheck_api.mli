@@ -26,7 +26,11 @@ type config = {
           re-check is answered without re-parsing or re-scheduling
           (sound — the pipeline is deterministic in its inputs) *)
   cache_file : string option;
-      (** load the cache here at [create], persist it at [close] *)
+      (** load the cache here at [create], persist it at [close]; with
+          it, [check_files]/[check_buffer] also keep each file's parsed,
+          annotated unit in the file's front-end index, so a later
+          session parses only the files whose text or typedef scope
+          changed (see {!Mcd_cache.unit_entry}) *)
   cache_dir : string option;
       (** multi-writer shared cache directory: merge every valid
           segment at [create], publish this session's entries with
@@ -58,7 +62,8 @@ val default_config : config
 
 type report = {
   r_parse : Diag.t list;
-      (** lex/parse recovery diagnostics, in file order *)
+      (** lex/parse recovery diagnostics: files in input order, each
+          file's in source order ({!Diag.compare}) *)
   r_results : (string * Diag.t list) list;
       (** checker-grouped results, selection applied; the containment
           layer's [("internal", _)] entry rides along when present *)

@@ -1,5 +1,11 @@
 (** Convenience drivers: parse and annotate Clite programs. *)
 
+(** The typedef names [tu] declares, in declaration order. *)
+let typedef_names (tu : Ast.tunit) =
+  List.filter_map
+    (function Ast.Gtypedef (name, _, _) -> Some name | _ -> None)
+    tu.Ast.tu_globals
+
 (** Parse several (file name, source) pairs as one program: typedefs from
     earlier units are visible in later ones (FLASH protocols share common
     headers), and type annotation sees all globals.  Each unit is parsed
@@ -16,11 +22,7 @@ let parse_strings (units : (string * string) list) :
           Parser.parse_string_recovering ~file ~typedefs:!typedefs src
         in
         all_diags := List.rev_append diags !all_diags;
-        List.iter
-          (function
-            | Ast.Gtypedef (name, _, _) -> typedefs := name :: !typedefs
-            | _ -> ())
-          tu.Ast.tu_globals;
+        typedefs := List.rev_append (typedef_names tu) !typedefs;
         tu)
       units
   in

@@ -14,5 +14,9 @@ val parse_strings : (string * string) list -> Ast.tunit list * Diag.t list
     earlier units are visible in later ones, and type annotation sees all
     globals; diagnostics are returned in file order.  Never raises. *)
 
+val typedef_names : Ast.tunit -> string list
+(** the typedef names a unit declares, in declaration order; a later
+    unit's parse sees every earlier unit's, most recent first *)
+
 val loc_count : string -> int
 (** non-blank source lines — the paper's LOC metric *)

@@ -241,17 +241,24 @@ let check_func env (f : Ast.func) =
   List.iter (check_stmt env) f.Ast.f_body;
   pop_scope env
 
-(** Annotate several translation units as one program, in place: all
-    globals are loaded first so cross-unit references resolve. *)
-let annotate_program (tus : Ast.tunit list) : unit =
+(** Annotate [units] in place, with every global of [program] loaded
+    first so cross-unit references resolve.  Each unit's annotation
+    depends only on its own functions and [program]'s globals and
+    signatures, so checking a subset leaves the rest as they were. *)
+let annotate_units ~(program : Ast.tunit list) (units : Ast.tunit list) :
+    unit =
   Mcobs.with_span "cfront.typecheck"
-    ~args:[ ("units", string_of_int (List.length tus)) ]
+    ~args:[ ("units", string_of_int (List.length units)) ]
     (fun () ->
       let env = create_env () in
-      List.iter (load_globals env) tus;
+      List.iter (load_globals env) program;
       List.iter
         (fun tu ->
           List.iter
             (function Ast.Gfunc f -> check_func env f | _ -> ())
             tu.Ast.tu_globals)
-        tus)
+        units)
+
+(** Annotate several translation units as one program, in place. *)
+let annotate_program (tus : Ast.tunit list) : unit =
+  annotate_units ~program:tus tus

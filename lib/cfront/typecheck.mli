@@ -10,3 +10,10 @@
 val annotate_program : Ast.tunit list -> unit
 (** annotate several units as one program, in place: all globals are
     loaded first so cross-unit references resolve *)
+
+val annotate_units : program:Ast.tunit list -> Ast.tunit list -> unit
+(** annotate the given units of [program], in place: all of [program]'s
+    globals are loaded first.  A unit's annotation depends only on its
+    own functions and on the globals and signatures that
+    [Mcd.env_digest] covers, so a unit annotated earlier under an equal
+    env digest needs no second pass *)

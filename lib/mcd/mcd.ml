@@ -78,8 +78,12 @@ let pf_set_digest (per_function : Registry.checker list) : string =
              (fun (c : Registry.checker) -> c.Registry.key)
              per_function)))
 
+(* by content: marshalling with sharing would give two equal specs whose
+   values share differently (one lane-allowance array for two handlers,
+   or two copies) different keys *)
 let spec_digest (spec : Flash_api.spec) : string =
-  Digest.to_hex (Digest.string (Marshal.to_string spec []))
+  Digest.to_hex
+    (Digest.string (Marshal.to_string spec [ Marshal.No_sharing ]))
 
 (* The per-function half of a key: [file], the function's start
    location and the digest of its source text.  Two textually identical

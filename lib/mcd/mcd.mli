@@ -88,6 +88,13 @@ val func_digest : string -> Ast.func -> string
     {!Ast.func.f_src_digest}) — the per-function half of a cache key;
     [""] for a function without a source digest, which has no key *)
 
+val env_digest : Ast.tunit list -> string
+(** what a program's units read from outside their own functions' text:
+    the non-function globals and every function's signature, locations
+    and initialisers left out — the job-wide half of every cache key,
+    and everything {!Typecheck} writes into a unit depends on besides
+    that unit's own text *)
+
 val pp_stats : Format.formatter -> stats -> unit
 
 val pp_stats_line : Format.formatter -> stats -> unit

@@ -18,7 +18,9 @@
     guards it anyway so ad-hoc callers cannot corrupt it.
 
     [save]/[load] marshal the table to disk, which is what makes
-    [mcheck --incremental] re-checks warm across process runs.
+    [mcheck --incremental] re-checks warm across process runs.  The same
+    file carries the front-end index, whose unit blobs live in the
+    [FILE.ast/] sidecar (see the interface).
 
     {2 Crash safety}
 
@@ -34,19 +36,32 @@
     to a temp file in the destination directory and [rename]s it into
     place, so a crash mid-save leaves the previous cache intact. *)
 
+type unit_entry = {
+  u_key : string;
+  u_typedefs : string list;
+  u_env : string;
+  u_blob : string;
+}
+
 type t = {
   mutex : Mutex.t;
   table : (string, Diag.t list array) Hashtbl.t;
+  units : (string, unit_entry) Hashtbl.t;  (** the front-end index, by path *)
+  fresh : (string, string) Hashtbl.t;
+      (** blobs stored since the last [save], by name, not yet on disk *)
 }
 
 (* bump when the key derivation or the marshalled shape changes *)
-let format_tag = "mcd-cache-v4" (* v4: footer-validated container *)
+let format_tag = "mcd-cache-v5" (* v5: content spec digests, unit index *)
 
 (* the container: [payload][magic 8][payload length 8][MD5(payload) 16] *)
 let footer_magic = "MCDCACH1"
 let footer_len = 8 + 8 + 16
 
-let create () = { mutex = Mutex.create (); table = Hashtbl.create 1024 }
+let make table units =
+  { mutex = Mutex.create (); table; units; fresh = Hashtbl.create 8 }
+
+let create () = make (Hashtbl.create 1024) (Hashtbl.create 8)
 
 let locked c f =
   Mutex.lock c.mutex;
@@ -64,32 +79,134 @@ let add c key diags =
 
 let size c = locked c (fun () -> Hashtbl.length c.table)
 
-let copy c = locked c (fun () -> { mutex = Mutex.create (); table = Hashtbl.copy c.table })
+let copy c =
+  locked c (fun () ->
+      let c' = make (Hashtbl.copy c.table) (Hashtbl.copy c.units) in
+      Hashtbl.iter (Hashtbl.replace c'.fresh) c.fresh;
+      c')
 
-(* Atomic save: marshal to a string, append the footer, write the whole
-   container to a temp file next to [path], then [rename] it into place.
-   Readers either see the old cache or the complete new one, never a
-   torn file — and if we crash mid-write only the temp file is lost. *)
+(* One marshalled shape for the single file and the directory segments:
+   the format tag, then the rest, which is only read once the tag
+   matched.  A file of an older format is still a pair whose first
+   component is its tag, so it reads as stale whatever its rest. *)
+type payload =
+  string
+  * ((string, Diag.t list array) Hashtbl.t * (string, unit_entry) Hashtbl.t)
+
+let payload c =
+  Marshal.to_string ((format_tag, (c.table, c.units)) : payload) []
+
+(* Write [contents] to [path] atomically: a temp file in the same
+   directory, renamed into place.  Readers see the old file or the
+   complete new one, never a torn one; a crash mid-write loses only the
+   temp file. *)
+let write_atomic ~prefix path contents =
+  let tmp =
+    Filename.temp_file ~temp_dir:(Filename.dirname path) prefix ".tmp"
+  in
+  try
+    Out_channel.with_open_bin tmp (fun oc -> output_string oc contents);
+    Sys.rename tmp path
+  with exn ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise exn
+
+let container payload =
+  let b = Buffer.create (String.length payload + footer_len) in
+  Buffer.add_string b payload;
+  Buffer.add_string b footer_magic;
+  Buffer.add_int64_le b (Int64.of_int (String.length payload));
+  Buffer.add_string b (Digest.string payload);
+  Buffer.contents b
+
+(* ------------------------------------------------------------------ *)
+(* Front-end units: the index and the blob sidecar                     *)
+(* ------------------------------------------------------------------ *)
+
+let unit_key ?(build = Cfront_build.digest) ~file ~scope src =
+  (* the source digest has a fixed length, so the rest cannot run into it *)
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\000"
+          (Digest.to_hex (Digest.string src)
+          :: build :: Sys.ocaml_version :: file :: scope)))
+
+let find_unit c file = locked c (fun () -> Hashtbl.find_opt c.units file)
+
+let store_unit c ~file ~key ~typedefs ~env (u : Ast.tunit * Diag.t list) =
+  let blob = Marshal.to_string u [ Marshal.No_sharing ] in
+  let name = Digest.to_hex (Digest.string blob) in
+  locked c (fun () ->
+      Hashtbl.replace c.units file
+        { u_key = key; u_typedefs = typedefs; u_env = env; u_blob = name };
+      Hashtbl.replace c.fresh name blob)
+
+let sidecar path = path ^ ".ast"
+
+(* [Marshal.from_channel] only runs on bytes whose MD5 is the blob's
+   name, and only a build whose key matched looks the blob up *)
+let read_unit ~path (e : unit_entry) =
+  match open_in_bin (Filename.concat (sidecar path) e.u_blob) with
+  | exception Sys_error _ -> Error `Missing
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        (* digest, then decode, the one open file: a blob is replaced
+           only by [rename], never written in place *)
+        match Digest.channel ic (-1) with
+        | exception _ -> Error `Corrupt
+        | d when not (String.equal (Digest.to_hex d) e.u_blob) -> Error `Corrupt
+        | _ -> (
+          seek_in ic 0;
+          match (Marshal.from_channel ic : Ast.tunit * Diag.t list) with
+          | u -> Ok u
+          | exception _ -> Error `Corrupt))
+
+let is_blob_name name =
+  String.length name = 32
+  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) name
+
+let named_blobs c =
+  let named = Hashtbl.create 64 in
+  Hashtbl.iter (fun _ e -> Hashtbl.replace named e.u_blob ()) c.units;
+  named
+
+(* the blobs stored since the last save that the index still names *)
+let write_blobs c path named =
+  if Hashtbl.length c.fresh > 0 then begin
+    let dir = sidecar path in
+    (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+    Hashtbl.iter
+      (fun name blob ->
+        (* written even when the name exists: a damaged file there
+           would otherwise never be replaced *)
+        if Hashtbl.mem named name then
+          write_atomic ~prefix:"blob" (Filename.concat dir name) blob)
+      c.fresh;
+    Hashtbl.reset c.fresh
+  end
+
+let prune_blobs path named =
+  match Sys.readdir (sidecar path) with
+  | exception Sys_error _ -> ()
+  | names ->
+    Array.iter
+      (fun name ->
+        if is_blob_name name && not (Hashtbl.mem named name) then
+          try Sys.remove (Filename.concat (sidecar path) name)
+          with Sys_error _ -> ())
+      names
+
+(* blobs land before the index that names them, and unnamed ones go
+   only after it, so a crash at any point leaves an index whose blobs
+   are on disk *)
 let save c path =
   locked c (fun () ->
-      let payload = Marshal.to_string (format_tag, c.table) [] in
-      let footer = Buffer.create footer_len in
-      Buffer.add_string footer footer_magic;
-      Buffer.add_int64_le footer (Int64.of_int (String.length payload));
-      Buffer.add_string footer (Digest.string payload);
-      let dir = Filename.dirname path in
-      let tmp = Filename.temp_file ~temp_dir:dir "mcd-cache" ".tmp" in
-      (try
-         let oc = open_out_bin tmp in
-         Fun.protect
-           ~finally:(fun () -> close_out oc)
-           (fun () ->
-             output_string oc payload;
-             Buffer.output_buffer oc footer);
-         Sys.rename tmp path
-       with exn ->
-         (try Sys.remove tmp with Sys_error _ -> ());
-         raise exn))
+      let named = named_blobs c in
+      write_blobs c path named;
+      write_atomic ~prefix:"mcd-cache" path (container (payload c));
+      prune_blobs path named)
 
 (* Why a load was cold, for the Mcobs counters: a crash-truncated file
    looks different from a corrupted or stale one, and the fault-injection
@@ -113,37 +230,35 @@ let classify_container (data : string) : (string, load_failure) result =
       else Ok payload
   end
 
+(* Read one container: its results table and unit index, or the
+   [mcd.cache.*] counter suffix saying why it is cold.
+   [Marshal.from_string] only ever runs on a payload whose length and
+   digest already checked out. *)
+let read_container path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception _ -> Error "error"
+  | data -> (
+    match classify_container data with
+    | Error Partial -> Error "partial"
+    | Error Corrupt -> Error "corrupt"
+    | Ok payload -> (
+      match (Marshal.from_string payload 0 : payload) with
+      | tag, rest when String.equal tag format_tag -> Ok rest
+      | _ -> Error "stale"
+      | exception _ -> Error "corrupt"))
+
 (* A missing, truncated, corrupt or stale-format file is just a cold
-   cache — [Marshal.from_string] only ever runs on a payload whose
-   length and digest already checked out. *)
+   cache. *)
 let load path =
-  let cold reason =
-    Mcobs.count ("mcd.cache.load." ^ reason);
-    create ()
+  let reason, c =
+    if not (Sys.file_exists path) then ("missing", create ())
+    else
+      match read_container path with
+      | Ok (table, units) -> ("ok", make table units)
+      | Error reason -> (reason, create ())
   in
-  if not (Sys.file_exists path) then cold "missing"
-  else
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception _ -> cold "error"
-    | data -> (
-      match classify_container data with
-      | Error Partial -> cold "partial"
-      | Error Corrupt -> cold "corrupt"
-      | Ok payload -> (
-        match
-          (Marshal.from_string payload 0
-            : string * (string, Diag.t list array) Hashtbl.t)
-        with
-        | tag, table when String.equal tag format_tag ->
-          Mcobs.count "mcd.cache.load.ok";
-          { mutex = Mutex.create (); table }
-        | _ -> cold "stale"
-        | exception _ -> cold "corrupt"))
+  Mcobs.count ("mcd.cache.load." ^ reason);
+  c
 
 (* ------------------------------------------------------------------ *)
 (* Multi-writer cache directories                                      *)
@@ -172,9 +287,7 @@ let merge ~into src =
 let segment_path dir hex = Filename.concat dir (Printf.sprintf "seg-%s.mc" hex)
 
 let publish_dir c dir =
-  let payload =
-    locked c (fun () -> Marshal.to_string (format_tag, c.table) [])
-  in
+  let payload = locked c (fun () -> payload c) in
   let hex = Digest.to_hex (Digest.string payload) in
   let seg = segment_path dir hex in
   if Sys.file_exists seg then begin
@@ -199,22 +312,7 @@ let publish_dir c dir =
       (try Unix.close claim_fd with _ -> ());
       let release () = try Sys.remove claim with Sys_error _ -> () in
       match
-        let footer = Buffer.create footer_len in
-        Buffer.add_string footer footer_magic;
-        Buffer.add_int64_le footer (Int64.of_int (String.length payload));
-        Buffer.add_string footer (Digest.string payload);
-        let tmp = Filename.temp_file ~temp_dir:dir "seg" ".tmp" in
-        (try
-           let oc = open_out_bin tmp in
-           Fun.protect
-             ~finally:(fun () -> close_out oc)
-             (fun () ->
-               output_string oc payload;
-               Buffer.output_buffer oc footer);
-           Sys.rename tmp seg
-         with exn ->
-           (try Sys.remove tmp with Sys_error _ -> ());
-           raise exn)
+        write_atomic ~prefix:"seg" seg (container payload)
       with
       | () ->
         release ();
@@ -239,29 +337,11 @@ let load_dir dir =
     Array.sort String.compare names;
     Array.iter
       (fun name ->
-        if is_segment name then begin
-          let path = Filename.concat dir name in
-          match
-            let ic = open_in_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_in ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          with
-          | exception _ -> cold "error"
-          | data -> (
-            match classify_container data with
-            | Error Partial -> cold "partial"
-            | Error Corrupt -> cold "corrupt"
-            | Ok payload -> (
-              match
-                (Marshal.from_string payload 0
-                  : string * (string, Diag.t list array) Hashtbl.t)
-              with
-              | tag, table when String.equal tag format_tag ->
-                cold "ok";
-                merge ~into:acc { mutex = Mutex.create (); table }
-              | _ -> cold "stale"
-              | exception _ -> cold "corrupt"))
-        end)
+        if is_segment name then
+          match read_container (Filename.concat dir name) with
+          | Ok (table, units) ->
+            cold "ok";
+            merge ~into:acc (make table units)
+          | Error reason -> cold reason)
       names);
   acc

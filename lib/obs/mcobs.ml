@@ -228,30 +228,37 @@ let record_span ?trace ?(args = []) ~name ~begin_us ~dur_us () =
       }
   end
 
-let with_span ?(args = []) name f =
+let with_span ?(args = []) ?result_args name f =
   if not (enabled ()) then f ()
   else begin
     let b = buffer () in
     let depth = b.b_depth in
     b.b_depth <- depth + 1;
     let t0 = now_us () in
-    Fun.protect
-      ~finally:(fun () ->
-        let dur = now_us () -. t0 in
-        b.b_depth <- depth;
-        push_span b
-          {
-            sp_name = name;
-            sp_tid = b.b_tid;
-            (* read at completion: workers inherit whatever request
-               context was ambient while they ran *)
-            sp_trace = Atomic.get ambient_trace;
-            sp_begin_us = t0;
-            sp_dur_us = dur;
-            sp_depth = depth;
-            sp_args = args;
-          })
-      f
+    let finish extra =
+      let dur = now_us () -. t0 in
+      b.b_depth <- depth;
+      push_span b
+        {
+          sp_name = name;
+          sp_tid = b.b_tid;
+          (* read at completion: workers inherit whatever request
+             context was ambient while they ran *)
+          sp_trace = Atomic.get ambient_trace;
+          sp_begin_us = t0;
+          sp_dur_us = dur;
+          sp_depth = depth;
+          sp_args = (match extra with [] -> args | _ -> args @ extra);
+        }
+    in
+    match f () with
+    | r ->
+      finish (match result_args with Some g -> g r | None -> []);
+      r
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      finish [];
+      Printexc.raise_with_backtrace e bt
   end
 
 (* ------------------------------------------------------------------ *)

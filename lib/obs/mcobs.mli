@@ -76,10 +76,16 @@ val with_trace : string -> (unit -> 'a) -> 'a
 (** run the thunk with the ambient trace id set, restoring the previous
     id afterwards (exceptions included) *)
 
-val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
+val with_span :
+  ?args:(string * string) list ->
+  ?result_args:('a -> (string * string) list) ->
+  string ->
+  (unit -> 'a) ->
+  'a
 (** run the thunk inside a named span; with tracing disabled this is just
-    the thunk call.  Exceptions propagate; the span is recorded either
-    way. *)
+    the thunk call.  [result_args] adds arguments computed from the
+    thunk's result (only called when the span is recorded).  Exceptions
+    propagate; the span is recorded either way. *)
 
 val record_span :
   ?trace:string ->

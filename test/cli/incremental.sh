@@ -1,0 +1,52 @@
+#!/bin/sh
+# mcheck --incremental --cache over a two-file program must print what a
+# cold mcheck prints, with the same exit code: on the run that fills the
+# cache, on a warm run, on a warm run after one file is edited, and on a
+# warm run after a unit blob is truncated.  The warm runs must also have
+# reused the front end (the -v "front end:" line).
+#
+#   sh incremental.sh MCHECK TYPES.c HANDLERS.c
+set -eu
+mcheck=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cp "$2" "$work/types.c"
+cp "$3" "$work/handlers.c"
+cd "$work"
+
+# run LABEL [FLAG...]: stdout and exit code into LABEL.out, stderr into
+# LABEL.err
+run() {
+  label=$1
+  shift
+  code=0
+  "$mcheck" -v "$@" types.c handlers.c >"$label.out" 2>"$label.err" || code=$?
+  echo "exit $code" >>"$label.out"
+}
+
+# same LABEL REUSE: a cold and a warm run agree, and the warm run's
+# front-end line starts with REUSE
+same() {
+  run cold
+  run "$1" --incremental --cache check.cache
+  if ! cmp -s cold.out "$1.out"; then
+    echo "$1: warm output differs from cold"
+    diff cold.out "$1.out" || true
+    exit 1
+  fi
+  if ! grep -q "^front end: $2" "$1.err"; then
+    echo "$1: expected 'front end: $2' on stderr, got:"
+    grep "^front end:" "$1.err" || true
+    exit 1
+  fi
+}
+
+same fill "0 file(s) reused, 2 parsed"
+same warm "2 file(s) reused, 0 parsed"
+printf '\nvoid Extra(void) { word y; y = 2; }\n' >>handlers.c
+same edited "1 file(s) reused, 1 parsed"
+for blob in check.cache.ast/*; do
+  head -c 100 "$blob" >truncated && mv truncated "$blob"
+done
+same truncated "0 file(s) reused, 2 parsed (2 blob(s) failed)"
+same repaired "2 file(s) reused, 0 parsed"

@@ -375,4 +375,254 @@ let metal_cases =
           (r.Mcheck_api.r_sched.Mcd.units_faulted > 0));
   ]
 
-let suite = ("api", session_cases @ metal_cases)
+(* ------------------------------------------------------------------ *)
+(* Front-end reuse: warm sessions over one cache file equal cold ones  *)
+(* ------------------------------------------------------------------ *)
+
+(* every diagnostic with its witness, then the outcome *)
+let explained (r : Mcheck_api.report) =
+  String.concat ""
+    (List.map
+       (Mcheck_api.render_diag
+          { Mcheck_api.ro_explain = true; ro_verbose = false; ro_quiet = false })
+       (Mcheck_api.report_diags r))
+  ^ Robust.to_string r.Mcheck_api.r_outcome
+
+let reuse_counter name =
+  Option.value ~default:0
+    (List.assoc_opt ("cfront.reuse." ^ name) (Mcobs.snapshot ()).Mcobs.counters)
+
+(* [f] with recording on; returns its result and the growth of the
+   [cfront.reuse.*] counters [names] *)
+let counting names f =
+  let was = Mcobs.enabled () in
+  Mcobs.set_enabled true;
+  let before = List.map reuse_counter names in
+  let r = Fun.protect ~finally:(fun () -> Mcobs.set_enabled was) f in
+  (r, List.map2 (fun n b -> (n, reuse_counter n - b)) names before)
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> remove_tree (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* [f dir] on a fresh temporary directory, removed afterwards *)
+let in_temp_dir prefix f =
+  let dir = Filename.temp_dir prefix "" in
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
+
+(* a program: (file name, text) in check order, written into [dir] *)
+let write_program dir files =
+  List.map
+    (fun (name, src) ->
+      let path = Filename.concat dir name in
+      Mcheck_api.write_file path src;
+      path)
+    files
+
+(* one simulated process: a fresh session over the shared cache file *)
+let warm_check ?(jobs = 1) cache paths =
+  with_session
+    ~config:
+      {
+        Mcheck_api.default_config with
+        Mcheck_api.jobs;
+        incremental = true;
+        cache_file = Some cache;
+      }
+    (fun s -> Mcheck_api.Session.check_files s paths)
+
+let cold_check paths =
+  with_session (fun s -> Mcheck_api.Session.check_files s paths)
+
+let check_warm_is_cold ?jobs what cache paths =
+  let cold = cold_check paths in
+  let warm = warm_check ?jobs cache paths in
+  Alcotest.(check string) what (explained cold) (explained warm);
+  warm
+
+let types_c = "typedef int word;\nlong g;\n"
+let uses_g = "void H(void) { word w; w = 1; g = g + 1; g = 2; }\n"
+let b_c = "void B(void) { word x; x = 2; }\n" ^ buggy_src ^ "\n"
+
+(* the programs an edit sequence visits: each edit applied to the
+   program before it *)
+let reuse_programs =
+  let base = [ ("types.c", types_c); ("a.c", uses_g); ("b.c", b_c) ] in
+  let set name src prog =
+    List.map (fun (n, s) -> if n = name then (n, src) else (n, s)) prog
+  in
+  let inert =
+    set "a.c" "void H(void) { word w; w = 1; g = g + 1; g = 2; ; }\n" base
+  in
+  let moved = set "a.c" ("\n\n" ^ uses_g) inert in
+  let added = set "b.c" (b_c ^ "void C(void) { word y; y = 3; }\n") moved in
+  let removed = set "b.c" b_c added in
+  let half_uses = b_c ^ "void D(void) { half h; h = 1; }\n" in
+  let typedef_added =
+    set "b.c" half_uses (set "types.c" (types_c ^ "typedef unsigned half;\n") removed)
+  in
+  let typedef_removed = set "types.c" types_c typedef_added in
+  let double_g =
+    set "types.c" "typedef int word;\ndouble g;\n" typedef_removed
+  in
+  let reordered =
+    match double_g with [ t; a; b ] -> [ t; b; a ] | p -> p
+  in
+  let renamed =
+    List.map (fun (n, s) -> ((if n = "b.c" then "c.c" else n), s)) reordered
+  in
+  [
+    ("fill", base); ("inert body edit", inert); ("line-moving insertion", moved);
+    ("function added", added); ("function removed", removed);
+    ("typedef added and used", typedef_added);
+    ("typedef removed, still used", typedef_removed);
+    ("long g -> double g", double_g); ("files reordered", reordered);
+    ("file renamed", renamed);
+  ]
+
+let reuse_cases =
+  [
+    t "warm re-checks along an edit sequence equal cold ones" `Quick
+      (fun () ->
+        in_temp_dir "api_reuse" @@ fun dir ->
+        let cache = Filename.concat dir "check.cache" in
+        List.iteri
+          (fun i (what, prog) ->
+            let paths = write_program dir prog in
+            let warm, counts =
+              counting [ "hit"; "corrupt"; "missing" ] (fun () ->
+                  check_warm_is_cold ~jobs:(1 + (i mod 2)) what cache paths)
+            in
+            Alcotest.(check int) (what ^ ": no blob failed") 0
+              (List.assoc "corrupt" counts + List.assoc "missing" counts);
+            if what = "long g -> double g" then
+              Alcotest.(check int) "the six [no_float] lines" 6
+                (List.length
+                   (List.filter
+                      (fun (d : Diag.t) -> d.Diag.checker = "no_float")
+                      (Mcheck_api.report_diags warm)));
+            if what = "typedef removed, still used" then
+              Alcotest.(check bool) "the unknown type name is a parse error"
+                true (warm.Mcheck_api.r_parse <> []);
+            (* an unchanged program decodes every file *)
+            let _, counts =
+              counting [ "hit"; "miss" ] (fun () ->
+                  check_warm_is_cold (what ^ ", again") cache paths)
+            in
+            Alcotest.(check (list (pair string int)))
+              (what ^ ": every file reused")
+              [ ("hit", List.length prog); ("miss", 0) ]
+              counts)
+          reuse_programs);
+    t "seeded edit walks: warm equals cold" `Quick (fun () ->
+        let programs = Array.of_list reuse_programs in
+        List.iter
+          (fun seed ->
+            let rng = Random.State.make [| seed |] in
+            in_temp_dir "api_walk" @@ fun dir ->
+            let cache = Filename.concat dir "check.cache" in
+            for step = 1 to 8 do
+              let what, prog =
+                programs.(Random.State.int rng (Array.length programs))
+              in
+              ignore
+                (check_warm_is_cold
+                   ~jobs:(1 + Random.State.int rng 2)
+                   (Printf.sprintf "seed %d step %d (%s)" seed step what)
+                   cache (write_program dir prog))
+            done)
+          [ 1; 2; 3 ]);
+    t "a deleted, truncated or flipped blob is parsed again" `Quick (fun () ->
+        in_temp_dir "api_blob" @@ fun dir ->
+        let cache = Filename.concat dir "check.cache" in
+        let paths = write_program dir (snd (List.hd reuse_programs)) in
+        let a_c = List.nth paths 1 in
+        let blob () =
+          let e = Option.get (Mcd_cache.find_unit (Mcd_cache.load cache) a_c) in
+          Filename.concat (cache ^ ".ast") e.Mcd_cache.u_blob
+        in
+        ignore (warm_check cache paths);
+        let damage =
+          [
+            ("missing", fun f -> Sys.remove f);
+            ( "corrupt",
+              fun f ->
+                let s = In_channel.with_open_bin f In_channel.input_all in
+                Mcheck_api.write_file f (String.sub s 0 (String.length s / 2)) );
+            ( "corrupt",
+              fun f ->
+                let s =
+                  Bytes.of_string (In_channel.with_open_bin f In_channel.input_all)
+                in
+                let i = Bytes.length s / 2 in
+                Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor 1));
+                Mcheck_api.write_file f (Bytes.to_string s) );
+          ]
+        in
+        List.iter
+          (fun (failure, damage) ->
+            damage (blob ());
+            let _, counts =
+              counting [ "hit"; failure ] (fun () ->
+                  check_warm_is_cold ("blob " ^ failure) cache paths)
+            in
+            Alcotest.(check (list (pair string int)))
+              ("blob " ^ failure ^ ": one failure, the rest reused")
+              [ ("hit", List.length paths - 1); (failure, 1) ]
+              counts;
+            (* the failed file's blob was written again *)
+            let _, counts =
+              counting [ "hit" ] (fun () ->
+                  check_warm_is_cold "after the failure" cache paths)
+            in
+            Alcotest.(check int) "every file reused" (List.length paths)
+              (List.assoc "hit" counts))
+          damage);
+    t "a blob keyed under another build is never decoded" `Quick (fun () ->
+        in_temp_dir "api_build" @@ fun dir ->
+        let cache = Filename.concat dir "check.cache" in
+        let prog = snd (List.hd reuse_programs) in
+        let paths = write_program dir prog in
+        ignore (warm_check cache paths);
+        (* index types.c, the first file (empty scope), under another
+           build digest's key with a blob of its own, then damage that
+           blob: reading it would count as corrupt *)
+        let types_path = List.hd paths in
+        let c = Mcd_cache.load cache in
+        let e = Option.get (Mcd_cache.find_unit c types_path) in
+        let u =
+          match Mcd_cache.read_unit ~path:cache e with
+          | Ok u -> u
+          | Error _ -> Alcotest.fail "fresh blob unreadable"
+        in
+        let key =
+          Mcd_cache.unit_key ~build:"another build" ~file:types_path ~scope:[]
+            (Prelude.text ^ types_c)
+        in
+        Alcotest.(check bool) "a different key" true (key <> e.Mcd_cache.u_key);
+        Mcd_cache.store_unit c ~file:types_path ~key
+          ~typedefs:e.Mcd_cache.u_typedefs ~env:e.Mcd_cache.u_env
+          (fst u, [ Diag.make ~checker:"parse" ~loc:Loc.none ~func:"" "other" ]);
+        Mcd_cache.save c cache;
+        let other = Option.get (Mcd_cache.find_unit (Mcd_cache.load cache) types_path) in
+        Mcheck_api.write_file
+          (Filename.concat (cache ^ ".ast") other.Mcd_cache.u_blob)
+          "not a blob";
+        let _, counts =
+          counting [ "hit"; "miss"; "corrupt"; "missing" ] (fun () ->
+              check_warm_is_cold "other build" cache paths)
+        in
+        Alcotest.(check (list (pair string int)))
+          "a miss, never a read"
+          [ ("hit", List.length paths - 1); ("miss", 1); ("corrupt", 0);
+            ("missing", 0) ]
+          counts;
+        Alcotest.(check bool) "its blob was pruned" false
+          (Sys.file_exists
+             (Filename.concat (cache ^ ".ast") other.Mcd_cache.u_blob)));
+  ]
+
+let suite = ("api", session_cases @ metal_cases @ reuse_cases)

@@ -359,6 +359,37 @@ let key_tests =
         in
         Alcotest.(check bool) "lines moved" true (before <> render cold);
         Alcotest.(check (list string)) "warm = cold" (render cold) warm);
+    t "spec keys digest content, not sharing" `Quick (fun () ->
+        (* two handlers sharing one lane-allowance array, then the same
+           spec with one copy per handler: equal specs, equal keys *)
+        let job =
+          job_from_files [ ("a.c", "void H1() { }\nvoid H2() { }\n") ]
+        in
+        let with_allowance alloc =
+          {
+            job with
+            Mcd.spec =
+              {
+                job.Mcd.spec with
+                Flash_api.p_handlers =
+                  List.map
+                    (fun h -> { h with Flash_api.h_lane_allowance = alloc () })
+                    job.Mcd.spec.Flash_api.p_handlers;
+              };
+          }
+        in
+        let shared = [| 1; 1; 1; 1 |] in
+        let cache = Mcd_cache.create () in
+        let _, cold =
+          Mcd.check_jobs ~cache ~jobs:1 [ with_allowance (fun () -> shared) ]
+        in
+        let _, warm =
+          Mcd.check_jobs ~cache ~jobs:1
+            [ with_allowance (fun () -> Array.copy shared) ]
+        in
+        Alcotest.(check int) "two batches and lanes" 3 cold.Mcd.units_total;
+        Alcotest.(check int) "every unit hits" cold.Mcd.units_total
+          warm.Mcd.cache_hits);
     t "a body-rewriting copy never hits its original's entry" `Quick
       (fun () ->
         let job = job_from_files [ ("b.c", use_g) ] in

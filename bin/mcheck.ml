@@ -31,9 +31,9 @@
     the (location, event, state transition) steps that drove the checker
     to the report; [--trace FILE.json] records the whole pipeline
     (cfront, engine, mcd, cache, sim) as a Chrome trace; [--metrics]
-    dumps the merged counter/histogram registry; [--quiet]/[-v] set the
-    verbosity of the [Mcobs] log sink that all status lines route
-    through. *)
+    dumps the [Mcobs] metrics registry and the spans by name;
+    [--quiet]/[-v] set the verbosity of the [Mcobs] log that all status
+    lines route through. *)
 
 open Cmdliner
 module Session = Mcheck_api.Session
@@ -420,8 +420,8 @@ let metrics_arg =
   Arg.(
     value & flag
     & info [ "metrics" ]
-        ~doc:"Dump the merged Mcobs counter/histogram/span registry \
-              after the run.")
+        ~doc:"Dump the Mcobs metrics registry (non-zero counters and \
+              histograms) and the spans by name after the run.")
 
 let strict_arg =
   Arg.(

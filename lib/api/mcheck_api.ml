@@ -164,6 +164,11 @@ let pool_iter ~jobs f items =
    - store a blob for every unit annotated here.
    The result is a function of (source, typedef scope, env), as a cold
    parse's is.  Returns it with the [cfront.reuse] span's arguments. *)
+let m_reuse_hit = Mcobs.counter "cfront.reuse.hit"
+let m_reuse_miss = Mcobs.counter "cfront.reuse.miss"
+let m_reuse_missing = Mcobs.counter "cfront.reuse.missing"
+let m_reuse_corrupt = Mcobs.counter "cfront.reuse.corrupt"
+
 let parse_reusing ~jobs ~path cache (srcs : (string * string) list) =
   let srcs = Array.of_list srcs in
   let n = Array.length srcs in
@@ -186,7 +191,7 @@ let parse_reusing ~jobs ~path cache (srcs : (string * string) list) =
           entries.(i) <- Some e;
           e.Mcd_cache.u_typedefs
         | _ ->
-          Mcobs.count "cfront.reuse.miss";
+          Mcobs.inc m_reuse_miss;
           parse i
       in
       scope := List.rev_append own !scope)
@@ -202,14 +207,14 @@ let parse_reusing ~jobs ~path cache (srcs : (string * string) list) =
     (fun i ->
       match decoded.(i) with
       | Ok u ->
-        Mcobs.count "cfront.reuse.hit";
+        Mcobs.inc m_reuse_hit;
         units.(i) <- Some u;
         reused.(i) <- true
       | Error e ->
-        Mcobs.count
+        Mcobs.inc
           (match e with
-          | `Missing -> "cfront.reuse.missing"
-          | `Corrupt -> "cfront.reuse.corrupt");
+          | `Missing -> m_reuse_missing
+          | `Corrupt -> m_reuse_corrupt);
         incr failed;
         ignore (parse i))
     hits;
@@ -294,18 +299,6 @@ let write_file path contents =
 (* ------------------------------------------------------------------ *)
 
 module Session = struct
-  type stats = {
-    requests : int;
-    files_checked : int;
-    diags_emitted : int;
-    findings : int;
-    units_run : int;
-    cache_hits : int;
-    cache_entries : int;
-    check_wall_ms : float;
-    uptime_s : float;
-  }
-
   type t = {
     cfg : config;
     cache : Mcd_cache.t option;
@@ -314,15 +307,7 @@ module Session = struct
        the unit-level Mcd cache below it handles partial edits.  Sound
        because the pipeline is deterministic in (sources, selection). *)
     memo : (string, report) Hashtbl.t option;
-    created_at : float;
     mutable closed : bool;
-    mutable requests : int;
-    mutable files_checked : int;
-    mutable diags_emitted : int;
-    mutable findings : int;
-    mutable units_run : int;
-    mutable cache_hits : int;
-    mutable check_wall_ms : float;
   }
 
   let create ?(config = default_config) () =
@@ -346,15 +331,7 @@ module Session = struct
       cfg = config;
       cache;
       memo = (if config.incremental then Some (Hashtbl.create 64) else None);
-      created_at = Unix.gettimeofday ();
       closed = false;
-      requests = 0;
-      files_checked = 0;
-      diags_emitted = 0;
-      findings = 0;
-      units_run = 0;
-      cache_hits = 0;
-      check_wall_ms = 0.;
     }
 
   (* per-call selection override (the daemon's per-request [-c] flags)
@@ -381,50 +358,27 @@ module Session = struct
     Mcobs.logf Mcobs.Normal "%a" Mcd.pp_stats_line stats;
     Mcobs.logf Mcobs.Verbose "scheduler: %a" Mcd.pp_stats stats
 
-  (* session-level live metrics: cumulative across every session in
-     the process (the daemon swaps sessions on reload; the series must
-     not reset with them) *)
+  (* the session's counters, cumulative across every session in the
+     process; the scheduler's own (units run, hit, faulted) are Mcd's *)
   let m_requests =
-    Mctel.Metrics.counter ~help:"session check_* calls"
+    Mcobs.counter ~help:"session check_* calls"
       "mcheck_session_requests_total"
 
   let m_findings =
-    Mctel.Metrics.counter ~help:"non-internal findings reported"
+    Mcobs.counter ~help:"non-internal findings reported"
       "mcheck_findings_total"
 
   let m_check_ms =
-    Mctel.Metrics.hist ~help:"wall time inside check_* calls, ms"
-      "mcheck_check_ms"
-
-  let m_unit_probes =
-    Mctel.Metrics.counter ~help:"Mcd unit cache probes"
-      "mcheck_unit_cache_probes_total"
-
-  let m_unit_hits =
-    Mctel.Metrics.counter ~help:"Mcd unit cache hits"
-      "mcheck_unit_cache_hits_total"
-
-  let m_units_run =
-    Mctel.Metrics.counter ~help:"Mcd units executed (cache misses)"
-      "mcheck_units_run_total"
-
-  let m_units_faulted =
-    Mctel.Metrics.counter ~help:"units ended by the per-unit fault barrier"
-      "mcheck_units_faulted_total"
+    Mcobs.hist ~help:"wall time inside check_* calls, ms" "mcheck_check_ms"
 
   let m_memo_probes =
-    Mctel.Metrics.counter ~help:"whole-request memo probes"
-      "mcheck_memo_probes_total"
+    Mcobs.counter ~help:"whole-request memo probes" "mcheck_memo_probes_total"
 
   let m_memo_hits =
-    Mctel.Metrics.counter ~help:"whole-request memo hits"
-      "mcheck_memo_hits_total"
+    Mcobs.counter ~help:"whole-request memo hits" "mcheck_memo_hits_total"
 
-  let observe_sched (stats : Mcd.stats) =
-    Mctel.Metrics.inc ~by:stats.Mcd.units_total m_unit_probes;
-    Mctel.Metrics.inc ~by:stats.Mcd.cache_hits m_unit_hits;
-    Mctel.Metrics.inc ~by:stats.Mcd.units_run m_units_run;
-    Mctel.Metrics.inc ~by:stats.Mcd.units_faulted m_units_faulted
+  let m_files = Mcobs.counter "api.files_checked"
+  let m_diags = Mcobs.counter "api.diags_emitted"
 
   (* the loaded specs' entries, the first [n] of a job's results,
      folded spec by spec into one ["metal"] entry (none when empty);
@@ -450,9 +404,6 @@ module Session = struct
         ~jobs:t.cfg.jobs jobs
     in
     if t.cfg.jobs > 1 || t.cfg.incremental then report_sched_stats stats;
-    t.units_run <- t.units_run + stats.Mcd.units_run;
-    t.cache_hits <- t.cache_hits + stats.Mcd.cache_hits;
-    observe_sched stats;
     ( List.map shape results,
       stats,
       stats.Mcd.units_faulted > 0 || stats.Mcd.workers_crashed > 0 )
@@ -487,15 +438,12 @@ module Session = struct
         r_sched = sched;
       } )
 
-  let record t report ~files ~wall_ms =
-    t.requests <- t.requests + 1;
-    t.files_checked <- t.files_checked + files;
-    t.diags_emitted <- t.diags_emitted + List.length (report_diags report);
-    t.findings <- t.findings + report.r_findings;
-    t.check_wall_ms <- t.check_wall_ms +. wall_ms;
-    Mctel.Metrics.inc m_requests;
-    Mctel.Metrics.inc ~by:report.r_findings m_findings;
-    Mctel.Metrics.observe m_check_ms wall_ms
+  let record report ~files ~wall_ms =
+    Mcobs.inc m_requests;
+    Mcobs.inc ~by:files m_files;
+    Mcobs.inc ~by:(List.length (report_diags report)) m_diags;
+    Mcobs.inc ~by:report.r_findings m_findings;
+    Mcobs.observe m_check_ms wall_ms
 
   (* everything the report depends on, digested *)
   let memo_key ~names srcs ~skipped ~had_input =
@@ -545,7 +493,7 @@ module Session = struct
           check_programs t ~names ~parse_diags ~skipped ~had_input
             [ { Mcd.spec = default_spec tus; tus } ])
     in
-    record t report ~files:(List.length srcs) ~wall_ms;
+    record report ~files:(List.length srcs) ~wall_ms;
     report
 
   let check_sources t ~names srcs ~skipped ~had_input =
@@ -554,13 +502,11 @@ module Session = struct
       | Some _ -> Some (memo_key ~names srcs ~skipped ~had_input)
       | None -> None
     in
-    if key <> None then Mctel.Metrics.inc m_memo_probes;
+    if key <> None then Mcobs.inc m_memo_probes;
     match memo_find t key with
     | Some report ->
-      Mcobs.count "api.memo.hit";
-      Mctel.Metrics.inc m_memo_hits;
-      t.cache_hits <- t.cache_hits + 1;
-      record t report ~files:(List.length srcs) ~wall_ms:0.;
+      Mcobs.inc m_memo_hits;
+      record report ~files:(List.length srcs) ~wall_ms:0.;
       report
     | None ->
       let report = check_sources_uncached t ~names srcs ~skipped ~had_input in
@@ -573,8 +519,6 @@ module Session = struct
         let srcs, skipped = read_sources ~strict:t.cfg.strict files in
         check_sources t ~names srcs ~skipped ~had_input:(files <> []))
 
-  let check_file ?checkers t file = check_files ?checkers t [ file ]
-
   let check_buffer ?checkers t ~name ~contents =
     Mcobs.with_span "api.check_buffer" (fun () ->
         check_sources t
@@ -586,7 +530,7 @@ module Session = struct
     let (results, report), wall_ms =
       time_ms (fun () -> check_programs t ~names jobs)
     in
-    record t report ~files:0 ~wall_ms;
+    record report ~files:0 ~wall_ms;
     (results, report)
 
   let check_units ?checkers t ~spec tus =
@@ -603,50 +547,18 @@ module Session = struct
     Mcobs.with_span "api.check_jobs" (fun () ->
         check_parsed t ~names:t.cfg.checkers jobs)
 
-  let stats t =
-    {
-      requests = t.requests;
-      files_checked = t.files_checked;
-      diags_emitted = t.diags_emitted;
-      findings = t.findings;
-      units_run = t.units_run;
-      cache_hits = t.cache_hits;
-      cache_entries =
-        (match t.cache with Some c -> Mcd_cache.size c | None -> 0);
-      check_wall_ms = t.check_wall_ms;
-      uptime_s = Unix.gettimeofday () -. t.created_at;
-    }
-
-  let pp_stats ppf (s : stats) =
-    Format.fprintf ppf
-      "requests %d, files %d, diags %d, findings %d, units run %d, cache \
-       hits %d, cache entries %d, check wall %.1f ms, uptime %.1f s"
-      s.requests s.files_checked s.diags_emitted s.findings s.units_run
-      s.cache_hits s.cache_entries s.check_wall_ms s.uptime_s
-
-  let map2_stats fi ff (a : stats) (b : stats) =
-    {
-      requests = fi a.requests b.requests;
-      files_checked = fi a.files_checked b.files_checked;
-      diags_emitted = fi a.diags_emitted b.diags_emitted;
-      findings = fi a.findings b.findings;
-      units_run = fi a.units_run b.units_run;
-      cache_hits = fi a.cache_hits b.cache_hits;
-      cache_entries = fi a.cache_entries b.cache_entries;
-      check_wall_ms = ff a.check_wall_ms b.check_wall_ms;
-      uptime_s = ff a.uptime_s b.uptime_s;
-    }
-
   (* share this session's warm results with concurrent writers; safe
      to call any time — failures are counted, never raised (a worker
      must not die because the cache directory got hostile) *)
+  let m_publish_failed = Mcobs.counter "mcd.cache.publish.failed"
+
   let publish_cache t =
     match (t.cache, t.cfg.cache_dir) with
     | Some cache, Some dir -> (
       match Mcd_cache.publish_dir cache dir with
       | Ok _ -> ()
       | Error msg ->
-        Mcobs.count "mcd.cache.publish.failed";
+        Mcobs.inc m_publish_failed;
         Mcobs.logf Mcobs.Verbose "cache publish: %s\n" msg)
     | _ -> ()
 

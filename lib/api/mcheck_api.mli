@@ -2,8 +2,8 @@
     pipeline.
 
     One {!Session.t} wraps frontend → {!Prep} → {!Registry}/{!Mcd} →
-    {!Robust} exit policy behind four calls ([create] / [check_*] /
-    [stats] / [close]), and is the single entry point every driver —
+    {!Robust} exit policy behind three calls ([create] / [check_*] /
+    [close]), and is the single entry point every executable —
     [bin/mcheck], [bin/mcheckd], [bin/mcfuzz], [bin/mcfault] — goes
     through.  A session owns the warm state that makes repeated checks
     cheap: the content-hash {!Mcd_cache} survives across [check_*]
@@ -98,18 +98,14 @@ val print_report : render_opts -> report -> unit
 
 module Session : sig
   type t
-
-  type stats = {
-    requests : int;  (** [check_*] calls served *)
-    files_checked : int;
-    diags_emitted : int;
-    findings : int;
-    units_run : int;  (** Mcd units executed (cache misses) *)
-    cache_hits : int;
-    cache_entries : int;  (** current warm-cache size *)
-    check_wall_ms : float;  (** time spent inside [check_*] *)
-    uptime_s : float;
-  }
+  (** A session keeps no tallies of its own: each [check_*] call counts
+      itself in the {!Mcobs} registry, cumulative over every session in
+      the process — [mcheck_session_requests_total],
+      [mcheck_findings_total], the [mcheck_check_ms] histogram,
+      [mcheck_memo_probes_total]/[mcheck_memo_hits_total] (the
+      whole-request memo), and the profile counters [api.files_checked]
+      and [api.diags_emitted]; the scheduler's unit counters are
+      {!Mcd}'s.  A call's own numbers are in its {!report}. *)
 
   val create : ?config:config -> unit -> t
 
@@ -124,8 +120,6 @@ module Session : sig
       handler spec, run the configured pipeline.  Unreadable files are
       reported on stderr and skipped (or fail the run under
       [strict]). *)
-
-  val check_file : ?checkers:string list -> t -> string -> report
 
   val check_buffer :
     ?checkers:string list -> t -> name:string -> contents:string -> report
@@ -144,14 +138,6 @@ module Session : sig
       job list, exactly like [mcheck] with no file arguments; the
       per-job result lists keep checker grouping for per-protocol
       printing, the report aggregates *)
-
-  val stats : t -> stats
-  val pp_stats : Format.formatter -> stats -> unit
-
-  val map2_stats :
-    (int -> int -> int) -> (float -> float -> float) -> stats -> stats -> stats
-  (** field by field: [map2_stats (-) (-.) later earlier] is what the
-      calls in between added; [map2_stats (+) (+.)] sums such deltas *)
 
   val publish_cache : t -> unit
   (** publish the warm cache as a content-addressed segment in

@@ -32,5 +32,3 @@ val reachable_from : t -> string list -> string list
 
 val recursive_functions : t -> string list
 (** names that can reach themselves through calls *)
-
-val call_sites_of_func : Ast.func -> call_site list

@@ -89,6 +89,8 @@ let flatten exprs =
    domains.  A shared old block makes the allocation GC-silent. *)
 let arena_init : Ast.expr = Ast.int_lit 0
 
+let m_builds = Mcobs.counter "prep.build"
+
 let build (func : Ast.func) : t =
   let cfg = Cfg.build func in
   let n = Array.length cfg.Cfg.nodes in
@@ -133,7 +135,7 @@ let build (func : Ast.func) : t =
           incr k)
         evs)
     cfg.Cfg.nodes;
-  Mcobs.count "prep.build";
+  Mcobs.inc m_builds;
   {
     func;
     cfg;

@@ -154,12 +154,6 @@ val equal_expr : expr -> expr -> bool
 (** structural, ignoring locations and inferred types — the pattern
     matcher's wildcard-consistency notion *)
 
-val equal_stmt : stmt -> stmt -> bool
-(** structural, ignoring locations and inferred types *)
-
-val equal_func : func -> func -> bool
-val equal_global : global -> global -> bool
-
 val equal_tunit : tunit -> tunit -> bool
 (** structural equality of whole units, ignoring file names, locations
     and inferred types — what a printer/parser round trip must

@@ -6,13 +6,6 @@
     unsynchronised state are kept.  The test suite asserts the race
     checker's verdict is unchanged by optimisation. *)
 
-val redundant_waits : Ast.func -> Loc.t list
-(** wait sites redundant on every path through them *)
-
-val redundant_waits_prep : Prep.t -> Loc.t list
-(** [redundant_waits] over an already-prepared function — drivers that
-    have a shared {!Prep.t} in hand avoid rebuilding the CFG *)
-
 type report = { functions_changed : int; waits_removed : int }
 
 val optimize : Ast.tunit list -> Ast.tunit list * report

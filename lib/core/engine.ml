@@ -121,14 +121,25 @@ let describe_fault = function
   | Injected_fault what -> "injected fault: " ^ what
   | exn -> "exception: " ^ Printexc.to_string exn
 
+(* profile counters (see Mcobs: dotted names are not exposed) *)
+let m_budget_exhausted = Mcobs.counter "engine.budget_exhausted"
+let m_degraded_runs = Mcobs.counter "engine.degraded_runs"
+let m_nodes_visited = Mcobs.counter "engine.nodes_visited"
+let m_events_matched = Mcobs.counter "engine.events_matched"
+let m_paths_stopped = Mcobs.counter "engine.paths_stopped"
+let m_exit_states = Mcobs.counter "engine.exit_states"
+let m_product_scans = Mcobs.counter "engine.product_scans"
+let m_product_nodes_visited = Mcobs.counter "engine.product_nodes_visited"
+let m_product_pack_fallbacks = Mcobs.counter "engine.product_pack_fallbacks"
+
 let consume_fuel (lim : limiter) =
   lim.fuel_left <- lim.fuel_left - 1;
   if lim.fuel_left <= 0 then begin
-    Mcobs.count "engine.budget_exhausted";
+    Mcobs.inc m_budget_exhausted;
     raise (Budget_exhausted "step fuel exhausted")
   end;
   if lim.fuel_left land 255 = 0 && Mcobs.now_us () > lim.deadline_us then begin
-    Mcobs.count "engine.budget_exhausted";
+    Mcobs.inc m_budget_exhausted;
     raise (Budget_exhausted "unit deadline exceeded")
   end
 
@@ -462,13 +473,13 @@ let check_prep (m : 'state machine) (prep : Prep.t) : Diag.t list =
       let disp = dispatch m start_state in
       if degraded then begin
         flat 0 start_state disp [];
-        Mcobs.count "engine.degraded_runs"
+        Mcobs.inc m_degraded_runs
       end
       else visit cfg.Cfg.entry start_state disp [] [];
-      Mcobs.count ~by:!nodes_visited "engine.nodes_visited";
-      Mcobs.count ~by:!events_matched "engine.events_matched";
-      Mcobs.count ~by:!paths_stopped "engine.paths_stopped";
-      Mcobs.count ~by:(Hashtbl.length exit_states) "engine.exit_states";
+      Mcobs.inc ~by:!nodes_visited m_nodes_visited;
+      Mcobs.inc ~by:!events_matched m_events_matched;
+      Mcobs.inc ~by:!paths_stopped m_paths_stopped;
+      Mcobs.inc ~by:(Hashtbl.length exit_states) m_exit_states;
       Diag.normalize !diags
     in
     if Mcobs.enabled () then
@@ -778,15 +789,15 @@ let product_scan (prep : Prep.t) (machines : pmachine array) : bool array =
     in
     visit cfg.Cfg.entry entry_vec;
     Array.iter (fun i -> i.i_finish ()) insts;
-    Mcobs.count "engine.product_scans";
-    Mcobs.count ~by:!visits "engine.product_nodes_visited";
+    Mcobs.inc m_product_scans;
+    Mcobs.inc ~by:!visits m_product_nodes_visited;
     Array.map (fun i -> i.i_dirty ()) insts
   end
   in
   if packed_ok then
     try run ~packed:true
     with Pack_overflow ->
-      Mcobs.count "engine.product_pack_fallbacks";
+      Mcobs.inc m_product_pack_fallbacks;
       run ~packed:false
   else run ~packed:false
 

@@ -22,8 +22,6 @@ type t = {
 
 let create ~reserved = { reserved; seen = [] }
 
-let is_reserved t name = List.mem name t.reserved
-
 (** Record an annotation call encountered during checking; returns the
     record so the checker can later mark it used.  The same source site
     may be reached along many paths (and in several checker states), so

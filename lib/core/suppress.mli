@@ -17,7 +17,6 @@ type annotation = {
 type t
 
 val create : reserved:string list -> t
-val is_reserved : t -> string -> bool
 
 val record : t -> name:string -> loc:Loc.t -> func:string -> annotation
 (** record an annotation call seen during checking; the checker marks it

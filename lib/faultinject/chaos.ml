@@ -505,9 +505,9 @@ let campaign ?(seed = 0xC4A0) ?(count = 340) ?(quick = false) () : summary =
   let rng = Random.State.make [| seed |] in
   Client.breaker_reset ();
   let retries0 =
-    Mctel.Metrics.counter_value (Mctel.Metrics.counter "mcsup_retries_total")
+    Mcobs.counter_value (Mcobs.counter "mcsup_retries_total")
   and respawns0 =
-    Mctel.Metrics.counter_value (Mctel.Metrics.counter "mcsup_respawns_total")
+    Mcobs.counter_value (Mcobs.counter "mcsup_respawns_total")
   in
   let env = boot () in
   let sheds = Atomic.make 0 in
@@ -591,11 +591,11 @@ let campaign ?(seed = 0xC4A0) ?(count = 340) ?(quick = false) () : summary =
     lost_inflight;
     sheds = Atomic.get sheds;
     retries =
-      Mctel.Metrics.counter_value (Mctel.Metrics.counter "mcsup_retries_total")
+      Mcobs.counter_value (Mcobs.counter "mcsup_retries_total")
       - retries0;
     respawns =
-      Mctel.Metrics.counter_value
-        (Mctel.Metrics.counter "mcsup_respawns_total")
+      Mcobs.counter_value
+        (Mcobs.counter "mcsup_respawns_total")
       - respawns0;
     by_class;
     failures;

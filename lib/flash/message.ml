@@ -44,8 +44,6 @@ let length_consistent t =
   | false, (Len_word | Len_cacheline) -> false
   | true, (Len_word | Len_cacheline) | false, Len_nodata -> true
 
-let is_reply t = Flash_api.is_reply_opcode t.opcode
-
 let pp ppf t =
   Format.fprintf ppf "%s %d->%d addr=0x%x len=%s%s lane=%d" t.opcode t.src
     t.dst t.addr

@@ -25,5 +25,4 @@ val length_consistent : t -> bool
 (** false on the two inconsistencies the msg_length checker hunts: a data
     send with zero length, or a no-data send with a non-zero length *)
 
-val is_reply : t -> bool
 val pp : Format.formatter -> t -> unit

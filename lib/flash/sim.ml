@@ -274,11 +274,8 @@ let deliver t (msg : Message.t) : int option =
   let node = t.nodes.(msg.Message.dst) in
   let line = line_of_addr t msg.Message.addr in
   t.stats.messages <- t.stats.messages + 1;
-  Mcobs.count "sim.messages";
-  if String.equal msg.Message.opcode "MSG_NAK" then begin
+  if String.equal msg.Message.opcode "MSG_NAK" then
     t.stats.naks <- t.stats.naks + 1;
-    Mcobs.count "sim.naks"
-  end;
   (* hardware: allocate the buffer and stream the body in *)
   let filling =
     msg.Message.has_data && Rng.percent t.rng t.cfg.fill_delay_pct
@@ -341,7 +338,6 @@ let deliver t (msg : Message.t) : int option =
     | None -> ()
     | Some handler ->
       t.stats.handler_runs <- t.stats.handler_runs + 1;
-      Mcobs.count "sim.handler_runs";
       let faults, sent =
         Interp.run_handler ~node ~program:t.program ~consts:t.consts handler
       in
@@ -510,6 +506,11 @@ let leaked_buffers t =
       acc + (16 - Buffers.free_count node.Interp.buffers))
     0 t.nodes
 
+let m_messages = Mcobs.counter "sim.messages"
+let m_naks = Mcobs.counter "sim.naks"
+let m_handler_runs = Mcobs.counter "sim.handler_runs"
+let m_transactions = Mcobs.counter "sim.transactions"
+
 (** Run the configured number of transactions. *)
 let run (cfg : config) : result =
   Mcobs.with_span "sim.run"
@@ -518,7 +519,6 @@ let run (cfg : config) : result =
       let t = create cfg in
       for i = 1 to cfg.transactions do
         t.current_transaction <- i;
-        Mcobs.count "sim.transactions";
         let op = random_op t in
         (match op with
         | Read _ -> t.stats.reads <- t.stats.reads + 1
@@ -533,6 +533,12 @@ let run (cfg : config) : result =
                 (Interp.F_buffer Buffers.Pool_exhausted))
           t.nodes
       done;
+      (* the run's own tallies are its result; the registry counts
+         them once, here *)
+      Mcobs.inc ~by:cfg.transactions m_transactions;
+      Mcobs.inc ~by:t.stats.messages m_messages;
+      Mcobs.inc ~by:t.stats.naks m_naks;
+      Mcobs.inc ~by:t.stats.handler_runs m_handler_runs;
       {
         config = cfg;
         stats = t.stats;

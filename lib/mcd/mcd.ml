@@ -185,6 +185,26 @@ let batch_key ~pf_digest (p : prepared) (f : Ast.func) : string option =
        (Lazy.force p.p_sdigest) (Lazy.force p.p_edigest))
     (func_key f.Ast.f_loc.Loc.file f)
 
+(* every unit scheduled is one probe of the unit cache, when there is
+   one *)
+let m_units_total =
+  Mcobs.counter ~help:"Mcd unit cache probes"
+    "mcheck_unit_cache_probes_total"
+
+let m_units_hit =
+  Mcobs.counter ~help:"Mcd unit cache hits" "mcheck_unit_cache_hits_total"
+
+let m_units_run =
+  Mcobs.counter ~help:"Mcd units executed (cache misses)"
+    "mcheck_units_run_total"
+
+let m_units_faulted =
+  Mcobs.counter ~help:"units ended by the per-unit fault barrier"
+    "mcheck_units_faulted_total"
+
+let m_checker_faults = Mcobs.counter "mcd.unit.checker_faults"
+let m_queue_wait_ms = Mcobs.hist "mcd.queue_wait_ms"
+
 let check_jobs ?cache ?(budget = Engine.no_budget)
     ?(checkers = Registry.all) ~jobs (job_list : job list) :
     (string * Diag.t list) list list * stats =
@@ -226,6 +246,8 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
   let hits = ref 0 in
   let miss_slots = ref [] in
   let miss_keys = ref [] in
+  (* a miss's task takes the staged checkers (sized after the domain
+     clamp below) and the worker index *)
   let consider ~slot ~cname ~uname key_of run_of =
     (* no cache, no digest; a unit without a key runs and is not stored *)
     let key = Option.bind cache (fun _ -> key_of ()) in
@@ -237,32 +259,17 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
       let run_of =
         if Mcobs.enabled () then begin
           let enqueued_us = Mcobs.now_us () in
-          fun worker ->
-            Mcobs.observe "mcd.queue_wait_ms"
+          fun stagings worker ->
+            Mcobs.observe m_queue_wait_ms
               ((Mcobs.now_us () -. enqueued_us) /. 1000.);
             Mcobs.with_span "mcd.unit"
               ~args:[ ("checker", cname); ("unit", uname) ]
-              (fun () -> run_of worker)
+              (fun () -> run_of stagings worker)
         end
         else run_of
       in
       miss_slots := (slot, run_of) :: !miss_slots;
       Option.iter (fun k -> miss_keys := (slot, k) :: !miss_keys) key
-  in
-  (* never spawn more domains than the host has cores: extra domains
-     only add minor-GC contention, so requesting [--jobs 4] on a 1-core
-     box must degrade to the sequential loop, not run slower than it *)
-  let domains = min (max 1 jobs) (Domain.recommended_domain_count ()) in
-  (* Staged per-function checkers (closures, state-machine dispatch
-     memos, annotation tables) are domain-local: pool worker [w] stages
-     job [j] on first use into [stagings.(w).(j)], so spec-dependent
-     machines compile once per (worker, job) and never cross domains.
-     The array dies with the call. *)
-  let stagings =
-    Array.init domains (fun _ ->
-        Array.map
-          (fun p -> Registry.stage ~checkers ~spec:p.p_job.spec ~ctx:p.p_ctx)
-          prepared)
   in
   (* every unit runs the [Registry] kernel, whose fault barrier keeps a
      crashing or over-budget checker inside its unit: the pool keeps
@@ -270,15 +277,14 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
   let store ~slot (slices, fs) =
     results.(slot) <- slices;
     faults.(slot) <- fs;
-    if fs <> [] then
-      Mcobs.count ~by:(List.length fs) "mcd.unit.checker_faults"
+    if fs <> [] then Mcobs.inc ~by:(List.length fs) m_checker_faults
   in
-  let run_batch ~slot ~job ~fn worker =
+  let run_batch ~slot ~job ~fn stagings worker =
     store ~slot
       (Registry.check_function stagings.(worker).(job) ~budget
          prepared.(job).p_funcs.(fn))
   in
-  let run_global ~slot ~job ~global _worker =
+  let run_global ~slot ~job ~global _stagings _worker =
     let p = prepared.(job) in
     let slice, fs =
       Registry.check_whole_program ~budget globals.(global)
@@ -311,8 +317,27 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
                 (run_batch ~slot ~job ~fn))
             p.p_funcs)
         prepared);
+  (* never spawn more domains than the host has cores, nor than there
+     are units to run: extra domains only add minor-GC contention, so
+     [--jobs 4] on a 1-core box, or a warm re-check that runs nothing,
+     degrades to the sequential loop *)
+  let n_tasks = List.length !miss_slots in
+  let domains =
+    max 1 (min (min jobs (Domain.recommended_domain_count ())) n_tasks)
+  in
+  (* Staged per-function checkers (closures, state-machine dispatch
+     memos, annotation tables) are domain-local: pool worker [w] stages
+     job [j] on first use into [stagings.(w).(j)], so spec-dependent
+     machines compile once per (worker, job) and never cross domains.
+     The array dies with the call. *)
+  let stagings =
+    Array.init domains (fun _ ->
+        Array.map
+          (fun p -> Registry.stage ~checkers ~spec:p.p_job.spec ~ctx:p.p_ctx)
+          prepared)
+  in
   let tasks =
-    Array.of_list (List.rev_map (fun (_, run) -> run) !miss_slots)
+    Array.of_list (List.rev_map (fun (_, run) -> run stagings) !miss_slots)
   in
   (* chunked claiming: aim for ~8 chunks per worker so the tail still
      balances while the cursor is touched rarely *)
@@ -369,8 +394,6 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
        | "" -> []
        | trace -> [ ("trace", trace) ]))
     ~begin_us:t0 ~dur_us ();
-  Mcobs.count ~by:total "mcd.units_total";
-  Mcobs.count ~by:(Array.length tasks) "mcd.units_run";
   let units_faulted =
     Array.fold_left (fun acc fs -> if fs = [] then acc else acc + 1) 0 faults
   in
@@ -380,11 +403,16 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
         if w.Mcd_pool.crashed then acc + 1 else acc)
       0 worker_stats
   in
-  if units_faulted > 0 then Mcobs.count ~by:units_faulted "mcd.units_faulted";
+  (* the scheduler's outcome, counted here and nowhere else; the stats
+     record is the same numbers, for this call *)
+  Mcobs.inc ~by:total m_units_total;
+  Mcobs.inc ~by:n_tasks m_units_run;
+  Mcobs.inc ~by:!hits m_units_hit;
+  Mcobs.inc ~by:units_faulted m_units_faulted;
   let stats =
     {
       units_total = total;
-      units_run = Array.length tasks;
+      units_run = n_tasks;
       cache_hits = !hits;
       units_faulted;
       workers_crashed;

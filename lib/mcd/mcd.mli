@@ -40,7 +40,9 @@ type stats = {
   workers_crashed : int;
       (** pool workers whose claim loop died; their orphaned units were
           re-claimed by the coordinator *)
-  domains : int;  (** domains actually spawned (after the core clamp) *)
+  domains : int;
+      (** domains used, after clamping to the cores and to the units to
+          run *)
   workers : Mcd_pool.worker_stats array;
       (** per-domain pool statistics, in domain order — derived from the
           domains' [mcd.worker] Mcobs spans, measured once *)
@@ -58,10 +60,16 @@ val check_jobs :
     metal spec is one {!Registry.of_sm} checker); per-job results are
     one entry per checker, in list order, exactly what each checker's
     [run ~spec tus] returns.  [jobs] is the requested domain count,
-    clamped to [1 .. Domain.recommended_domain_count ()]: oversubscribing
-    a small host only adds minor-GC contention, so [--jobs 4] on one core
-    degrades to the sequential loop instead of running slower than it;
-    one domain spawns nothing.  With [?cache], hits are resolved before
+    clamped to [1 .. Domain.recommended_domain_count ()] and to the
+    number of units to run: oversubscribing a small host only adds
+    minor-GC contention, so [--jobs 4] on one core, or a warm re-check
+    that runs no unit, degrades to the sequential loop instead of
+    running slower than it; one domain spawns nothing.  The scheduler's
+    outcome (units scheduled, hit, run and faulted) is counted once, in
+    the [mcheck_unit_cache_probes_total], [mcheck_unit_cache_hits_total],
+    [mcheck_units_run_total] and [mcheck_units_faulted_total] counters
+    of {!Mcobs}; the returned {!stats} carry the same numbers for this
+    call.  With [?cache], hits are resolved before
     scheduling and misses are stored after the pool joins; without it
     no digest is computed.  Every unit is one {!Registry.check_function}
     or {!Registry.check_whole_program} call.

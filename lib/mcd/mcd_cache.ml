@@ -67,14 +67,20 @@ let locked c f =
   Mutex.lock c.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock c.mutex) f
 
-let find c key =
-  let r = locked c (fun () -> Hashtbl.find_opt c.table key) in
-  Mcobs.count "mcd.cache.probe";
-  Mcobs.count (if r = None then "mcd.cache.miss" else "mcd.cache.hit");
-  r
+(* [Mcd] counts the probes, hits and misses: a unit is one probe *)
+let find c key = locked c (fun () -> Hashtbl.find_opt c.table key)
+
+let m_stores = Mcobs.counter "mcd.cache.store"
+let m_publish_dup = Mcobs.counter "mcd.cache.publish.dup"
+let m_publish_contended = Mcobs.counter "mcd.cache.publish.contended"
+let m_publish_ok = Mcobs.counter "mcd.cache.publish.ok"
+
+(* why a load was cold, one counter per class: rare events, so the
+   counter is resolved when it happens *)
+let count_load prefix reason = Mcobs.inc (Mcobs.counter (prefix ^ reason))
 
 let add c key diags =
-  Mcobs.count "mcd.cache.store";
+  Mcobs.inc m_stores;
   locked c (fun () -> Hashtbl.replace c.table key diags)
 
 let size c = locked c (fun () -> Hashtbl.length c.table)
@@ -257,7 +263,7 @@ let load path =
       | Ok (table, units) -> ("ok", make table units)
       | Error reason -> (reason, create ())
   in
-  Mcobs.count ("mcd.cache.load." ^ reason);
+  count_load "mcd.cache.load." reason;
   c
 
 (* ------------------------------------------------------------------ *)
@@ -292,7 +298,7 @@ let publish_dir c dir =
   let seg = segment_path dir hex in
   if Sys.file_exists seg then begin
     (* someone already published identical content *)
-    Mcobs.count "mcd.cache.publish.dup";
+    Mcobs.inc m_publish_dup;
     Ok seg
   end
   else begin
@@ -303,7 +309,7 @@ let publish_dir c dir =
     | exception Unix.Unix_error (Unix.EEXIST, _, _) ->
       (* another writer is publishing this very content right now —
          its rename will land the same bytes, so ours is redundant *)
-      Mcobs.count "mcd.cache.publish.contended";
+      Mcobs.inc m_publish_contended;
       Ok seg
     | exception Unix.Unix_error (e, _, _) ->
       Error
@@ -316,7 +322,7 @@ let publish_dir c dir =
       with
       | () ->
         release ();
-        Mcobs.count "mcd.cache.publish.ok";
+        Mcobs.inc m_publish_ok;
         Ok seg
       | exception exn ->
         release ();
@@ -330,7 +336,7 @@ let is_segment name =
 
 let load_dir dir =
   let acc = create () in
-  let cold reason = Mcobs.count ("mcd.cache.dir." ^ reason) in
+  let cold = count_load "mcd.cache.dir." in
   (match Sys.readdir dir with
   | exception Sys_error _ -> cold "missing"
   | names ->

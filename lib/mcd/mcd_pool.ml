@@ -49,6 +49,8 @@ exception Killed of string
 let kill_hook : (worker:int -> task:int -> bool) option ref = ref None
 
 let set_test_kill h = kill_hook := h
+let m_crashed = Mcobs.counter "mcd.pool.worker_crashed"
+let m_reclaimed = Mcobs.counter "mcd.pool.reclaimed"
 
 (** Execute every task of [tasks] exactly once across [domains] worker
     domains (clamped to at least 1), passing each task the index of the
@@ -99,7 +101,7 @@ let run ?(chunk = 1) ~domains (tasks : (int -> unit) array) :
        loop ()
      with _ ->
        crashed := true;
-       Mcobs.count "mcd.pool.worker_crashed");
+       Mcobs.inc m_crashed);
     let dur = Mcobs.now_us () -. t0 in
     Mcobs.record_span ~name:"mcd.worker"
       ~args:[ ("tasks", string_of_int !count) ]
@@ -125,6 +127,6 @@ let run ?(chunk = 1) ~domains (tasks : (int -> unit) array) :
         run_task ~worker:0 i
       end)
     completed;
-  if !orphans > 0 then Mcobs.count ~by:!orphans "mcd.pool.reclaimed";
+  if !orphans > 0 then Mcobs.inc ~by:!orphans m_reclaimed;
   (match Atomic.get failure with Some exn -> raise exn | None -> ());
   Array.append [| mine |] others

@@ -1,26 +1,25 @@
 (** Mcobs — the unified tracing, metrics, and logging layer.
 
     One structured-observability core shared by every stage of the
-    checking pipeline (cfront, engine, mcd, sim).  The design constraint
-    is the [Mcd_pool]: instrumentation must be safe — and cheap — inside
-    worker domains, so every recording operation writes only to a
-    *domain-local* buffer obtained through [Domain.DLS].  No lock is
-    taken on the hot path; the global registry mutex is touched exactly
-    once per domain, when its buffer is first created.  Merging happens
-    at {!snapshot} time, from the coordinating domain, after the workers
-    have joined — which is the only moment the scheduler reads them
-    anyway.
+    checking pipeline (cfront, engine, mcd, api, serve, supervise, sim)
+    and by the daemon's live exposition.  It keeps two kinds of record:
 
-    Everything is gated on one atomic flag: with tracing disabled (the
-    default) a span is a single boolean load around the traced thunk, so
-    instrumented code paths cost nothing measurable.
+    - {b one metrics registry}: named counters, gauges and log-scale
+      histograms.  A metric is a handle resolved once by name (at module
+      initialisation, typically) and updated atomically, so it is safe
+      and cheap inside [Mcd_pool] workers and daemon threads alike.
+      Metrics are always on.  Every view — [mcheck --metrics], the
+      [counters] of a {!snapshot}, Prometheus text and JSON, the
+      daemon's [--stats], a serve worker's trailer — reads this one
+      registry, so one fact is counted at one site.
+    - {b spans}, recorded into a *domain-local* buffer obtained through
+      [Domain.DLS]: no lock on the hot path, merged at {!snapshot} time
+      from the coordinating domain after the workers have joined.
+      Spans are gated on one atomic flag: with tracing disabled (the
+      default) a span is a single boolean load around the traced thunk.
 
-    Three exporters read a snapshot:
-    - {!pp_summary} — a human-readable metric/span digest;
-    - {!export_jsonl} — one JSON object per line (spans, counters,
-      histograms), easy to post-process;
-    - {!export_chrome} — Chrome [chrome://tracing] / Perfetto trace-event
-      format ("X" complete events, per-domain tracks). *)
+    The exporters read a snapshot ({!pp_summary}, {!export_jsonl_file},
+    {!export_chrome}) or the registry ({!to_prometheus}, {!to_json}). *)
 
 (* ------------------------------------------------------------------ *)
 (* Clock                                                               *)
@@ -62,24 +61,195 @@ let verbosity = Atomic.make (level_rank Normal)
 let set_verbosity l = Atomic.set verbosity (level_rank l)
 let get_verbosity () = level_of_rank (Atomic.get verbosity)
 
-(* The log sink: where [logf] lines land.  Defaults to stderr so logs
-   never pollute diagnostic output on stdout. *)
-let sink : (level -> string -> unit) ref =
-  ref (fun _ line ->
-      prerr_string line;
-      prerr_newline ())
-
-let set_sink f = sink := f
-
+(* log lines go to stderr so they never pollute diagnostic output on
+   stdout *)
 let logf lvl fmt =
   Format.kasprintf
     (fun line ->
-      if level_rank lvl <= Atomic.get verbosity && lvl <> Quiet then
-        !sink lvl line)
+      if level_rank lvl <= Atomic.get verbosity && lvl <> Quiet then begin
+        prerr_string line;
+        prerr_newline ()
+      end)
     fmt
 
 (* ------------------------------------------------------------------ *)
-(* Domain-local buffers                                                *)
+(* The metrics registry                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Log-scale latency histogram; bucket [i] counts samples <= bounds.(i),
+   the last bucket is the overflow. *)
+let hist_bounds_ms = [| 0.01; 0.1; 1.0; 10.0; 100.0; 1000.0; 10000.0 |]
+
+type hist_snapshot = {
+  count : int;
+  sum_ms : float;
+  max_ms : float;
+  buckets : int array;
+}
+
+type counter = int Atomic.t
+type gauge = int Atomic.t
+
+type hist = {
+  h_mu : Mutex.t;
+  mutable h_count : int;
+  mutable h_sum_ms : float;
+  mutable h_max_ms : float;
+  h_buckets : int array;  (* length hist_bounds_ms + 1 *)
+}
+
+type metric = Counter of counter | Gauge of gauge | Hist of hist
+
+(* name -> (help, metric); a labeled series is keyed by its full series
+   name, [family{key="value"}] *)
+let registry : (string, string * metric) Hashtbl.t = Hashtbl.create 128
+let registry_mu = Mutex.create ()
+
+let register name help make select =
+  Mutex.protect registry_mu (fun () ->
+      match Hashtbl.find_opt registry name with
+      | Some (_, m) -> (
+        match select m with
+        | Some h -> h
+        | None ->
+          invalid_arg
+            (Printf.sprintf "Mcobs: %s is registered as another kind" name))
+      | None ->
+        let m = make () in
+        Hashtbl.add registry name (help, m);
+        Option.get (select m))
+
+let counter ?(help = "") name =
+  register name help
+    (fun () -> Counter (Atomic.make 0))
+    (function Counter c -> Some c | _ -> None)
+
+let counter_labeled ?help name ~label:(k, v) =
+  counter ?help (Printf.sprintf "%s{%s=%S}" name k v)
+
+let gauge ?(help = "") name =
+  register name help
+    (fun () -> Gauge (Atomic.make 0))
+    (function Gauge g -> Some g | _ -> None)
+
+let hist ?(help = "") name =
+  register name help
+    (fun () ->
+      Hist
+        {
+          h_mu = Mutex.create ();
+          h_count = 0;
+          h_sum_ms = 0.;
+          h_max_ms = 0.;
+          h_buckets = Array.make (Array.length hist_bounds_ms + 1) 0;
+        })
+    (function Hist h -> Some h | _ -> None)
+
+let inc ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
+let counter_value c = Atomic.get c
+let set g v = Atomic.set g v
+let add g by = ignore (Atomic.fetch_and_add g by)
+
+let observe h ms =
+  let rec bucket i =
+    if i >= Array.length hist_bounds_ms || ms <= hist_bounds_ms.(i) then i
+    else bucket (i + 1)
+  in
+  let i = bucket 0 in
+  Mutex.protect h.h_mu (fun () ->
+      h.h_count <- h.h_count + 1;
+      h.h_sum_ms <- h.h_sum_ms +. ms;
+      if ms > h.h_max_ms then h.h_max_ms <- ms;
+      h.h_buckets.(i) <- h.h_buckets.(i) + 1)
+
+let hist_snapshot h =
+  Mutex.protect h.h_mu (fun () ->
+      {
+        count = h.h_count;
+        sum_ms = h.h_sum_ms;
+        max_ms = h.h_max_ms;
+        buckets = Array.copy h.h_buckets;
+      })
+
+(* every registered metric, sorted by name; values are read after the
+   registry lock is dropped (each read is individually consistent) *)
+let listing () =
+  Mutex.protect registry_mu (fun () ->
+      Hashtbl.fold
+        (fun name (help, m) acc -> (name, help, m) :: acc)
+        registry [])
+  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+
+(* ------------------------------------------------------------------ *)
+(* Registry values and deltas                                          *)
+(* ------------------------------------------------------------------ *)
+
+type metrics = {
+  m_counters : (string * int) list;
+  m_hists : (string * hist_snapshot) list;
+}
+
+let metrics () =
+  let l = listing () in
+  {
+    m_counters =
+      List.filter_map
+        (function n, _, Counter c -> Some (n, Atomic.get c) | _ -> None)
+        l;
+    m_hists =
+      List.filter_map
+        (function n, _, Hist h -> Some (n, hist_snapshot h) | _ -> None)
+        l;
+  }
+
+(* A histogram's max is not subtractable: a delta carries the later
+   max, an upper bound of the window's, so the max of merged deltas is
+   still the max of every sample merged. *)
+let diff later earlier =
+  {
+    m_counters =
+      List.filter_map
+        (fun (n, v) ->
+          let v0 =
+            Option.value ~default:0 (List.assoc_opt n earlier.m_counters)
+          in
+          if v = v0 then None else Some (n, v - v0))
+        later.m_counters;
+    m_hists =
+      List.filter_map
+        (fun (n, (h : hist_snapshot)) ->
+          match List.assoc_opt n earlier.m_hists with
+          | Some h0 when h0.count = h.count -> None
+          | Some h0 ->
+            Some
+              ( n,
+                {
+                  h with
+                  count = h.count - h0.count;
+                  sum_ms = h.sum_ms -. h0.sum_ms;
+                  buckets =
+                    Array.mapi (fun i b -> b - h0.buckets.(i)) h.buckets;
+                } )
+          | None -> if h.count = 0 then None else Some (n, h))
+        later.m_hists;
+  }
+
+let merge d =
+  List.iter (fun (n, by) -> inc ~by (counter n)) d.m_counters;
+  List.iter
+    (fun (n, (s : hist_snapshot)) ->
+      let h = hist n in
+      Mutex.protect h.h_mu (fun () ->
+          h.h_count <- h.h_count + s.count;
+          h.h_sum_ms <- h.h_sum_ms +. s.sum_ms;
+          h.h_max_ms <- Float.max h.h_max_ms s.max_ms;
+          Array.iteri
+            (fun i b -> h.h_buckets.(i) <- h.h_buckets.(i) + b)
+            s.buckets))
+    d.m_hists
+
+(* ------------------------------------------------------------------ *)
+(* Domain-local span buffers                                           *)
 (* ------------------------------------------------------------------ *)
 
 type span = {
@@ -109,31 +279,18 @@ let with_trace trace f =
   Atomic.set ambient_trace trace;
   Fun.protect ~finally:(fun () -> Atomic.set ambient_trace prev) f
 
-(* Log-scale latency histogram; bucket [i] counts samples <= bounds.(i),
-   the last bucket is the overflow. *)
-let hist_bounds_ms = [| 0.01; 0.1; 1.0; 10.0; 100.0; 1000.0; 10000.0 |]
-
-type hist = {
-  mutable h_count : int;
-  mutable h_sum_ms : float;
-  mutable h_max_ms : float;
-  h_buckets : int array;  (* length hist_bounds_ms + 1 *)
-}
-
 type buffer = {
   b_tid : int;
   mutable b_spans : span list;  (* reverse completion order *)
   mutable b_nspans : int;
   mutable b_dropped : int;
   mutable b_depth : int;
-  b_counters : (string, int ref) Hashtbl.t;
-  b_hists : (string, hist) Hashtbl.t;
 }
 
 (* Buffers stay registered after their domain joins; [snapshot] reads
    them from the coordinating domain once the workers are quiet. *)
-let registry_mutex = Mutex.create ()
-let registry : buffer list ref = ref []
+let buffers_mu = Mutex.create ()
+let buffers : buffer list ref = ref []
 
 (* A runaway tracer must not take the process down with it: each domain
    keeps at most this many spans and counts the rest as dropped. *)
@@ -148,57 +305,13 @@ let buffer_key : buffer Domain.DLS.key =
           b_nspans = 0;
           b_dropped = 0;
           b_depth = 0;
-          b_counters = Hashtbl.create 32;
-          b_hists = Hashtbl.create 16;
         }
       in
-      Mutex.lock registry_mutex;
-      registry := b :: !registry;
-      Mutex.unlock registry_mutex;
+      Mutex.protect buffers_mu (fun () -> buffers := b :: !buffers);
       b)
 
 let buffer () = Domain.DLS.get buffer_key
-
-(* ------------------------------------------------------------------ *)
-(* Recording                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let count ?(by = 1) name =
-  if enabled () then begin
-    let b = buffer () in
-    match Hashtbl.find_opt b.b_counters name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add b.b_counters name (ref by)
-  end
-
-let observe name ms =
-  if enabled () then begin
-    let b = buffer () in
-    let h =
-      match Hashtbl.find_opt b.b_hists name with
-      | Some h -> h
-      | None ->
-        let h =
-          {
-            h_count = 0;
-            h_sum_ms = 0.;
-            h_max_ms = 0.;
-            h_buckets = Array.make (Array.length hist_bounds_ms + 1) 0;
-          }
-        in
-        Hashtbl.add b.b_hists name h;
-        h
-    in
-    h.h_count <- h.h_count + 1;
-    h.h_sum_ms <- h.h_sum_ms +. ms;
-    if ms > h.h_max_ms then h.h_max_ms <- ms;
-    let rec bucket i =
-      if i >= Array.length hist_bounds_ms || ms <= hist_bounds_ms.(i) then i
-      else bucket (i + 1)
-    in
-    let i = bucket 0 in
-    h.h_buckets.(i) <- h.h_buckets.(i) + 1
-  end
+let all_buffers () = Mutex.protect buffers_mu (fun () -> !buffers)
 
 let push_span b sp =
   if b.b_nspans >= max_spans_per_domain then b.b_dropped <- b.b_dropped + 1
@@ -262,122 +375,65 @@ let with_span ?(args = []) ?result_args name f =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots and merging                                               *)
+(* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
-
-type hist_snapshot = {
-  count : int;
-  sum_ms : float;
-  max_ms : float;
-  buckets : int array;
-}
 
 type snapshot = {
   spans : span list;  (** every domain, ascending begin time *)
-  counters : (string * int) list;  (** merged across domains, by name *)
+  counters : (string * int) list;  (** the registry's non-zero counters *)
   hists : (string * hist_snapshot) list;
   dropped_spans : int;
 }
 
-(* Counter merge: an associative, commutative union-with-(+) over
-   name-sorted association lists.  Factored out (and exported) because
-   the per-domain buffers are merged pairwise in arbitrary order, so
-   associativity is exactly the property the qcheck suite pins down. *)
-let merge_counters (a : (string * int) list) (b : (string * int) list) :
-    (string * int) list =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (k, v) ->
-      match Hashtbl.find_opt tbl k with
-      | Some r -> r := !r + v
-      | None -> Hashtbl.add tbl k (ref v))
-    (a @ b);
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl []
-  |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
+let by_begin a b =
+  let c = Float.compare a.sp_begin_us b.sp_begin_us in
+  if c <> 0 then c else Int.compare a.sp_tid b.sp_tid
 
-let merge_hist (a : hist_snapshot) (b : hist_snapshot) : hist_snapshot =
-  {
-    count = a.count + b.count;
-    sum_ms = a.sum_ms +. b.sum_ms;
-    max_ms = Float.max a.max_ms b.max_ms;
-    buckets = Array.init (Array.length a.buckets) (fun i ->
-        a.buckets.(i) + b.buckets.(i));
-  }
-
-let hist_snapshot_of (h : hist) : hist_snapshot =
-  {
-    count = h.h_count;
-    sum_ms = h.h_sum_ms;
-    max_ms = h.h_max_ms;
-    buckets = Array.copy h.h_buckets;
-  }
-
-(** Merge every domain's buffer into one immutable snapshot.  Call from
-    the coordinating domain while no instrumented worker is running —
-    the same discipline [Mcd] already imposes on its result slots. *)
+(** Every domain's spans plus the registry's values.  Call from the
+    coordinating domain while no instrumented worker is running — the
+    same discipline [Mcd] already imposes on its result slots. *)
 let snapshot () : snapshot =
-  Mutex.lock registry_mutex;
-  let buffers = !registry in
-  Mutex.unlock registry_mutex;
-  let spans =
-    List.concat_map (fun b -> List.rev b.b_spans) buffers
-    |> List.sort (fun a b ->
-           let c = Float.compare a.sp_begin_us b.sp_begin_us in
-           if c <> 0 then c else Int.compare a.sp_tid b.sp_tid)
-  in
-  let counters =
-    List.fold_left
-      (fun acc b ->
-        merge_counters acc
-          (Hashtbl.fold (fun k r l -> (k, !r) :: l) b.b_counters []))
-      [] buffers
-  in
-  let hists =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun b ->
-        Hashtbl.iter
-          (fun k h ->
-            let s = hist_snapshot_of h in
-            match Hashtbl.find_opt tbl k with
-            | Some prev -> Hashtbl.replace tbl k (merge_hist prev s)
-            | None -> Hashtbl.add tbl k s)
-          b.b_hists)
-      buffers;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
-  in
-  let dropped =
-    List.fold_left (fun acc b -> acc + b.b_dropped) 0 buffers
-  in
-  { spans; counters; hists; dropped_spans = dropped }
+  let buffers = all_buffers () in
+  let m = metrics () in
+  {
+    spans =
+      List.concat_map (fun b -> List.rev b.b_spans) buffers
+      |> List.sort by_begin;
+    counters = List.filter (fun (_, v) -> v <> 0) m.m_counters;
+    hists = List.filter (fun (_, h) -> h.count > 0) m.m_hists;
+    dropped_spans = List.fold_left (fun acc b -> acc + b.b_dropped) 0 buffers;
+  }
 
-(** Clear every registered buffer.  Same calling discipline as
+(** Clear every span buffer and zero every counter and histogram
+    (gauges keep their values).  Same calling discipline as
     {!snapshot}. *)
 let reset () =
-  Mutex.lock registry_mutex;
-  let buffers = !registry in
-  Mutex.unlock registry_mutex;
   List.iter
     (fun b ->
       b.b_spans <- [];
       b.b_nspans <- 0;
       b.b_dropped <- 0;
-      b.b_depth <- 0;
-      Hashtbl.reset b.b_counters;
-      Hashtbl.reset b.b_hists)
-    buffers
+      b.b_depth <- 0)
+    (all_buffers ());
+  List.iter
+    (function
+      | _, _, Counter c -> Atomic.set c 0
+      | _, _, Gauge _ -> ()
+      | _, _, Hist h ->
+        Mutex.protect h.h_mu (fun () ->
+            h.h_count <- 0;
+            h.h_sum_ms <- 0.;
+            h.h_max_ms <- 0.;
+            Array.fill h.h_buckets 0 (Array.length h.h_buckets) 0))
+    (listing ())
 
 (** Remove and return every span recorded under [trace], across all
-    domains, leaving everything else (other traces' spans, counters,
-    histograms) in place — unlike {!reset}, this is safe to interleave
+    domains, leaving everything else (other traces' spans, the
+    registry) in place — unlike {!reset}, this is safe to interleave
     with other requests' aggregate metrics.  Same calling discipline as
     {!snapshot}: no domain may be concurrently recording under this
     trace. *)
 let drain_trace trace =
-  Mutex.lock registry_mutex;
-  let buffers = !registry in
-  Mutex.unlock registry_mutex;
   let matched = ref [] in
   List.iter
     (fun b ->
@@ -389,12 +445,8 @@ let drain_trace trace =
         b.b_nspans <- List.length rest;
         matched := List.rev_append mine !matched
       end)
-    buffers;
-  List.sort
-    (fun a b ->
-      let c = Float.compare a.sp_begin_us b.sp_begin_us in
-      if c <> 0 then c else Int.compare a.sp_tid b.sp_tid)
-    !matched
+    (all_buffers ());
+  List.sort by_begin !matched
 
 (* ------------------------------------------------------------------ *)
 (* Quantiles                                                           *)
@@ -575,3 +627,83 @@ let pp_summary ppf (s : snapshot) =
   if s.dropped_spans > 0 then
     Format.fprintf ppf "@,dropped spans: %d" s.dropped_spans;
   Format.fprintf ppf "@]"
+
+(* ------------------------------------------------------------------ *)
+(* Prometheus and JSON views of the registry                           *)
+(* ------------------------------------------------------------------ *)
+
+let family name =
+  match String.index_opt name '{' with
+  | Some i -> String.sub name 0 i
+  | None -> name
+
+(* a dot is not legal in a Prometheus name: dotted names are this
+   process's profile counters, listed by snapshots only *)
+let exposed () =
+  List.filter (fun (name, _, _) -> not (String.contains (family name) '.'))
+    (listing ())
+
+let to_prometheus () =
+  let b = Buffer.create 1024 in
+  let last = ref "" in
+  List.iter
+    (fun (name, help, m) ->
+      (* HELP/TYPE once per family, so a labeled family's series
+         scrape as one family *)
+      let head kind =
+        let base = family name in
+        if !last <> base then begin
+          if help <> "" then Printf.bprintf b "# HELP %s %s\n" base help;
+          Printf.bprintf b "# TYPE %s %s\n" base kind;
+          last := base
+        end
+      in
+      match m with
+      | Counter c ->
+        head "counter";
+        Printf.bprintf b "%s %d\n" name (Atomic.get c)
+      | Gauge g ->
+        head "gauge";
+        Printf.bprintf b "%s %d\n" name (Atomic.get g)
+      | Hist h ->
+        let s = hist_snapshot h in
+        head "histogram";
+        let cum = ref 0 in
+        Array.iteri
+          (fun i n ->
+            cum := !cum + n;
+            if i < Array.length hist_bounds_ms then
+              Printf.bprintf b "%s_bucket{le=\"%g\"} %d\n" name
+                hist_bounds_ms.(i) !cum)
+          s.buckets;
+        Printf.bprintf b "%s_bucket{le=\"+Inf\"} %d\n" name s.count;
+        Printf.bprintf b "%s_sum %.6f\n" name s.sum_ms;
+        Printf.bprintf b "%s_count %d\n" name s.count)
+    (exposed ());
+  Buffer.contents b
+
+let to_json () =
+  let b = Buffer.create 1024 in
+  Buffer.add_char b '{';
+  List.iteri
+    (fun i (name, help, m) ->
+      if i > 0 then Buffer.add_char b ',';
+      Printf.bprintf b "\n  \"%s\": {" (json_escape name);
+      if help <> "" then Printf.bprintf b "\"help\":\"%s\"," (json_escape help);
+      (match m with
+      | Counter c ->
+        Printf.bprintf b "\"type\":\"counter\",\"value\":%d" (Atomic.get c)
+      | Gauge g ->
+        Printf.bprintf b "\"type\":\"gauge\",\"value\":%d" (Atomic.get g)
+      | Hist h ->
+        let s = hist_snapshot h in
+        let q p = Option.value ~default:0. (quantile_hist s p) in
+        Printf.bprintf b
+          "\"type\":\"histogram\",\"count\":%d,\"sum_ms\":%.3f,\"max_ms\":%.3f,\"p50_ms\":%.3f,\"p90_ms\":%.3f,\"p99_ms\":%.3f,\"buckets\":[%s]"
+          s.count s.sum_ms s.max_ms (q 0.5) (q 0.9) (q 0.99)
+          (String.concat ","
+             (Array.to_list (Array.map string_of_int s.buckets))));
+      Buffer.add_char b '}')
+    (exposed ());
+  Buffer.add_string b "\n}\n";
+  Buffer.contents b

@@ -21,19 +21,19 @@ let err_to_string e =
 type t = { fd : Unix.file_descr; mutable open_ : bool }
 
 let m_retries =
-  Mctel.Metrics.counter ~help:"client request attempts retried"
+  Mcobs.counter ~help:"client request attempts retried"
     "mcheck_client_retries_total"
 
 let m_timeouts =
-  Mctel.Metrics.counter ~help:"client connect/read timeouts"
+  Mcobs.counter ~help:"client connect/read timeouts"
     "mcheck_client_timeouts_total"
 
 let m_breaker_opens =
-  Mctel.Metrics.counter ~help:"circuit breaker open transitions"
+  Mcobs.counter ~help:"circuit breaker open transitions"
     "mcheck_client_breaker_opens_total"
 
 let m_breaker_open =
-  Mctel.Metrics.gauge ~help:"1 while any endpoint breaker is open"
+  Mcobs.gauge ~help:"1 while any endpoint breaker is open"
     "mcheck_client_breaker_open"
 
 (* ------------------------------------------------------------------ *)
@@ -82,7 +82,7 @@ let connect ?(connect_timeout = 10.) ?(read_timeout = 60.) addr =
       -> (
       match Unix.select [] [ sock ] [] connect_timeout with
       | _, [], _ ->
-        Mctel.Metrics.inc m_timeouts;
+        Mcobs.inc m_timeouts;
         fail E_timeout
           (Printf.sprintf "timed out after %.1fs" connect_timeout)
       | _, _ :: _, _ -> (
@@ -118,7 +118,7 @@ let read_response t =
   match Proto.read_frame t.fd with
   | Error msg -> err E_transport ("read failed: " ^ msg)
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-    Mctel.Metrics.inc m_timeouts;
+    Mcobs.inc m_timeouts;
     err E_timeout "read timed out"
   | exception Unix.Unix_error (e, _, _) ->
     err E_transport ("read failed: " ^ Unix.error_message e)
@@ -242,7 +242,7 @@ module Breaker = struct
     Hashtbl.fold (fun _ s acc -> acc || s.opened_until > now) table false
 
   let sync_gauge () =
-    Mctel.Metrics.set m_breaker_open (if any_open () then 1 else 0)
+    Mcobs.set m_breaker_open (if any_open () then 1 else 0)
 
   (* [`Pass] = go ahead (closed, or the half-open probe slot);
      [`Fail_fast ms] = open, come back in ms *)
@@ -274,7 +274,7 @@ module Breaker = struct
         s.fails <- s.fails + 1;
         s.probing <- false;
         if s.fails >= !threshold then begin
-          if s.opened_until = 0. then Mctel.Metrics.inc m_breaker_opens;
+          if s.opened_until = 0. then Mcobs.inc m_breaker_opens;
           s.opened_until <-
             Unix.gettimeofday () +. (float_of_int !cooldown_ms /. 1000.)
         end;
@@ -322,7 +322,7 @@ let with_retry ?(attempts = 4) ?(base_backoff_ms = 50) ?connect_timeout
   let rec go i last =
     if i >= attempts then last
     else begin
-      if i > 0 then Mctel.Metrics.inc m_retries;
+      if i > 0 then Mcobs.inc m_retries;
       let backoff () = jitter (base_backoff_ms * (1 lsl i)) in
       let attempt_result =
         match Breaker.admit key with

@@ -5,10 +5,10 @@
 
    Telemetry rides every request: a trace id (client-minted or ours)
    travels to the worker in the request's options, the worker's
-   trailer brings back its spans and counter deltas, the flight
+   trailer brings back its spans and registry delta, the flight
    recorder keeps the merged span tree, latency/byte/outcome metrics
-   feed the always-on Mctel registry, and one JSONL access-log line is
-   written per request. *)
+   feed the Mcobs registry (which [--stats] and [/metrics] both read),
+   and one JSONL access-log line is written per request. *)
 
 type telemetry = {
   tel_tracing : bool;
@@ -75,16 +75,11 @@ type t = {
   msock : Unix.file_descr option;  (* metrics exposition listener *)
   access : Mctel.Accesslog.t;
   flight : Mctel.Flight.t;
-  mu : Mutex.t;  (* flags and counters *)
+  mu : Mutex.t;  (* the drain flag, conns and inflight *)
   cond : Condition.t;  (* signalled when conns/inflight drop *)
   sup : Mcsup.t;  (* the worker pool every check runs in *)
-  mutable session : Mcheck_api.Session.stats;
-      (* the workers' session counters, summed from their trailers *)
   mutable is_draining : bool;
   mutable conns : int;
-  mutable requests : int;
-  mutable refused : int;
-  mutable errors : int;
   mutable inflight_n : int;
   started : float;
 }
@@ -97,59 +92,55 @@ type t = {
    linking the server, so exposition-presence checks never race the
    first request *)
 let m_requests =
-  Mctel.Metrics.counter ~help:"requests admitted" "mcheckd_requests_total"
+  Mcobs.counter ~help:"requests admitted" "mcheckd_requests_total"
 
 let m_refused =
-  Mctel.Metrics.counter ~help:"requests refused while draining"
+  Mcobs.counter ~help:"requests refused while draining"
     "mcheckd_refused_total"
 
 let m_faults =
-  Mctel.Metrics.counter ~help:"requests ended by the fault barrier"
+  Mcobs.counter ~help:"requests ended by the fault barrier"
     "mcheckd_faults_total"
 
 let m_proto_errors =
-  Mctel.Metrics.counter ~help:"malformed frames and requests"
+  Mcobs.counter ~help:"malformed frames and requests"
     "mcheckd_protocol_errors_total"
 
 let m_bytes_in =
-  Mctel.Metrics.counter ~help:"request bytes read (frames incl. headers)"
+  Mcobs.counter ~help:"request bytes read (frames incl. headers)"
     "mcheckd_bytes_in_total"
 
 let m_bytes_out =
-  Mctel.Metrics.counter ~help:"response bytes written (frames incl. headers)"
+  Mcobs.counter ~help:"response bytes written (frames incl. headers)"
     "mcheckd_bytes_out_total"
 
 let m_inflight =
-  Mctel.Metrics.gauge ~help:"admitted check requests not yet answered"
+  Mcobs.gauge ~help:"admitted check requests not yet answered"
     "mcheckd_inflight"
 
 let m_queue =
-  Mctel.Metrics.gauge ~help:"admitted requests waiting for a free worker"
+  Mcobs.gauge ~help:"admitted requests waiting for a free worker"
     "mcheckd_queue_depth"
 
-let m_conns = Mctel.Metrics.gauge ~help:"open connections" "mcheckd_connections"
-let m_draining = Mctel.Metrics.gauge ~help:"1 while draining" "mcheckd_draining"
+let m_conns = Mcobs.gauge ~help:"open connections" "mcheckd_connections"
+let m_draining = Mcobs.gauge ~help:"1 while draining" "mcheckd_draining"
 
 let m_flight_notable =
-  Mctel.Metrics.counter ~help:"flight-recorder entries retained as notable"
+  Mcobs.counter ~help:"flight-recorder entries retained as notable"
     "mcheckd_flight_notable_total"
 
 let m_req_ms =
-  Mctel.Metrics.hist ~help:"request wall time (all request kinds), ms"
+  Mcobs.hist ~help:"request wall time (all request kinds), ms"
     "mcheckd_request_ms"
 
 let m_shed =
-  Mctel.Metrics.counter ~help:"requests shed by admission control"
+  Mcobs.counter ~help:"requests shed by admission control"
     "mcheckd_shed_total"
 
 let m_client_aborts =
-  Mctel.Metrics.counter
+  Mcobs.counter
     ~help:"response writes that found the client gone (EPIPE/ECONNRESET)"
     "mcheckd_client_aborts_total"
-
-(* a worker's session feeds this histogram in the worker's process;
-   the daemon's copy is fed from the trailers *)
-let m_check_ms = Mctel.Metrics.hist "mcheck_check_ms"
 
 (* ------------------------------------------------------------------ *)
 (* Pool construction                                                   *)
@@ -199,19 +190,6 @@ let build_pool cfg =
     (Worker.pool_config ~size:sv.sv_workers ~wall_ms:sv.sv_wall_ms
        (wconfig_of cfg))
   |> Result.map_error (fun msg -> "cannot start worker pool: " ^ msg)
-
-let no_stats =
-  {
-    Mcheck_api.Session.requests = 0;
-    files_checked = 0;
-    diags_emitted = 0;
-    findings = 0;
-    units_run = 0;
-    cache_hits = 0;
-    cache_entries = 0;
-    check_wall_ms = 0.;
-    uptime_s = 0.;
-  }
 
 (* the metal specs are validated here, not only in each worker: a spec
    that does not compile is a startup error, not a pool of workers that
@@ -269,12 +247,8 @@ let create cfg =
                 ~threshold_ms:cfg.telemetry.tel_flight_threshold_ms ();
             mu = Mutex.create ();
             cond = Condition.create ();
-            session = no_stats;
             is_draining = false;
             conns = 0;
-            requests = 0;
-            refused = 0;
-            errors = 0;
             inflight_n = 0;
             started = Unix.gettimeofday ();
           }))
@@ -286,7 +260,7 @@ let locked mu f =
 let initiate_drain t =
   locked t.mu (fun () ->
       t.is_draining <- true;
-      Mctel.Metrics.set m_draining 1;
+      Mcobs.set m_draining 1;
       Condition.broadcast t.cond)
 
 let draining t = locked t.mu (fun () -> t.is_draining)
@@ -296,36 +270,87 @@ let access_log t = t.access
 let flight_recorder t = t.flight
 let reopen_access_log t = Mctel.Accesslog.reopen t.access
 
-let session_stats t =
-  { t.session with uptime_s = Unix.gettimeofday () -. t.started }
+(* [--stats] is a view of the registry.  The workers' sessions count
+   in the workers, and their trailers merge those counts into this
+   process's registry, so [--stats] and [/metrics] read the same
+   counters.  Each session field is one series: (JSON key, text label,
+   series name). *)
+let session_series =
+  [
+    ("requests", "requests", "mcheck_session_requests_total");
+    ("files_checked", "files", "api.files_checked");
+    ("diags_emitted", "diags", "api.diags_emitted");
+    ("findings", "findings", "mcheck_findings_total");
+    ("units_run", "units run", "mcheck_units_run_total");
+    ("cache_hits", "cache hits", "mcheck_unit_cache_hits_total");
+    (* unit results stored into the workers' caches *)
+    ("cache_entries", "cache entries", "mcd.cache.store");
+  ]
+
+type view = {
+  v_conns : int;
+  v_requests : int;
+  v_refused : int;  (* refused while draining, plus shed *)
+  v_errors : int;  (* fault-barrier trips, plus malformed frames *)
+  v_inflight : int;
+  v_draining : bool;
+  v_session : (string * string * int) list;
+  v_check_ms : float;  (* the [mcheck_check_ms] sum *)
+  v_uptime_s : float;
+}
+
+let stats_view t =
+  let m = Mcobs.metrics () in
+  let series name =
+    Option.value ~default:0 (List.assoc_opt name m.Mcobs.m_counters)
+  in
+  let v = Mcobs.counter_value in
+  locked t.mu (fun () ->
+      {
+        v_conns = t.conns;
+        v_requests = v m_requests;
+        v_refused = v m_refused + v m_shed;
+        v_errors = v m_faults + v m_proto_errors;
+        v_inflight = t.inflight_n;
+        v_draining = t.is_draining;
+        v_session =
+          List.map
+            (fun (key, label, name) -> (key, label, series name))
+            session_series;
+        v_check_ms =
+          (match List.assoc_opt "mcheck_check_ms" m.Mcobs.m_hists with
+          | Some h -> h.Mcobs.sum_ms
+          | None -> 0.);
+        v_uptime_s = Unix.gettimeofday () -. t.started;
+      })
 
 let stats_text t =
-  locked t.mu (fun () ->
-      let s = session_stats t in
-      Format.asprintf
-        "mcheckd %s: up %.1f s, %d conn(s), %d request(s) served, %d \
-         refused, %d error(s), %d in flight%s@.session: %a@."
-        (Proto.addr_to_string t.cfg.addr)
-        (Unix.gettimeofday () -. t.started)
-        t.conns t.requests t.refused t.errors t.inflight_n
-        (if t.is_draining then " (draining)" else "")
-        Mcheck_api.Session.pp_stats s)
+  let v = stats_view t in
+  Printf.sprintf
+    "mcheckd %s: up %.1f s, %d conn(s), %d request(s) served, %d refused, \
+     %d error(s), %d in flight%s\nsession: %s, check wall %.1f ms, uptime \
+     %.1f s\n"
+    (Proto.addr_to_string t.cfg.addr)
+    v.v_uptime_s v.v_conns v.v_requests v.v_refused v.v_errors v.v_inflight
+    (if v.v_draining then " (draining)" else "")
+    (String.concat ", "
+       (List.map (fun (_, label, n) -> Printf.sprintf "%s %d" label n)
+          v.v_session))
+    v.v_check_ms v.v_uptime_s
 
 let stats_json t =
-  locked t.mu (fun () ->
-      let s = session_stats t in
-      Printf.sprintf
-        "{\"addr\":\"%s\",\"uptime_s\":%.1f,\"conns\":%d,\"requests\":%d,\"refused\":%d,\"errors\":%d,\"inflight\":%d,\"draining\":%b,\"access_log_lines\":%d,\"flight_notable\":%d,\"session\":{\"requests\":%d,\"files_checked\":%d,\"diags_emitted\":%d,\"findings\":%d,\"units_run\":%d,\"cache_hits\":%d,\"cache_entries\":%d,\"check_wall_ms\":%.1f,\"uptime_s\":%.1f}}\n"
-        (Mcobs.json_escape (Proto.addr_to_string t.cfg.addr))
-        (Unix.gettimeofday () -. t.started)
-        t.conns t.requests t.refused t.errors t.inflight_n t.is_draining
-        (Mctel.Accesslog.lines_written t.access)
-        (Mctel.Flight.retained t.flight)
-        s.Mcheck_api.Session.requests s.Mcheck_api.Session.files_checked
-        s.Mcheck_api.Session.diags_emitted s.Mcheck_api.Session.findings
-        s.Mcheck_api.Session.units_run s.Mcheck_api.Session.cache_hits
-        s.Mcheck_api.Session.cache_entries
-        s.Mcheck_api.Session.check_wall_ms s.Mcheck_api.Session.uptime_s)
+  let v = stats_view t in
+  Printf.sprintf
+    "{\"addr\":\"%s\",\"uptime_s\":%.1f,\"conns\":%d,\"requests\":%d,\"refused\":%d,\"errors\":%d,\"inflight\":%d,\"draining\":%b,\"access_log_lines\":%d,\"flight_notable\":%d,\"session\":{%s,\"check_wall_ms\":%.1f,\"uptime_s\":%.1f}}\n"
+    (Mcobs.json_escape (Proto.addr_to_string t.cfg.addr))
+    v.v_uptime_s v.v_conns v.v_requests v.v_refused v.v_errors v.v_inflight
+    v.v_draining
+    (Mctel.Accesslog.lines_written t.access)
+    (Mctel.Flight.retained t.flight)
+    (String.concat ","
+       (List.map (fun (key, _, n) -> Printf.sprintf "\"%s\":%d" key n)
+          v.v_session))
+    v.v_check_ms v.v_uptime_s
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -339,7 +364,7 @@ let send fd resp = Proto.write_frame fd (Proto.encode_response resp)
 let retry_after_ms t inflight =
   let p50 =
     Option.value ~default:50.
-      (Mcobs.quantile_hist (Mctel.Metrics.hist_snapshot m_req_ms) 0.5)
+      (Mcobs.quantile_hist (Mcobs.hist_snapshot m_req_ms) 0.5)
   in
   let lanes = max 1 (Mcsup.size t.sup) in
   let ms = p50 *. float_of_int inflight /. float_of_int lanes in
@@ -356,16 +381,15 @@ let admit t =
         `Shed (retry_after_ms t t.inflight_n)
       else begin
         t.inflight_n <- t.inflight_n + 1;
-        t.requests <- t.requests + 1;
-        Mctel.Metrics.inc m_requests;
-        Mctel.Metrics.set m_inflight t.inflight_n;
+        Mcobs.inc m_requests;
+        Mcobs.set m_inflight t.inflight_n;
         `Admitted
       end)
 
 let finish_inflight t =
   locked t.mu (fun () ->
       t.inflight_n <- t.inflight_n - 1;
-      Mctel.Metrics.set m_inflight t.inflight_n;
+      Mcobs.set m_inflight t.inflight_n;
       Condition.broadcast t.cond)
 
 (* the request trace id: the client's, when well-formed; ours
@@ -404,18 +428,11 @@ let span ~trace ?(args = []) ~depth name ~begin_us =
     sp_args = args;
   }
 
-(* fold a worker's trailer into the daemon's telemetry — the session
-   counters, the mcheck_* metrics — and return its spans moved onto
-   this process's clock, nested under serve.request and serve.dispatch *)
-let absorb t (tr : Worker.trailer) =
-  locked t.mu (fun () ->
-      t.session <-
-        Mcheck_api.Session.map2_stats ( + ) ( +. ) t.session tr.tr_stats);
-  List.iter
-    (fun (name, by) -> Mctel.Metrics.inc ~by (Mctel.Metrics.counter name))
-    tr.tr_counters;
-  if tr.tr_stats.requests > 0 then
-    Mctel.Metrics.observe m_check_ms tr.tr_stats.check_wall_ms;
+(* fold a worker's trailer into the daemon's telemetry — its registry
+   delta into this registry — and return its spans moved onto this
+   process's clock, nested under serve.request and serve.dispatch *)
+let absorb (tr : Worker.trailer) =
+  Mcobs.merge tr.tr_metrics;
   let shift = (tr.tr_origin_s -. Mcobs.origin_s) *. 1e6 in
   List.map
     (fun (sp : Mcobs.span) ->
@@ -452,9 +469,9 @@ let run_check t fd ~peer ~kind ~bytes_in req (opts : Proto.check_opts) =
     if not !logged then begin
       logged := true;
       let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-      Mctel.Metrics.observe m_req_ms wall_ms;
-      Mctel.Metrics.inc ~by:bytes_in m_bytes_in;
-      Mctel.Metrics.inc ~by:!bytes_out m_bytes_out;
+      Mcobs.observe m_req_ms wall_ms;
+      Mcobs.inc ~by:bytes_in m_bytes_in;
+      Mcobs.inc ~by:!bytes_out m_bytes_out;
       ignore
         (Mctel.Accesslog.log t.access
            {
@@ -477,16 +494,14 @@ let run_check t fd ~peer ~kind ~bytes_in req (opts : Proto.check_opts) =
           :: !spans
         else []
       in
-      let notable0 = Mctel.Flight.retained t.flight in
-      Mctel.Flight.record t.flight ~trace ~kind ~peer ~begin_us ~wall_ms
-        ~outcome:!outcome ~spans;
-      let kept = Mctel.Flight.retained t.flight - notable0 in
-      if kept > 0 then Mctel.Metrics.inc ~by:kept m_flight_notable
+      if
+        Mctel.Flight.record t.flight ~trace ~kind ~peer ~begin_us ~wall_ms
+          ~outcome:!outcome ~spans
+      then Mcobs.inc m_flight_notable
     end
   in
   let fault () =
-    locked t.mu (fun () -> t.errors <- t.errors + 1);
-    Mctel.Metrics.inc m_faults;
+    Mcobs.inc m_faults;
     outcome := "fault"
   in
   (* ship the request to a pooled worker and forward its response
@@ -522,8 +537,12 @@ let run_check t fd ~peer ~kind ~bytes_in req (opts : Proto.check_opts) =
           else []);
       List.iter
         (fun (tr : Worker.trailer) ->
-          cache_hits := !cache_hits + tr.tr_stats.cache_hits;
-          spans := !spans @ absorb t tr)
+          cache_hits :=
+            !cache_hits
+            + Option.value ~default:0
+                (List.assoc_opt "mcheck_unit_cache_hits_total"
+                   tr.tr_metrics.Mcobs.m_counters);
+          spans := !spans @ absorb tr)
         trailers;
       (* one coalesced write: the whole frame list is already in hand
          (nothing was streamed during dispatch), so forwarding it frame
@@ -556,14 +575,12 @@ let run_check t fd ~peer ~kind ~bytes_in req (opts : Proto.check_opts) =
   in
   match admit t with
   | `Draining ->
-    locked t.mu (fun () -> t.refused <- t.refused + 1);
-    Mctel.Metrics.inc m_refused;
+    Mcobs.inc m_refused;
     outcome := "refused";
     Fun.protect ~finally:finish_log (fun () ->
         send_counted (Proto.R_error "draining: request refused"))
   | `Shed ms ->
-    locked t.mu (fun () -> t.refused <- t.refused + 1);
-    Mctel.Metrics.inc m_shed;
+    Mcobs.inc m_shed;
     outcome := "overloaded";
     Fun.protect ~finally:finish_log (fun () ->
         send_counted (Proto.R_overloaded { ro_retry_after_ms = ms }))
@@ -583,9 +600,9 @@ let answer t fd ~peer ~kind ~bytes_in resp =
   Fun.protect
     ~finally:(fun () ->
       let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-      Mctel.Metrics.observe m_req_ms wall_ms;
-      Mctel.Metrics.inc ~by:bytes_in m_bytes_in;
-      Mctel.Metrics.inc
+      Mcobs.observe m_req_ms wall_ms;
+      Mcobs.inc ~by:bytes_in m_bytes_in;
+      Mcobs.inc
         ~by:(Proto.header_len + String.length payload)
         m_bytes_out;
       ignore
@@ -616,10 +633,10 @@ let handle_request t fd ~peer ~bytes_in req =
     answer t fd ~peer ~kind:"stats" ~bytes_in (Proto.R_text (stats_json t))
   | Proto.Metrics Proto.M_prom ->
     answer t fd ~peer ~kind:"metrics" ~bytes_in
-      (Proto.R_text (Mctel.Metrics.to_prometheus ()))
+      (Proto.R_text (Mcobs.to_prometheus ()))
   | Proto.Metrics Proto.M_json ->
     answer t fd ~peer ~kind:"metrics" ~bytes_in
-      (Proto.R_text (Mctel.Metrics.to_json ()))
+      (Proto.R_text (Mcobs.to_json ()))
   | Proto.Flight ->
     answer t fd ~peer ~kind:"flight" ~bytes_in
       (Proto.R_text (Mctel.Flight.dump_json t.flight))
@@ -629,7 +646,6 @@ let handle_request t fd ~peer ~bytes_in req =
   | Proto.Reload -> (
     match Mcheck_api.load_metal t.cfg.metal_paths with
     | Error msg ->
-      locked t.mu (fun () -> t.errors <- t.errors + 1);
       answer t fd ~peer ~kind:"reload" ~bytes_in
         (Proto.R_error ("reload failed: " ^ msg))
     | Ok _ ->
@@ -672,16 +688,14 @@ let handle_conn t fd =
     | Error msg ->
       (* framing is broken; answer once and hang up *)
       (try send fd (Proto.R_error ("protocol error: " ^ msg)) with _ -> ());
-      Mctel.Metrics.inc m_proto_errors;
-      locked t.mu (fun () -> t.errors <- t.errors + 1)
+      Mcobs.inc m_proto_errors
     | Ok payload -> (
       let bytes_in = Proto.header_len + String.length payload in
       match Proto.decode_request payload with
       | Error msg ->
         (try send fd (Proto.R_error ("protocol error: " ^ msg))
          with _ -> ());
-        Mctel.Metrics.inc m_proto_errors;
-        locked t.mu (fun () -> t.errors <- t.errors + 1)
+        Mcobs.inc m_proto_errors
       | Ok req -> (
         match handle_request t fd ~peer ~bytes_in req with
         | () -> loop ()
@@ -689,7 +703,7 @@ let handle_conn t fd =
           ->
           (* the client hung up mid-reply: a per-connection event worth
              counting, never a fault-barrier trip *)
-          Mctel.Metrics.inc m_client_aborts
+          Mcobs.inc m_client_aborts
         | exception Unix.Unix_error _ ->
           (* client went away mid-reply *)
           ()))
@@ -699,7 +713,7 @@ let handle_conn t fd =
       (try Unix.close fd with _ -> ());
       locked t.mu (fun () ->
           t.conns <- t.conns - 1;
-          Mctel.Metrics.set m_conns t.conns;
+          Mcobs.set m_conns t.conns;
           Condition.broadcast t.cond))
     loop
 
@@ -752,11 +766,11 @@ let serve_metrics_http t sock =
               if ready t then ("200 OK", "text/plain", "ready\n")
               else ("503 Service Unavailable", "text/plain", "not ready\n")
             else if contains_sub line ".json" then
-              ("200 OK", "application/json", Mctel.Metrics.to_json ())
+              ("200 OK", "application/json", Mcobs.to_json ())
             else
               ( "200 OK",
                 "text/plain; version=0.0.4",
-                Mctel.Metrics.to_prometheus () )
+                Mcobs.to_prometheus () )
           in
           let resp =
             Printf.sprintf
@@ -822,7 +836,7 @@ let run t =
           else begin
             locked t.mu (fun () ->
                 t.conns <- t.conns + 1;
-                Mctel.Metrics.set m_conns t.conns);
+                Mcobs.set m_conns t.conns);
             ignore (Thread.create (fun () -> handle_conn t fd) ())
           end)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
@@ -844,4 +858,4 @@ let run t =
   Mcsup.close t.sup;
   Mctel.Accesslog.close t.access;
   Mcobs.logf Mcobs.Normal "mcheckd: drained, %d request(s) served"
-    t.requests
+    (Mcobs.counter_value m_requests)

@@ -40,14 +40,13 @@ type trailer = {
   tr_origin_s : float;
   tr_spans : Mcobs.span list;
   tr_spans_dropped : int;
-  tr_stats : Mcheck_api.Session.stats;
-  tr_counters : (string * int) list;
+  tr_metrics : Mcobs.metrics;
 }
 
 (* Marshal for the same reason as the init frame.  The tag keeps a
    trailer apart from every Proto response, whose first byte is a
    small tag number. *)
-let trailer_tag = "mcw-trailer1"
+let trailer_tag = "mcw-trailer2"
 let encode_trailer tr = trailer_tag ^ Marshal.to_string (tr : trailer) []
 
 let is_trailer = String.starts_with ~prefix:trailer_tag
@@ -171,20 +170,6 @@ let reply resp =
   add_frame (Proto.encode_response resp);
   match resp with Proto.R_diag _ -> () | _ -> flush_out ()
 
-(* the counters that moved between two [Mctel.Metrics.counters]
-   snapshots, with how far *)
-let counter_deltas before after =
-  List.filter_map
-    (fun (name, v) ->
-      let v0 = Option.value ~default:0 (List.assoc_opt name before) in
-      if v = v0 then None else Some (name, v - v0))
-    after
-
-(* Runs the check under the request's trace id (the daemon resolved it
-   before dispatch) and answers with the diag frames, the trailer, and
-   the final frame.  The frames are exactly what a local run renders:
-   the daemon forwards them verbatim, so any divergence here is a
-   wire-visible byte difference the differential oracle would catch. *)
 (* The trailer must fit in one frame however large the request: keep
    at most this many spans, the longest ones.  A span is never shorter
    than a span it encloses, so what survives is the top of the span
@@ -202,7 +187,7 @@ let cap_spans spans =
       |> List.stable_sort (by (fun sp -> sp.Mcobs.sp_begin_us)),
       n - max_trailer_spans )
 
-let trailer_frame session ~trace ~stats0 ~counters0 =
+let trailer_frame ~trace ~metrics0 =
   let spans = if trace = "" then [] else Mcobs.drain_trace trace in
   let kept, dropped = cap_spans spans in
   let tr =
@@ -210,14 +195,12 @@ let trailer_frame session ~trace ~stats0 ~counters0 =
       tr_origin_s = Mcobs.origin_s;
       tr_spans = kept;
       tr_spans_dropped = dropped;
-      tr_stats =
-        Mcheck_api.Session.(map2_stats ( - ) ( -. ) (stats session) stats0);
-      tr_counters = counter_deltas counters0 (Mctel.Metrics.counters ());
+      tr_metrics = Mcobs.diff (Mcobs.metrics ()) metrics0;
     }
   in
   let frame = encode_trailer tr in
   (* spans with outsized arguments could still overflow the frame: the
-     counters matter more than the spans, so send them alone *)
+     metrics matter more than the spans, so send them alone *)
   if String.length frame <= Proto.max_payload / 2 then frame
   else
     encode_trailer
@@ -228,10 +211,9 @@ let trailer_frame session ~trace ~stats0 ~counters0 =
    the final frame.  The frames are exactly what a local run renders:
    the daemon forwards them verbatim, so any divergence here is a
    wire-visible byte difference the differential oracle would catch. *)
-let run_and_reply session opts work =
+let run_and_reply opts work =
   let trace = opts.Proto.co_trace in
-  let stats0 = Mcheck_api.Session.stats session in
-  let counters0 = Mctel.Metrics.counters () in
+  let metrics0 = Mcobs.metrics () in
   let oom = ref false in
   let final =
     Mcobs.with_trace trace (fun () ->
@@ -263,7 +245,7 @@ let run_and_reply session opts work =
           oom := (match exn with Out_of_memory -> true | _ -> false);
           Proto.R_error (Engine.describe_fault exn))
   in
-  add_frame (trailer_frame session ~trace ~stats0 ~counters0);
+  add_frame (trailer_frame ~trace ~metrics0);
   reply final;
   (* the failed request's garbage still fills the address space that
      RLIMIT_AS allows: collect it now, or the next request's first
@@ -275,7 +257,7 @@ let handle_request wc session req =
   match req with
   | Proto.Ping -> reply Proto.R_ok
   | Proto.Check_files (opts, paths) ->
-    run_and_reply session opts (fun () ->
+    run_and_reply opts (fun () ->
         Mcheck_api.Session.check_files ~checkers:opts.Proto.co_checkers
           session paths)
   | Proto.Check_buffer (opts, name, contents) ->
@@ -286,7 +268,7 @@ let handle_request wc session req =
       if String.equal name "__chaos_kill__" then
         Unix.kill (Unix.getpid ()) Sys.sigkill
     end;
-    run_and_reply session opts (fun () ->
+    run_and_reply opts (fun () ->
         if wc.wc_allow_chaos then begin
           if String.equal name "__chaos_spin__" then chaos_spin ();
           if String.equal name "__chaos_oom__" then chaos_oom ();

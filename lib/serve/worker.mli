@@ -9,7 +9,7 @@
     barrier as [R_error] — so the daemon forwards its frames to the
     client verbatim.  Just before the final frame it sends one
     {!trailer} frame, which the daemon strips: the request's spans and
-    counter deltas, so the daemon's telemetry sees into the worker. *)
+    registry delta, so the daemon's telemetry sees into the worker. *)
 
 val env_key : string
 (** the environment gate ([MCSUP_WORKER]) that turns a re-exec of the
@@ -43,12 +43,10 @@ type trailer = {
       (** the request's spans, drained: the {!max_trailer_spans}
           longest, in start order *)
   tr_spans_dropped : int;  (** the request's spans left out *)
-  tr_stats : Mcheck_api.Session.stats;
-      (** the request's session-counter deltas ([uptime_s] means
-          nothing) *)
-  tr_counters : (string * int) list;
-      (** the live counters the request moved in the worker (the
-          session's [mcheck_*] series), by name, with how far *)
+  tr_metrics : Mcobs.metrics;
+      (** what the request moved in the worker's {!Mcobs} registry
+          (counters and histogram buckets), for the daemon to
+          {!Mcobs.merge} *)
 }
 
 val max_trailer_spans : int

@@ -108,29 +108,40 @@ let default_config codec =
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let m_workers = Mctel.Metrics.gauge ~help:"live supervised workers" "mcsup_workers"
+let m_workers = Mcobs.gauge ~help:"live supervised workers" "mcsup_workers"
 
 let m_spawns =
-  Mctel.Metrics.counter ~help:"worker processes spawned" "mcsup_spawns_total"
+  Mcobs.counter ~help:"worker processes spawned" "mcsup_spawns_total"
 
 let m_respawns =
-  Mctel.Metrics.counter ~help:"workers respawned after loss"
+  Mcobs.counter ~help:"workers respawned after loss"
     "mcsup_respawns_total"
 
 let m_retries =
-  Mctel.Metrics.counter ~help:"requests retried on a fresh worker"
+  Mcobs.counter ~help:"requests retried on a fresh worker"
     "mcsup_retries_total"
 
 let m_dispatch_ms =
-  Mctel.Metrics.hist ~help:"supervised dispatch latency" "mcsup_dispatch_ms"
+  Mcobs.hist ~help:"supervised dispatch latency" "mcsup_dispatch_ms"
 
+(* every series of the labeled families exists from startup, at zero *)
 let m_kill sg =
-  Mctel.Metrics.counter_labeled ~help:"workers killed by the supervisor"
+  Mcobs.counter_labeled ~help:"workers killed by the supervisor"
     "mcsup_kills_total" ~label:("sig", sg)
 
-let m_failure cls =
-  Mctel.Metrics.counter_labeled ~help:"worker failures by class"
-    "mcsup_worker_failures_total" ~label:("class", cls)
+let m_kill_term = m_kill "term"
+let m_kill_kill = m_kill "kill"
+
+let m_failures =
+  List.map
+    (fun f ->
+      let cls = failure_class f in
+      ( cls,
+        Mcobs.counter_labeled ~help:"worker failures by class"
+          "mcsup_worker_failures_total" ~label:("class", cls) ))
+    [ F_deadline; F_signal 0; F_exit 0; F_channel ""; F_spawn "" ]
+
+let m_failure f = List.assoc (failure_class f) m_failures
 
 (* ------------------------------------------------------------------ *)
 (* Pool state                                                          *)
@@ -158,7 +169,7 @@ let alive_locked t =
   List.length t.idle + List.length t.busy
   + (match t.spare with Some _ -> 1 | None -> 0)
 
-let sync_gauge_locked t = Mctel.Metrics.set m_workers (alive_locked t)
+let sync_gauge_locked t = Mcobs.set m_workers (alive_locked t)
 let now () = Unix.gettimeofday ()
 
 (* ------------------------------------------------------------------ *)
@@ -185,7 +196,7 @@ let spawn_worker t =
       Error ("spawn: " ^ Printexc.to_string e)
     | pid -> (
       (try Unix.close wrk_fd with _ -> ());
-      Mctel.Metrics.inc m_spawns;
+      Mcobs.inc m_spawns;
       let fail msg =
         (try Unix.kill pid Sys.sigkill with _ -> ());
         (try ignore (Unix.waitpid [] pid) with _ -> ());
@@ -229,7 +240,7 @@ let rec replenish_locked t =
                    try Unix.close w.w_fd with _ -> ()
                  end
                  else begin
-                   Mctel.Metrics.inc m_respawns;
+                   Mcobs.inc m_respawns;
                    (match t.spare with
                    | None -> t.spare <- Some w
                    | Some _ -> t.idle <- w :: t.idle);
@@ -255,7 +266,7 @@ let rec replenish_locked t =
 let reap t ?(term_first = false) pid =
   if term_first then begin
     (try Unix.kill pid Sys.sigterm with _ -> ());
-    Mctel.Metrics.inc (m_kill "term")
+    Mcobs.inc m_kill_term
   end;
   let deadline = now () +. (t.cfg.sp_grace_ms /. 1000.) in
   let rec poll killed =
@@ -263,7 +274,7 @@ let reap t ?(term_first = false) pid =
     | 0, _ ->
       if (not killed) && now () > deadline then begin
         (try Unix.kill pid Sys.sigkill with _ -> ());
-        Mctel.Metrics.inc (m_kill "kill");
+        Mcobs.inc m_kill_kill;
         poll true
       end
       else begin
@@ -318,7 +329,7 @@ let take ~queue t =
               else begin
                 if not !waited then begin
                   waited := true;
-                  Mctel.Metrics.add queue 1
+                  Mcobs.add queue 1
                 end;
                 Condition.wait t.cond t.mu;
                 go ()
@@ -326,7 +337,7 @@ let take ~queue t =
         end
       in
       Fun.protect go ~finally:(fun () ->
-          if !waited then Mctel.Metrics.add queue (-1)))
+          if !waited then Mcobs.add queue (-1)))
 
 let release t w =
   locked t (fun () ->
@@ -340,7 +351,7 @@ let destroy t w ~trigger =
   let st = reap t ~term_first:true w.w_pid in
   (try Unix.close w.w_fd with _ -> ());
   let f = classify ~trigger st in
-  Mctel.Metrics.inc (m_failure (failure_class f));
+  Mcobs.inc (m_failure f);
   locked t (fun () ->
       t.busy <- List.filter (fun x -> x.w_pid <> w.w_pid) t.busy;
       replenish_locked t;
@@ -371,7 +382,7 @@ let attempt ~queue t ~n payload =
       let finish acc frame =
         (try Unix.setsockopt_float w.w_fd Unix.SO_RCVTIMEO 0. with _ -> ());
         release t w;
-        Mctel.Metrics.observe m_dispatch_ms ((now () -. t0) *. 1000.);
+        Mcobs.observe m_dispatch_ms ((now () -. t0) *. 1000.);
         Ok
           {
             rp_frames = List.rev (frame :: acc);
@@ -463,7 +474,7 @@ let dispatch ~queue t payload =
   | Error _first ->
     (* the request's frames were never forwarded, so a retry on a fresh
        worker is invisible to the caller *)
-    Mctel.Metrics.inc m_retries;
+    Mcobs.inc m_retries;
     attempt ~queue t ~n:2 payload
 
 (* ------------------------------------------------------------------ *)
@@ -522,12 +533,12 @@ let retire_worker t w =
       if now () > deadline then
         if escalation = 0 then begin
           (try Unix.kill w.w_pid Sys.sigterm with _ -> ());
-          Mctel.Metrics.inc (m_kill "term");
+          Mcobs.inc m_kill_term;
           poll 1
         end
         else begin
           (try Unix.kill w.w_pid Sys.sigkill with _ -> ());
-          Mctel.Metrics.inc (m_kill "kill");
+          Mcobs.inc m_kill_kill;
           ignore (Unix.waitpid [] w.w_pid)
         end
       else begin
@@ -591,7 +602,7 @@ let retire_all t =
       else
         List.iter
           (fun w ->
-            Mctel.Metrics.inc m_respawns;
+            Mcobs.inc m_respawns;
             match t.spare with
             | None -> t.spare <- Some w
             | Some _ -> t.idle <- w :: t.idle)

@@ -117,7 +117,7 @@ type reply = {
 }
 
 val dispatch :
-  queue:Mctel.Metrics.gauge -> t -> string -> (reply, failure) result
+  queue:Mcobs.gauge -> t -> string -> (reply, failure) result
 (** run one request: block until a worker is idle, send the request
     frame, collect response frames until the codec says [Final], under
     the wall deadline.  On worker failure the worker is killed with

@@ -1,8 +1,8 @@
 (* Mctel — service-grade telemetry on top of Mcobs.  See the interface
-   for the design; the implementation rules are (a) the hot path is an
-   atomic increment or a short critical section, never I/O under a
-   registry lock, and (b) bounded everything: rings, sampling, and
-   drop-don't-die on log open failure. *)
+   for the design; the implementation rules are (a) the request path is
+   a short critical section, never I/O under a lock, and (b) bounded
+   everything: rings, sampling, and drop-don't-die on log open
+   failure. *)
 
 (* ------------------------------------------------------------------ *)
 (* Trace ids                                                           *)
@@ -34,202 +34,6 @@ module Trace = struct
     if n = 0 || n > 64 then None
     else if String.for_all id_char s then Some s
     else None
-end
-
-(* ------------------------------------------------------------------ *)
-(* Live metrics registry                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Metrics = struct
-  type counter = int Atomic.t
-  type gauge = int Atomic.t
-
-  type hist = {
-    h_mu : Mutex.t;
-    mutable h_count : int;
-    mutable h_sum_ms : float;
-    mutable h_max_ms : float;
-    h_buckets : int array;  (* length hist_bounds_ms + 1; last overflows *)
-  }
-
-  type metric = M_counter of counter | M_gauge of gauge | M_hist of hist
-
-  let registry : (string, string * metric) Hashtbl.t = Hashtbl.create 64
-  let registry_mu = Mutex.create ()
-
-  let locked f =
-    Mutex.lock registry_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock registry_mu) f
-
-  let register name help make match_kind =
-    locked (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some (_, m) -> (
-          match match_kind m with
-          | Some h -> h
-          | None ->
-            invalid_arg
-              (Printf.sprintf "Mctel.Metrics: %s registered as another kind"
-                 name))
-        | None ->
-          let h = make () in
-          Hashtbl.add registry name (help, h);
-          (match match_kind h with Some v -> v | None -> assert false))
-
-  let counter ?(help = "") name =
-    register name help
-      (fun () -> M_counter (Atomic.make 0))
-      (function M_counter c -> Some c | _ -> None)
-
-  let gauge ?(help = "") name =
-    register name help
-      (fun () -> M_gauge (Atomic.make 0))
-      (function M_gauge g -> Some g | _ -> None)
-
-  let make_hist () =
-    {
-      h_mu = Mutex.create ();
-      h_count = 0;
-      h_sum_ms = 0.;
-      h_max_ms = 0.;
-      h_buckets = Array.make (Array.length Mcobs.hist_bounds_ms + 1) 0;
-    }
-
-  let hist ?(help = "") name =
-    register name help
-      (fun () -> M_hist (make_hist ()))
-      (function M_hist h -> Some h | _ -> None)
-
-  (* One series of a labeled family.  The registry key carries the
-     rendered label pair (["name{key=\"value\"}"]); exposition groups
-     HELP/TYPE lines under the family (base) name so Prometheus sees
-     one family with several series. *)
-  let series_name name (k, v) = Printf.sprintf "%s{%s=%S}" name k v
-
-  let counter_labeled ?(help = "") name ~label =
-    register (series_name name label) help
-      (fun () -> M_counter (Atomic.make 0))
-      (function M_counter c -> Some c | _ -> None)
-
-  let base_of name =
-    match String.index_opt name '{' with
-    | Some i -> String.sub name 0 i
-    | None -> name
-
-  let inc ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
-  let counter_value c = Atomic.get c
-
-  let counters () =
-    locked (fun () ->
-        Hashtbl.fold
-          (fun name (_, m) acc ->
-            match m with M_counter c -> (name, Atomic.get c) :: acc | _ -> acc)
-          registry [])
-  let set g v = Atomic.set g v
-  let add g by = ignore (Atomic.fetch_and_add g by)
-  let gauge_value g = Atomic.get g
-
-  let observe h ms =
-    Mutex.lock h.h_mu;
-    h.h_count <- h.h_count + 1;
-    h.h_sum_ms <- h.h_sum_ms +. ms;
-    if ms > h.h_max_ms then h.h_max_ms <- ms;
-    let bounds = Mcobs.hist_bounds_ms in
-    let rec bucket i =
-      if i >= Array.length bounds || ms <= bounds.(i) then i else bucket (i + 1)
-    in
-    let i = bucket 0 in
-    h.h_buckets.(i) <- h.h_buckets.(i) + 1;
-    Mutex.unlock h.h_mu
-
-  let hist_snapshot h : Mcobs.hist_snapshot =
-    Mutex.lock h.h_mu;
-    let s =
-      {
-        Mcobs.count = h.h_count;
-        sum_ms = h.h_sum_ms;
-        max_ms = h.h_max_ms;
-        buckets = Array.copy h.h_buckets;
-      }
-    in
-    Mutex.unlock h.h_mu;
-    s
-
-  (* a consistent-enough listing: names sorted, values read after the
-     registry lock is dropped (each read is individually atomic) *)
-  let listing () =
-    locked (fun () ->
-        Hashtbl.fold (fun name (help, m) acc -> (name, help, m) :: acc)
-          registry [])
-    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
-  let to_prometheus () =
-    let b = Buffer.create 1024 in
-    let last_base = ref "" in
-    List.iter
-      (fun (name, help, m) ->
-        let base = base_of name in
-        let head kind =
-          if !last_base <> base then begin
-            if help <> "" then Printf.bprintf b "# HELP %s %s\n" base help;
-            Printf.bprintf b "# TYPE %s %s\n" base kind;
-            last_base := base
-          end
-        in
-        match m with
-        | M_counter c ->
-          head "counter";
-          Printf.bprintf b "%s %d\n" name (Atomic.get c)
-        | M_gauge g ->
-          head "gauge";
-          Printf.bprintf b "%s %d\n" name (Atomic.get g)
-        | M_hist h ->
-          let s = hist_snapshot h in
-          head "histogram";
-          let cum = ref 0 in
-          Array.iteri
-            (fun i n ->
-              cum := !cum + n;
-              if i < Array.length Mcobs.hist_bounds_ms then
-                Printf.bprintf b "%s_bucket{le=\"%g\"} %d\n" name
-                  Mcobs.hist_bounds_ms.(i) !cum)
-            s.Mcobs.buckets;
-          Printf.bprintf b "%s_bucket{le=\"+Inf\"} %d\n" name s.Mcobs.count;
-          Printf.bprintf b "%s_sum %.6f\n" name s.Mcobs.sum_ms;
-          Printf.bprintf b "%s_count %d\n" name s.Mcobs.count)
-      (listing ());
-    Buffer.contents b
-
-  let to_json () =
-    let b = Buffer.create 1024 in
-    Buffer.add_char b '{';
-    let first = ref true in
-    List.iter
-      (fun (name, help, m) ->
-        if !first then first := false else Buffer.add_char b ',';
-        Printf.bprintf b "\n  \"%s\": {" (Mcobs.json_escape name);
-        if help <> "" then
-          Printf.bprintf b "\"help\":\"%s\"," (Mcobs.json_escape help);
-        (match m with
-        | M_counter c ->
-          Printf.bprintf b "\"type\":\"counter\",\"value\":%d" (Atomic.get c)
-        | M_gauge g ->
-          Printf.bprintf b "\"type\":\"gauge\",\"value\":%d" (Atomic.get g)
-        | M_hist h ->
-          let s = hist_snapshot h in
-          let q p =
-            Option.value ~default:0. (Mcobs.quantile_hist s p)
-          in
-          Printf.bprintf b
-            "\"type\":\"histogram\",\"count\":%d,\"sum_ms\":%.3f,\"max_ms\":%.3f,\"p50_ms\":%.3f,\"p90_ms\":%.3f,\"p99_ms\":%.3f,\"buckets\":[%s]"
-            s.Mcobs.count s.Mcobs.sum_ms s.Mcobs.max_ms (q 0.5) (q 0.9)
-            (q 0.99)
-            (String.concat ","
-               (Array.to_list (Array.map string_of_int s.Mcobs.buckets))));
-        Buffer.add_char b '}')
-      (listing ());
-    Buffer.add_string b "\n}\n";
-    Buffer.contents b
 end
 
 (* ------------------------------------------------------------------ *)
@@ -491,7 +295,8 @@ module Flight = struct
       t.f_retained <- t.f_retained + 1;
       push_bounded t t.f_notable e
     end;
-    Mutex.unlock t.f_mu
+    Mutex.unlock t.f_mu;
+    notable
 
   let entries t =
     Mutex.lock t.f_mu;

@@ -1,17 +1,14 @@
-(** Mctel — service-grade telemetry on top of {!Mcobs}.
+(** Mctel — the daemon's request telemetry on top of {!Mcobs}.
 
-    Mcobs answers the profiling question ("where did this process spend
-    its time?"): enable up front, snapshot at exit.  A long-running
-    daemon needs the operational questions answered while it serves —
-    which request was slow, what the live cache hit rate is, whether it
-    is healthy — so Mctel adds the four service-shaped pieces:
+    Mcobs holds the process's one metrics registry and its spans; the
+    daemon's Prometheus and JSON exposition, [--stats], and the
+    worker trailers are views of that registry.  What a long-running
+    daemon needs besides is per-request: which request was slow, and
+    what it did.  Mctel adds three pieces for that:
 
     - {!Trace}: request trace ids, minted by the client (or the daemon
       when absent) and carried end-to-end through {!Mcobs}'s ambient
       span context;
-    - {!Metrics}: an always-on registry of counters, gauges, and
-      latency histograms, continuously aggregated and exposed as
-      Prometheus text or JSON;
     - {!Accesslog}: a structured JSONL access log, one line per
       request, with sampling and SIGHUP-safe reopen;
     - {!Flight}: a bounded flight recorder of recent request span
@@ -19,8 +16,8 @@
       always kept), so p99 debugging needs no pre-enabled tracing.
 
     Everything degrades rather than fails under volume — bounded
-    rings, sampling, drop-on-contention-free atomics — the XCheck
-    tolerance model applied to telemetry. *)
+    rings, sampling, a bounded writer queue — the XCheck tolerance
+    model applied to telemetry. *)
 
 (** {1 Trace ids} *)
 
@@ -31,57 +28,6 @@ module Trace : sig
   val sanitize : string -> string option
   (** accept a wire-supplied trace id: 1-64 chars drawn from
       [A-Za-z0-9._:-], else [None] (the daemon then mints its own) *)
-end
-
-(** {1 Live metrics registry} *)
-
-module Metrics : sig
-  type counter
-  type gauge
-  type hist
-
-  (** Registration is idempotent by name — looking up an existing
-      metric of the same kind returns the same handle, so modules can
-      declare their handles at init in any order.
-      @raise Invalid_argument if the name is registered as another kind *)
-
-  val counter : ?help:string -> string -> counter
-  val gauge : ?help:string -> string -> gauge
-
-  val hist : ?help:string -> string -> hist
-  (** log-scale latency histogram over {!Mcobs.hist_bounds_ms} (ms) *)
-
-  val counter_labeled : ?help:string -> string -> label:string * string -> counter
-  (** one series of a labeled counter family:
-      [counter_labeled "kills_total" ~label:("sig", "term")] registers
-      the series [kills_total{sig="term"}].  Exposition emits HELP/TYPE
-      once per family (the name before ['{']) so Prometheus scrapes the
-      series as one family *)
-
-  val inc : ?by:int -> counter -> unit
-  val counter_value : counter -> int
-
-  val counters : unit -> (string * int) list
-  (** every counter series (a labeled one under its full series name)
-      with its current value, in no particular order *)
-
-  val set : gauge -> int -> unit
-  val add : gauge -> int -> unit
-  val gauge_value : gauge -> int
-
-  val observe : hist -> float -> unit
-  (** add a sample in milliseconds *)
-
-  val hist_snapshot : hist -> Mcobs.hist_snapshot
-
-  val to_prometheus : unit -> string
-  (** Prometheus text exposition (version 0.0.4): HELP/TYPE comments,
-      cumulative [_bucket{le=...}] series plus [_sum]/[_count] for
-      histograms, sorted by metric name *)
-
-  val to_json : unit -> string
-  (** one JSON object keyed by metric name; histograms carry count,
-      sum, max, buckets, and interpolated p50/p90/p99 *)
 end
 
 (** {1 Structured access log} *)
@@ -135,7 +81,6 @@ module Accesslog : sig
 
   val path : t -> string option
   val close : t -> unit
-  val entry_to_json : entry -> string
 end
 
 (** {1 Flight recorder} *)
@@ -171,7 +116,9 @@ module Flight : sig
     wall_ms:float ->
     outcome:string ->
     spans:Mcobs.span list ->
-    unit
+    bool
+  (** record one request; [true] when the tail-based rule kept it as
+      notable *)
 
   val entries : t -> entry list
   (** notable entries then recent ones, oldest first, deduplicated *)

@@ -18,6 +18,15 @@ let render report =
           { Mcheck_api.ro_explain = false; ro_verbose = false; ro_quiet = false })
        (Mcheck_api.report_diags report))
 
+(* [f]'s result, and how far it moved each counter of the registry *)
+let registry_moved f =
+  let before = Mcobs.metrics () in
+  let r = f () in
+  let d = Mcobs.diff (Mcobs.metrics ()) before in
+  ( r,
+    fun name ->
+      Option.value ~default:0 (List.assoc_opt name d.Mcobs.m_counters) )
+
 let with_session ?config f =
   let s = Mcheck_api.Session.create ?config () in
   Fun.protect ~finally:(fun () -> Mcheck_api.Session.close s) (fun () -> f s)
@@ -131,19 +140,20 @@ let session_cases =
               only.Mcheck_api.r_findings));
     t "stats count requests, files, findings" `Quick (fun () ->
         with_session (fun s ->
-            ignore
-              (Mcheck_api.Session.check_buffer s ~name:"b.c"
-                 ~contents:buggy_src);
-            ignore
-              (Mcheck_api.Session.check_buffer s ~name:"c.c"
-                 ~contents:clean_src);
-            let st = Mcheck_api.Session.stats s in
+            let (), moved =
+              registry_moved (fun () ->
+                  ignore
+                    (Mcheck_api.Session.check_buffer s ~name:"b.c"
+                       ~contents:buggy_src);
+                  ignore
+                    (Mcheck_api.Session.check_buffer s ~name:"c.c"
+                       ~contents:clean_src))
+            in
             Alcotest.(check int) "requests" 2
-              st.Mcheck_api.Session.requests;
-            Alcotest.(check int) "files" 2
-              st.Mcheck_api.Session.files_checked;
+              (moved "mcheck_session_requests_total");
+            Alcotest.(check int) "files" 2 (moved "api.files_checked");
             Alcotest.(check bool) "findings counted" true
-              (st.Mcheck_api.Session.findings > 0)));
+              (moved "mcheck_findings_total" > 0)));
     t "incremental memo answers identical re-checks" `Quick (fun () ->
         let config =
           { Mcheck_api.default_config with incremental = true }
@@ -153,18 +163,17 @@ let session_cases =
               Mcheck_api.Session.check_buffer s ~name:"b.c"
                 ~contents:buggy_src
             in
-            let hits0 =
-              (Mcheck_api.Session.stats s).Mcheck_api.Session.cache_hits
-            in
-            let r2 =
-              Mcheck_api.Session.check_buffer s ~name:"b.c"
-                ~contents:buggy_src
-            in
-            let hits1 =
-              (Mcheck_api.Session.stats s).Mcheck_api.Session.cache_hits
+            let r2, moved =
+              registry_moved (fun () ->
+                  Mcheck_api.Session.check_buffer s ~name:"b.c"
+                    ~contents:buggy_src)
             in
             Alcotest.(check string) "identical" (render r1) (render r2);
-            Alcotest.(check bool) "memo hit recorded" true (hits1 > hits0);
+            Alcotest.(check int) "memo hit recorded" 1
+              (moved "mcheck_memo_hits_total");
+            Alcotest.(check int) "no unit ran or hit" 0
+              (moved "mcheck_units_run_total"
+              + moved "mcheck_unit_cache_hits_total");
             (* different bytes must miss *)
             let r3 =
               Mcheck_api.Session.check_buffer s ~name:"b.c"
@@ -388,18 +397,11 @@ let explained (r : Mcheck_api.report) =
        (Mcheck_api.report_diags r))
   ^ Robust.to_string r.Mcheck_api.r_outcome
 
-let reuse_counter name =
-  Option.value ~default:0
-    (List.assoc_opt ("cfront.reuse." ^ name) (Mcobs.snapshot ()).Mcobs.counters)
-
-(* [f] with recording on; returns its result and the growth of the
-   [cfront.reuse.*] counters [names] *)
+(* [f]'s result and the growth of the [cfront.reuse.*] counters
+   [names] *)
 let counting names f =
-  let was = Mcobs.enabled () in
-  Mcobs.set_enabled true;
-  let before = List.map reuse_counter names in
-  let r = Fun.protect ~finally:(fun () -> Mcobs.set_enabled was) f in
-  (r, List.map2 (fun n b -> (n, reuse_counter n - b)) names before)
+  let r, moved = registry_moved f in
+  (r, List.map (fun n -> (n, moved ("cfront.reuse." ^ n))) names)
 
 let rec remove_tree path =
   if Sys.is_directory path then begin

@@ -205,6 +205,34 @@ let incremental_tests =
           "diags identical"
           (render (sequential p))
           (render (List.hd results)));
+    t "a warm re-check that runs no unit uses one domain" `Quick (fun () ->
+        let p, cache, cold, _, _ = Lazy.force incr_base in
+        let before = Mcobs.metrics () in
+        let results, warm =
+          Mcd.check_jobs ~cache:(Mcd_cache.copy cache) ~jobs:2
+            [ { Mcd.spec = p.Corpus.spec; tus = p.Corpus.tus } ]
+        in
+        let moved =
+          (Mcobs.diff (Mcobs.metrics ()) before).Mcobs.m_counters
+        in
+        let moved name = Option.value ~default:0 (List.assoc_opt name moved) in
+        Alcotest.(check (list string))
+          "diags identical"
+          (render (sequential p))
+          (render (List.hd results));
+        Alcotest.(check int) "one domain" 1 warm.Mcd.domains;
+        Alcotest.(check int) "one worker" 1 (Array.length warm.Mcd.workers);
+        (* the registry counts what the stats record reports, once *)
+        Alcotest.(check (list int))
+          "units scheduled, hit, run, faulted"
+          [ cold.Mcd.units_total; cold.Mcd.units_total; 0; 0 ]
+          (List.map moved
+             [
+               "mcheck_unit_cache_probes_total";
+               "mcheck_unit_cache_hits_total";
+               "mcheck_units_run_total";
+               "mcheck_units_faulted_total";
+             ]));
     t "cache survives save/load" `Quick (fun () ->
         let p, cache, _, _, _ = Lazy.force incr_base in
         let file = Filename.temp_file "mcd_cache" ".bin" in

@@ -1,5 +1,5 @@
 (** The Mcobs observability layer: span nesting discipline across
-    domains, exporter output validity, counter-merge algebra, and the
+    domains, exporter output validity, registry deltas, and the
     --explain witness paths. *)
 
 let t = Alcotest.test_case
@@ -109,7 +109,7 @@ let nesting_cases =
     t "span nesting, 1 domain" `Quick (check_nesting 1);
     t "span nesting, 2 domains" `Quick (check_nesting 2);
     t "span nesting, 4 domains" `Quick (check_nesting 4);
-    t "disabled recording is a no-op" `Quick (fun () ->
+    t "disabled tracing records no spans, metrics stay on" `Quick (fun () ->
         let was = Mcobs.enabled () in
         Mcobs.set_enabled false;
         Mcobs.reset ();
@@ -117,16 +117,17 @@ let nesting_cases =
           ~finally:(fun () -> Mcobs.set_enabled was)
           (fun () ->
             let r = Mcobs.with_span "ghost" (fun () -> 41 + 1) in
-            Mcobs.count "ghost";
-            Mcobs.observe "ghost" 1.0;
+            Mcobs.inc (Mcobs.counter "test.ghost");
+            Mcobs.observe (Mcobs.hist "test.ghost_ms") 1.0;
             Alcotest.(check int) "thunk value" 42 r;
             let snap = Mcobs.snapshot () in
             Alcotest.(check int) "no spans" 0
               (List.length snap.Mcobs.spans);
-            Alcotest.(check int) "no counters" 0
-              (List.length snap.Mcobs.counters);
-            Alcotest.(check int) "no hists" 0
-              (List.length snap.Mcobs.hists)));
+            Alcotest.(check (list (pair string int))) "the counter counted"
+              [ ("test.ghost", 1) ] snap.Mcobs.counters;
+            Alcotest.(check (list string))
+              "the hist observed" [ "test.ghost_ms" ]
+              (List.map fst snap.Mcobs.hists)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -302,9 +303,10 @@ let nasty_args =
 
 let chrome_snapshot () =
   Mcobs.with_span ~args:nasty_args "outer" (fun () ->
-      Mcobs.with_span "inner" (fun () -> Mcobs.count ~by:3 "widgets"));
-  Mcobs.count "widgets";
-  Mcobs.observe "latency" 0.5;
+      Mcobs.with_span "inner" (fun () ->
+          Mcobs.inc ~by:3 (Mcobs.counter "test.widgets")));
+  Mcobs.inc (Mcobs.counter "test.widgets");
+  Mcobs.observe (Mcobs.hist "test.latency") 0.5;
   Mcobs.snapshot ()
 
 let check_chrome_export () =
@@ -402,43 +404,65 @@ let exporter_cases =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* counter-merge algebra                                               *)
+(* registry deltas                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The per-domain snapshot merge folds [merge_counters] pairwise in
-   whatever order the registry happens to hold the buffers, so the
-   operation must be associative and commutative. *)
+(* A serve worker ships [diff after before] of its registry and the
+   daemon [merge]s it, so the delta must hold exactly the moves made in
+   between, and merging it must make exactly those moves again. *)
 
-let counters_gen =
+let moves_gen =
   QCheck2.Gen.(
-    list_size (int_bound 8)
-      (pair (oneofl [ "a"; "b"; "c"; "hits"; "misses" ]) (int_bound 1000)))
+    pair
+      (list_size (int_bound 12)
+         (pair (oneofl [ "qc.a"; "qc.b"; "qc.c" ]) (int_range 1 1000)))
+      (list_size (int_bound 12) (float_range 0.0 20000.0)))
 
-let rec sorted_by_name = function
-  | (a, _) :: ((b, _) :: _ as rest) ->
-    String.compare a b <= 0 && sorted_by_name rest
-  | _ -> true
+let apply_moves (bumps, samples) =
+  List.iter (fun (name, by) -> Mcobs.inc ~by (Mcobs.counter name)) bumps;
+  List.iter (Mcobs.observe (Mcobs.hist "qc.h")) samples
 
-let merge_props =
+(* the counters and the histogram's count and buckets a delta holds *)
+let delta_shape (d : Mcobs.metrics) =
+  ( List.filter (fun (n, _) -> String.starts_with ~prefix:"qc." n)
+      d.Mcobs.m_counters,
+    Option.map
+      (fun (h : Mcobs.hist_snapshot) -> (h.Mcobs.count, h.Mcobs.buckets))
+      (List.assoc_opt "qc.h" d.Mcobs.m_hists) )
+
+let delta_props =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:200 ~name:"merge_counters associative"
-         QCheck2.Gen.(triple counters_gen counters_gen counters_gen)
-         (fun (a, b, c) ->
-           Mcobs.merge_counters a (Mcobs.merge_counters b c)
-           = Mcobs.merge_counters (Mcobs.merge_counters a b) c));
+      (QCheck2.Test.make ~count:200 ~name:"a registry delta holds the moves"
+         moves_gen (fun ((bumps, samples) as moves) ->
+           let before = Mcobs.metrics () in
+           apply_moves moves;
+           let counters, hist =
+             delta_shape (Mcobs.diff (Mcobs.metrics ()) before)
+           in
+           let expected =
+             List.filter_map
+               (fun name ->
+                 match
+                   List.fold_left
+                     (fun acc (n, by) -> if n = name then acc + by else acc)
+                     0 bumps
+                 with
+                 | 0 -> None
+                 | total -> Some (name, total))
+               [ "qc.a"; "qc.b"; "qc.c" ]
+           in
+           counters = expected
+           && Option.fold ~none:0 ~some:fst hist = List.length samples));
     QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:200 ~name:"merge_counters commutative"
-         QCheck2.Gen.(pair counters_gen counters_gen)
-         (fun (a, b) ->
-           Mcobs.merge_counters a b = Mcobs.merge_counters b a));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:200 ~name:"merge_counters sorted, sums"
-         QCheck2.Gen.(pair counters_gen counters_gen)
-         (fun (a, b) ->
-           let m = Mcobs.merge_counters a b in
-           let total l = List.fold_left (fun s (_, v) -> s + v) 0 l in
-           sorted_by_name m && total m = total a + total b));
+      (QCheck2.Test.make ~count:200 ~name:"merging a delta replays it"
+         moves_gen (fun moves ->
+           let before = Mcobs.metrics () in
+           apply_moves moves;
+           let after = Mcobs.metrics () in
+           let d = Mcobs.diff after before in
+           Mcobs.merge d;
+           delta_shape (Mcobs.diff (Mcobs.metrics ()) after) = delta_shape d));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -452,7 +476,7 @@ let merge_props =
    recorded max). *)
 
 let observe_all name samples =
-  List.iter (fun v -> Mcobs.observe name v) samples
+  List.iter (Mcobs.observe (Mcobs.hist name)) samples
 
 (* the bucket the implementation should land in for quantile [p] of
    [samples], computed from the raw samples rather than the snapshot *)
@@ -499,10 +523,10 @@ let samples_gen =
 let quantile_of samples p =
   Mcobs.set_enabled true;
   Mcobs.reset ();
-  observe_all "q" samples;
+  observe_all "test.q" samples;
   let snap = Mcobs.snapshot () in
   Mcobs.reset ();
-  Mcobs.quantile snap "q" p
+  Mcobs.quantile snap "test.q" p
 
 let quantile_props =
   [
@@ -513,13 +537,13 @@ let quantile_props =
            let ps = [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ] in
            Mcobs.set_enabled true;
            Mcobs.reset ();
-           observe_all "q" samples;
+           observe_all "test.q" samples;
            let snap = Mcobs.snapshot () in
            Mcobs.reset ();
            let qs =
              List.map
                (fun p ->
-                 match Mcobs.quantile snap "q" p with
+                 match Mcobs.quantile snap "test.q" p with
                  | Some q -> q
                  | None -> QCheck2.Test.fail_report "no estimate")
                ps
@@ -561,11 +585,11 @@ let quantile_cases =
                  { Mcobs.count = 0; sum_ms = 0.; max_ms = 0.; buckets = [||] }
                  0.5
               = None);
-            Mcobs.observe "h" 1.0;
+            Mcobs.observe (Mcobs.hist "test.h") 1.0;
             let snap = Mcobs.snapshot () in
             Alcotest.(check bool) "p out of range" true
-              (Mcobs.quantile snap "h" 1.5 = None
-              && Mcobs.quantile snap "h" (-0.1) = None)));
+              (Mcobs.quantile snap "test.h" 1.5 = None
+              && Mcobs.quantile snap "test.h" (-0.1) = None)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -584,7 +608,7 @@ let trace_cases =
                     spin_us 1.0;
                     Mcobs.with_span "traced.inner" ignore));
             Mcobs.with_span "untraced" ignore;
-            Mcobs.count "survivor";
+            Mcobs.inc (Mcobs.counter "test.survivor");
             let harvested = Mcobs.drain_trace "t-one" in
             Alcotest.(check (list string))
               "the trace's spans, ascending begin"
@@ -603,8 +627,8 @@ let trace_cases =
             Alcotest.(check (list string)) "untraced span survives"
               [ "untraced" ]
               (List.map (fun sp -> sp.Mcobs.sp_name) snap.Mcobs.spans);
-            Alcotest.(check bool) "counters untouched" true
-              (List.mem_assoc "survivor" snap.Mcobs.counters)));
+            Alcotest.(check bool) "the registry untouched" true
+              (List.mem_assoc "test.survivor" snap.Mcobs.counters)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -695,5 +719,5 @@ let witness_cases =
 
 let suite =
   ( "obs",
-    nesting_cases @ exporter_cases @ merge_props @ quantile_props
+    nesting_cases @ exporter_cases @ delta_props @ quantile_props
     @ quantile_cases @ trace_cases @ witness_cases )

@@ -531,7 +531,7 @@ let daemon_cases =
 (* ------------------------------------------------------------------ *)
 
 let retries_now () =
-  Mctel.Metrics.counter_value (Mctel.Metrics.counter "mcsup_retries_total")
+  Mcobs.counter_value (Mcobs.counter "mcsup_retries_total")
 
 let supervised_cases =
   [
@@ -829,8 +829,137 @@ let supervised_cases =
 (* Telemetry: stats formats, metrics, access log, flight recorder      *)
 (* ------------------------------------------------------------------ *)
 
+(* the Prometheus families a fresh daemon exposes: a rename, a new
+   family or a changed type shows up as a diff of this list.  (The
+   daemon under test shares this process's registry: the other suites'
+   own metrics have dotted names, which the exposition leaves out.) *)
+let metric_families =
+  [
+    "mcheck_check_ms histogram";
+    "mcheck_client_breaker_open gauge";
+    "mcheck_client_breaker_opens_total counter";
+    "mcheck_client_retries_total counter";
+    "mcheck_client_timeouts_total counter";
+    "mcheck_findings_total counter";
+    "mcheck_memo_hits_total counter";
+    "mcheck_memo_probes_total counter";
+    "mcheck_session_requests_total counter";
+    "mcheck_unit_cache_hits_total counter";
+    "mcheck_unit_cache_probes_total counter";
+    "mcheck_units_faulted_total counter";
+    "mcheck_units_run_total counter";
+    "mcheckd_bytes_in_total counter";
+    "mcheckd_bytes_out_total counter";
+    "mcheckd_client_aborts_total counter";
+    "mcheckd_connections gauge";
+    "mcheckd_draining gauge";
+    "mcheckd_faults_total counter";
+    "mcheckd_flight_notable_total counter";
+    "mcheckd_inflight gauge";
+    "mcheckd_protocol_errors_total counter";
+    "mcheckd_queue_depth gauge";
+    "mcheckd_refused_total counter";
+    "mcheckd_request_ms histogram";
+    "mcheckd_requests_total counter";
+    "mcheckd_shed_total counter";
+    "mcsup_dispatch_ms histogram";
+    "mcsup_kills_total counter";
+    "mcsup_respawns_total counter";
+    "mcsup_retries_total counter";
+    "mcsup_spawns_total counter";
+    "mcsup_worker_failures_total counter";
+    "mcsup_workers gauge";
+  ]
+
+(* the session block of a [--stats] JSON reply (its field names repeat
+   the top level's) *)
+let session_block j =
+  match find_sub j "\"session\":" with
+  | Some i -> String.sub j i (String.length j - i)
+  | None -> Alcotest.fail "no session block"
+
 let telemetry_cases =
   [
+    t "a fresh daemon exposes the pinned metric families" `Quick (fun () ->
+        with_daemon (fun d ->
+            with_client (Oracle.addr d) (fun c ->
+                let m =
+                  match Client.metrics c Proto.M_prom with
+                  | Ok m -> m
+                  | Error e -> Alcotest.fail (Client.err_to_string e)
+                in
+                let lines = String.split_on_char '\n' m in
+                let families =
+                  List.filter_map
+                    (fun l ->
+                      if String.starts_with ~prefix:"# TYPE " l then
+                        Some (String.sub l 7 (String.length l - 7))
+                      else None)
+                    lines
+                  |> List.sort String.compare
+                in
+                Alcotest.(check (list string))
+                  "families and types" metric_families families;
+                (* registered up front: every family already has a
+                   sample, before any check request *)
+                List.iter
+                  (fun fam ->
+                    let name = List.hd (String.split_on_char ' ' fam) in
+                    Alcotest.(check bool) (name ^ " has a sample") true
+                      (List.exists
+                         (fun l ->
+                           String.starts_with ~prefix:name l
+                           && not (String.starts_with ~prefix:"#" l))
+                         lines))
+                  families)));
+    t "stats and metrics agree on every session field" `Quick (fun () ->
+        (* two handlers: editing G's body leaves H's unit cached *)
+        let src g =
+          buggy_src ^ "\nvoid G(void) { int x; x = " ^ g ^ "; }\n"
+        in
+        with_daemon (fun d ->
+            with_client (Oracle.addr d) (fun c ->
+                let check contents =
+                  ignore
+                    (expect_checked
+                       (Client.check_buffer c plain ~name:"v.c" ~contents))
+                in
+                let stats () =
+                  match Client.stats_json c with
+                  | Ok j -> session_block j
+                  | Error e -> Alcotest.fail (Client.err_to_string e)
+                in
+                let field j name =
+                  match json_int_field j name with
+                  | Some n -> n
+                  | None -> Alcotest.failf "no session %s field" name
+                in
+                check (src "1");
+                let hits0 = field (stats ()) "cache_hits" in
+                let memo0 = scrape_value c "mcheck_memo_hits_total" in
+                (* the same buffer again: the worker's memo answers *)
+                check (src "1");
+                Alcotest.(check (float 0.)) "the memo hit" (memo0 +. 1.)
+                  (scrape_value c "mcheck_memo_hits_total");
+                Alcotest.(check int) "a memo hit is no unit-cache hit" hits0
+                  (field (stats ()) "cache_hits");
+                (* an edit: the unchanged function's unit hits *)
+                check (src "2");
+                let j = stats () in
+                Alcotest.(check bool) "the re-check hit the unit cache" true
+                  (field j "cache_hits" > hits0);
+                List.iter
+                  (fun (key, series) ->
+                    Alcotest.(check int) (key ^ " = " ^ series)
+                      (int_of_float (scrape_value c series))
+                      (field j key))
+                  [
+                    ("requests", "mcheck_session_requests_total");
+                    ("findings", "mcheck_findings_total");
+                    ("units_run", "mcheck_units_run_total");
+                    ("cache_hits", "mcheck_unit_cache_hits_total");
+                  ])));
+
     t "stats exposition: text and json agree on the counters" `Quick
       (fun () ->
         with_daemon (fun d ->

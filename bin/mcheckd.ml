@@ -111,7 +111,6 @@ let run_serve addr jobs metal strict unit_fuel unit_deadline idle_timeout
     (* signal handlers only flip atomics: taking the server mutex at a
        signal point could deadlock against our own thread *)
     let want_drain = Atomic.make false in
-    let want_reopen = Atomic.make false in
     let on_signal _ = Atomic.set want_drain true in
     (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
      with _ -> ());
@@ -119,18 +118,14 @@ let run_serve addr jobs metal strict unit_fuel unit_deadline idle_timeout
      with _ -> ());
     (try
        Sys.set_signal Sys.sighup
-         (Sys.Signal_handle (fun _ -> Atomic.set want_reopen true))
+         (Sys.Signal_handle (fun _ -> Serve.Server.reopen_access_log t))
      with _ -> ());
     let _watcher =
       Thread.create
         (fun () ->
           while not (Serve.Server.draining t) do
             Thread.delay 0.1;
-            if Atomic.get want_drain then Serve.Server.initiate_drain t;
-            if Atomic.get want_reopen then begin
-              Atomic.set want_reopen false;
-              Serve.Server.reopen_access_log t
-            end
+            if Atomic.get want_drain then Serve.Server.initiate_drain t
           done)
         ()
     in

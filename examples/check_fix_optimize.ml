@@ -56,7 +56,7 @@ let report label tus =
         (fun d ->
           any := true;
           Format.printf "  %a@." Diag.pp d)
-        (c.Registry.run ~spec tus))
+        (Registry.run c ~spec tus))
     Registry.all;
   if not !any then print_endline "  (clean)";
   print_newline ()

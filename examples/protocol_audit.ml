@@ -28,7 +28,7 @@ let () =
       (fun (b, f) (p : Corpus.protocol) ->
         List.fold_left
           (fun (b, f) (c : Registry.checker) ->
-            let diags = c.Registry.run ~spec:p.Corpus.spec p.Corpus.tus in
+            let diags = Registry.run c ~spec:p.Corpus.spec p.Corpus.tus in
             List.fold_left
               (fun (b, f) (d : Diag.t) ->
                 match

@@ -28,7 +28,7 @@ let run_static () =
   let total = ref 0 in
   List.iter
     (fun (c : Registry.checker) ->
-      let diags = c.Registry.run ~spec tus in
+      let diags = Registry.run c ~spec tus in
       List.iter
         (fun d ->
           incr total;

@@ -274,15 +274,6 @@ let corpus_jobs (c : Corpus.t) =
       { Mcd.spec = p.Corpus.spec; tus = p.Corpus.tus })
     c.Corpus.protocols
 
-let render_results (results : (string * Diag.t list) list list) : string =
-  String.concat "\n"
-    (List.concat_map
-       (fun per_checker ->
-         List.concat_map
-           (fun (name, ds) -> name :: List.map Diag.to_string ds)
-           per_checker)
-       results)
-
 let time_ms f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
@@ -532,13 +523,6 @@ module Session = struct
     in
     record report ~files:0 ~wall_ms;
     (results, report)
-
-  let check_units ?checkers t ~spec tus =
-    Mcobs.with_span "api.check_units" (fun () ->
-        snd
-          (check_parsed t
-             ~names:(effective_checkers t checkers)
-             [ { Mcd.spec; tus } ]))
 
   (* the corpus path: every protocol through one scheduling pass (one
      Mcd pool over the whole job list), per-job result lists preserved

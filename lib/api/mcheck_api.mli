@@ -126,12 +126,6 @@ module Session : sig
   (** check an in-memory buffer as if it were a file named [name] —
       the editor-traffic entry point *)
 
-  val check_units :
-    ?checkers:string list ->
-    t -> spec:Flash_api.spec -> Ast.tunit list -> report
-  (** check already-parsed units under an explicit protocol spec (the
-      corpus path); no parse diagnostics, selection still applies *)
-
   val check_jobs :
     t -> Mcd.job list -> (string * Diag.t list) list list * report
   (** check several protocols in one pass — one Mcd pool over the whole
@@ -183,11 +177,6 @@ val load_metal :
 
 val corpus_jobs : Corpus.t -> Mcd.job list
 (** one {!Mcd.job} per corpus protocol *)
-
-val render_results : (string * Diag.t list) list list -> string
-(** an order-sensitive rendering of per-protocol results, one checker
-    name line followed by its diagnostics; tests byte-compare drivers
-    with it *)
 
 val write_file : string -> string -> unit
 (** write [contents] to [path] (the JSON-report helper the bins

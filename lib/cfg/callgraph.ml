@@ -46,25 +46,6 @@ let find_func t name = Hashtbl.find_opt t.funcs name
 let callees t name : call_site list =
   match find_func t name with Some f -> call_sites_of_func f | None -> []
 
-(* A name defined twice calls what either definition calls; each caller
-   is listed once, newest first. *)
-let callers t name : string list =
-  let seen = Hashtbl.create 16 in
-  List.fold_left
-    (fun acc (f : Ast.func) ->
-      let caller = f.Ast.f_name in
-      if
-        (not (Hashtbl.mem seen caller))
-        && List.exists
-             (fun site -> String.equal site.cs_callee name)
-             (call_sites_of_func f)
-      then begin
-        Hashtbl.add seen caller ();
-        caller :: acc
-      end
-      else acc)
-    [] t.defs
-
 let functions t : Ast.func list =
   Hashtbl.fold (fun _ f acc -> f :: acc) t.funcs []
   |> List.sort (fun a b -> String.compare a.Ast.f_name b.Ast.f_name)
@@ -82,28 +63,3 @@ let reachable_from t (roots : string list) : string list =
   List.iter go roots;
   Hashtbl.fold (fun name () acc -> name :: acc) seen []
   |> List.sort String.compare
-
-(** Strongly-recursive functions: names that can reach themselves. *)
-let recursive_functions t : string list =
-  let names = List.map (fun f -> f.Ast.f_name) (functions t) in
-  List.filter
-    (fun name ->
-      let seen = Hashtbl.create 16 in
-      let found = ref false in
-      let rec go n =
-        if not !found then
-          List.iter
-            (fun site ->
-              if String.equal site.cs_callee name then found := true
-              else if
-                (not (Hashtbl.mem seen site.cs_callee))
-                && Hashtbl.mem t.funcs site.cs_callee
-              then begin
-                Hashtbl.replace seen site.cs_callee ();
-                go site.cs_callee
-              end)
-            (callees t n)
-      in
-      go name;
-      !found)
-    names

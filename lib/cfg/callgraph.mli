@@ -20,15 +20,8 @@ val callees : t -> string -> call_site list
 (** call sites inside the named function ({!find_func}'s definition), in
     syntactic order *)
 
-val callers : t -> string -> string list
-(** every function with a definition that calls the name, each once, in
-    reverse order of first call; scans every definition *)
-
 val functions : t -> Ast.func list
 (** all defined functions, sorted by name *)
 
 val reachable_from : t -> string list -> string list
 (** functions transitively reachable from the given roots *)
-
-val recursive_functions : t -> string list
-(** names that can reach themselves through calls *)

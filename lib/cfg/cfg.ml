@@ -282,7 +282,6 @@ let build (f : Ast.func) : t =
 let node t id = t.nodes.(id)
 let n_nodes t = Array.length t.nodes
 let succs t id = (node t id).succs
-let preds t id = (node t id).preds
 
 (** Nodes reachable from entry, in preorder. *)
 let reachable t : int list =
@@ -316,14 +315,3 @@ let back_edges t : (int * int) list =
   in
   go t.entry;
   !backs
-
-(** The statements replayed when visiting a node, for diagnostics. *)
-let describe_kind = function
-  | Entry -> "<entry>"
-  | Exit -> "<exit>"
-  | Join -> "<join>"
-  | Stmt s -> Pp.stmt_to_string s
-  | Branch e -> Printf.sprintf "branch (%s)" (Pp.expr_to_string e)
-  | Switch e -> Printf.sprintf "switch (%s)" (Pp.expr_to_string e)
-  | Return (Some e) -> Printf.sprintf "return %s" (Pp.expr_to_string e)
-  | Return None -> "return"

@@ -40,12 +40,8 @@ val build : Ast.func -> t
 val node : t -> int -> node
 val n_nodes : t -> int
 val succs : t -> int -> (edge_label * int) list
-val preds : t -> int -> int list
-
 val reachable : t -> int list
 (** nodes reachable from entry, in preorder *)
 
 val back_edges : t -> (int * int) list
 (** DFS back edges (from, to) — each closes a source-level loop *)
-
-val describe_kind : kind -> string

@@ -83,10 +83,6 @@ let analyze (cfg : Cfg.t) : stats =
   let count, sum, max_len = solve cfg.Cfg.entry in
   { n_paths = count; total_length = sum; max_length = max_len }
 
-let average_length s =
-  if s.n_paths = 0 then 0.0
-  else float_of_int s.total_length /. float_of_int s.n_paths
-
 (** Aggregate statistics over a set of functions (one protocol). *)
 type aggregate = {
   functions : int;

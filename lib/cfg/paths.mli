@@ -12,7 +12,6 @@ type stats = {
 }
 
 val analyze : Cfg.t -> stats
-val average_length : stats -> float
 
 (** aggregate over a set of functions (one protocol) *)
 type aggregate = {

@@ -105,6 +105,3 @@ let normalize (ds : t list) : t list =
     | short -> short
   in
   dedup sorted
-
-let errors ds = List.filter (fun d -> d.severity = Error) ds
-let warnings ds = List.filter (fun d -> d.severity = Warning) ds

@@ -67,6 +67,3 @@ val compare : t -> t -> int
 val normalize : t list -> t list
 (** sort and drop duplicates: the same violation is often reachable along
     many paths, but is reported once per site *)
-
-val errors : t list -> t list
-val warnings : t list -> t list

@@ -262,5 +262,4 @@ let pp_tunit ppf (tu : Ast.tunit) =
   Format.fprintf ppf "@\n"
 
 let expr_to_string e = Format.asprintf "%a" pp_expr e
-let stmt_to_string s = Format.asprintf "%a" (pp_stmt ~indent:0) s
 let tunit_to_string tu = Format.asprintf "%a" pp_tunit tu

@@ -5,13 +5,6 @@
     parse/print round-trip properties: the printed form always re-parses
     to a structurally equal AST. *)
 
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_var_decl : Format.formatter -> Ast.var_decl -> unit
-val pp_stmt : ?indent:int -> Format.formatter -> Ast.stmt -> unit
 val pp_func : Format.formatter -> Ast.func -> unit
-val pp_global : Format.formatter -> Ast.global -> unit
-val pp_tunit : Format.formatter -> Ast.tunit -> unit
-
 val expr_to_string : Ast.expr -> string
-val stmt_to_string : Ast.stmt -> string
 val tunit_to_string : Ast.tunit -> string

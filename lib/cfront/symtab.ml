@@ -88,5 +88,3 @@ let find (s : string) : int option =
           Hashtbl.add local s id;
           Some id
         | None -> None)
-
-let size () : int = Atomic.get count

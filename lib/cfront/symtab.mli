@@ -21,6 +21,3 @@ val canon : string -> string
 val find : string -> int option
 (** [find s] is [Some id] when [s] is already interned, without
     allocating an id for unseen spellings. *)
-
-val size : unit -> int
-(** Number of distinct symbols interned so far. *)

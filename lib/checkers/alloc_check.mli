@@ -4,15 +4,12 @@
 
 val name : string
 val metal_loc : int
-val check_prep : spec:Flash_api.spec -> Prep.t -> Diag.t list
-(** staged: check one prepared function — the fused per-function
-    phase the scheduler drives *)
 
-val product : spec:Flash_api.spec -> Engine.pmachine option
-(** the machine packed for {!Engine.product_scan}, [None] for pure AST
-    walkers with nothing to compose *)
+type state
 
-val run : spec:Flash_api.spec -> Ast.tunit list -> Diag.t list
+val machine : spec:Flash_api.spec -> state Engine.machine
+(** the checker's state machine with its exit hook, staged afresh per
+    call; [Registry] derives every way to run the checker from it *)
 
 val applied : Ast.tunit list -> int
 (** allocation sites — Table 6's Applied column *)

@@ -182,11 +182,12 @@ let exit_hook ~spec (suppress : Suppress.t) : state Engine.exit_hook =
         "listed as only using the buffer but frees it on this path"
     | _ -> ()
 
+let annotations () =
+  Suppress.create
+    ~reserved:[ Flash_api.ann_has_buffer; Flash_api.ann_no_free_needed ]
+
 let run_with_annotations ~spec (tus : Ast.tunit list) : outcome =
-  let suppress =
-    Suppress.create
-      ~reserved:[ Flash_api.ann_has_buffer; Flash_api.ann_no_free_needed ]
-  in
+  let suppress = annotations () in
   let sm = make_sm ~spec ~suppress in
   let diags =
     Engine.check ~at_exit:(exit_hook ~spec suppress) sm (`Program tus)
@@ -197,31 +198,12 @@ let run_with_annotations ~spec (tus : Ast.tunit list) : outcome =
     unused_annotations = List.length (Suppress.unused suppress);
   }
 
-(* Staged: the spec-dependent state machine (and the annotation table,
-   which only feeds the Table 4 counters, never the diagnostics) is built
-   once per [check_prep ~spec] application. *)
-let check_prep ~spec : Prep.t -> Diag.t list =
-  let suppress =
-    Suppress.create
-      ~reserved:[ Flash_api.ann_has_buffer; Flash_api.ann_no_free_needed ]
-  in
-  Engine.check_prep
-    (Engine.machine ~at_exit:(exit_hook ~spec suppress) (make_sm ~spec ~suppress))
-
-(* The product pack gets its own annotation table: the table only feeds
-   the Table 4 counters of [run_with_annotations] (which builds its own),
-   never the diagnostics, so scan-time recording is inert. *)
-let product ~spec : Engine.pmachine option =
-  let suppress =
-    Suppress.create
-      ~reserved:[ Flash_api.ann_has_buffer; Flash_api.ann_no_free_needed ]
-  in
-  Some
-    (Engine.pack
-       (Engine.machine ~at_exit:(exit_hook ~spec suppress) (make_sm ~spec ~suppress)))
-
-let run ~spec (tus : Ast.tunit list) : Diag.t list =
-  (run_with_annotations ~spec tus).diags
+(* Each staging gets its own annotation table: the table only feeds the
+   Table 4 counters of [run_with_annotations], which builds its own,
+   never the diagnostics, so recording into a staged one is inert. *)
+let machine ~spec =
+  let suppress = annotations () in
+  Engine.machine ~at_exit:(exit_hook ~spec suppress) (make_sm ~spec ~suppress)
 
 (** Buffer operations examined (frees, allocations, sends). *)
 let applied (tus : Ast.tunit list) : int =

@@ -14,13 +14,10 @@ type outcome = {
 
 val run_with_annotations : spec:Flash_api.spec -> Ast.tunit list -> outcome
 
-val check_prep : spec:Flash_api.spec -> Prep.t -> Diag.t list
-(** staged: [check_prep ~spec] compiles the spec's state machine once and
-    returns the fused per-function phase the scheduler drives *)
+type state
 
-val product : spec:Flash_api.spec -> Engine.pmachine option
-(** the machine packed for {!Engine.product_scan}, [None] for pure AST
-    walkers with nothing to compose *)
+val machine : spec:Flash_api.spec -> state Engine.machine
+(** the checker's state machine with its exit hook, staged afresh per
+    call; [Registry] derives every way to run the checker from it *)
 
-val run : spec:Flash_api.spec -> Ast.tunit list -> Diag.t list
 val applied : Ast.tunit list -> int

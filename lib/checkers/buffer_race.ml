@@ -47,17 +47,9 @@ let rules =
 let sm : state Sm.t =
   Sm.make ~name ~start:(fun _ -> Some Start) ~rules:(fun Start -> rules) ()
 
-let check_prep ~spec : Prep.t -> Diag.t list =
+let machine ~spec =
   let _ = spec in
-  Engine.check_prep (Engine.machine sm)
-
-let product ~spec : Engine.pmachine option =
-  let _ = spec in
-  Some (Engine.pack (Engine.machine sm))
-
-let run ~spec (tus : Ast.tunit list) : Diag.t list =
-  let _ = spec in
-  Engine.check sm (`Program tus)
+  Engine.machine sm
 
 (** Number of data-buffer reads — the Applied column of Table 2. *)
 let applied (tus : Ast.tunit list) : int =

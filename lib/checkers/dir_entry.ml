@@ -131,16 +131,8 @@ let exit_hook : state Engine.exit_hook =
     Sm.err ~checker:name ctx
       "modified directory entry not written back on this path"
 
-(* Staged: [check_prep ~spec] compiles the spec-dependent state machine
-   once, the returned closure checks one prepared function at a time. *)
-let check_prep ?nak_pruning ~spec : Prep.t -> Diag.t list =
-  Engine.check_prep (Engine.machine ~at_exit:exit_hook (sm ?nak_pruning ~spec ()))
-
-let product ?nak_pruning ~spec () : Engine.pmachine option =
-  Some (Engine.pack (Engine.machine ~at_exit:exit_hook (sm ?nak_pruning ~spec ())))
-
-let run ?nak_pruning ~spec (tus : Ast.tunit list) : Diag.t list =
-  Engine.check ~at_exit:exit_hook (sm ?nak_pruning ~spec ()) (`Program tus)
+let machine ?nak_pruning ~spec () =
+  Engine.machine ~at_exit:exit_hook (sm ?nak_pruning ~spec ())
 
 (** Directory operations examined: loads, writebacks and dirEntry
     accesses — the Applied column of Table 6. *)

@@ -6,21 +6,14 @@
 val name : string
 val metal_loc : int
 
-val check_prep :
-  ?nak_pruning:bool -> spec:Flash_api.spec -> Prep.t -> Diag.t list
-(** staged: [check_prep ~spec] compiles the spec's state machine once and
-    returns the fused per-function phase the scheduler drives *)
+type state
 
-val product :
-  ?nak_pruning:bool -> spec:Flash_api.spec -> unit -> Engine.pmachine option
-(** the machine packed for {!Engine.product_scan} *)
-
-val run :
-  ?nak_pruning:bool ->
-  spec:Flash_api.spec ->
-  Ast.tunit list ->
-  Diag.t list
-(** [~nak_pruning:false] disables the speculative-NAK pruning (ablation) *)
+val machine :
+  ?nak_pruning:bool -> spec:Flash_api.spec -> unit -> state Engine.machine
+(** the checker's state machine with its exit hook, staged afresh per
+    call; [Registry] derives every way to run the checker from it.
+    [~nak_pruning:false] disables the speculative-NAK pruning (the
+    ablation) *)
 
 val applied : Ast.tunit list -> int
 (** directory operations — Table 6's Applied column *)

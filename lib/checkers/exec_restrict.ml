@@ -184,26 +184,9 @@ let check_hooks ~(spec : Flash_api.spec) (f : Ast.func) : Diag.t list =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let check_fn ~spec (f : Ast.func) : Diag.t list =
+let walk ~spec (f : Ast.func) : Diag.t list =
   check_signature ~spec f @ check_deprecated f @ check_no_stack ~spec f
   @ check_hooks ~spec f
-
-(* Pure AST walker: the prep's CFG is unused, only the function. *)
-let check_prep ~spec (prep : Prep.t) : Diag.t list =
-  check_fn ~spec prep.Prep.func
-
-(* Not a state machine — nothing to compose into the product scan. *)
-let product ~spec : Engine.pmachine option =
-  let _ = spec in
-  None
-
-let run ~spec (tus : Ast.tunit list) : Diag.t list =
-  let diags =
-    List.concat_map
-      (fun tu -> List.concat_map (check_fn ~spec) (Ast.functions tu))
-      tus
-  in
-  Diag.normalize diags
 
 (** Routines examined (the Handlers column of Table 5). *)
 let applied (tus : Ast.tunit list) : int =

@@ -6,16 +6,10 @@
 val name : string
 val metal_loc : int
 
-val check_prep : spec:Flash_api.spec -> Prep.t -> Diag.t list
-(** check one prepared function (the CFG is unused — this checker walks
-    the AST directly); results are unnormalized, the registry's finalizer
-    sorts and deduplicates the whole-program list *)
-
-val product : spec:Flash_api.spec -> Engine.pmachine option
-(** the machine packed for {!Engine.product_scan}, [None] for pure AST
-    walkers with nothing to compose *)
-
-val run : spec:Flash_api.spec -> Ast.tunit list -> Diag.t list
+val walk : spec:Flash_api.spec -> Ast.func -> Diag.t list
+(** check one function by walking its AST (no state machine, so nothing
+    joins the product scan); results are unnormalized, [Registry] sorts
+    and deduplicates the whole-program list *)
 
 val applied : Ast.tunit list -> int
 (** routines examined — Table 5's Handlers column *)

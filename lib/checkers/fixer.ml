@@ -220,8 +220,9 @@ let fix_leaks ~(spec : Flash_api.spec) ~(diags : Diag.t list)
     checkers. *)
 let fix_all ~(spec : Flash_api.spec) (tus : Ast.tunit list) : Ast.tunit list
     =
-  let race_diags = Buffer_race.run ~spec tus in
-  let buf_diags = Buffer_mgmt.run ~spec tus in
+  let diags name = Registry.run (Option.get (Registry.find name)) ~spec tus in
+  let race_diags = diags Buffer_race.name in
+  let buf_diags = diags Buffer_mgmt.name in
   List.map
     (fun tu ->
       tu |> fix_hooks ~spec |> fix_races ~diags:race_diags

@@ -12,7 +12,8 @@ let metal_loc = 7
 
 let diag ~loc ~func msg = Diag.make ~checker:name ~loc ~func msg
 
-let check_func (f : Ast.func) : Diag.t list =
+let walk ~spec (f : Ast.func) : Diag.t list =
+  let _ = spec in
   let diags = ref [] in
   let on_expr (e : Ast.expr) =
     let is_float =
@@ -60,23 +61,6 @@ let check_func (f : Ast.func) : Diag.t list =
           :: !diags)
     f.Ast.f_params;
   !diags
-
-(* Pure AST walker: the prep's CFG is unused, only the function. *)
-let check_prep ~spec (prep : Prep.t) : Diag.t list =
-  let _ = spec in
-  check_func prep.Prep.func
-
-(* Not a state machine — nothing to compose into the product scan. *)
-let product ~spec : Engine.pmachine option =
-  let _ = spec in
-  None
-
-let run ~spec (tus : Ast.tunit list) : Diag.t list =
-  let _ = spec in
-  Diag.normalize
-    (List.concat_map
-       (fun tu -> List.concat_map check_func (Ast.functions tu))
-       tus)
 
 (** Expressions examined. *)
 let applied (tus : Ast.tunit list) : int =

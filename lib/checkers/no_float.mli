@@ -3,13 +3,10 @@
 
 val name : string
 val metal_loc : int
-val check_prep : spec:Flash_api.spec -> Prep.t -> Diag.t list
-(** staged: check one prepared function — the fused per-function
-    phase the scheduler drives *)
 
-val product : spec:Flash_api.spec -> Engine.pmachine option
-(** the machine packed for {!Engine.product_scan}, [None] for pure AST
-    walkers with nothing to compose *)
+val walk : spec:Flash_api.spec -> Ast.func -> Diag.t list
+(** check one function by walking its AST (no state machine, so nothing
+    joins the product scan); results are unnormalized, [Registry] sorts
+    and deduplicates the whole-program list *)
 
-val run : spec:Flash_api.spec -> Ast.tunit list -> Diag.t list
 val applied : Ast.tunit list -> int

@@ -26,64 +26,43 @@ type checker = {
   description : string;
   metal_loc : int;
   phase : phase;
-  run : spec:Flash_api.spec -> Ast.tunit list -> Diag.t list;
   applied : Ast.tunit list -> int;
 }
 
-let run_of_phase (phase : phase) : spec:Flash_api.spec -> Ast.tunit list ->
-  Diag.t list =
-  match phase with
-  | Per_function { check_fn; finalize; _ } ->
-    fun ~spec tus ->
-      let ctx = make_ctx tus in
-      let fn = check_fn ~spec ~ctx in
-      finalize
-        (List.concat_map
-           (fun tu ->
-             List.concat_map
-               (fun f -> fn (Prep.build f))
-               (Ast.functions tu))
-           tus)
-  | Whole_program g -> fun ~spec tus -> g ~spec tus
+(* The two kinds of per-function checker.  A state machine stages one
+   {!Engine.machine} per staging, for its per-checker walk and for its
+   packed product-scan machine alike; an AST walk has nothing to compose
+   into the scan and its whole-program list is sorted and deduplicated. *)
+let of_machine (machine : spec:Flash_api.spec -> _ Engine.machine) : phase =
+  Per_function
+    {
+      check_fn = (fun ~spec ~ctx:_ -> Engine.check_prep (machine ~spec));
+      finalize = Fun.id;
+      product = (fun ~spec -> Some (Engine.pack (machine ~spec)));
+    }
+
+let of_walk (walk : spec:Flash_api.spec -> Ast.func -> Diag.t list) : phase =
+  Per_function
+    {
+      check_fn = (fun ~spec ~ctx:_ prep -> walk ~spec prep.Prep.func);
+      finalize = Diag.normalize;
+      product = (fun ~spec:_ -> None);
+    }
 
 let make ~name ~description ~metal_loc ~phase ~applied =
-  {
-    name;
-    key = name;
-    description;
-    metal_loc;
-    phase;
-    run = run_of_phase phase;
-    applied;
-  }
-
-(* lift a checker module's [check_prep ~spec] (staged on the spec alone)
-   into the registry signature *)
-let fn staged : check_fn = fun ~spec ~ctx -> let _ = ctx in staged ~spec
+  { name; key = name; description; metal_loc; phase; applied }
 
 let all : checker list =
   [
     make ~name:Buffer_mgmt.name
       ~description:"buffer allocation/free discipline (Section 6)"
       ~metal_loc:Buffer_mgmt.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn Buffer_mgmt.check_prep;
-             finalize = Fun.id;
-             product = Buffer_mgmt.product;
-           })
+      ~phase:(of_machine Buffer_mgmt.machine)
       ~applied:Buffer_mgmt.applied;
     make ~name:Msg_length.name
       ~description:"message length vs has-data consistency (Section 5)"
       ~metal_loc:Msg_length.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn Msg_length.check_prep;
-             finalize = Fun.id;
-             product = Msg_length.product;
-           })
+      ~phase:(of_machine Msg_length.machine)
       ~applied:Msg_length.applied;
     make ~name:Lane_checker.name
       ~description:"per-lane send allowances, inter-procedural (Section 7)"
@@ -94,83 +73,39 @@ let all : checker list =
     make ~name:Buffer_race.name
       ~description:"data-buffer fill synchronisation (Section 4)"
       ~metal_loc:Buffer_race.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn Buffer_race.check_prep;
-             finalize = Fun.id;
-             product = Buffer_race.product;
-           })
+      ~phase:(of_machine Buffer_race.machine)
       ~applied:Buffer_race.applied;
     make ~name:Alloc_check.name
       ~description:"allocation failure checked before use (Section 9)"
       ~metal_loc:Alloc_check.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn Alloc_check.check_prep;
-             finalize = Fun.id;
-             product = Alloc_check.product;
-           })
+      ~phase:(of_machine Alloc_check.machine)
       ~applied:Alloc_check.applied;
     make ~name:Dir_entry.name
       ~description:"directory entry load/writeback discipline (Section 9)"
       ~metal_loc:Dir_entry.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn (fun ~spec -> Dir_entry.check_prep ?nak_pruning:None ~spec);
-             finalize = Fun.id;
-             product = (fun ~spec -> Dir_entry.product ~spec ());
-           })
+      ~phase:(of_machine (fun ~spec -> Dir_entry.machine ~spec ()))
       ~applied:Dir_entry.applied;
     make ~name:Send_wait.name
       ~description:"synchronous send/wait pairing (Section 9)"
       ~metal_loc:Send_wait.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn Send_wait.check_prep;
-             finalize = Fun.id;
-             product = Send_wait.product;
-           })
+      ~phase:(of_machine Send_wait.machine)
       ~applied:Send_wait.applied;
     make ~name:Exec_restrict.name
       ~description:"handler execution restrictions and hooks (Section 8)"
       ~metal_loc:Exec_restrict.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn Exec_restrict.check_prep;
-             finalize = Diag.normalize;
-             product = Exec_restrict.product;
-           })
+      ~phase:(of_walk Exec_restrict.walk)
       ~applied:Exec_restrict.applied;
     make ~name:No_float.name
       ~description:"no floating point in protocol code (Section 8)"
       ~metal_loc:No_float.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn No_float.check_prep;
-             finalize = Diag.normalize;
-             product = No_float.product;
-           })
+      ~phase:(of_walk No_float.walk)
       ~applied:No_float.applied;
   ]
 
 let of_sm ~key (sm : _ Sm.t) : checker =
-  let machine () = Engine.machine sm in
   {
     (make ~name:sm.Sm.name ~description:"loaded metal spec" ~metal_loc:0
-       ~phase:
-         (Per_function
-            {
-              check_fn =
-                (fun ~spec:_ ~ctx:_ -> Engine.check_prep (machine ()));
-              finalize = Fun.id;
-              product = (fun ~spec:_ -> Some (Engine.pack (machine ())));
-            })
+       ~phase:(of_machine (fun ~spec:_ -> Engine.machine sm))
        ~applied:(fun _ -> 0))
     with
     key;
@@ -180,9 +115,19 @@ let find name = List.find_opt (fun c -> String.equal c.name name) all
 
 let names = List.map (fun c -> c.name) all
 
-(** Run every checker on one protocol. *)
+let run (c : checker) ~spec (tus : Ast.tunit list) : Diag.t list =
+  match c.phase with
+  | Per_function { check_fn; finalize; _ } ->
+    let fn = check_fn ~spec ~ctx:(make_ctx tus) in
+    finalize
+      (List.concat_map
+         (fun tu ->
+           List.concat_map (fun f -> fn (Prep.build f)) (Ast.functions tu))
+         tus)
+  | Whole_program g -> g ~spec tus
+
 let run_all ~spec (tus : Ast.tunit list) : (string * Diag.t list) list =
-  List.map (fun c -> (c.name, c.run ~spec tus)) all
+  List.map (fun c -> (c.name, run c ~spec tus)) all
 
 (* ------------------------------------------------------------------ *)
 (* The checking kernel                                                 *)

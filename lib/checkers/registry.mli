@@ -10,9 +10,12 @@
     - inter-procedural checkers ([lanes]) provide a whole-program phase
       [check_global : spec -> tunits -> Diag.t list].
 
-    The derived [run] field runs one checker on its own, building a
-    {!Prep.t} per function; {!run_all} over it is the reference every
-    driver is tested against. *)
+    A built-in per-function checker module declares one thing: a state
+    machine builder, from which this module derives both the checker's
+    own walk and its product-scan machine, or an AST walk over one
+    function.  {!run} runs one checker on its own, building a {!Prep.t}
+    per function; {!run_all} over it is the reference every driver is
+    tested against. *)
 
 type ctx = {
   all_units : Ast.tunit list;  (** the whole program being checked *)
@@ -56,8 +59,6 @@ type checker = {
   description : string;
   metal_loc : int;  (** size of the paper's metal extension (Table 7) *)
   phase : phase;
-  run : spec:Flash_api.spec -> Ast.tunit list -> Diag.t list;
-      (** derived from [phase]; the backward-compatible one-shot entry *)
   applied : Ast.tunit list -> int;
       (** the "number of times the check was applied" metric *)
 }
@@ -65,14 +66,18 @@ type checker = {
 val all : checker list
 
 val of_sm : key:string -> 'state Sm.t -> checker
-(** a state machine as a per-function checker: its [check_fn] and its
-    product machine each stage one {!Engine.machine} per staging, its
-    [finalize] is [Fun.id], and it ignores the spec.  How a loaded metal
+(** a state machine as a per-function checker, staged exactly like a
+    built-in machine checker, ignoring the spec.  How a loaded metal
     spec joins the kernel; [key] must change whenever the machine's
     rules do. *)
 
 val find : string -> checker option
 val names : string list
+
+val run : checker -> spec:Flash_api.spec -> Ast.tunit list -> Diag.t list
+(** the reference: one checker on its own, without the product scan or a
+    fault barrier *)
+
 val run_all : spec:Flash_api.spec -> Ast.tunit list -> (string * Diag.t list) list
 
 (** {2 The checking kernel}

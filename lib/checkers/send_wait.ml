@@ -83,17 +83,9 @@ let exit_hook : state Engine.exit_hook =
       (iface_name iface)
   | Idle -> ()
 
-let check_prep ~spec : Prep.t -> Diag.t list =
+let machine ~spec =
   let _ = spec in
-  Engine.check_prep (Engine.machine ~at_exit:exit_hook sm)
-
-let product ~spec : Engine.pmachine option =
-  let _ = spec in
-  Some (Engine.pack (Engine.machine ~at_exit:exit_hook sm))
-
-let run ~spec (tus : Ast.tunit list) : Diag.t list =
-  let _ = spec in
-  Engine.check ~at_exit:exit_hook sm (`Program tus)
+  Engine.machine ~at_exit:exit_hook sm
 
 (** Synchronous sends plus interface waits — the Applied column of
     Table 6. *)

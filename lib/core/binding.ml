@@ -19,10 +19,3 @@ let add (t : t) name expr : t option =
   | Some prior -> if Ast.equal_expr prior expr then Some t else None
 
 let names (t : t) = List.map fst t
-
-let pp ppf (t : t) =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-    (fun ppf (name, e) ->
-      Format.fprintf ppf "%s=%s" name (Pp.expr_to_string e))
-    ppf (List.rev t)

@@ -18,5 +18,3 @@ val add : t -> string -> Ast.expr -> t option
 
 val names : t -> string list
 (** bound wildcard names, most recent first *)
-
-val pp : Format.formatter -> t -> unit

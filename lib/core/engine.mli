@@ -69,9 +69,9 @@ type target =
     index, compiled on the state's first encounter and kept across every
     function the value checks.  The memo is mutable and unsynchronised,
     so a machine value is domain-local in the same way a staged checker
-    closure is: create one per staging ([Registry.stage], a checker's
-    [check_prep ~spec] or [product ~spec]), never at module level, and
-    never share one across domains. *)
+    closure is: create one per staging (a checker's machine builder,
+    called by [Registry] for each), never at module level, and never
+    share one across domains. *)
 
 type 'state machine
 

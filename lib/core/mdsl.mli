@@ -24,10 +24,6 @@ type t = {
 val parse : ?file:string -> string -> t
 (** @raise Parse_error on malformed metal source *)
 
-val to_sm : t -> string Sm.t
-(** compile to a runnable machine; states are their metal names and
-    execution starts in the first state defined, as in metal *)
-
 val load : ?file:string -> string -> string Sm.t
 (** [to_sm (parse ?file src)] *)
 
@@ -57,9 +53,6 @@ val tokenize : loc:(int -> Loc.t) -> string -> (token * int) list
     first non-blank content character (or its opening brace when empty)
     so diagnostics inside a block land on the offending text *)
 
-val loc_of_offset : file:string -> string -> int -> Loc.t
-(** line/col of a byte offset within a source string *)
-
 (** the result of the textual phase 1: the machine's name and its
     brace-delimited body, plus the offset→location map phase 2 needs *)
 type source = {
@@ -86,7 +79,3 @@ val kind_of_string : string -> Pattern.wildcard_kind
 val parse_action : string -> string option
 (** the [err("...")] action inside a code block; [None] for an empty
     block.  @raise Parse_error (with [Loc.none]) on anything else *)
-
-val at_loc : Loc.t -> (unit -> 'a) -> 'a
-(** run [f], re-raising location-free [Parse_error]s (and
-    [Pattern.Parse_error]s) with the given location attached *)

@@ -259,10 +259,3 @@ let find_all (t : t) (e : Ast.expr) : (Ast.expr * Binding.t) list =
   in
   post e;
   List.rev !hits
-
-(** First match of [t] anywhere within [e]. *)
-let find (t : t) (e : Ast.expr) : (Ast.expr * Binding.t) option =
-  match find_all t e with [] -> None | hit :: _ -> Some hit
-
-(** Does [t] match anywhere within [e]? *)
-let occurs (t : t) (e : Ast.expr) : bool = find t e <> None

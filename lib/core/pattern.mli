@@ -71,9 +71,6 @@ val tag_call : int
 (** the tag of [Ast.Call] — the bucket call events without an indexed
     callee name fall back to *)
 
-val tag_of_expr : Ast.expr -> int
-(** head-constructor tag of an expression, in [0 .. n_tags-1] *)
-
 val root_shapes : t -> root_shape list
 (** the shapes a pattern can match at its root, one per [Alt] branch *)
 
@@ -91,8 +88,3 @@ val match_expr : t -> Ast.expr -> Binding.t option
 val find_all : t -> Ast.expr -> (Ast.expr * Binding.t) list
 (** all root-matches within an expression (including itself), in
     evaluation (post-) order *)
-
-val find : t -> Ast.expr -> (Ast.expr * Binding.t) option
-(** first match anywhere within an expression *)
-
-val occurs : t -> Ast.expr -> bool

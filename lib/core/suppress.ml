@@ -51,11 +51,3 @@ let useful t = List.filter (fun a -> a.ann_used) t.seen
 (** Annotations that never fired — candidates for "this assertion is not
     needed on any path" warnings. *)
 let unused t = List.filter (fun a -> not a.ann_used) t.seen
-
-let unused_diags t ~checker : Diag.t list =
-  List.map
-    (fun a ->
-      Diag.make ~severity:Diag.Warning ~checker ~loc:a.ann_loc
-        ~func:a.ann_func
-        (Printf.sprintf "annotation %s() not needed on any path" a.ann_name))
-    (unused t)

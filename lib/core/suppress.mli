@@ -28,6 +28,3 @@ val useful : t -> annotation list
 (** annotations that suppressed at least one warning (Table 4 "useful") *)
 
 val unused : t -> annotation list
-
-val unused_diags : t -> checker:string -> Diag.t list
-(** "annotation not needed on any path" warnings *)

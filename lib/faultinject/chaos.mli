@@ -28,9 +28,6 @@ type klass =
       (** concurrent cache-directory writers plus corrupted segments *)
   | Overload  (** a burst past [max_inflight]: fast sheds, honest hints *)
 
-val klass_name : klass -> string
-val all_classes : klass list
-
 type outcome = {
   o_class : klass;
   index : int;  (** position in the campaign, for reproduction *)

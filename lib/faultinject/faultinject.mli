@@ -33,8 +33,6 @@ type fault =
 
 type klass = Parser | Cache | Checker | Budget
 
-val klass_of_fault : fault -> klass
-val klass_name : klass -> string
 val klass_of_name : string -> klass option
 val all_classes : klass list
 val fault_to_string : fault -> string

@@ -15,13 +15,6 @@ type fault =
 
 exception Fault of fault
 
-let fault_to_string = function
-  | Double_free i -> Printf.sprintf "double free of buffer %d" i
-  | Use_after_free i -> Printf.sprintf "use of freed buffer %d" i
-  | Read_before_fill i ->
-    Printf.sprintf "read of buffer %d before hardware finished filling it" i
-  | Pool_exhausted -> "no free data buffers (leak): node deadlocks"
-
 type buffer = {
   index : int;
   mutable refcount : int;

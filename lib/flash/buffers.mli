@@ -14,8 +14,6 @@ type fault =
 
 exception Fault of fault
 
-val fault_to_string : fault -> string
-
 type buffer = {
   index : int;
   mutable refcount : int;

@@ -508,9 +508,6 @@ let generate ?(seed = 0xF1A54) () : t =
     seed;
   }
 
-let find t name =
-  List.find_opt (fun p -> String.equal p.name name) t.protocols
-
 (** Write the corpus to a directory as .c files (for browsing or for
     checking with the CLI). *)
 let write_to_dir t dir =

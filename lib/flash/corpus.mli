@@ -19,7 +19,5 @@ type protocol = {
 type t = { protocols : protocol list; seed : int }
 
 val generate : ?seed:int -> unit -> t
-val find : t -> string -> protocol option
-
 val write_to_dir : t -> string -> unit
 (** write every protocol's .c files into a directory *)

@@ -16,13 +16,6 @@ type fault =
   | F_len_mismatch of string  (** opcode of the inconsistent send *)
   | F_fatal of string
 
-let fault_to_string = function
-  | F_buffer f -> Buffers.fault_to_string f
-  | F_lane f -> Lanes.fault_to_string f
-  | F_len_mismatch op ->
-    Printf.sprintf "length/data mismatch on %s send" op
-  | F_fatal msg -> "FATAL_ERROR: " ^ msg
-
 (** The mutable per-node state handlers run against. *)
 type node = {
   id : int;

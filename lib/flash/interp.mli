@@ -14,8 +14,6 @@ type fault =
   | F_len_mismatch of string  (** opcode of the inconsistent send *)
   | F_fatal of string
 
-val fault_to_string : fault -> string
-
 (** The mutable per-node state handlers run against. *)
 type node = {
   id : int;

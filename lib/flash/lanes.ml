@@ -8,9 +8,6 @@
 
 type fault = Lane_overflow of int  (** lane index *)
 
-let fault_to_string = function
-  | Lane_overflow lane -> Printf.sprintf "output lane %d overflow" lane
-
 type t = {
   capacity : int;  (** slots per lane *)
   queues : Message.t Queue.t array;

@@ -7,8 +7,6 @@
 
 type fault = Lane_overflow of int  (** lane index *)
 
-val fault_to_string : fault -> string
-
 type t
 
 val create : ?capacity:int -> unit -> t

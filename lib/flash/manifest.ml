@@ -26,11 +26,6 @@ type entry = {
 let entry ?(count = 1) ~checker ~protocol ~func ~kind note =
   { checker; protocol; func; kind; count; note }
 
-let kind_to_string = function
-  | Bug -> "bug"
-  | Minor -> "minor"
-  | False_positive -> "false positive"
-
 (** Classify a diagnostic against the manifest: find an entry for the same
     checker/protocol/function. *)
 let classify (entries : entry list) ~checker ~protocol ~func : entry option =

@@ -30,8 +30,6 @@ val entry :
   string ->
   entry
 
-val kind_to_string : kind -> string
-
 val classify :
   entry list -> checker:string -> protocol:string -> func:string ->
   entry option

@@ -18,11 +18,6 @@ type t = {
 }
 
 val length_words : length -> int
-val length_of_string : string -> length option
-val string_of_length : length -> string
-
 val length_consistent : t -> bool
 (** false on the two inconsistencies the msg_length checker hunts: a data
     send with zero length, or a no-data send with a non-zero length *)
-
-val pp : Format.formatter -> t -> unit

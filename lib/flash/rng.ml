@@ -37,10 +37,3 @@ let percent t p = int t 100 < p
 let choose t = function
   | [] -> invalid_arg "Rng.choose: empty list"
   | xs -> List.nth xs (int t (List.length xs))
-
-(** Derive an independent generator (e.g. one per protocol) so that
-    changing how many numbers one protocol consumes does not perturb the
-    others. *)
-let split t label =
-  let h = Hashtbl.hash label in
-  create ~seed:(Int64.to_int (next_int64 t) lxor h)

@@ -16,6 +16,3 @@ val percent : t -> int -> bool
 (** true with probability p/100 *)
 
 val choose : t -> 'a list -> 'a
-
-val split : t -> string -> t
-(** derive an independent generator (e.g. one per protocol) *)

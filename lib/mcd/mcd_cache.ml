@@ -49,6 +49,8 @@ type t = {
   units : (string, unit_entry) Hashtbl.t;  (** the front-end index, by path *)
   fresh : (string, string) Hashtbl.t;
       (** blobs stored since the last [save], by name, not yet on disk *)
+  unpublished : (string, unit) Hashtbl.t;
+      (** result keys [add]ed since the last successful [publish_dir] *)
 }
 
 (* bump when the key derivation or the marshalled shape changes *)
@@ -59,7 +61,13 @@ let footer_magic = "MCDCACH1"
 let footer_len = 8 + 8 + 16
 
 let make table units =
-  { mutex = Mutex.create (); table; units; fresh = Hashtbl.create 8 }
+  {
+    mutex = Mutex.create ();
+    table;
+    units;
+    fresh = Hashtbl.create 8;
+    unpublished = Hashtbl.create 64;
+  }
 
 let create () = make (Hashtbl.create 1024) (Hashtbl.create 8)
 
@@ -81,7 +89,9 @@ let count_load prefix reason = Mcobs.inc (Mcobs.counter (prefix ^ reason))
 
 let add c key diags =
   Mcobs.inc m_stores;
-  locked c (fun () -> Hashtbl.replace c.table key diags)
+  locked c (fun () ->
+      Hashtbl.replace c.table key diags;
+      Hashtbl.replace c.unpublished key ())
 
 let size c = locked c (fun () -> Hashtbl.length c.table)
 
@@ -89,6 +99,7 @@ let copy c =
   locked c (fun () ->
       let c' = make (Hashtbl.copy c.table) (Hashtbl.copy c.units) in
       Hashtbl.iter (Hashtbl.replace c'.fresh) c.fresh;
+      Hashtbl.iter (Hashtbl.replace c'.unpublished) c.unpublished;
       c')
 
 (* One marshalled shape for the single file and the directory segments:
@@ -99,8 +110,8 @@ type payload =
   string
   * ((string, Diag.t list array) Hashtbl.t * (string, unit_entry) Hashtbl.t)
 
-let payload c =
-  Marshal.to_string ((format_tag, (c.table, c.units)) : payload) []
+let payload table units =
+  Marshal.to_string ((format_tag, (table, units)) : payload) []
 
 (* Write [contents] to [path] atomically: a temp file in the same
    directory, renamed into place.  Readers see the old file or the
@@ -211,7 +222,8 @@ let save c path =
   locked c (fun () ->
       let named = named_blobs c in
       write_blobs c path named;
-      write_atomic ~prefix:"mcd-cache" path (container (payload c));
+      write_atomic ~prefix:"mcd-cache" path
+        (container (payload c.table c.units));
       prune_blobs path named)
 
 (* Why a load was cold, for the Mcobs counters: a crash-truncated file
@@ -292,14 +304,29 @@ let merge ~into src =
 
 let segment_path dir hex = Filename.concat dir (Printf.sprintf "seg-%s.mc" hex)
 
+(* Only the entries [add]ed since the last successful publish go into a
+   segment: what a worker merged from other segments is already on
+   disk, so re-publishing it would grow the directory with every round. *)
 let publish_dir c dir =
-  let payload = locked c (fun () -> payload c) in
-  let hex = Digest.to_hex (Digest.string payload) in
-  let seg = segment_path dir hex in
-  if Sys.file_exists seg then begin
+  let keys, payload =
+    locked c (fun () ->
+        let delta = Hashtbl.create (Hashtbl.length c.unpublished) in
+        Hashtbl.iter
+          (fun k () -> Hashtbl.replace delta k (Hashtbl.find c.table k))
+          c.unpublished;
+        ( List.of_seq (Hashtbl.to_seq_keys delta),
+          payload delta (Hashtbl.create 1) ))
+  in
+  let published seg =
+    locked c (fun () -> List.iter (Hashtbl.remove c.unpublished) keys);
+    Ok (Some seg)
+  in
+  let seg = segment_path dir (Digest.to_hex (Digest.string payload)) in
+  if keys = [] then Ok None
+  else if Sys.file_exists seg then begin
     (* someone already published identical content *)
     Mcobs.inc m_publish_dup;
-    Ok seg
+    published seg
   end
   else begin
     let claim = seg ^ ".claim" in
@@ -310,7 +337,7 @@ let publish_dir c dir =
       (* another writer is publishing this very content right now —
          its rename will land the same bytes, so ours is redundant *)
       Mcobs.inc m_publish_contended;
-      Ok seg
+      published seg
     | exception Unix.Unix_error (e, _, _) ->
       Error
         (Printf.sprintf "cache claim %s: %s" claim (Unix.error_message e))
@@ -323,7 +350,7 @@ let publish_dir c dir =
       | () ->
         release ();
         Mcobs.inc m_publish_ok;
-        Ok seg
+        published seg
       | exception exn ->
         release ();
         Error (Printexc.to_string exn))

@@ -99,10 +99,13 @@ val merge : into:t -> t -> unit
     are content-addressed, so a duplicate key carries identical value).
     Unit index entries are not merged. *)
 
-val publish_dir : t -> string -> (string, string) result
-(** atomically publish this cache's entries as one segment in [dir];
-    returns the segment path (which may already have existed — identical
-    content is deduplicated, a concurrent identical publish is skipped) *)
+val publish_dir : t -> string -> (string option, string) result
+(** atomically publish, as one segment in [dir], the entries {!add}ed
+    since the last successful publish (not those from {!merge},
+    {!load} or {!load_dir}); returns the segment path (which may already
+    have existed — identical content is deduplicated, a concurrent
+    identical publish is skipped), or [None] when there is nothing new.
+    On [Error] the entries stay pending for the next publish. *)
 
 val load_dir : string -> t
 (** merge every valid segment in [dir] into a fresh cache; a missing

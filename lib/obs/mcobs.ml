@@ -18,8 +18,8 @@
       Spans are gated on one atomic flag: with tracing disabled (the
       default) a span is a single boolean load around the traced thunk.
 
-    The exporters read a snapshot ({!pp_summary}, {!export_jsonl_file},
-    {!export_chrome}) or the registry ({!to_prometheus}, {!to_json}). *)
+    The exporters read a snapshot ({!pp_summary}, {!export_chrome_file})
+    or the registry ({!to_prometheus}, {!to_json}). *)
 
 (* ------------------------------------------------------------------ *)
 (* Clock                                                               *)
@@ -271,7 +271,6 @@ type span = {
    on.  The daemon builds its own spans and never sets the cell. *)
 let ambient_trace = Atomic.make ""
 
-let set_trace trace = Atomic.set ambient_trace trace
 let current_trace () = Atomic.get ambient_trace
 
 let with_trace trace f =
@@ -457,8 +456,8 @@ let drain_trace trace =
    interpolate linearly inside it.  Monotone in p by construction (the
    target rank is monotone, interpolation within a bucket is monotone,
    and consecutive buckets share their boundary), and always bracketed
-   by the bucket's bounds; the overflow bucket is capped at the
-   recorded max. *)
+   by the bucket's bounds, the upper one capped at the recorded max: an
+   estimate never exceeds the largest sample. *)
 let quantile_hist (h : hist_snapshot) p =
   if h.count = 0 || Float.is_nan p || p < 0. || p > 1. then None
   else begin
@@ -471,10 +470,11 @@ let quantile_hist (h : hist_snapshot) p =
         let cum' = cum + n in
         if n > 0 && float_of_int cum' >= target then begin
           let lo = if i = 0 then 0. else hist_bounds_ms.(i - 1) in
-          let hi =
+          let bound =
             if i < Array.length hist_bounds_ms then hist_bounds_ms.(i)
-            else Float.max lo h.max_ms
+            else Float.infinity
           in
+          let hi = Float.max lo (Float.min bound h.max_ms) in
           let frac = (target -. float_of_int cum) /. float_of_int n in
           let frac = Float.min 1. (Float.max 0. frac) in
           Some (lo +. (frac *. (hi -. lo)))
@@ -483,11 +483,6 @@ let quantile_hist (h : hist_snapshot) p =
     in
     go 0 0
   end
-
-let quantile (s : snapshot) name p =
-  match List.assoc_opt name s.hists with
-  | None -> None
-  | Some h -> quantile_hist h p
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
@@ -555,33 +550,6 @@ let export_chrome oc (s : snapshot) =
 let export_chrome_file path s =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> export_chrome oc s)
-
-(* JSON Lines: one self-describing object per line. *)
-let export_jsonl oc (s : snapshot) =
-  List.iter
-    (fun sp ->
-      Printf.fprintf oc
-        "{\"type\":\"span\",\"name\":\"%s\",\"tid\":%d,\"trace\":\"%s\",\"begin_us\":%.1f,\"dur_us\":%.1f,\"depth\":%d,\"args\":{%s}}\n"
-        (json_escape sp.sp_name) sp.sp_tid (json_escape sp.sp_trace)
-        sp.sp_begin_us sp.sp_dur_us sp.sp_depth (json_args sp.sp_args))
-    s.spans;
-  List.iter
-    (fun (name, v) ->
-      Printf.fprintf oc "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}\n"
-        (json_escape name) v)
-    s.counters;
-  List.iter
-    (fun (name, h) ->
-      Printf.fprintf oc
-        "{\"type\":\"histogram\",\"name\":\"%s\",\"count\":%d,\"sum_ms\":%.3f,\"max_ms\":%.3f,\"buckets\":[%s]}\n"
-        (json_escape name) h.count h.sum_ms h.max_ms
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int h.buckets))))
-    s.hists
-
-let export_jsonl_file path s =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> export_jsonl oc s)
 
 (* Human-readable digest: counters, histograms, and spans aggregated by
    name (count / total / mean) — the Table 5/6-style timing breakdown. *)

@@ -74,9 +74,6 @@ type span = {
     The caller must serialize traced regions — the daemon's session
     mutex already does. *)
 
-val set_trace : string -> unit
-(** set the ambient trace id ([""] clears it) *)
-
 val current_trace : unit -> string
 
 val with_trace : string -> (unit -> 'a) -> 'a
@@ -201,13 +198,6 @@ val drain_trace : string -> span list
     harvest.  Same calling discipline as {!snapshot} with respect to
     the drained trace. *)
 
-val quantile : snapshot -> string -> float -> float option
-(** [quantile s name p] estimates the [p]-quantile (p in [0,1]) of the
-    named histogram by linear interpolation inside the bucket holding
-    the target rank: monotone in [p], bracketed by the bucket's bounds
-    (the overflow bucket is capped at the recorded max).  [None] for an
-    unknown name, an empty histogram, or [p] outside [0,1]. *)
-
 val quantile_hist : hist_snapshot -> float -> float option
 (** the same estimate on a bare histogram snapshot *)
 
@@ -232,12 +222,4 @@ val pp_summary : Format.formatter -> snapshot -> unit
 (** human-readable digest: counters, histograms, spans aggregated by
     name *)
 
-val export_chrome : out_channel -> snapshot -> unit
-(** Chrome trace-event JSON (["X"] complete events, one track per
-    domain) — loadable in [chrome://tracing] and Perfetto *)
-
 val export_chrome_file : string -> snapshot -> unit
-
-val export_jsonl_file : string -> snapshot -> unit
-(** one self-describing JSON object per line (spans, counters,
-    histograms) *)

@@ -26,7 +26,7 @@ let classify_diags (p : Corpus.protocol) ~checker (diags : Diag.t list) :
 
 let run_checker (p : Corpus.protocol) name : Diag.t list =
   match Registry.find name with
-  | Some c -> c.Registry.run ~spec:p.Corpus.spec p.Corpus.tus
+  | Some c -> Registry.run c ~spec:p.Corpus.spec p.Corpus.tus
   | None -> []
 
 let applied (p : Corpus.protocol) name : int =

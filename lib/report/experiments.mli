@@ -4,12 +4,6 @@
 
 type class_counts = { bugs : int; minors : int; fps : int }
 
-val classify_diags :
-  Corpus.protocol -> checker:string -> Diag.t list -> class_counts
-(** classify against the protocol's seeded-fault manifest; a diagnostic
-    at an unseeded site counts as a false positive so regressions are
-    visible *)
-
 val table1 : Corpus.t -> Table.t
 (** protocol size: LOC, paths, average/max path length *)
 
@@ -21,9 +15,6 @@ val table3 : Corpus.t -> Table.t
 
 val table4 : Corpus.t -> Table.t
 (** buffer management: errors, minor, useful/useless annotations *)
-
-val lanes_table : Corpus.t -> Table.t
-(** Section 7's lane-allowance checker *)
 
 val table5 : Corpus.t -> Table.t
 (** execution restrictions: violations, handlers, vars *)

@@ -92,10 +92,6 @@ val drain : t -> (unit, err) result
 
 val reload : t -> (unit, err) result
 
-val request : t -> Proto.request -> (Proto.response, err) result
-(** escape hatch: send one raw request, read one raw response frame
-    (protocol tests drive malformed traffic through this) *)
-
 (** {1 Retry, backoff, and the circuit breaker} *)
 
 val with_retry :

@@ -21,12 +21,6 @@
 
 val magic : string  (** ["MCHK"] *)
 
-val version : int
-(** [2] — v2 added the trace id to {!check_opts}, the {!Stats} format
-    byte, and the {!Metrics}/{!Flight} requests.  Version mismatches
-    are rejected at the frame layer; there is no cross-version
-    negotiation (client and daemon ship together). *)
-
 val header_len : int  (** bytes before the payload: 4 + 2 + 4 *)
 
 val max_payload : int

@@ -264,9 +264,7 @@ let initiate_drain t =
       Condition.broadcast t.cond)
 
 let draining t = locked t.mu (fun () -> t.is_draining)
-let inflight t = locked t.mu (fun () -> t.inflight_n)
 let supervisor t = t.sup
-let access_log t = t.access
 let flight_recorder t = t.flight
 let reopen_access_log t = Mctel.Accesslog.reopen t.access
 

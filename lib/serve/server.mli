@@ -101,29 +101,9 @@ val draining : t -> bool
 val supervisor : t -> Mcsup.t
 (** the worker pool — chaos campaigns pick their kill victims here *)
 
-val stats_text : t -> string
-(** the [Stats S_text] reply, a view of the {!Mcobs} registry: the
-    server's counters ([requests] is [mcheckd_requests_total],
-    [refused] is [mcheckd_refused_total] plus [mcheckd_shed_total],
-    [errors] is [mcheckd_faults_total] plus
-    [mcheckd_protocol_errors_total]), connections and in-flight
-    requests, then the workers' session counters, which their trailers
-    merged into this registry ([findings] is [mcheck_findings_total],
-    [units_run] is [mcheck_units_run_total], [cache_hits] is
-    [mcheck_unit_cache_hits_total], ...) *)
-
-val stats_json : t -> string
-(** the [Stats S_json] reply: the same fields as one JSON object *)
-
-val inflight : t -> int
-(** admitted check requests not yet answered (drain-under-load tests
-    observe this) *)
-
-val access_log : t -> Mctel.Accesslog.t
-(** the daemon's access log (tests and drivers read counters off it) *)
-
 val flight_recorder : t -> Mctel.Flight.t
 
 val reopen_access_log : t -> unit
-(** close and reopen the access-log file — what the SIGHUP handler in
-    [bin/mcheckd] routes here for log rotation *)
+(** {!Mctel.Accesslog.reopen} on the daemon's access log: async-signal-
+    safe, so [bin/mcheckd]'s SIGHUP handler calls it directly for log
+    rotation *)

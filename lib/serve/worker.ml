@@ -77,7 +77,7 @@ let codec =
           | Ok (Proto.R_diag _) -> Mcsup.More
           | Ok _ -> Mcsup.Final
           | Error _ -> Mcsup.Garbage);
-    cd_split = Some Proto.split_frame;
+    cd_split = Proto.split_frame;
   }
 
 let pool_config ~size ~wall_ms wc =

@@ -11,10 +11,6 @@
     {!trailer} frame, which the daemon strips: the request's spans and
     registry delta, so the daemon's telemetry sees into the worker. *)
 
-val env_key : string
-(** the environment gate ([MCSUP_WORKER]) that turns a re-exec of the
-    hosting binary into a worker *)
-
 type wconfig = {
   wc_jobs : int;
   wc_incremental : bool;
@@ -56,10 +52,6 @@ val max_trailer_spans : int
 val split_trailers : string list -> string list * trailer list
 (** a worker's reply frames without the trailer, and the trailer
     decoded (Marshal behind a tag: both ends are the same binary) *)
-
-val codec : Mcsup.codec
-(** [Proto] framing: [R_diag] and the trailer are [More], every other
-    response is [Final], an undecodable payload is [Garbage] *)
 
 val pool_config : size:int -> wall_ms:float option -> wconfig -> Mcsup.config
 (** a ready {!Mcsup.config}: [Proto] codec, {!env_key}, the encoded

@@ -77,8 +77,8 @@ type codec = {
   cd_write : Unix.file_descr -> string -> unit;
   cd_class : string -> frame_class;
   cd_split :
-    (Bytes.t -> int -> int -> [ `Frame of string * int | `Need | `Bad of string ])
-    option;
+    Bytes.t -> int -> int ->
+    [ `Frame of string * int | `Need | `Bad of string ];
 }
 
 type config = {
@@ -390,82 +390,56 @@ let attempt ~queue t ~n payload =
             rp_attempt = n;
           }
       in
-      let rec collect acc =
-        match remaining () with
-        | None -> fail `Deadline
-        | Some r -> (
-          (try
-             Unix.setsockopt_float w.w_fd Unix.SO_RCVTIMEO
-               (Option.value r ~default:0.)
-           with _ -> ());
-          match t.cfg.sp_codec.cd_read w.w_fd with
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-            ->
-            fail `Deadline
-          | exception Unix.Unix_error (e, _, _) ->
-            fail (`Channel (Unix.error_message e))
-          | exception e -> fail (`Channel (Printexc.to_string e))
-          | Error msg -> fail (`Channel msg)
-          | Ok frame -> (
-            match t.cfg.sp_codec.cd_class frame with
-            | More -> collect (frame :: acc)
-            | Final -> finish acc frame
-            | Garbage -> fail (`Channel "garbage frame from worker")))
+      (* Drain the reply as bursts: one bulk [read] per wakeup, then
+         split every whole frame already in the window.  A diag-heavy
+         response costs a handful of syscalls instead of two per
+         frame. *)
+      let split = t.cfg.sp_codec.cd_split in
+      let data = ref (Bytes.create 65536) in
+      let start = ref 0 and avail = ref 0 in
+      let rec go acc =
+        match split !data !start !avail with
+        | `Bad msg -> fail (`Channel msg)
+        | `Frame (frame, used) -> (
+          start := !start + used;
+          avail := !avail - used;
+          match t.cfg.sp_codec.cd_class frame with
+          | More -> go (frame :: acc)
+          | Final -> finish acc frame
+          | Garbage -> fail (`Channel "garbage frame from worker"))
+        | `Need -> (
+          match remaining () with
+          | None -> fail `Deadline
+          | Some r -> (
+            if !start > 0 then begin
+              Bytes.blit !data !start !data 0 !avail;
+              start := 0
+            end;
+            if !avail = Bytes.length !data then begin
+              let d = Bytes.create (2 * Bytes.length !data) in
+              Bytes.blit !data 0 d 0 !avail;
+              data := d
+            end;
+            (try
+               Unix.setsockopt_float w.w_fd Unix.SO_RCVTIMEO
+                 (Option.value r ~default:0.)
+             with _ -> ());
+            match
+              Unix.read w.w_fd !data (!start + !avail)
+                (Bytes.length !data - !start - !avail)
+            with
+            | 0 -> fail (`Channel "eof")
+            | n ->
+              avail := !avail + n;
+              go acc
+            | exception
+                Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              fail `Deadline
+            | exception Unix.Unix_error (e, _, _) ->
+              fail (`Channel (Unix.error_message e))
+            | exception e -> fail (`Channel (Printexc.to_string e))))
       in
-      (* With a splitter in hand, drain the reply as bursts: one bulk
-         [read] per wakeup, then split every whole frame already in the
-         window.  A diag-heavy response costs a handful of syscalls
-         instead of two per frame. *)
-      let collect_buffered split =
-        let data = ref (Bytes.create 65536) in
-        let start = ref 0 and avail = ref 0 in
-        let rec go acc =
-          match split !data !start !avail with
-          | `Bad msg -> fail (`Channel msg)
-          | `Frame (frame, used) -> (
-            start := !start + used;
-            avail := !avail - used;
-            match t.cfg.sp_codec.cd_class frame with
-            | More -> go (frame :: acc)
-            | Final -> finish acc frame
-            | Garbage -> fail (`Channel "garbage frame from worker"))
-          | `Need -> (
-            match remaining () with
-            | None -> fail `Deadline
-            | Some r -> (
-              if !start > 0 then begin
-                Bytes.blit !data !start !data 0 !avail;
-                start := 0
-              end;
-              if !avail = Bytes.length !data then begin
-                let d = Bytes.create (2 * Bytes.length !data) in
-                Bytes.blit !data 0 d 0 !avail;
-                data := d
-              end;
-              (try
-                 Unix.setsockopt_float w.w_fd Unix.SO_RCVTIMEO
-                   (Option.value r ~default:0.)
-               with _ -> ());
-              match
-                Unix.read w.w_fd !data (!start + !avail)
-                  (Bytes.length !data - !start - !avail)
-              with
-              | 0 -> fail (`Channel "eof")
-              | n ->
-                avail := !avail + n;
-                go acc
-              | exception
-                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                fail `Deadline
-              | exception Unix.Unix_error (e, _, _) ->
-                fail (`Channel (Unix.error_message e))
-              | exception e -> fail (`Channel (Printexc.to_string e))))
-        in
-        go []
-      in
-      (match t.cfg.sp_codec.cd_split with
-      | Some split -> collect_buffered split
-      | None -> collect []))
+      go [])
 
 let dispatch ~queue t payload =
   match attempt ~queue t ~n:1 payload with

@@ -64,7 +64,8 @@ type frame_class = More | Final | Garbage
 
 type codec = {
   cd_read : Unix.file_descr -> (string, string) result;
-      (** read one frame payload; [Error] on EOF/truncation.  May raise
+      (** read one frame payload (the init handshake's ready frame);
+          [Error] on EOF/truncation.  May raise
           [Unix.Unix_error (EAGAIN | EWOULDBLOCK, _, _)] when the
           supervisor's receive timeout fires — Mcsup maps that to
           {!F_deadline}. *)
@@ -74,15 +75,14 @@ type codec = {
       (** [Final] ends the response, [More] keeps reading, [Garbage]
           kills the worker ({!F_channel}) *)
   cd_split :
-    (Bytes.t -> int -> int -> [ `Frame of string * int | `Need | `Bad of string ])
-    option;
-      (** optional incremental splitter over a byte window:
+    Bytes.t -> int -> int ->
+    [ `Frame of string * int | `Need | `Bad of string ];
+      (** incremental splitter over a byte window:
           [`Frame (payload, consumed)], [`Need] for a bare prefix,
-          [`Bad] for framing garbage.  When present, dispatch drains
-          reply bursts with bulk reads instead of paying two syscalls
-          per frame — the difference between per-diagnostic and
-          per-burst wakeups on diag-heavy responses.  [None] falls back
-          to [cd_read] per frame. *)
+          [`Bad] for framing garbage.  Dispatch drains reply bursts with
+          bulk reads through it instead of paying two syscalls per
+          frame — the difference between per-diagnostic and per-burst
+          wakeups on diag-heavy responses. *)
 }
 
 type config = {

@@ -198,8 +198,6 @@ module Accesslog = struct
       Mutex.unlock t.a_mu;
       queued
 
-  let request_reopen t = Atomic.set t.a_reopen true
-
   let reopen t = Atomic.set t.a_reopen true
 
   let lines_written t =
@@ -207,14 +205,6 @@ module Accesslog = struct
     let n = t.a_written in
     Mutex.unlock t.a_mu;
     n
-
-  let dropped t =
-    Mutex.lock t.a_mu;
-    let n = t.a_dropped in
-    Mutex.unlock t.a_mu;
-    n
-
-  let path t = t.a_path
 
   let close t =
     Mutex.lock t.a_mu;
@@ -313,8 +303,6 @@ module Flight = struct
     Mutex.unlock t.f_mu;
     n
 
-  let threshold_ms t = t.f_threshold_ms
-
   let span_json (sp : Mcobs.span) =
     Printf.sprintf
       "{\"name\":\"%s\",\"tid\":%d,\"begin_us\":%.1f,\"dur_us\":%.1f,\"depth\":%d,\"args\":{%s}}"
@@ -343,10 +331,4 @@ module Flight = struct
     Printf.sprintf "{\"threshold_ms\":%.1f,\"retained\":%d,\"entries\":[%s]}\n"
       t.f_threshold_ms (retained t)
       (String.concat ",\n" (List.map entry_json (entries t)))
-
-  let clear t =
-    Mutex.lock t.f_mu;
-    Queue.clear t.f_recent;
-    Queue.clear t.f_notable;
-    Mutex.unlock t.f_mu
 end

@@ -64,22 +64,16 @@ module Accesslog : sig
       dropped because the bounded queue is full — requests are never
       stalled on the filesystem *)
 
-  val request_reopen : t -> unit
-  (** async-signal-safe: mark the log for reopen; the writer closes
-      and reopens the file before its next batch — log-rotation via
-      SIGHUP *)
-
   val reopen : t -> unit
-  (** mark for reopen and wake the writer now (from a normal thread) *)
+  (** mark the log for reopen: the writer closes and reopens the file
+      on its next tick (within 25 ms), before it writes its next batch
+      — log rotation via SIGHUP.  Only sets a flag, so it is
+      async-signal-safe. *)
 
   val lines_written : t -> int
   (** lines the writer has flushed to disk (trails {!log} by the queue
       depth; {!close} drains first, so it is exact afterwards) *)
 
-  val dropped : t -> int
-  (** entries discarded because the writer queue was full *)
-
-  val path : t -> string option
   val close : t -> unit
 end
 
@@ -127,10 +121,8 @@ module Flight : sig
   (** how many notable entries the tail-based rule has kept (total
       over the recorder's lifetime, not just those still in the ring) *)
 
-  val threshold_ms : t -> float
   val dump_json : t -> string
   (** [{"threshold_ms":...,"entries":[...]}] — each entry carries its
       span tree as JSONL-style span objects *)
 
-  val clear : t -> unit
 end

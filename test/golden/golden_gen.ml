@@ -18,7 +18,7 @@ let () =
         (fun (ck : Registry.checker) ->
           section
             (Printf.sprintf "%s / %s" p.Corpus.name ck.Registry.name)
-            (ck.Registry.run ~spec:p.Corpus.spec p.Corpus.tus))
+            (Registry.run ck ~spec:p.Corpus.spec p.Corpus.tus))
         Registry.all)
     c.Corpus.protocols;
   (* the executable golden protocol, clean and buggy *)
@@ -29,7 +29,7 @@ let () =
         (fun (ck : Registry.checker) ->
           section
             (Printf.sprintf "%s / %s" label ck.Registry.name)
-            (ck.Registry.run ~spec:Golden.spec tus))
+            (Registry.run ck ~spec:Golden.spec tus))
         Registry.all)
     [ (Golden.Clean, "golden-clean"); (Golden.Buggy, "golden-buggy") ];
   (* the paper's figures, compiled from metal concrete syntax *)

@@ -2,6 +2,17 @@
     pipeline, selection, outcome classification, budgets, statistics,
     the whole-request memo, and the deprecated one-shot shim. *)
 
+(* an order-sensitive rendering of per-protocol results, one checker
+   name line followed by its diagnostics *)
+let render_results (results : (string * Diag.t list) list list) : string =
+  String.concat "\n"
+    (List.concat_map
+       (fun per_checker ->
+         List.concat_map
+           (fun (name, ds) -> name :: List.map Diag.to_string ds)
+           per_checker)
+       results)
+
 let t = Alcotest.test_case
 
 let buggy_src =
@@ -194,8 +205,8 @@ let session_cases =
             let results, report = Mcheck_api.Session.check_jobs s jobs in
             Alcotest.(check string)
               "same rendering"
-              (Mcheck_api.render_results expected)
-              (Mcheck_api.render_results results);
+              (render_results expected)
+              (render_results results);
             Alcotest.(check bool) "corpus has findings" true
               (report.Mcheck_api.r_findings > 0)));
     t "strict parse failure raises Robust_exit" `Quick (fun () ->
@@ -227,7 +238,7 @@ let session_cases =
              (fun h -> h.Flash_api.h_name)
              spec.Flash_api.p_handlers));
     t "a unit budget applies at every --jobs" `Quick (fun () ->
-        let p = Option.get (Corpus.find (Corpus.generate ()) "bitvector") in
+        let p = Checks.protocol (Corpus.generate ()) "bitvector" in
         let budgeted jobs =
           let config =
             {
@@ -237,8 +248,9 @@ let session_cases =
             }
           in
           with_session ~config (fun s ->
-              Mcheck_api.Session.check_units s ~spec:p.Corpus.spec
-                p.Corpus.tus)
+              snd
+                (Mcheck_api.Session.check_jobs s
+                   [ { Mcd.spec = p.Corpus.spec; tus = p.Corpus.tus } ]))
         in
         let r1 = budgeted 1 and r2 = budgeted 2 in
         Alcotest.(check int)
@@ -294,9 +306,10 @@ let metal_check ?(jobs = 1) ?cache_file ?(budget = Engine.no_budget) metal
       metal;
     }
   in
-  with_session ~config (fun s -> Mcheck_api.Session.check_units s ~spec tus)
+  with_session ~config (fun s ->
+      snd (Mcheck_api.Session.check_jobs s [ { Mcd.spec; tus } ]))
 
-let bitvector () = Option.get (Corpus.find (Corpus.generate ()) "bitvector")
+let bitvector () = Checks.protocol (Corpus.generate ()) "bitvector"
 
 let fresh_cache_file () =
   let f = Filename.temp_file "api_metal" ".cache" in

@@ -155,7 +155,8 @@ let prop_max_at_least_avg =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let stats = Paths.analyze (random_cfg seed) in
-      float_of_int stats.Paths.max_length >= Paths.average_length stats)
+      float_of_int stats.Paths.max_length
+      >= (Paths.aggregate [ stats ]).Paths.avg_length)
 
 let suite =
   ( "cfg+paths",

@@ -43,7 +43,7 @@ let count_diags run ?spec src =
 (* buffer race (Figure 2)                                              *)
 (* ------------------------------------------------------------------ *)
 
-let race = count_diags Buffer_race.run
+let race = count_diags (Checks.run Buffer_race.name)
 
 let race_cases =
   [
@@ -80,7 +80,7 @@ let race_cases =
 (* message length (Figure 3)                                           *)
 (* ------------------------------------------------------------------ *)
 
-let len = count_diags Msg_length.run
+let len = count_diags (Checks.run Msg_length.name)
 
 let len_cases =
   [
@@ -141,7 +141,7 @@ let len_cases =
 (* buffer management                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let buf ?spec src = count_diags Buffer_mgmt.run ?spec src
+let buf ?spec src = count_diags (Checks.run Buffer_mgmt.name) ?spec src
 
 let buf_cases =
   [

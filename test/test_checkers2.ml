@@ -39,7 +39,7 @@ let parse src =
 
 let exec ?spec src =
   let spec = match spec with Some s -> s | None -> spec_for [ "H" ] in
-  Exec_restrict.run ~spec (parse src)
+  Checks.run Exec_restrict.name ~spec (parse src)
 
 let n_exec ?spec src = List.length (exec ?spec src)
 
@@ -132,7 +132,7 @@ let exec_cases =
 (* ------------------------------------------------------------------ *)
 
 let nf src =
-  List.length (No_float.run ~spec:(spec_for [ "H" ]) (parse src))
+  List.length (Checks.run No_float.name ~spec:(spec_for [ "H" ]) (parse src))
 
 let no_float_cases =
   [
@@ -161,7 +161,7 @@ let no_float_cases =
 (* ------------------------------------------------------------------ *)
 
 let alloc src =
-  List.length (Alloc_check.run ~spec:(spec_for [ "H" ]) (parse src))
+  List.length (Checks.run Alloc_check.name ~spec:(spec_for [ "H" ]) (parse src))
 
 let alloc_cases =
   [
@@ -204,7 +204,7 @@ let alloc_cases =
 
 let dir ?spec src =
   let spec = match spec with Some s -> s | None -> spec_for [ "H" ] in
-  List.length (Dir_entry.run ~spec (parse src))
+  List.length (Checks.run Dir_entry.name ~spec (parse src))
 
 let dir_cases =
   [
@@ -265,7 +265,7 @@ let dir_cases =
 (* ------------------------------------------------------------------ *)
 
 let sw src =
-  List.length (Send_wait.run ~spec:(spec_for [ "H" ]) (parse src))
+  List.length (Checks.run Send_wait.name ~spec:(spec_for [ "H" ]) (parse src))
 
 let sw_cases =
   [

@@ -8,7 +8,7 @@ let t = Alcotest.test_case
 let corpus = lazy (Corpus.generate ())
 let corpus2 = lazy (Corpus.generate ())
 
-let protocol name = Option.get (Corpus.find (Lazy.force corpus) name)
+let protocol name = Checks.protocol (Lazy.force corpus) name
 
 let generation_cases =
   [
@@ -30,8 +30,8 @@ let generation_cases =
           (Lazy.force corpus2).Corpus.protocols);
     t "different seeds differ" `Slow (fun () ->
         let other = Corpus.generate ~seed:123 () in
-        let a = Option.get (Corpus.find (Lazy.force corpus) "bitvector") in
-        let b = Option.get (Corpus.find other "bitvector") in
+        let a = Checks.protocol (Lazy.force corpus) "bitvector" in
+        let b = Checks.protocol other "bitvector" in
         Alcotest.(check bool) "contents differ" false
           (String.equal (snd (List.hd a.Corpus.files))
              (snd (List.hd b.Corpus.files))));
@@ -104,7 +104,7 @@ let checker_vs_manifest_cases =
             `Slow
             (fun () ->
               let p = protocol pname in
-              let diags = c.Registry.run ~spec:p.Corpus.spec p.Corpus.tus in
+              let diags = Registry.run c ~spec:p.Corpus.spec p.Corpus.tus in
               let bugs = ref 0 and minors = ref 0 and fps = ref 0 in
               List.iter
                 (fun (d : Diag.t) ->
@@ -141,7 +141,7 @@ let totals_cases =
             List.iter
               (fun (c : Registry.checker) ->
                 let diags =
-                  c.Registry.run ~spec:p.Corpus.spec p.Corpus.tus
+                  Registry.run c ~spec:p.Corpus.spec p.Corpus.tus
                 in
                 List.iter
                   (fun (d : Diag.t) ->
@@ -197,7 +197,7 @@ let seed_robustness_cases =
           (fun (p : Corpus.protocol) ->
             List.iter
               (fun (c : Registry.checker) ->
-                let diags = c.Registry.run ~spec:p.Corpus.spec p.Corpus.tus in
+                let diags = Registry.run c ~spec:p.Corpus.spec p.Corpus.tus in
                 let found = ref 0 in
                 List.iter
                   (fun (d : Diag.t) ->
@@ -241,7 +241,9 @@ let pruning_cases =
                 p.Corpus.config.Profile.bugs
             in
             if nak_handlers <> [] then begin
-              let diags = Dir_entry.run ~spec:p.Corpus.spec p.Corpus.tus in
+              let diags =
+                Checks.run Dir_entry.name ~spec:p.Corpus.spec p.Corpus.tus
+              in
               List.iter
                 (fun h ->
                   Alcotest.(check bool)
@@ -264,7 +266,16 @@ let pruning_cases =
             0 (Lazy.force corpus).Corpus.protocols
         in
         let lanes fixed_point = total (Lane_checker.run ~fixed_point) in
-        let dir nak_pruning = total (Dir_entry.run ~nak_pruning) in
+        let dir nak_pruning =
+          total (fun ~spec tus ->
+              let m = Dir_entry.machine ~nak_pruning ~spec () in
+              List.concat_map
+                (fun tu ->
+                  List.concat_map
+                    (fun f -> Engine.check_prep m (Prep.build f))
+                    (Ast.functions tu))
+                tus)
+        in
         Alcotest.(check (pair int int)) "lanes with / without fixed point"
           (2, 30) (lanes true, lanes false);
         Alcotest.(check (pair int int)) "directory with / without pruning"

@@ -22,6 +22,10 @@ let spec_for ?(procs = true) handlers : Flash_api.spec =
     p_cond_free_funcs = [];
   }
 
+let exec = Checks.run Exec_restrict.name
+let race = Checks.run Buffer_race.name
+let buf = Checks.run Buffer_mgmt.name
+
 let parse src =
   Parsed.ok (Frontend.parse_strings [ ("t.c", Prelude.text ^ src) ])
 
@@ -37,10 +41,10 @@ let cases =
         let spec = spec_for [ "H" ] in
         let tus = parse "void H(void) { x = 1; }\nvoid util(void) { y = 2; }" in
         Alcotest.(check bool) "dirty before" true
-          (Exec_restrict.run ~spec tus <> []);
+          (exec ~spec tus <> []);
         let fixed = reparse (List.map (Fixer.fix_hooks ~spec) tus) in
         Alcotest.(check int) "clean after" 0
-          (List.length (Exec_restrict.run ~spec fixed)));
+          (List.length (exec ~spec fixed)));
     t "hook fix keeps existing good prologues" `Quick (fun () ->
         let spec = spec_for [ "H" ] in
         let tus =
@@ -59,13 +63,13 @@ let cases =
           parse
             "void H(void) { long a; a = MISCBUS_READ_DB(a, 0); FREE_DB(); }"
         in
-        let diags = Buffer_race.run ~spec tus in
+        let diags = race ~spec tus in
         Alcotest.(check int) "one race before" 1 (List.length diags);
         let fixed =
           reparse (List.map (Fixer.fix_races ~diags) tus)
         in
         Alcotest.(check int) "clean after" 0
-          (List.length (Buffer_race.run ~spec fixed)));
+          (List.length (race ~spec fixed)));
     t "race fix targets only the flagged statement" `Quick (fun () ->
         let spec = spec_for [ "H" ] in
         let tus =
@@ -73,10 +77,10 @@ let cases =
             "void H(void) { long a; if (a) { WAIT_FOR_DB_FULL(a); } a = \
              MISCBUS_READ_DB(a, 4); FREE_DB(); }"
         in
-        let diags = Buffer_race.run ~spec tus in
+        let diags = race ~spec tus in
         let fixed = reparse (List.map (Fixer.fix_races ~diags) tus) in
         Alcotest.(check int) "clean after" 0
-          (List.length (Buffer_race.run ~spec fixed));
+          (List.length (race ~spec fixed));
         (* exactly one wait was added *)
         let count =
           Cutil.count_calls fixed [ Flash_api.wait_for_db_full ]
@@ -89,26 +93,26 @@ let cases =
             "void H(void) { if (c) { return; } NI_SEND(MSG_NAK, F_NODATA, \
              0, W_NOWAIT, 1, 0); FREE_DB(); }"
         in
-        let diags = Buffer_mgmt.run ~spec tus in
+        let diags = buf ~spec tus in
         Alcotest.(check int) "one leak before" 1 (List.length diags);
         let fixed = reparse (List.map (Fixer.fix_leaks ~spec ~diags) tus) in
         Alcotest.(check int) "clean after" 0
-          (List.length (Buffer_mgmt.run ~spec fixed)));
+          (List.length (buf ~spec fixed)));
     t "leak on the fall-off-the-end path" `Quick (fun () ->
         let spec = spec_for [ "H" ] in
         let tus = parse "void H(void) { x = 1; }" in
-        let diags = Buffer_mgmt.run ~spec tus in
+        let diags = buf ~spec tus in
         let fixed = reparse (List.map (Fixer.fix_leaks ~spec ~diags) tus) in
         Alcotest.(check int) "clean after" 0
-          (List.length (Buffer_mgmt.run ~spec fixed)));
+          (List.length (buf ~spec fixed)));
     t "the golden buggy leak is repairable" `Quick (fun () ->
         let tus = Golden.program Golden.Buggy in
         let spec = Golden.spec in
-        let diags = Buffer_mgmt.run ~spec tus in
+        let diags = buf ~spec tus in
         let fixed =
           reparse (List.map (Fixer.fix_leaks ~spec ~diags) tus)
         in
-        let remaining = Buffer_mgmt.run ~spec fixed in
+        let remaining = buf ~spec fixed in
         (* the NIInval leak is gone; the NILocalGet double free remains,
            deliberately (Section 11) *)
         Alcotest.(check int) "one report left" 1 (List.length remaining);
@@ -116,23 +120,23 @@ let cases =
           (List.hd remaining).Diag.func);
     t "corpus hook violations all repairable" `Slow (fun () ->
         let corpus = Corpus.generate () in
-        let p = Option.get (Corpus.find corpus "dyn_ptr") in
+        let p = Checks.protocol corpus "dyn_ptr" in
         let fixed =
           reparse
             (List.map (Fixer.fix_hooks ~spec:p.Corpus.spec) p.Corpus.tus)
         in
         Alcotest.(check int) "no exec diags" 0
-          (List.length (Exec_restrict.run ~spec:p.Corpus.spec fixed)));
+          (List.length (exec ~spec:p.Corpus.spec fixed)));
     t "corpus races all repairable" `Slow (fun () ->
         let corpus = Corpus.generate () in
-        let p = Option.get (Corpus.find corpus "bitvector") in
-        let diags = Buffer_race.run ~spec:p.Corpus.spec p.Corpus.tus in
+        let p = Checks.protocol corpus "bitvector" in
+        let diags = race ~spec:p.Corpus.spec p.Corpus.tus in
         Alcotest.(check int) "four before" 4 (List.length diags);
         let fixed =
           reparse (List.map (Fixer.fix_races ~diags) p.Corpus.tus)
         in
         Alcotest.(check int) "none after" 0
-          (List.length (Buffer_race.run ~spec:p.Corpus.spec fixed)));
+          (List.length (race ~spec:p.Corpus.spec fixed)));
   ]
 
 let suite = ("fixer", cases)

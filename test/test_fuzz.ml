@@ -103,7 +103,7 @@ let prop_pipeline_never_crashes =
       (* every checker *)
       List.iter
         (fun (c : Registry.checker) ->
-          ignore (c.Registry.run ~spec tus);
+          ignore (Registry.run c ~spec tus);
           ignore (c.Registry.applied tus))
         Registry.all;
       (* CFG + path statistics *)
@@ -187,7 +187,7 @@ let cases =
           Parsed.ok (Frontend.parse_strings [ ("e.c", Prelude.text) ])
         in
         List.iter
-          (fun (c : Registry.checker) -> ignore (c.Registry.run ~spec tus))
+          (fun (c : Registry.checker) -> ignore (Registry.run c ~spec tus))
           Registry.all;
         ignore (Optimizer.optimize tus));
     t "empty function body" `Quick (fun () ->
@@ -197,7 +197,7 @@ let cases =
                [ ("e.c", Prelude.text ^ "void Fuzzed(void) { }") ])
         in
         List.iter
-          (fun (c : Registry.checker) -> ignore (c.Registry.run ~spec tus))
+          (fun (c : Registry.checker) -> ignore (Registry.run c ~spec tus))
           Registry.all);
   ]
 

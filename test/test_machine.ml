@@ -159,12 +159,10 @@ let message_cases =
           (Message.length_consistent (mk true Message.Len_nodata));
         Alcotest.(check bool) "nodata+word bad" false
           (Message.length_consistent (mk false Message.Len_word)));
-    t "length parsing round trip" `Quick (fun () ->
-        List.iter
-          (fun l ->
-            Alcotest.(check bool) "roundtrip" true
-              (Message.length_of_string (Message.string_of_length l) = Some l))
-          [ Message.Len_nodata; Message.Len_word; Message.Len_cacheline ]);
+    t "payload words per header length" `Quick (fun () ->
+        Alcotest.(check (list int)) "words" [ 0; 1; 16 ]
+          (List.map Message.length_words
+             [ Message.Len_nodata; Message.Len_word; Message.Len_cacheline ]));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -141,9 +141,7 @@ let whole_program_checkers = List.length Registry.all - per_function_checkers
    functions whose edit invalidates the whole-program checkers *)
 let incr_base =
   lazy
-    (let p =
-       Option.get (Corpus.find (Lazy.force corpus) "bitvector")
-     in
+    (let p = Checks.protocol (Lazy.force corpus) "bitvector" in
      let job = { Mcd.spec = p.Corpus.spec; tus = p.Corpus.tus } in
      let cache = Mcd_cache.create () in
      let _, cold = Mcd.check_jobs ~cache ~jobs:1 [ job ] in
@@ -280,15 +278,20 @@ let incremental_tests =
             Mcd_cache.add w2 "only-in-w2" [| [] |];
             let seg1 =
               match Mcd_cache.publish_dir w1 dir with
-              | Ok p -> p
+              | Ok (Some p) -> p
+              | Ok None -> Alcotest.fail "publish w1: nothing published"
               | Error e -> Alcotest.failf "publish w1: %s" e
             in
             (match Mcd_cache.publish_dir w2 dir with
             | Ok _ -> ()
             | Error e -> Alcotest.failf "publish w2: %s" e);
-            (* an identical re-publish deduplicates to the same segment *)
+            (* an identical publish deduplicates to the same segment *)
+            (match Mcd_cache.publish_dir (Mcd_cache.copy cache) dir with
+            | Ok p -> Alcotest.(check (option string)) "dedup" (Some seg1) p
+            | Error e -> Alcotest.failf "identical publish: %s" e);
+            (* with nothing added since, a re-publish writes nothing *)
             (match Mcd_cache.publish_dir w1 dir with
-            | Ok p -> Alcotest.(check string) "dedup" seg1 p
+            | Ok p -> Alcotest.(check (option string)) "nothing new" None p
             | Error e -> Alcotest.failf "re-publish: %s" e);
             (* a corrupt segment must be skipped, not fatal *)
             let oc = open_out (Filename.concat dir "seg-dead.mc") in
@@ -308,6 +311,86 @@ let incremental_tests =
             (* a missing directory is cold data, never an error *)
             Alcotest.(check int) "missing dir loads empty" 0
               (Mcd_cache.size (Mcd_cache.load_dir "/no/such/dir"))));
+    t "multi-writer directory: a re-publish writes only new entries" `Quick
+      (fun () ->
+        let dir =
+          Filename.concat
+            (Filename.get_temp_dir_name ())
+            (Printf.sprintf "mcd-delta-%d" (Unix.getpid ()))
+        in
+        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+        Fun.protect
+          ~finally:(fun () ->
+            Array.iter
+              (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
+              (Sys.readdir dir);
+            try Unix.rmdir dir with _ -> ())
+          (fun () ->
+            let publish c =
+              match Mcd_cache.publish_dir c dir with
+              | Ok (Some seg) -> seg
+              | Ok None -> Alcotest.fail "nothing published"
+              | Error e -> Alcotest.failf "publish: %s" e
+            in
+            let w = Mcd_cache.create () in
+            Mcd_cache.add w "a" [| [] |];
+            Mcd_cache.add w "b" [| [] |];
+            (* entries merged from other segments are already on disk *)
+            let other = Mcd_cache.create () in
+            Mcd_cache.add other "merged" [| [] |];
+            Mcd_cache.merge ~into:w other;
+            let seg1 = publish w in
+            Alcotest.(check int) "first segment: the two added entries" 2
+              (Mcd_cache.size (Mcd_cache.load seg1));
+            Mcd_cache.add w "c" [| [] |];
+            let seg2 = publish w in
+            Alcotest.(check int) "second segment: the one new entry" 1
+              (Mcd_cache.size (Mcd_cache.load seg2));
+            let union = Mcd_cache.load_dir dir in
+            Alcotest.(check (list bool)) "load_dir returns the union"
+              [ true; true; true ]
+              (List.map
+                 (fun k -> Mcd_cache.find union k <> None)
+                 [ "a"; "b"; "c" ])));
+    t "multi-writer directory: a failed publish keeps its entries pending"
+      `Quick (fun () ->
+        let dir =
+          Filename.concat
+            (Filename.get_temp_dir_name ())
+            (Printf.sprintf "mcd-pending-%d" (Unix.getpid ()))
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            if Sys.file_exists dir then begin
+              Array.iter
+                (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
+                (Sys.readdir dir);
+              try Unix.rmdir dir with _ -> ()
+            end)
+          (fun () ->
+            let w = Mcd_cache.create () in
+            Mcd_cache.add w "a" [| [] |];
+            (* a copy carries the pending entries; the original keeps them *)
+            let c = Mcd_cache.copy w in
+            (match Mcd_cache.publish_dir c dir with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.fail "publish into a missing directory");
+            Unix.mkdir dir 0o755;
+            Mcd_cache.add c "b" [| [] |];
+            let seg =
+              match Mcd_cache.publish_dir c dir with
+              | Ok (Some seg) -> seg
+              | Ok None -> Alcotest.fail "nothing published after the error"
+              | Error e -> Alcotest.failf "publish: %s" e
+            in
+            Alcotest.(check int) "the failed entry and the new one" 2
+              (Mcd_cache.size (Mcd_cache.load seg));
+            (match Mcd_cache.publish_dir w dir with
+            | Ok (Some s) ->
+              Alcotest.(check bool) "the original still holds its entry" true
+                (Mcd_cache.find (Mcd_cache.load s) "a" <> None)
+            | Ok None -> Alcotest.fail "the original lost its pending entry"
+            | Error e -> Alcotest.failf "publish original: %s" e)));
   ]
 
 (* ------------------------------------------------------------------ *)

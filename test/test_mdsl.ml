@@ -147,12 +147,14 @@ let run_cases =
         (* run the verbatim Figure 3 over bitvector and compare with our
            Msg_length implementation *)
         let corpus = Corpus.generate () in
-        let p = Option.get (Corpus.find corpus "bitvector") in
+        let p = Checks.protocol corpus "bitvector" in
         let dsl_sm = Mdsl.load figure3 in
         let dsl =
           Engine.check dsl_sm (`Program p.Corpus.tus)
         in
-        let edsl = Msg_length.run ~spec:p.Corpus.spec p.Corpus.tus in
+        let edsl =
+          Checks.run Msg_length.name ~spec:p.Corpus.spec p.Corpus.tus
+        in
         Alcotest.(check int) "same diagnostic count" (List.length edsl)
           (List.length dsl);
         List.iter2
@@ -171,7 +173,7 @@ let shipped_cases =
     t "shipped wait_for_db.metal finds the bitvector races" `Slow (fun () ->
         let sm = load "wait_for_db.metal" in
         let corpus = Corpus.generate () in
-        let p = Option.get (Corpus.find corpus "bitvector") in
+        let p = Checks.protocol corpus "bitvector" in
         let diags =
           Engine.check sm (`Program p.Corpus.tus)
         in

@@ -380,27 +380,6 @@ let exporter_cases =
   [
     t "chrome export is valid JSON with the right shape" `Quick
       check_chrome_export;
-    t "jsonl export: every line parses" `Quick (fun () ->
-        with_tracing (fun () ->
-            let snap = chrome_snapshot () in
-            let path = Filename.temp_file "mcobs" ".jsonl" in
-            Fun.protect
-              ~finally:(fun () -> Sys.remove path)
-              (fun () ->
-                Mcobs.export_jsonl_file path snap;
-                let lines =
-                  String.split_on_char '\n' (read_file path)
-                  |> List.filter (fun l -> String.trim l <> "")
-                in
-                Alcotest.(check bool) "has lines" true (lines <> []);
-                List.iter
-                  (fun line ->
-                    match parse_json line with
-                    | Obj _ -> ()
-                    | _ -> Alcotest.fail "line is not an object"
-                    | exception Bad_json msg ->
-                      Alcotest.fail ("invalid JSONL line: " ^ msg))
-                  lines)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -472,8 +451,10 @@ let delta_props =
 (* The estimator interpolates inside the bucket holding the target
    rank, so two properties pin it down: it is monotone in [p], and the
    estimate lies inside the bounds of the bucket an independent rank
-   computation selects (the overflow bucket's upper bound being the
-   recorded max). *)
+   computation selects, the upper bound capped at the recorded max. *)
+
+let quantile (snap : Mcobs.snapshot) name p =
+  Mcobs.quantile_hist (List.assoc name snap.Mcobs.hists) p
 
 let observe_all name samples =
   List.iter (Mcobs.observe (Mcobs.hist name)) samples
@@ -505,10 +486,10 @@ let reference_bucket_bounds samples p =
       if counts.(i) > 0 && float_of_int cum' >= target then
         let lo = if i = 0 then 0. else bounds.(i - 1) in
         let hi =
-          if i < Array.length bounds then bounds.(i)
-          else Float.max lo max_ms
+          if i < Array.length bounds then Float.min bounds.(i) max_ms
+          else max_ms
         in
-        (lo, hi)
+        (lo, Float.max lo hi)
       else go (i + 1) cum'
   in
   go 0 0
@@ -526,7 +507,7 @@ let quantile_of samples p =
   observe_all "test.q" samples;
   let snap = Mcobs.snapshot () in
   Mcobs.reset ();
-  Mcobs.quantile snap "test.q" p
+  quantile snap "test.q" p
 
 let quantile_props =
   [
@@ -543,7 +524,7 @@ let quantile_props =
            let qs =
              List.map
                (fun p ->
-                 match Mcobs.quantile snap "test.q" p with
+                 match quantile snap "test.q" p with
                  | Some q -> q
                  | None -> QCheck2.Test.fail_report "no estimate")
                ps
@@ -568,18 +549,26 @@ let quantile_props =
 let quantile_cases =
   [
     t "quantile interpolates deterministically" `Quick (fun () ->
-        (* one 0.5 ms sample lands in the (0.1, 1.0] bucket; the median
-           rank is halfway through it: 0.1 + 0.5 * (1.0 - 0.1) = 0.55 *)
+        (* one 0.5 ms sample lands in the (0.1, 1.0] bucket, capped at
+           the 0.5 ms max; the median rank is halfway through it:
+           0.1 + 0.5 * (0.5 - 0.1) = 0.3 *)
         match quantile_of [ 0.5 ] 0.5 with
         | None -> Alcotest.fail "no estimate"
         | Some q ->
-          Alcotest.(check (float 1e-9)) "interpolated median" 0.55 q);
-    t "quantile: empty and unknown histograms answer None" `Quick
+          Alcotest.(check (float 1e-9)) "interpolated median" 0.3 q);
+    t "no quantile exceeds the recorded max" `Quick (fun () ->
+        List.iter
+          (fun p ->
+            match quantile_of [ 28.7 ] p with
+            | None -> Alcotest.fail "no estimate"
+            | Some q ->
+              if q > 28.7 then
+                Alcotest.failf "p%g = %g ms above the 28.7 ms max"
+                  (100. *. p) q)
+          [ 0.0; 0.5; 0.9; 0.99; 1.0 ]);
+    t "quantile: empty histograms and p outside [0,1] answer None" `Quick
       (fun () ->
         with_tracing (fun () ->
-            let snap = Mcobs.snapshot () in
-            Alcotest.(check bool) "unknown name" true
-              (Mcobs.quantile snap "nosuch" 0.5 = None);
             Alcotest.(check bool) "empty hist" true
               (Mcobs.quantile_hist
                  { Mcobs.count = 0; sum_ms = 0.; max_ms = 0.; buckets = [||] }
@@ -588,8 +577,8 @@ let quantile_cases =
             Mcobs.observe (Mcobs.hist "test.h") 1.0;
             let snap = Mcobs.snapshot () in
             Alcotest.(check bool) "p out of range" true
-              (Mcobs.quantile snap "test.h" 1.5 = None
-              && Mcobs.quantile snap "test.h" (-0.1) = None)));
+              (quantile snap "test.h" 1.5 = None
+              && quantile snap "test.h" (-0.1) = None)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -674,7 +663,7 @@ let witness_cases =
         let tus =
           parse "void H(void) { PI_SEND(F_NODATA, 0, 0, W_WAIT, 1, 0); }"
         in
-        let diags = Send_wait.run ~spec:(spec_for [ "H" ]) tus in
+        let diags = Checks.run Send_wait.name ~spec:(spec_for [ "H" ]) tus in
         Alcotest.(check int) "one diagnostic" 1 (List.length diags);
         let d = List.hd diags in
         Alcotest.(check int) "two witness steps" 2
@@ -707,7 +696,7 @@ let witness_cases =
             "void H(void) { FREE_DB(); FREE_DB(); }"
         in
         let diags =
-          Buffer_mgmt.run ~spec:(spec_for [ "H" ]) tus
+          Checks.run Buffer_mgmt.name ~spec:(spec_for [ "H" ]) tus
         in
         Alcotest.(check bool) "has diags" true (diags <> []);
         List.iter

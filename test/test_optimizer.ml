@@ -114,9 +114,9 @@ let prop_optimize_preserves_verdict =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let tus = parse (random_src seed) in
-      let before = Buffer_race.run ~spec tus in
+      let before = Checks.run Buffer_race.name ~spec tus in
       let optimized, _ = Optimizer.optimize tus in
-      let after = Buffer_race.run ~spec optimized in
+      let after = Checks.run Buffer_race.name ~spec optimized in
       site_set before = site_set after)
 
 let suite =

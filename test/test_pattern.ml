@@ -100,7 +100,7 @@ let cases =
     t "occurs looks inside subexpressions" `Quick (fun () ->
         let p = Pattern.expr "FREE_DB()" in
         Alcotest.(check bool) "nested" true
-          (Pattern.occurs p (e "x = 1 + f(FREE_DB(), 2)")));
+          (Pattern.find_all p (e "x = 1 + f(FREE_DB(), 2)") <> []));
     t "call helper matches any args" `Quick (fun () ->
         let p = Pattern.call "NI_SEND" ~arity:6 in
         Alcotest.(check bool) "match" true
@@ -109,13 +109,6 @@ let cases =
         match Pattern.expr "f(" with
         | exception Pattern.Parse_error _ -> ()
         | _ -> Alcotest.fail "expected Parse_error");
-    t "binding pp prints pairs" `Quick (fun () ->
-        let p = Pattern.expr ~decls:[ ("x", Pattern.Any) ] "f(x)" in
-        match Pattern.match_expr p (e "f(7)") with
-        | Some b ->
-          Alcotest.(check string) "pp" "x=7"
-            (Format.asprintf "%a" Binding.pp b)
-        | None -> Alcotest.fail "no match");
   ]
 
 let suite = ("pattern", cases)

@@ -75,22 +75,6 @@ let printer_cases =
           Alcotest.(check bool) "ptr ret" true
             (Ctype.equal f.Ast.f_ret (Ctype.Ptr Ctype.Long))
         | _ -> Alcotest.fail "one function expected");
-    t "describe_kind labels nodes" `Quick (fun () ->
-        let tu =
-          Parsed.ok
-            (Frontend.parse
-               ~file:"t.c" "void f(void) { if (x) { y(); } }")
-        in
-        let cfg = Cfg.build (List.hd (Ast.functions tu)) in
-        let kinds =
-          Array.to_list cfg.Cfg.nodes
-          |> List.map (fun n -> Cfg.describe_kind n.Cfg.kind)
-        in
-        Alcotest.(check bool) "has entry" true (List.mem "<entry>" kinds);
-        Alcotest.(check bool) "has a branch" true
-          (List.exists
-             (fun k -> String.length k >= 6 && String.sub k 0 6 = "branch")
-             kinds));
   ]
 
 (* checker utility helpers *)

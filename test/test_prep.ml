@@ -35,7 +35,7 @@ let counter_of (snap : Mcobs.snapshot) name =
 let build_once_tests =
   [
     t "fused run builds exactly one Prep per function" `Quick (fun () ->
-        let p = Option.get (Corpus.find (Corpus.generate ()) "bitvector") in
+        let p = Checks.protocol (Corpus.generate ()) "bitvector" in
         let nfuncs =
           List.fold_left
             (fun acc tu -> acc + List.length (Ast.functions tu))
@@ -114,7 +114,78 @@ let fallback_tests =
         Alcotest.(check (list string)) "identical to run_all" seq product);
   ]
 
+(* [Registry] stages every per-function checker through one helper per
+   kind; a loaded metal spec goes through the machine helper. *)
+let wait_for_db_metal =
+  {|
+sm wait_for_db {
+  decl { scalar } addr, buf;
+  start:
+    { WAIT_FOR_DB_FULL(addr); } ==> stop
+  | { MISCBUS_READ_DB(addr, buf); } ==>
+      { err("Buffer not synchronized"); }
+  ;
+}
+|}
+
+let registry_tests =
+  [
+    t "registry: machine checkers pack a product machine, AST walks do not"
+      `Quick (fun () ->
+        let kind (c : Registry.checker) =
+          match c.Registry.phase with
+          | Registry.Whole_program _ -> "whole-program"
+          | Registry.Per_function { product; _ } -> (
+            match product ~spec:Golden.spec with
+            | Some _ -> "machine"
+            | None -> "walk")
+        in
+        Alcotest.(check (list (pair string string)))
+          "kinds"
+          [
+            (Buffer_mgmt.name, "machine");
+            (Msg_length.name, "machine");
+            (Lane_checker.name, "whole-program");
+            (Buffer_race.name, "machine");
+            (Alloc_check.name, "machine");
+            (Dir_entry.name, "machine");
+            (Send_wait.name, "machine");
+            (Exec_restrict.name, "walk");
+            (No_float.name, "walk");
+          ]
+          (List.map (fun (c : Registry.checker) -> (c.Registry.name, kind c))
+             Registry.all));
+    t "registry: a loaded metal spec checks the same through the kernel"
+      `Quick (fun () ->
+        let p = Checks.protocol (Corpus.generate ()) "bitvector" in
+        let spec = p.Corpus.spec and tus = p.Corpus.tus in
+        let sm = Mdsl.load wait_for_db_metal in
+        let c = Registry.of_sm ~key:"wait_for_db" sm in
+        let reference = Registry.run c ~spec tus in
+        Alcotest.(check int) "the engine's own walk"
+          (List.length (Engine.check sm (`Program tus)))
+          (List.length reference);
+        let staged =
+          Registry.stage ~checkers:[ c ] ~spec ~ctx:(Registry.make_ctx tus)
+        in
+        let per_function, faults =
+          List.split
+            (List.concat_map
+               (fun tu ->
+                 List.map
+                   (Registry.check_function staged ~budget:Engine.no_budget)
+                   (Ast.functions tu))
+               tus)
+        in
+        Alcotest.(check (list string))
+          "kernel = Registry.run"
+          (explain_render [ (c.Registry.name, reference) ])
+          (explain_render
+             (Registry.assemble ~checkers:[ c ] ~per_function
+                ~whole_program:[] ~faults:(List.concat faults))));
+  ]
+
 let suite =
   ( "prep",
-    build_once_tests @ product_tests @ fallback_tests
+    build_once_tests @ product_tests @ fallback_tests @ registry_tests
     @ [ QCheck_alcotest.to_alcotest prop_fused_identical ] )

@@ -1117,6 +1117,53 @@ let telemetry_cases =
                 Alcotest.(check bool) "line carries a trace id" true
                   (contains_sub l "\"trace\":\"t-"))
               buffer_lines));
+    t "access log: reopen after a rename writes to a fresh file" `Quick
+      (fun () ->
+        let path = Filename.temp_file "mcheckd-access" ".jsonl" in
+        let rotated = path ^ ".1" in
+        Fun.protect
+          ~finally:(fun () ->
+            List.iter
+              (fun p -> try Sys.remove p with _ -> ())
+              [ path; rotated ])
+          (fun () ->
+            let log = Mctel.Accesslog.create ~path:(Some path) () in
+            let entry trace =
+              {
+                Mctel.Accesslog.al_trace = trace;
+                al_peer = "test";
+                al_kind = "ping";
+                al_bytes_in = 0;
+                al_bytes_out = 0;
+                al_wall_ms = 0.;
+                al_outcome = "ok";
+                al_findings = 0;
+                al_diags = 0;
+                al_cache_hits = 0;
+              }
+            in
+            Alcotest.(check bool) "first logged" true
+              (Mctel.Accesslog.log log (entry "first"));
+            let t0 = Unix.gettimeofday () in
+            while
+              Mctel.Accesslog.lines_written log < 1
+              && Unix.gettimeofday () -. t0 < 5.
+            do
+              Thread.delay 0.005
+            done;
+            Sys.rename path rotated;
+            Mctel.Accesslog.reopen log;
+            Alcotest.(check bool) "second logged" true
+              (Mctel.Accesslog.log log (entry "second"));
+            Mctel.Accesslog.close log;
+            Alcotest.(check bool) "the rotated file keeps the first line"
+              true
+              (contains_sub (read_file rotated) "\"trace\":\"first\""
+              && not (contains_sub (read_file rotated) "second"));
+            Alcotest.(check bool) "the fresh file holds the second line"
+              true
+              (contains_sub (read_file path) "\"trace\":\"second\""
+              && not (contains_sub (read_file path) "first"))));
     t "a fault-barrier trip lands in the flight recorder" `Quick (fun () ->
         (* a one-step unit budget: every unit runs out of fuel in the
            worker, and the check degrades to a partial outcome *)
@@ -1250,11 +1297,13 @@ let dogfood_cases =
     t "the faithful framing model passes msg_length" `Quick (fun () ->
         Alcotest.(check int) "no diagnostics" 0
           (List.length
-             (Msg_length.run ~spec:proto_spec (parse faithful_model))));
+             (Checks.run Msg_length.name ~spec:proto_spec
+                (parse faithful_model))));
     t "a header that lies about its payload is flagged" `Quick (fun () ->
         Alcotest.(check int) "one diagnostic" 1
           (List.length
-             (Msg_length.run ~spec:proto_spec (parse lying_model))));
+             (Checks.run Msg_length.name ~spec:proto_spec
+                (parse lying_model))));
   ]
 
 let suite =

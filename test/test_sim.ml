@@ -76,7 +76,7 @@ let static_cases =
         let tus = Golden.program Golden.Clean in
         List.iter
           (fun (c : Registry.checker) ->
-            let diags = c.Registry.run ~spec:Golden.spec tus in
+            let diags = Registry.run c ~spec:Golden.spec tus in
             Alcotest.(check int) (c.Registry.name ^ " diags") 0
               (List.length diags))
           Registry.all);
@@ -85,7 +85,7 @@ let static_cases =
         let by_checker =
           List.map
             (fun (c : Registry.checker) ->
-              (c.Registry.name, c.Registry.run ~spec:Golden.spec tus))
+              (c.Registry.name, Registry.run c ~spec:Golden.spec tus))
             Registry.all
         in
         let count name = List.length (List.assoc name by_checker) in
@@ -102,7 +102,7 @@ let static_cases =
         let tus = Golden.program Golden.Buggy in
         let all =
           List.concat_map
-            (fun (c : Registry.checker) -> c.Registry.run ~spec:Golden.spec tus)
+            (fun (c : Registry.checker) -> Registry.run c ~spec:Golden.spec tus)
             Registry.all
         in
         let funcs = List.map (fun (d : Diag.t) -> d.Diag.func) all in

@@ -20,11 +20,11 @@
     All local modes run on one {!Mcheck_api.Session} — the same facade
     the daemon serves — so CLI and service behaviour cannot drift.
 
-    Scheduling: [--jobs N] runs the checkers on the [Mcd] work pool
-    across N domains, and [--incremental] keeps the content-hash result
-    cache warm across invocations (persisted to [--cache FILE]), so
-    re-checking after editing one handler only re-runs the affected
-    function-batched units.  Output is byte-identical to the sequential
+    Scheduling: [--jobs N] runs the front end and the checkers on N of
+    the process's [Mcd_pool] domains, and [--incremental] keeps the
+    content-hash result cache warm across invocations (persisted to
+    [--cache FILE]), so re-checking after editing one handler only
+    re-runs the affected function-batched units.  Output is byte-identical to the sequential
     run in every configuration.
 
     Observability: [--explain] prints each diagnostic's witness path —
@@ -376,8 +376,10 @@ let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Schedule function-batched work units across $(docv) \
-              domains.  Output is identical to the sequential run.")
+        ~doc:"Lex, parse and type-annotate the input files, then \
+              schedule function-batched work units, across $(docv) \
+              domains (at most the host's cores).  Output is identical \
+              to the sequential run.")
 
 let incremental_arg =
   Arg.(

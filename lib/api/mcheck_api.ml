@@ -149,14 +149,10 @@ let in_source_order (diags : Diag.t list) =
 (* Front-end reuse across runs                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* [f] on every item, on at most [jobs] domains *)
-let pool_iter ~jobs f items =
-  let tasks = Array.of_list (List.map (fun x _ -> f x) items) in
-  ignore (Mcd_pool.run ~domains:(min jobs (Array.length tasks)) tasks)
-
 (* [Frontend.parse_strings], reusing each file whose text and typedef
    scope match its entry in [cache] (the cache file [path]'s index):
-   - in file order, compute each key and parse the misses in place;
+   - [Frontend.parse_units] keys each file under its scope and parses
+     the misses, on [jobs] domains;
    - decode every hit's blob on [jobs] domains; a missing or corrupt
      blob is parsed instead;
    - if every decoded unit was annotated under the new program's env
@@ -172,34 +168,26 @@ let m_reuse_corrupt = Mcobs.counter "cfront.reuse.corrupt"
 let parse_reusing ~jobs ~path cache (srcs : (string * string) list) =
   let srcs = Array.of_list srcs in
   let n = Array.length srcs in
-  let keys = Array.make n "" and scopes = Array.make n [] in
-  let units = Array.make n None and entries = Array.make n None in
-  let parse i =
+  let keys = Array.make n "" and entries = Array.make n None in
+  (* a file whose key under [scope] matches its entry needs no parse *)
+  let known i ~scope =
     let file, src = srcs.(i) in
-    let u = Parser.parse_string_recovering ~file ~typedefs:scopes.(i) src in
-    units.(i) <- Some u;
-    Frontend.typedef_names (fst u)
+    keys.(i) <- Mcd_cache.unit_key ~file ~scope src;
+    entries.(i) <-
+      (match Mcd_cache.find_unit cache file with
+      | Some e when String.equal e.Mcd_cache.u_key keys.(i) -> Some e
+      | _ -> None);
+    Option.map (fun e -> e.Mcd_cache.u_typedefs) entries.(i)
   in
-  let scope = ref [] in
-  Array.iteri
-    (fun i (file, src) ->
-      scopes.(i) <- !scope;
-      keys.(i) <- Mcd_cache.unit_key ~file ~scope:!scope src;
-      let own =
-        match Mcd_cache.find_unit cache file with
-        | Some e when String.equal e.Mcd_cache.u_key keys.(i) ->
-          entries.(i) <- Some e;
-          e.Mcd_cache.u_typedefs
-        | _ ->
-          Mcobs.inc m_reuse_miss;
-          parse i
-      in
-      scope := List.rev_append own !scope)
-    srcs;
+  let planned =
+    Frontend.parse_units ~domains:jobs ~known (Array.to_list srcs)
+  in
+  let units = Array.map snd planned in
+  Array.iter (fun u -> if u <> None then Mcobs.inc m_reuse_miss) units;
   let all = List.init n Fun.id in
   let hits = List.filter (fun i -> entries.(i) <> None) all in
   let decoded = Array.make n (Error `Missing) in
-  pool_iter ~jobs
+  Mcd_pool.iter ~phase:"decode" ~domains:jobs
     (fun i -> decoded.(i) <- Mcd_cache.read_unit ~path (Option.get entries.(i)))
     hits;
   let reused = Array.make n false and failed = ref 0 in
@@ -216,7 +204,11 @@ let parse_reusing ~jobs ~path cache (srcs : (string * string) list) =
           | `Missing -> m_reuse_missing
           | `Corrupt -> m_reuse_corrupt);
         incr failed;
-        ignore (parse i))
+        let file, src = srcs.(i) in
+        units.(i) <-
+          Some
+            (Parser.parse_string_recovering ~file ~typedefs:(fst planned.(i))
+               src))
     hits;
   let units = Array.map Option.get units in
   let tus = Array.to_list (Array.map fst units) in
@@ -228,9 +220,9 @@ let parse_reusing ~jobs ~path cache (srcs : (string * string) list) =
   in
   let fresh = List.filter (fun i -> redo || not reused.(i)) all in
   if fresh <> [] then
-    Typecheck.annotate_units ~program:tus
+    Typecheck.annotate_units ~domains:jobs ~program:tus
       (List.map (fun i -> fst units.(i)) fresh);
-  pool_iter ~jobs
+  Mcd_pool.iter ~phase:"store" ~domains:jobs
     (fun i ->
       Mcd_cache.store_unit cache ~file:(fst srcs.(i)) ~key:keys.(i)
         ~typedefs:(Frontend.typedef_names (fst units.(i))) ~env units.(i))
@@ -465,13 +457,14 @@ module Session = struct
   (* a session persisting its cache to a file keeps each file's parsed
      unit there too, so a warm re-check parses only what changed *)
   let parse t srcs =
+    (* clamped as [Mcd.check_jobs] clamps it *)
+    let jobs = max 1 (min t.cfg.jobs (Domain.recommended_domain_count ())) in
     match (t.cache, t.cfg.cache_file) with
     | Some cache, Some path ->
-      let jobs = max 1 (min t.cfg.jobs (Domain.recommended_domain_count ())) in
       fst
         (Mcobs.with_span "cfront.reuse" ~result_args:snd (fun () ->
              parse_reusing ~jobs ~path cache srcs))
-    | _ -> Frontend.parse_strings srcs
+    | _ -> Frontend.parse_strings ~domains:jobs srcs
 
   (* the shared back half: parse the (path, source) pairs, run, classify *)
   let check_sources_uncached t ~names srcs ~skipped ~had_input =

@@ -913,7 +913,8 @@ let resync p =
 
 (* The one driver loop: every intact global is kept, every error is
    recorded and skipped. *)
-let parse_buf ~typedefs ~src (buf : Lexer.buf) : Ast.tunit * Diag.t list =
+let parse_buf ?(typedefs = []) ~src (buf : Lexer.buf) :
+    Ast.tunit * Diag.t list =
   let p = create ~src buf in
   List.iter (add_typedef p) typedefs;
   let globals = ref [] in

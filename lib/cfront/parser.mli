@@ -18,6 +18,11 @@ val parse_string_recovering :
     still returned.  [typedefs] are typedef names already in scope
     (multi-file programs that share headers).  Never raises. *)
 
+val parse_buf :
+  ?typedefs:string list -> src:string -> Lexer.buf -> Ast.tunit * Diag.t list
+(** {!parse_string_recovering} on a token buffer already lexed from
+    [src]: the buffer's [lex] diagnostics come first in the result *)
+
 val parse_expr_string : ?file:string -> string -> (Ast.expr, Diag.t) result
 (** a single expression, or the first [lex] or [parse] diagnostic — used
     by {!Pattern} and in tests; never raises *)

@@ -244,21 +244,36 @@ let check_func env (f : Ast.func) =
 (** Annotate [units] in place, with every global of [program] loaded
     first so cross-unit references resolve.  Each unit's annotation
     depends only on its own functions and [program]'s globals and
-    signatures, so checking a subset leaves the rest as they were. *)
-let annotate_units ~(program : Ast.tunit list) (units : Ast.tunit list) :
-    unit =
+    signatures, so checking a subset leaves the rest as they were.
+    Once the globals are loaded the tables are only read, so the
+    functions are checked on [domains] pool workers (default 1), each
+    with its own scope stack. *)
+let annotate_units ?(domains = 1) ~(program : Ast.tunit list)
+    (units : Ast.tunit list) : unit =
   Mcobs.with_span "cfront.typecheck"
     ~args:[ ("units", string_of_int (List.length units)) ]
     (fun () ->
       let env = create_env () in
       List.iter (load_globals env) program;
-      List.iter
-        (fun tu ->
-          List.iter
-            (function Ast.Gfunc f -> check_func env f | _ -> ())
-            tu.Ast.tu_globals)
-        units)
+      let funcs =
+        Array.of_list
+          (List.concat_map
+             (fun tu ->
+               List.filter_map
+                 (function Ast.Gfunc f -> Some f | _ -> None)
+                 tu.Ast.tu_globals)
+             units)
+      in
+      let domains = max 1 (min domains (Array.length funcs)) in
+      if domains = 1 then Array.iter (check_func env) funcs
+      else
+        let envs = Array.init domains (fun _ -> { env with locals = [] }) in
+        ignore
+          (Mcd_pool.run ~phase:"typecheck"
+             ~chunk:(max 1 (Array.length funcs / (domains * 8)))
+             ~domains
+             (Array.map (fun f worker -> check_func envs.(worker) f) funcs)))
 
 (** Annotate several translation units as one program, in place. *)
-let annotate_program (tus : Ast.tunit list) : unit =
-  annotate_units ~program:tus tus
+let annotate_program ?domains (tus : Ast.tunit list) : unit =
+  annotate_units ?domains ~program:tus tus

@@ -7,13 +7,15 @@
     checkers rely on is that float-typed expressions and unsigned/scalar
     classifications are computed reliably. *)
 
-val annotate_program : Ast.tunit list -> unit
+val annotate_program : ?domains:int -> Ast.tunit list -> unit
 (** annotate several units as one program, in place: all globals are
     loaded first so cross-unit references resolve *)
 
-val annotate_units : program:Ast.tunit list -> Ast.tunit list -> unit
+val annotate_units :
+  ?domains:int -> program:Ast.tunit list -> Ast.tunit list -> unit
 (** annotate the given units of [program], in place: all of [program]'s
-    globals are loaded first.  A unit's annotation depends only on its
+    globals are loaded first, then the functions are checked on
+    [domains] pool workers (default 1) with the same result.  A unit's annotation depends only on its
     own functions and on the globals and signatures that
     [Mcd.env_digest] covers, so a unit annotated earlier under an equal
     env digest needs no second pass *)

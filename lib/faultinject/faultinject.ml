@@ -387,17 +387,27 @@ let run_checker_fault (t : target) fault : string option =
               ~base_digests:t.t_base_digests ~base_groups:t.t_base_groups
               ~tus:t.t_tus ~results ()
             |> Option.map (fun m -> "with injected checker fault: " ^ m))
-  | Kill_worker { task } ->
+  | Kill_worker { task } -> (
     Mcd_pool.set_test_kill (Some (fun ~worker ~task:ti -> worker = 1 && ti = task));
-    Fun.protect
-      ~finally:(fun () -> Mcd_pool.set_test_kill None)
-      (fun () ->
-        let results, _stats = Mcd.check_corpus ~jobs:2 ~spec:t.t_spec t.t_tus in
-        (* the coordinator re-claims the dead worker's units, so the
-           output is the clean run's, exactly *)
-        if snapshot results <> t.t_base_snap then
-          Some "output after worker kill differs from the clean run"
-        else None)
+    let killed =
+      Fun.protect
+        ~finally:(fun () -> Mcd_pool.set_test_kill None)
+        (fun () -> Mcd.check_corpus ~jobs:2 ~spec:t.t_spec t.t_tus)
+    in
+    (* the pool's domains outlive the kill: the next call on them is a
+       clean run *)
+    let next = Mcd.check_corpus ~jobs:2 ~spec:t.t_spec t.t_tus in
+    (* the coordinator re-claims the dead worker's units, so the output
+       is the clean run's, exactly *)
+    if snapshot (fst killed) <> t.t_base_snap then
+      Some "output after worker kill differs from the clean run"
+    else
+      match next with
+      | _, stats when stats.Mcd.workers_crashed > 0 ->
+        Some "a worker crashed on the call after the kill"
+      | results, _ when snapshot results <> t.t_base_snap ->
+        Some "output on the call after the kill differs"
+      | _ -> None)
   | _ -> assert false
 
 let run_budget_fault (t : target) fault : string option =

@@ -26,6 +26,7 @@ let run ?(log = fun _ -> ()) ?(kinds = Fuzz_mutate.all_kinds)
     let p = Fuzz_gen.generate ~seed () in
     let baseline, fs =
       Fuzz_oracle.check ~shared_cache ~seed ~spec:p.Fuzz_gen.spec
+        ~srcs:[ (p.Fuzz_gen.file, p.Fuzz_gen.src) ]
         ~tus:p.Fuzz_gen.tus ()
     in
     let efs = extra_oracle p in

@@ -20,6 +20,7 @@ type program = {
   seed : int;
   spec : Flash_api.spec;
   raw : Ast.tunit;  (** generated AST, prelude not included *)
+  file : string;  (** the file name [src] is parsed under *)
   src : string;  (** prelude + pretty-printed program *)
   tus : Ast.tunit list;  (** [src] parsed and type-annotated *)
 }
@@ -486,4 +487,4 @@ let generate ?(file = "fz.c") ~seed () : program =
     }
   in
   let src, tus = materialize ~file raw in
-  { seed; spec; raw; src; tus }
+  { seed; spec; raw; file; src; tus }

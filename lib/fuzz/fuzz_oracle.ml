@@ -5,7 +5,9 @@
     {!Registry.run_all} (one checker at a time, a {!Prep.t} per checker
     and function), diagnostic for diagnostic, including order:
 
-    + O1 [mcd-jobs2]: {!Mcd.check_corpus} with two domains;
+    + O1 [mcd-jobs2]: {!Mcd.check_corpus} with two domains, on the
+      program's sources parsed on two domains too ([parse-jobs2]: that
+      parse must marshal to the same bytes as the one-domain parse);
     + O2 [mcd-jobs4]: the same with four domains;
     + O3 [cache]: a cold-cache run, an immediately repeated warm-cache
       run, and runs against a long-lived cache shared across many
@@ -56,11 +58,13 @@ let first_diff (a : string list) (b : string list) : string =
 
 let seq_check ~spec tus = Registry.run_all ~spec tus
 
-(** [check ?shared_cache ~seed ~spec ~tus ()] runs all the oracles and
-    returns the disagreements (empty = all pipelines agree).  Also
-    returns the sequential results so callers can reuse them. *)
-let check ?shared_cache ~seed ~(spec : Flash_api.spec) ~(tus : Ast.tunit list)
-    () : (string * Diag.t list) list * failure list =
+(** [check ?shared_cache ?srcs ~seed ~spec ~tus ()] runs all the oracles
+    and returns the disagreements (empty = all pipelines agree).  [srcs]
+    are the (file, source) pairs [tus] was parsed from on one domain;
+    without them O1/O2 schedule [tus] as given.  Also returns the
+    sequential results so callers can reuse them. *)
+let check ?shared_cache ?srcs ~seed ~(spec : Flash_api.spec)
+    ~(tus : Ast.tunit list) () : (string * Diag.t list) list * failure list =
   let failures = ref [] in
   let fail oracle detail =
     failures := { f_seed = seed; f_oracle = oracle; f_detail = detail }
@@ -72,9 +76,21 @@ let check ?shared_cache ~seed ~(spec : Flash_api.spec) ~(tus : Ast.tunit list)
     let r = render results in
     if r <> seq_r then fail oracle (first_diff r seq_r)
   in
-  (* O1/O2: parallel must equal sequential *)
-  compare_mcd "mcd-jobs2" (fst (Mcd.check_corpus ~jobs:2 ~spec tus));
-  compare_mcd "mcd-jobs4" (fst (Mcd.check_corpus ~jobs:4 ~spec tus));
+  (* O1/O2: parallel must equal sequential, from the parse on *)
+  let parsed_at domains =
+    match srcs with
+    | None -> tus
+    | Some srcs ->
+      let par = Frontend.parse_strings ~domains srcs in
+      let bytes x = Marshal.to_string x [ Marshal.No_sharing ] in
+      if bytes (fst par) <> bytes tus then
+        fail
+          (Printf.sprintf "parse-jobs%d" domains)
+          "the parallel parse differs from the one-domain parse";
+      fst par
+  in
+  compare_mcd "mcd-jobs2" (fst (Mcd.check_corpus ~jobs:2 ~spec (parsed_at 2)));
+  compare_mcd "mcd-jobs4" (fst (Mcd.check_corpus ~jobs:4 ~spec (parsed_at 4)));
   (* O3: cold, warm, and shared caches *)
   let cache = Mcd_cache.create () in
   compare_mcd "cache-cold" (fst (Mcd.check_corpus ~cache ~jobs:2 ~spec tus));

@@ -350,12 +350,12 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
           ("tasks", string_of_int (Array.length tasks));
           ("chunk", string_of_int chunk);
         ]
-      (fun () -> Mcd_pool.run ~chunk ~domains tasks)
+      (fun () -> Mcd_pool.run ~phase:"units" ~chunk ~domains tasks)
   in
-  (* store the fresh results; done after the join so the cache is only
-     ever touched from this domain.  Faulted slots are not stored: a
-     degraded slice must not impersonate a clean result on the next
-     run. *)
+  (* store the fresh results; done after the pool returns so the cache
+     is only ever touched from this domain.  Faulted slots are not
+     stored: a degraded slice must not impersonate a clean result on
+     the next run. *)
   (match cache with
   | Some c ->
     Mcobs.with_span "mcd.store" (fun () ->
@@ -383,7 +383,7 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
   (* the ambient request trace (when a daemon set one) is recorded on
      every span already; naming it in the args makes the scheduler the
      visible join point between server-side spans and the worker spans
-     harvested after the pool joins *)
+     harvested after the pool returns *)
   Mcobs.record_span ~name:"mcd.schedule"
     ~args:
       (("units", string_of_int total)

@@ -70,7 +70,7 @@ val check_jobs :
     [mcheck_units_run_total] and [mcheck_units_faulted_total] counters
     of {!Mcobs}; the returned {!stats} carry the same numbers for this
     call.  With [?cache], hits are resolved before
-    scheduling and misses are stored after the pool joins; without it
+    scheduling and misses are stored after the pool returns; without it
     no digest is computed.  Every unit is one {!Registry.check_function}
     or {!Registry.check_whole_program} call.
 

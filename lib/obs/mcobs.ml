@@ -14,7 +14,7 @@
       registry, so one fact is counted at one site.
     - {b spans}, recorded into a *domain-local* buffer obtained through
       [Domain.DLS]: no lock on the hot path, merged at {!snapshot} time
-      from the coordinating domain after the workers have joined.
+      from the coordinating domain once the pool's workers have finished.
       Spans are gated on one atomic flag: with tracing disabled (the
       default) a span is a single boolean load around the traced thunk.
 
@@ -263,8 +263,8 @@ type span = {
 }
 
 (* The ambient trace context.  One process-global cell rather than a
-   DLS slot, deliberately: Mcd worker domains are spawned fresh for
-   each scheduling pass, and a DLS value would not cross the spawn.
+   DLS slot, deliberately: the pool's domains outlive one call, and a
+   DLS value set on the caller would not reach them.
    The ambient trace is set only in a serve worker process, which runs
    one request at a time, so at most one traced request is in flight
    when Mcd domains run — the same discipline [snapshot] already leans
@@ -286,8 +286,9 @@ type buffer = {
   mutable b_depth : int;
 }
 
-(* Buffers stay registered after their domain joins; [snapshot] reads
-   them from the coordinating domain once the workers are quiet. *)
+(* Buffers stay registered for the life of the process (pool domains
+   park between calls); [snapshot] reads them from the coordinating
+   domain once the workers are quiet. *)
 let buffers_mu = Mutex.create ()
 let buffers : buffer list ref = ref []
 

@@ -18,8 +18,8 @@
     {b Spans} are domain-local and lock-free on the hot path: each
     domain owns a buffer (via [Domain.DLS]); the one buffer-list mutex
     is taken only when a domain first creates its buffer and when the
-    coordinating domain takes a {!snapshot} after the workers have
-    joined.  Spans are gated on a single enable flag ({!set_enabled},
+    coordinating domain takes a {!snapshot} after the pool's [run] has
+    returned.  Spans are gated on a single enable flag ({!set_enabled},
     or the [OBS_TRACE=1] environment variable): with tracing off, a
     span costs one boolean load. *)
 
@@ -68,7 +68,7 @@ type span = {
 (** {2 Trace context}
 
     The ambient trace id is a process-global cell (not domain-local, so
-    freshly spawned [Mcd_pool] workers inherit it): every span records
+    the pool's parked [Mcd_pool] workers see it): every span records
     the ambient id at completion time, which attributes one request's
     spans end-to-end across server thread, session, and worker domains.
     The caller must serialize traced regions — the daemon's session

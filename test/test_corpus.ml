@@ -360,9 +360,86 @@ let front_end_cases =
           Front_inputs.units);
   ]
 
+(* The parallel front end against the sequential one: the marshalled,
+   annotated units (every [ety] included) and the diagnostics in order
+   must be the one-domain result at 2 and 4 domains, whatever the
+   typedef pre-scan predicts. *)
+let front_end_at domains units =
+  Marshal.to_string
+    (Frontend.parse_strings ~domains units)
+    [ Marshal.No_sharing ]
+
+let mispredicted () =
+  Mcobs.counter_value (Mcobs.counter "cfront.prescan.mispredict")
+
+let check_domains label units =
+  let one = front_end_at 1 units in
+  List.iter
+    (fun domains ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d domains = 1 domain" label domains)
+        true
+        (String.equal one (front_end_at domains units)))
+    [ 2; 4 ]
+
+(* [later] reads [t1]/[t2] as types when they are typedefs and as
+   expressions otherwise, so a wrong scope shows in its parse *)
+let later = ("later.c", "void L(void) { t1 * a; t2 * b; h_t * c; t3 * d; }\n")
+
+let tricky_programs =
+  [
+    ( "function-pointer typedef",
+      [
+        ("fp.c", "typedef void (*h_t)(int x);\nint g;\n");
+        later;
+      ] );
+    ( "typedef inside a region recovery skips",
+      [
+        ("skip.c", "int a;\n@@ { typedef int t1; }\nvoid f(void) { }\n");
+        later;
+      ] );
+    ( "malformed typedef declarator",
+      [ ("bad.c", "typedef int t1 t2;\ntypedef int t2;\n"); later ] );
+    ( "typedef of a name an earlier file uses as a variable",
+      [
+        ("use.c", "int t3;\nvoid u(void) { t3 = t3 * 2; }\n");
+        ("def.c", "typedef int t3;\nt3 g3;\n");
+        later;
+      ] );
+    ( "lex errors",
+      [
+        ("lex.c", "int a = 1 $ 2;\ntypedef int t1;\nchar *s = \"open\n");
+        ("lex2.c", "typedef unsigned t2; int b = 0x` 3;\n");
+        later;
+      ] );
+  ]
+
+let parallel_front_end_cases =
+  [
+    Alcotest.test_case "parallel front end = sequential (corpus seeds 0-3)"
+      `Slow (fun () ->
+        let before = mispredicted () in
+        List.iter
+          (fun seed ->
+            List.iteri
+              (fun i units ->
+                check_domains (Printf.sprintf "seed %d protocol %d" seed i) units)
+              (Front_inputs.protocols seed))
+          [ 0; 1; 2; 3 ];
+        Alcotest.(check int) "no pre-scan mispredicts on the corpus" before
+          (mispredicted ()));
+    Alcotest.test_case "parallel front end = sequential (typedef edge cases)"
+      `Quick (fun () ->
+        let before = mispredicted () in
+        List.iter (fun (label, units) -> check_domains label units)
+          tricky_programs;
+        Alcotest.(check bool) "a wrong pre-scan was caught and re-parsed" true
+          (mispredicted () > before));
+  ]
+
 let suite =
   let name, cases0 = suite in
-  (name, cases0 @ front_end_cases)
+  (name, cases0 @ front_end_cases @ parallel_front_end_cases)
 
 (* The degraded (flow-insensitive) walk, pinned: the md5 of every
    protocol's [--explain] rendering under [Engine.with_degraded] for

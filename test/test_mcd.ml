@@ -56,6 +56,76 @@ let pool_tests =
         in
         Alcotest.check_raises "boom" (Failure "boom") (fun () ->
             ignore (Mcd_pool.run ~domains:2 tasks)));
+    t "domains are spawned once per process" `Quick (fun () ->
+        let spawned () =
+          Mcobs.counter_value
+            (Mcobs.counter "mcheck_pool_domains_spawned_total")
+        in
+        let before = spawned () in
+        for _ = 1 to 3 do
+          ignore (Mcd_pool.run ~domains:1 (Array.make 8 ignore))
+        done;
+        Alcotest.(check int) "one domain spawns nothing" before (spawned ());
+        for _ = 1 to 3 do
+          let stats = Mcd_pool.run ~domains:2 (Array.make 8 ignore) in
+          Alcotest.(check int) "two workers" 2 (Array.length stats)
+        done;
+        Alcotest.(check bool) "three calls spawn at most one domain" true
+          (spawned () - before <= 1));
+    t "concurrent callers each run every task once" `Quick (fun () ->
+        let n = 64 in
+        let caller () =
+          let hits = Array.init n (fun _ -> Atomic.make 0) in
+          let tasks =
+            Array.init n (fun i _ ->
+                Atomic.incr hits.(i);
+                Thread.yield ())
+          in
+          for _ = 1 to 20 do
+            ignore (Mcd_pool.run ~domains:2 tasks)
+          done;
+          Array.for_all (fun h -> Atomic.get h = 20) hits
+        in
+        let other = ref false in
+        let th = Thread.create (fun () -> other := caller ()) () in
+        let mine = caller () in
+        Thread.join th;
+        Alcotest.(check bool) "this thread's tasks" true mine;
+        Alcotest.(check bool) "the other thread's tasks" true !other);
+    t "a task that calls run returns" `Quick (fun () ->
+        let inner = Atomic.make 0 in
+        let tasks =
+          Array.init 4 (fun _ _ ->
+              ignore
+                (Mcd_pool.run ~domains:2
+                   (Array.init 5 (fun _ _ -> Atomic.incr inner))))
+        in
+        ignore (Mcd_pool.run ~domains:2 tasks);
+        Alcotest.(check int) "every inner task ran" 20 (Atomic.get inner));
+    t "a killed worker is out for one call only" `Quick (fun () ->
+        let n = 16 in
+        let hits = Array.init n (fun _ -> Atomic.make 0) in
+        let tasks = Array.init n (fun i _ -> Atomic.incr hits.(i)) in
+        (* every worker dies at its first claim, so both claim loops
+           end and the coordinator's sweep runs the rest *)
+        Mcd_pool.set_test_kill (Some (fun ~worker:_ ~task:_ -> true));
+        let killed =
+          Fun.protect
+            ~finally:(fun () -> Mcd_pool.set_test_kill None)
+            (fun () -> Mcd_pool.run ~domains:2 tasks)
+        in
+        Alcotest.(check bool) "both workers crashed" true
+          (Array.for_all (fun (w : Mcd_pool.worker_stats) -> w.crashed) killed);
+        let again = Mcd_pool.run ~domains:2 tasks in
+        Alcotest.(check int) "two workers again" 2 (Array.length again);
+        Array.iteri
+          (fun i h ->
+            Alcotest.(check int) (Printf.sprintf "task %d" i) 2 (Atomic.get h))
+          hits;
+        Alcotest.(check bool) "the next call has no crash" true
+          (Array.for_all
+             (fun (w : Mcd_pool.worker_stats) -> not w.crashed)
+             again));
   ]
 
 (* ------------------------------------------------------------------ *)

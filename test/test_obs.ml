@@ -706,7 +706,45 @@ let witness_cases =
           diags);
   ]
 
+(* the pool's runs in the trace: each [mcd.worker] span names the
+   front-end or scheduler phase it worked for *)
+let phase_cases =
+  [
+    t "pool runs carry their phase; cfront.front its domains" `Quick
+      (fun () ->
+        with_tracing (fun () ->
+            let src name =
+              (name, Prelude.text ^ "void " ^ name ^ "(void) { int x = 1; }\n")
+            in
+            let tus =
+              Parsed.ok (Frontend.parse_strings ~domains:2 [ src "A"; src "B" ])
+            in
+            ignore (Mcd.check_jobs ~jobs:2 [ { Mcd.spec = spec_for []; tus } ]);
+            let spans = (Mcobs.snapshot ()).Mcobs.spans in
+            let phases =
+              List.filter_map
+                (fun sp ->
+                  if sp.Mcobs.sp_name = "mcd.worker" then
+                    List.assoc_opt "phase" sp.Mcobs.sp_args
+                  else None)
+                spans
+              |> List.sort_uniq compare
+            in
+            Alcotest.(check (list string)) "every pool run's phase"
+              [ "parse"; "prescan"; "typecheck"; "units" ]
+              phases;
+            match
+              List.find_opt (fun sp -> sp.Mcobs.sp_name = "cfront.front") spans
+            with
+            | None -> Alcotest.fail "no cfront.front span"
+            | Some sp ->
+              Alcotest.(check (option string)) "domains" (Some "2")
+                (List.assoc_opt "domains" sp.Mcobs.sp_args);
+              Alcotest.(check (option string)) "mispredicted" (Some "0")
+                (List.assoc_opt "mispredicted" sp.Mcobs.sp_args)));
+  ]
+
 let suite =
   ( "obs",
     nesting_cases @ exporter_cases @ delta_props @ quantile_props
-    @ quantile_cases @ trace_cases @ witness_cases )
+    @ quantile_cases @ trace_cases @ witness_cases @ phase_cases )

@@ -316,7 +316,12 @@ let test_dead_worker_reclaimed () =
   in
   Alcotest.(check bool) "crash recorded" true (stats.Mcd.workers_crashed > 0);
   Alcotest.(check (list string)) "orphans re-claimed, output identical"
-    (render baseline) (render results)
+    (render baseline) (render results);
+  (* the pool's domains outlive the crash: the next call is a clean one *)
+  let after, stats = Mcd.check_corpus ~jobs:2 ~spec tus in
+  Alcotest.(check int) "no crash on the next call" 0 stats.Mcd.workers_crashed;
+  Alcotest.(check (list string)) "the next call's output" (render baseline)
+    (render after)
 
 (* ------------------------------------------------------------------ *)
 (* The harness turned on itself: one mini-campaign per class            *)

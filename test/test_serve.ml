@@ -843,6 +843,7 @@ let metric_families =
     "mcheck_findings_total counter";
     "mcheck_memo_hits_total counter";
     "mcheck_memo_probes_total counter";
+    "mcheck_pool_domains_spawned_total counter";
     "mcheck_session_requests_total counter";
     "mcheck_unit_cache_hits_total counter";
     "mcheck_unit_cache_probes_total counter";

@@ -318,8 +318,18 @@ let main checker_names files table list_flag seed verbose metal_paths
     Mcobs.export_chrome_file path (Mcobs.snapshot ());
     Mcobs.logf Mcobs.Normal "wrote Chrome trace to %s" path
   | None -> ());
-  if metrics then
-    Format.eprintf "%a@." Mcobs.pp_summary (Mcobs.snapshot ());
+  if metrics then begin
+    (* what the run cost the collector, read once it is over *)
+    let gc = Gc.quick_stat () in
+    List.iter
+      (fun (name, v) -> Mcobs.set (Mcobs.gauge name) v)
+      [
+        ("gc.minor_collections", gc.Gc.minor_collections);
+        ("gc.major_collections", gc.Gc.major_collections);
+        ("gc.top_heap_words", gc.Gc.top_heap_words);
+      ];
+    Format.eprintf "%a@." Mcobs.pp_summary (Mcobs.snapshot ())
+  end;
   code
 
 let checker_arg =

@@ -64,31 +64,31 @@ exception Robust_exit of Robust.outcome
 
 (* the CLI's default protocol spec: without a protocol specification,
    treat every void/no-arg function as a hardware handler, which is what
-   xg++'s default tables did *)
-let default_spec (tus : Ast.tunit list) : Flash_api.spec =
+   xg++'s default tables did.  The interfaces say which those are, so a
+   warm re-check needs no AST for it. *)
+let spec_of_interfaces (items : Iface.item list) : Flash_api.spec =
   {
     Flash_api.p_name = "<cli>";
     p_handlers =
-      List.concat_map
-        (fun tu ->
-          List.filter_map
-            (fun (f : Ast.func) ->
-              if Ctype.equal f.Ast.f_ret Ctype.Void && f.Ast.f_params = []
-              then
-                Some
-                  {
-                    Flash_api.h_name = f.Ast.f_name;
-                    h_kind = Flash_api.Hw_handler;
-                    h_lane_allowance = [| 1; 1; 1; 1 |];
-                    h_no_stack = false;
-                  }
-              else None)
-            (Ast.functions tu))
-        tus;
+      List.filter_map
+        (function
+          | Iface.Sig (name, ret, []) when Ctype.equal ret Ctype.Void ->
+            Some
+              {
+                Flash_api.h_name = name;
+                h_kind = Flash_api.Hw_handler;
+                h_lane_allowance = [| 1; 1; 1; 1 |];
+                h_no_stack = false;
+              }
+          | _ -> None)
+        items;
     p_free_funcs = [];
     p_use_funcs = [];
     p_cond_free_funcs = [];
   }
+
+let default_spec (tus : Ast.tunit list) =
+  spec_of_interfaces (List.concat_map Iface.items tus)
 
 let read_sources ~strict files =
   let skipped = ref 0 in
@@ -114,8 +114,8 @@ let read_sources ~strict files =
 (* fail fast on any front-end diagnostic, naming the earliest in source
    order (each file's lex diagnostics precede its parse ones) *)
 let fail_fast = function
-  | tus, [] -> tus
-  | _, d :: ds ->
+  | [] -> ()
+  | d :: ds ->
     let d =
       List.fold_left (fun a b -> if Diag.compare b a < 0 then b else a) d ds
     in
@@ -125,7 +125,10 @@ let fail_fast = function
       d.Diag.message;
     raise (Robust_exit Robust.Unusable)
 
-let parse_strict srcs = fail_fast (Frontend.parse_strings srcs)
+let parse_strict srcs =
+  let tus, diags = Frontend.parse_strings srcs in
+  fail_fast diags;
+  tus
 
 (* Each file's front-end diagnostics in source order, files in input
    order: the front end returns a file's lex diagnostics before its
@@ -149,19 +152,44 @@ let in_source_order (diags : Diag.t list) =
 (* Front-end reuse across runs                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* A parsed program, ready to check: what the scheduler takes, the
+   front end's diagnostics (files in input order), whether any function
+   survived, and what to report once the check has run. *)
+type front = {
+  fr_program : Mcd.program;
+  fr_diags : Diag.t list;
+  fr_survived : bool;
+  fr_done : unit -> unit;
+}
+
+let has_functions tus = List.exists (fun tu -> Ast.functions tu <> []) tus
+
+let held (tus, diags) =
+  {
+    fr_program = Mcd.of_job { Mcd.spec = default_spec tus; tus };
+    fr_diags = diags;
+    fr_survived = has_functions tus;
+    fr_done = ignore;
+  }
+
 (* [Frontend.parse_strings], reusing each file whose text and typedef
    scope match its entry in [cache] (the cache file [path]'s index):
    - [Frontend.parse_units] keys each file under its scope and parses
      the misses, on [jobs] domains;
-   - decode every hit's blob on [jobs] domains; a missing or corrupt
-     blob is parsed instead;
-   - if every decoded unit was annotated under the new program's env
-     digest, annotate only the parsed files, else annotate every unit;
-   - store a blob for every unit annotated here.
+   - a reused file's interface, function facts and diagnostics come
+     from its entry, so the spec and every unit key need no AST;
+   - if every reused file was annotated under the new program's env
+     digest, annotate only the parsed files, against the interfaces;
+     else decode every reused file and annotate every unit;
+   - store a blob for every unit annotated here;
+   - decode a reused file's blob only when the scheduler asks for it,
+     on [jobs] domains; a missing or corrupt blob is parsed, annotated
+     and stored instead.
    The result is a function of (source, typedef scope, env), as a cold
    parse's is.  Returns it with the [cfront.reuse] span's arguments. *)
 let m_reuse_hit = Mcobs.counter "cfront.reuse.hit"
 let m_reuse_miss = Mcobs.counter "cfront.reuse.miss"
+let m_reuse_decoded = Mcobs.counter "cfront.reuse.decoded"
 let m_reuse_missing = Mcobs.counter "cfront.reuse.missing"
 let m_reuse_corrupt = Mcobs.counter "cfront.reuse.corrupt"
 
@@ -182,62 +210,114 @@ let parse_reusing ~jobs ~path cache (srcs : (string * string) list) =
   let planned =
     Frontend.parse_units ~domains:jobs ~known (Array.to_list srcs)
   in
-  let units = Array.map snd planned in
-  Array.iter (fun u -> if u <> None then Mcobs.inc m_reuse_miss) units;
+  let entry i = Option.get entries.(i) in
+  let units = Array.map (fun (_, p) -> Option.map fst p) planned in
   let all = List.init n Fun.id in
-  let hits = List.filter (fun i -> entries.(i) <> None) all in
-  let decoded = Array.make n (Error `Missing) in
-  Mcd_pool.iter ~phase:"decode" ~domains:jobs
-    (fun i -> decoded.(i) <- Mcd_cache.read_unit ~path (Option.get entries.(i)))
-    hits;
-  let reused = Array.make n false and failed = ref 0 in
-  List.iter
-    (fun i ->
-      match decoded.(i) with
-      | Ok u ->
-        Mcobs.inc m_reuse_hit;
-        units.(i) <- Some u;
-        reused.(i) <- true
-      | Error e ->
-        Mcobs.inc
-          (match e with
-          | `Missing -> m_reuse_missing
-          | `Corrupt -> m_reuse_corrupt);
-        incr failed;
-        let file, src = srcs.(i) in
-        units.(i) <-
-          Some
-            (Parser.parse_string_recovering ~file ~typedefs:(fst planned.(i))
-               src))
-    hits;
-  let units = Array.map Option.get units in
-  let tus = Array.to_list (Array.map fst units) in
-  let env = Mcd.env_digest tus in
-  let redo =
-    List.exists
-      (fun i -> reused.(i) && (Option.get entries.(i)).Mcd_cache.u_env <> env)
-      all
+  let parsed = List.filter (fun i -> units.(i) <> None) all
+  and reused = List.filter (fun i -> units.(i) = None) all in
+  Mcobs.inc ~by:(List.length parsed) m_reuse_miss;
+  let diags =
+    Array.mapi
+      (fun i (_, p) ->
+        match p with Some (_, d) -> d | None -> (entry i).Mcd_cache.u_diags)
+      planned
   in
-  let fresh = List.filter (fun i -> redo || not reused.(i)) all in
-  if fresh <> [] then
-    Typecheck.annotate_units ~domains:jobs ~program:tus
-      (List.map (fun i -> fst units.(i)) fresh);
-  Mcd_pool.iter ~phase:"store" ~domains:jobs
-    (fun i ->
-      Mcd_cache.store_unit cache ~file:(fst srcs.(i)) ~key:keys.(i)
-        ~typedefs:(Frontend.typedef_names (fst units.(i))) ~env units.(i))
-    fresh;
-  let n_reused = List.length (List.filter (Array.get reused) all) in
+  let fresh = Array.make n None in
+  Mcd_pool.iter ~phase:"facts" ~domains:jobs
+    (fun i -> fresh.(i) <- Some (Iface.of_tunit (Option.get units.(i))))
+    parsed;
+  let ifaces =
+    Array.mapi
+      (fun i f ->
+        match f with Some f -> f | None -> (entry i).Mcd_cache.u_iface)
+      fresh
+  in
+  let env = Iface.env_digest (Array.to_list ifaces) in
+  let program = List.map (fun f -> f.Iface.i_items) (Array.to_list ifaces) in
+  (* annotate the units of files [is] against the interfaces, and store
+     them *)
+  let annotate is =
+    if is <> [] then begin
+      let tu i = Option.get units.(i) in
+      Typecheck.annotate_units ~domains:jobs ~program (List.map tu is);
+      Mcd_pool.iter ~phase:"store" ~domains:jobs
+        (fun i ->
+          Mcd_cache.store_unit cache ~file:(fst srcs.(i)) ~key:keys.(i)
+            ~typedefs:(Frontend.typedef_names (tu i))
+            ~env ~iface:ifaces.(i) ~diags:diags.(i) (tu i))
+        is
+    end
+  in
+  (* decode the blobs of reused files [is]; returns the files whose blob
+     was missing or corrupt, parsed again instead *)
+  let failed = ref 0 and decoded = ref 0 in
+  let decode is =
+    let got = Array.make n (Error `Missing) in
+    Mcobs.with_span "cfront.decode"
+      ~args:[ ("files", string_of_int (List.length is)) ]
+      ~result_args:(fun bad -> [ ("failed", string_of_int (List.length bad)) ])
+      (fun () ->
+        Mcd_pool.iter ~phase:"decode" ~domains:jobs
+          (fun i -> got.(i) <- Mcd_cache.read_unit ~path (entry i))
+          is;
+        List.filter
+          (fun i ->
+            match got.(i) with
+            | Ok tu ->
+              Mcobs.inc m_reuse_decoded;
+              incr decoded;
+              units.(i) <- Some tu;
+              false
+            | Error e ->
+              Mcobs.inc
+                (match e with
+                | `Missing -> m_reuse_missing
+                | `Corrupt -> m_reuse_corrupt);
+              incr failed;
+              let file, src = srcs.(i) in
+              units.(i) <-
+                Some
+                  (fst
+                     (Parser.parse_string_recovering ~file
+                        ~typedefs:(fst planned.(i)) src));
+              true)
+          is)
+  in
+  let redo =
+    List.exists (fun i -> (entry i).Mcd_cache.u_env <> env) reused
+  in
+  if redo then begin
+    ignore (decode reused);
+    annotate all
+  end
+  else annotate parsed;
+  let fetch is =
+    (match List.filter (fun i -> units.(i) = None) is with
+    | [] -> ()
+    | absent -> annotate (decode absent));
+    List.map (fun i -> Option.get units.(i)) is
+  in
   let annotations = if redo then "redone" else "reused" in
-  Mcobs.logf Mcobs.Verbose
-    "front end: %d file(s) reused, %d parsed (%d blob(s) failed), \
-     annotations %s"
-    n_reused (n - n_reused) !failed annotations;
-  ( (tus, List.concat_map snd (Array.to_list units)),
+  let fr_done () =
+    let n_reused = List.length reused - !failed in
+    Mcobs.inc ~by:n_reused m_reuse_hit;
+    Mcobs.logf Mcobs.Verbose
+      "front end: %d file(s) reused, %d parsed (%d blob(s) failed), \
+       annotations %s; %d blob(s) decoded"
+      n_reused (n - n_reused) !failed annotations !decoded
+  in
+  ( {
+      fr_program =
+        Mcd.indexed
+          ~spec:(spec_of_interfaces (List.concat program))
+          ifaces ~fetch;
+      fr_diags = List.concat (Array.to_list diags);
+      fr_survived = Array.exists (fun f -> f.Iface.i_funcs <> [||]) ifaces;
+      fr_done;
+    },
     [
-      ("reused", string_of_int n_reused);
-      ("parsed", string_of_int (n - n_reused));
-      ("failed", string_of_int !failed);
+      ("reused", string_of_int (List.length reused));
+      ("parsed", string_of_int (List.length parsed));
       ("annotations", annotations);
     ] )
 
@@ -376,15 +456,15 @@ module Session = struct
   (* the one checking pass over parsed programs, one result list per
      job: the Mcd scheduler at any [jobs], over the loaded metal specs
      when configured, else the built-in checkers *)
-  let run_pipeline t ~names (jobs : Mcd.job list) =
+  let run_pipeline t ~names (programs : Mcd.program list) =
     let checkers, shape =
       match List.map snd t.cfg.metal with
       | [] -> (None, List.filter (fun (name, _) -> selected names name))
       | metal -> (Some metal, fold_metal (List.length metal))
     in
     let results, stats =
-      Mcd.check_jobs ?cache:t.cache ~budget:t.cfg.budget ?checkers
-        ~jobs:t.cfg.jobs jobs
+      Mcd.check_programs ?cache:t.cache ~budget:t.cfg.budget ?checkers
+        ~jobs:t.cfg.jobs programs
     in
     if t.cfg.jobs > 1 || t.cfg.incremental then report_sched_stats stats;
     ( List.map shape results,
@@ -393,19 +473,14 @@ module Session = struct
 
   (* the pipeline plus outcome classification over parsed programs;
      [parse_diags], [skipped] and [had_input] describe the read and
-     parse step before it, when there was one *)
+     parse step before it, when there was one, and [survived] says
+     whether any function survived parsing: a run where none did
+     checked nothing *)
   let check_programs t ~names ?(parse_diags = []) ?(skipped = 0)
-      ?(had_input = false) (jobs : Mcd.job list) =
-    let results, sched, units_degraded = run_pipeline t ~names jobs in
+      ?(had_input = false) ~survived programs =
+    let results, sched, units_degraded = run_pipeline t ~names programs in
     let flat = List.concat results in
     let findings = count_findings flat in
-    (* a run where no function survived parsing checked nothing *)
-    let survived =
-      List.exists
-        (fun (j : Mcd.job) ->
-          List.exists (fun tu -> Ast.functions tu <> []) j.Mcd.tus)
-        jobs
-    in
     let outcome =
       Robust.classify
         ~usable:(survived || (parse_diags = [] && skipped = 0 && had_input))
@@ -455,27 +530,32 @@ module Session = struct
     | _ -> ()
 
   (* a session persisting its cache to a file keeps each file's parsed
-     unit there too, so a warm re-check parses only what changed *)
+     unit there too, so a warm re-check parses only what changed, and
+     decodes only what runs *)
   let parse t srcs =
-    (* clamped as [Mcd.check_jobs] clamps it *)
+    (* clamped as [Mcd.check_programs] clamps it *)
     let jobs = max 1 (min t.cfg.jobs (Domain.recommended_domain_count ())) in
     match (t.cache, t.cfg.cache_file) with
     | Some cache, Some path ->
       fst
         (Mcobs.with_span "cfront.reuse" ~result_args:snd (fun () ->
              parse_reusing ~jobs ~path cache srcs))
-    | _ -> Frontend.parse_strings ~domains:jobs srcs
+    | _ -> held (Frontend.parse_strings ~domains:jobs srcs)
 
   (* the shared back half: parse the (path, source) pairs, run, classify *)
   let check_sources_uncached t ~names srcs ~skipped ~had_input =
     let (_, report), wall_ms =
       time_ms (fun () ->
-          let tus, parse_diags =
-            let parsed = parse t srcs in
-            if t.cfg.strict then (fail_fast parsed, []) else parsed
+          let front = parse t srcs in
+          if t.cfg.strict then fail_fast front.fr_diags;
+          let r =
+            check_programs t ~names
+              ~parse_diags:(if t.cfg.strict then [] else front.fr_diags)
+              ~skipped ~had_input ~survived:front.fr_survived
+              [ front.fr_program ]
           in
-          check_programs t ~names ~parse_diags ~skipped ~had_input
-            [ { Mcd.spec = default_spec tus; tus } ])
+          front.fr_done ();
+          r)
     in
     record report ~files:(List.length srcs) ~wall_ms;
     report
@@ -510,9 +590,13 @@ module Session = struct
           [ (name, Prelude.text ^ contents) ]
           ~skipped:0 ~had_input:true)
 
-  let check_parsed t ~names jobs =
+  let check_parsed t ~names (jobs : Mcd.job list) =
     let (results, report), wall_ms =
-      time_ms (fun () -> check_programs t ~names jobs)
+      time_ms (fun () ->
+          check_programs t ~names
+            ~survived:
+              (List.exists (fun (j : Mcd.job) -> has_functions j.Mcd.tus) jobs)
+            (List.map Mcd.of_job jobs))
     in
     record report ~files:0 ~wall_ms;
     (results, report)

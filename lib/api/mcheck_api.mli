@@ -30,7 +30,8 @@ type config = {
           it, [check_files]/[check_buffer] also keep each file's parsed,
           annotated unit in the file's front-end index, so a later
           session parses only the files whose text or typedef scope
-          changed (see {!Mcd_cache.unit_entry}) *)
+          changed, and decodes only the files the units it runs read
+          (see {!Mcd_cache.unit_entry}) *)
   cache_dir : string option;
       (** multi-writer shared cache directory: merge every valid
           segment at [create], publish this session's entries with
@@ -149,7 +150,9 @@ end
 
 val default_spec : Ast.tunit list -> Flash_api.spec
 (** the CLI's default protocol spec: every void/no-arg function is a
-    hardware handler, as xg++'s default tables assumed *)
+    hardware handler, as xg++'s default tables assumed.  Read from the
+    units' interfaces ({!Iface.items}), as a warm re-check reads it from
+    its cache index. *)
 
 val read_sources :
   strict:bool -> string list -> (string * string) list * int

@@ -214,24 +214,22 @@ let rec check_stmt env (s : Ast.stmt) : unit =
   | Ast.Snull ->
     ()
 
-let load_globals env (tu : Ast.tunit) =
-  List.iter
-    (fun g ->
-      match g with
-      | Ast.Gtypedef (name, ty, _) -> Hashtbl.replace env.typedefs name ty
-      | Ast.Gstruct (tag, fields, _) -> Hashtbl.replace env.structs tag fields
-      | Ast.Gunion (tag, fields, _) -> Hashtbl.replace env.unions tag fields
-      | Ast.Genum (_, items, _) ->
-        List.iter
-          (fun (name, _) ->
-            Hashtbl.replace env.enum_consts name ();
-            Hashtbl.replace env.globals name Ctype.Int)
-          items
-      | Ast.Gvar d -> Hashtbl.replace env.globals d.Ast.v_name d.Ast.v_type
-      | Ast.Gfunc f -> Hashtbl.replace env.funcs f.Ast.f_name f.Ast.f_ret
-      | Ast.Gfunc_decl (name, ret, _, _) ->
-        Hashtbl.replace env.funcs name ret)
-    tu.Ast.tu_globals
+let load_item env = function
+  | Iface.Sig (name, ret, _) -> Hashtbl.replace env.funcs name ret
+  | Iface.Decl g -> (
+    match g with
+    | Ast.Gtypedef (name, ty, _) -> Hashtbl.replace env.typedefs name ty
+    | Ast.Gstruct (tag, fields, _) -> Hashtbl.replace env.structs tag fields
+    | Ast.Gunion (tag, fields, _) -> Hashtbl.replace env.unions tag fields
+    | Ast.Genum (_, items, _) ->
+      List.iter
+        (fun (name, _) ->
+          Hashtbl.replace env.enum_consts name ();
+          Hashtbl.replace env.globals name Ctype.Int)
+        items
+    | Ast.Gvar d -> Hashtbl.replace env.globals d.Ast.v_name d.Ast.v_type
+    | Ast.Gfunc f -> Hashtbl.replace env.funcs f.Ast.f_name f.Ast.f_ret
+    | Ast.Gfunc_decl (name, ret, _, _) -> Hashtbl.replace env.funcs name ret)
 
 let check_func env (f : Ast.func) =
   push_scope env;
@@ -241,20 +239,21 @@ let check_func env (f : Ast.func) =
   List.iter (check_stmt env) f.Ast.f_body;
   pop_scope env
 
-(** Annotate [units] in place, with every global of [program] loaded
-    first so cross-unit references resolve.  Each unit's annotation
-    depends only on its own functions and [program]'s globals and
-    signatures, so checking a subset leaves the rest as they were.
+(** Annotate [units] in place, with every global of [program] (each
+    file's interface, in file order) loaded first so cross-unit
+    references resolve.  Each unit's annotation depends only on its own
+    functions and those interfaces, so checking a subset leaves the rest
+    as they were.
     Once the globals are loaded the tables are only read, so the
     functions are checked on [domains] pool workers (default 1), each
     with its own scope stack. *)
-let annotate_units ?(domains = 1) ~(program : Ast.tunit list)
+let annotate_units ?(domains = 1) ~(program : Iface.item list list)
     (units : Ast.tunit list) : unit =
   Mcobs.with_span "cfront.typecheck"
     ~args:[ ("units", string_of_int (List.length units)) ]
     (fun () ->
       let env = create_env () in
-      List.iter (load_globals env) program;
+      List.iter (List.iter (load_item env)) program;
       let funcs =
         Array.of_list
           (List.concat_map
@@ -276,4 +275,4 @@ let annotate_units ?(domains = 1) ~(program : Ast.tunit list)
 
 (** Annotate several translation units as one program, in place. *)
 let annotate_program ?domains (tus : Ast.tunit list) : unit =
-  annotate_units ?domains ~program:tus tus
+  annotate_units ?domains ~program:(List.map Iface.items tus) tus

@@ -12,10 +12,10 @@ val annotate_program : ?domains:int -> Ast.tunit list -> unit
     loaded first so cross-unit references resolve *)
 
 val annotate_units :
-  ?domains:int -> program:Ast.tunit list -> Ast.tunit list -> unit
-(** annotate the given units of [program], in place: all of [program]'s
-    globals are loaded first, then the functions are checked on
-    [domains] pool workers (default 1) with the same result.  A unit's annotation depends only on its
-    own functions and on the globals and signatures that
-    [Mcd.env_digest] covers, so a unit annotated earlier under an equal
-    env digest needs no second pass *)
+  ?domains:int -> program:Iface.item list list -> Ast.tunit list -> unit
+(** annotate the given units, in place: the globals of [program] (every
+    file's {!Iface.items}, in file order) are loaded first, then the
+    functions are checked on [domains] pool workers (default 1) with the
+    same result.  A unit's annotation depends only on its own functions
+    and on those interfaces, so a unit annotated earlier under an equal
+    {!Iface.env_digest} needs no second pass *)

@@ -2,12 +2,9 @@
     the two-phase checker interface, and the one checking kernel every
     driver — [run_all_product] here, the [Mcd] scheduler's units — runs. *)
 
-type ctx = {
-  all_units : Ast.tunit list;
-  callgraph : Callgraph.t Lazy.t;
-}
+type ctx = { callgraph : Callgraph.t Lazy.t }
 
-let make_ctx tus = { all_units = tus; callgraph = lazy (Callgraph.build tus) }
+let make_ctx tus = { callgraph = lazy (Callgraph.build tus) }
 
 type check_fn = spec:Flash_api.spec -> ctx:ctx -> Prep.t -> Diag.t list
 type check_global = spec:Flash_api.spec -> Ast.tunit list -> Diag.t list

@@ -18,10 +18,13 @@
     tested against. *)
 
 type ctx = {
-  all_units : Ast.tunit list;  (** the whole program being checked *)
   callgraph : Callgraph.t Lazy.t;
-      (** forced on demand; schedulers that share a [ctx] across domains
-          must force it before spawning *)
+      (** the callgraph of the units the scheduler holds, forced on demand;
+          schedulers that share a [ctx] across domains must force it
+          before spawning.  A per-function checker's cached result is
+          keyed on its function, the spec and the program's interfaces
+          only, so it must not read other functions' bodies through
+          it; and [Mcd] may hold only the files whose units run. *)
 }
 
 val make_ctx : Ast.tunit list -> ctx

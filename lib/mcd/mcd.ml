@@ -36,7 +36,8 @@
     the start location it fixes every location inside the function.  The
     env digest covers what the unit reads from outside that text: the
     non-function globals and every function's signature, which give
-    {!Typecheck} its types and the parser its typedef names.  The key
+    {!Typecheck} its types and the parser its typedef names; it is a
+    digest of each file's interface digest ({!Iface.env_digest}).  The key
     covers everything the result depends on, so invalidation is
     automatic: editing a function changes its digest and the unit misses;
     every untouched function hits.  A function rewritten in memory has no
@@ -48,7 +49,15 @@
     closure (equivalently: any function whose reverse-dependency closure
     meets a handler) re-runs the inter-procedural checker, and an edit to
     dead code does not.  A closure holding a function without a key
-    leaves the unit without one. *)
+    leaves the unit without one.
+
+    Every part of every key comes from the files' {!Iface.t}: each
+    function's key and callee names, each file's interface digest.  A
+    warm re-check hands those facts over from its cache index, so keys
+    are resolved without an AST; only then are the units obtained, and
+    only those of the files a missed unit reads.  A program held in
+    memory derives the same facts from its units when there is a
+    cache. *)
 
 type job = { spec : Flash_api.spec; tus : Ast.tunit list }
 
@@ -85,105 +94,151 @@ let spec_digest (spec : Flash_api.spec) : string =
   Digest.to_hex
     (Digest.string (Marshal.to_string spec [ Marshal.No_sharing ]))
 
-(* The per-function half of a key: [file], the function's start
-   location and the digest of its source text.  Two textually identical
-   functions in different places must not share diagnostics, whose
-   locations differ; and since the text fixes every inner column relative
-   to the start, a cached result never carries a stale location.  (A
-   parsed function's [f_loc] names its unit's file, so the scheduler
-   takes [file] from there.)  A function without a source digest (built
-   or rewritten in memory) has no key: its batch runs and is not
-   stored. *)
-let func_key (file : string) (f : Ast.func) : string option =
-  Option.map
-    (fun d ->
-      Digest.to_hex
-        (Digest.string
-           (Printf.sprintf "%s:%d:%d:%s" file f.Ast.f_loc.Loc.line
-              f.Ast.f_loc.Loc.col d)))
-    f.Ast.f_src_digest
+let func_digest file f = Option.value (Iface.func_key file f) ~default:""
 
-let func_digest file f = Option.value (func_key file f) ~default:""
-
-(* What a unit's result depends on outside its functions' own text: the
-   types {!Typecheck} writes into [ety] come from the non-function
-   globals and from every function's signature, and typedef names steer
-   the parse.  Locations and initialisers are left out (no function's
-   result reads them), so a declaration that only shifts lines leaves
-   every key of the job valid. *)
-type env_item =
-  | Sig of string * Ctype.t * (string * Ctype.t) list
-  | Decl of Ast.global
-
-let env_digest (tus : Ast.tunit list) : string =
-  let item = function
-    | Ast.Gfunc f -> Sig (f.Ast.f_name, f.Ast.f_ret, f.Ast.f_params)
-    | Ast.Gvar d ->
-      Decl (Ast.Gvar { d with Ast.v_loc = Loc.none; v_init = None })
-    | Ast.Gtypedef (n, t, _) -> Decl (Ast.Gtypedef (n, t, Loc.none))
-    | Ast.Gstruct (n, fs, _) -> Decl (Ast.Gstruct (n, fs, Loc.none))
-    | Ast.Gunion (n, fs, _) -> Decl (Ast.Gunion (n, fs, Loc.none))
-    | Ast.Genum (n, cs, _) -> Decl (Ast.Genum (n, cs, Loc.none))
-    | Ast.Gfunc_decl (n, r, ps, _) ->
-      Decl (Ast.Gfunc_decl (n, r, ps, Loc.none))
-  in
-  let items = List.map (fun tu -> List.map item tu.Ast.tu_globals) tus in
-  Digest.to_hex
-    (Digest.string (Marshal.to_string items [ Marshal.No_sharing ]))
-
-type prepared = {
-  p_job : job;
-  p_ctx : Registry.ctx;
-  p_funcs : Ast.func array;  (** every function, in source order *)
-  p_sdigest : string Lazy.t;
-  p_edigest : string Lazy.t;
+(* A program as the scheduler takes it: its spec, the units it holds
+   ([None]: ask [pg_fetch]) and, when the caller has them, every file's
+   interface and function facts. *)
+type program = {
+  pg_spec : Flash_api.spec;
+  pg_units : Ast.tunit option array;
+  pg_facts : Iface.t array option;
+  pg_fetch : int list -> Ast.tunit list;
 }
 
-let prepare (j : job) : prepared =
+let of_job (j : job) =
   {
-    p_job = j;
-    p_ctx = Registry.make_ctx j.tus;
-    p_funcs = Array.of_list (List.concat_map Ast.functions j.tus);
-    p_sdigest = lazy (spec_digest j.spec);
-    p_edigest = lazy (env_digest j.tus);
+    pg_spec = j.spec;
+    pg_units = Array.of_list (List.map Option.some j.tus);
+    pg_facts = None;
+    pg_fetch = (fun _ -> invalid_arg "Mcd.of_job: every unit is held");
   }
+
+let indexed ~spec files ~fetch =
+  {
+    pg_spec = spec;
+    pg_units = Array.make (Array.length files) None;
+    pg_facts = Some files;
+    pg_fetch = fetch;
+  }
+
+(* what every key of a program is made of: its functions' facts in
+   source order, the spec digest and the env digest *)
+type keys = {
+  k_funcs : Iface.func_fact array;
+  k_spec : string;
+  k_env : string;
+}
+
+type prepared = {
+  p_prog : program;
+  p_units : Ast.tunit option array;  (** the units held so far *)
+  p_first : int array;
+      (** file [i]'s functions are [p_first.(i) .. p_first.(i + 1) - 1] *)
+  p_file : int array;  (** the file of every function, source order *)
+  p_funcs : Ast.func option array;  (** every function of a held unit *)
+  p_keys : keys option;  (** with a cache only *)
+}
+
+let hold (p : prepared) i (tu : Ast.tunit) =
+  let fs = Ast.functions tu in
+  if List.length fs <> p.p_first.(i + 1) - p.p_first.(i) then
+    invalid_arg "Mcd: a fetched unit does not match its facts";
+  p.p_units.(i) <- Some tu;
+  List.iteri (fun k f -> p.p_funcs.(p.p_first.(i) + k) <- Some f) fs
+
+(* Without a cache nothing is digested.  With one, a program that came
+   with its facts (a warm re-check's index) keys every unit without an
+   AST; one that did not gets them from the units it holds. *)
+let prepare ~cached (pg : program) : prepared =
+  let facts =
+    match pg.pg_facts with
+    | Some _ as facts -> facts
+    | None when cached ->
+      Some (Array.map (fun u -> Iface.of_tunit (Option.get u)) pg.pg_units)
+    | None -> None
+  in
+  (* an {!indexed} program always has its facts *)
+  let count i u =
+    match (facts, u) with
+    | Some facts, _ -> Array.length facts.(i).Iface.i_funcs
+    | None, Some tu -> List.length (Ast.functions tu)
+    | None, None -> assert false
+  in
+  let n = Array.length pg.pg_units in
+  let p_first = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun i u -> p_first.(i + 1) <- p_first.(i) + count i u)
+    pg.pg_units;
+  let p =
+    {
+      p_prog = pg;
+      p_units = Array.make n None;
+      p_first;
+      p_file =
+        Array.concat
+          (List.init n (fun i -> Array.make (p_first.(i + 1) - p_first.(i)) i));
+      p_funcs = Array.make p_first.(n) None;
+      p_keys =
+        Option.map
+          (fun facts ->
+            {
+              k_funcs =
+                Array.concat
+                  (Array.to_list (Array.map (fun f -> f.Iface.i_funcs) facts));
+              k_spec = spec_digest pg.pg_spec;
+              k_env = Iface.env_digest (Array.to_list facts);
+            })
+          (if cached then facts else None);
+    }
+  in
+  Array.iteri (fun i u -> Option.iter (hold p i) u) pg.pg_units;
+  p
 
 (* The dependency set of a whole-program checker: every function the
    callgraph can reach from the spec's handlers, digested in sorted name
-   order.  Each name stands for the definition {!Callgraph.find_func}
-   returns, the one the checker analyses.  Functions outside the closure
-   do not appear, so edits to them leave the key — and the cached
-   result — valid; a function without a source digest inside it leaves
-   the unit without a key. *)
-let global_key (p : prepared) (c : Registry.checker) : string option =
-  let cg = Lazy.force p.p_ctx.Registry.callgraph in
-  let roots =
-    List.map
-      (fun (h : Flash_api.handler_spec) -> h.Flash_api.h_name)
-      p.p_job.spec.Flash_api.p_handlers
+   order.  Each name stands for its last definition, the one
+   {!Callgraph.find_func} returns and the checker analyses; the facts
+   carry each definition's callees, so no AST is walked.  Functions
+   outside the closure do not appear, so edits to them leave the key —
+   and the cached result — valid; a function without a source digest
+   inside it leaves the unit without a key. *)
+let global_key (p : prepared) (k : keys) (c : Registry.checker) :
+    string option =
+  let defs = Hashtbl.create 256 in
+  Array.iter
+    (fun (ff : Iface.func_fact) -> Hashtbl.replace defs ff.Iface.ff_name ff)
+    k.k_funcs;
+  let seen = Hashtbl.create 64 in
+  let rec reach name =
+    if not (Hashtbl.mem seen name) then
+      match Hashtbl.find_opt defs name with
+      | Some (ff : Iface.func_fact) ->
+        Hashtbl.replace seen name ff.Iface.ff_key;
+        List.iter reach ff.Iface.ff_callees
+      | None -> ()
   in
+  List.iter
+    (fun (h : Flash_api.handler_spec) -> reach h.Flash_api.h_name)
+    p.p_prog.pg_spec.Flash_api.p_handlers;
   let rec parts acc = function
     | [] -> Some (String.concat ";" (List.rev acc))
-    | n :: rest -> (
-      match
-        Option.bind (Callgraph.find_func cg n) (fun f ->
-            func_key f.Ast.f_loc.Loc.file f)
-      with
-      | Some d -> parts ((n ^ "=" ^ d) :: acc) rest
-      | None -> None)
+    | (n, Some d) :: rest -> parts ((n ^ "=" ^ d) :: acc) rest
+    | (_, None) :: _ -> None
   in
   Option.map
     (fun parts ->
-      Printf.sprintf "%s@%s@%s@%s" c.Registry.name
-        (Lazy.force p.p_sdigest) (Lazy.force p.p_edigest)
+      Printf.sprintf "%s@%s@%s@%s" c.Registry.name k.k_spec k.k_env
         (Digest.to_hex (Digest.string parts)))
-    (parts [] (Callgraph.reachable_from cg roots))
+    (parts []
+       (List.sort
+          (fun (a, _) (b, _) -> String.compare a b)
+          (List.of_seq (Hashtbl.to_seq seen))))
 
-let batch_key ~pf_digest (p : prepared) (f : Ast.func) : string option =
+let batch_key ~pf_digest (k : keys) fn : string option =
   Option.map
-    (Printf.sprintf "fnbatch@%s@%s@%s@%s" pf_digest
-       (Lazy.force p.p_sdigest) (Lazy.force p.p_edigest))
-    (func_key f.Ast.f_loc.Loc.file f)
+    (Printf.sprintf "fnbatch@%s@%s@%s@%s" pf_digest k.k_spec k.k_env)
+    k.k_funcs.(fn).Iface.ff_key
 
 (* every unit scheduled is one probe of the unit cache, when there is
    one *)
@@ -205,8 +260,8 @@ let m_units_faulted =
 let m_checker_faults = Mcobs.counter "mcd.unit.checker_faults"
 let m_queue_wait_ms = Mcobs.hist "mcd.queue_wait_ms"
 
-let check_jobs ?cache ?(budget = Engine.no_budget)
-    ?(checkers = Registry.all) ~jobs (job_list : job list) :
+let check_programs ?cache ?(budget = Engine.no_budget)
+    ?(checkers = Registry.all) ~jobs (programs : program list) :
     (string * Diag.t list) list list * stats =
   (* one wall measurement, on the Mcobs clock: it produces both the
      [mcd.schedule] span and [stats.wall_ms] *)
@@ -221,14 +276,16 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
   let pf_digest = pf_set_digest per_function in
   let prepared =
     Mcobs.with_span "mcd.prepare" (fun () ->
-        Array.of_list (List.map prepare job_list))
+        Array.of_list
+          (List.map (prepare ~cached:(cache <> None)) programs))
   in
   (* the canonical slot layout: job [ji]'s units start at [base.(ji)] —
      its function batches in source order, then its whole-program
      checkers in registry order *)
   let base = Array.make (Array.length prepared + 1) 0 in
   Array.iteri
-    (fun ji p -> base.(ji + 1) <- base.(ji) + Array.length p.p_funcs + n_global)
+    (fun ji p ->
+      base.(ji + 1) <- base.(ji) + Array.length p.p_funcs + n_global)
     prepared;
   let total = base.(Array.length prepared) in
   (* a slot holds one unit's per-checker slices: one per per-function
@@ -246,9 +303,14 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
   let hits = ref 0 in
   let miss_slots = ref [] in
   let miss_keys = ref [] in
+  (* the files each job's missed units read: a function batch its own,
+     a whole-program unit every one *)
+  let needed =
+    Array.map (fun p -> Array.make (Array.length p.p_units) false) prepared
+  in
   (* a miss's task takes the staged checkers (sized after the domain
      clamp below) and the worker index *)
-  let consider ~slot ~cname ~uname key_of run_of =
+  let consider ~slot ~cname ~uname ~needs key_of run_of =
     (* no cache, no digest; a unit without a key runs and is not stored *)
     let key = Option.bind cache (fun _ -> key_of ()) in
     match Option.bind cache (fun c -> Option.bind key (Mcd_cache.find c)) with
@@ -256,6 +318,7 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
       results.(slot) <- slices;
       incr hits
     | None ->
+      needs ();
       let run_of =
         if Mcobs.enabled () then begin
           let enqueued_us = Mcobs.now_us () in
@@ -282,13 +345,14 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
   let run_batch ~slot ~job ~fn stagings worker =
     store ~slot
       (Registry.check_function stagings.(worker).(job) ~budget
-         prepared.(job).p_funcs.(fn))
+         (Option.get prepared.(job).p_funcs.(fn)))
   in
   let run_global ~slot ~job ~global _stagings _worker =
     let p = prepared.(job) in
     let slice, fs =
       Registry.check_whole_program ~budget globals.(global)
-        ~spec:p.p_job.spec p.p_job.tus
+        ~spec:p.p_prog.pg_spec
+        (Array.to_list (Array.map Option.get p.p_units))
     in
     store ~slot ([| slice |], fs)
   in
@@ -303,20 +367,42 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
             (fun global (c : Registry.checker) ->
               let slot = base.(job) + nf + global in
               consider ~slot ~cname:c.Registry.name ~uname:"<whole-program>"
-                (fun () -> global_key p c)
+                ~needs:(fun () ->
+                  Array.fill needed.(job) 0 (Array.length needed.(job)) true)
+                (fun () -> Option.bind p.p_keys (fun k -> global_key p k c))
                 (run_global ~slot ~job ~global))
             globals)
         prepared;
       Array.iteri
         (fun job p ->
-          Array.iteri
-            (fun fn (f : Ast.func) ->
-              let slot = base.(job) + fn in
-              consider ~slot ~cname:"fnbatch" ~uname:f.Ast.f_name
-                (fun () -> batch_key ~pf_digest p f)
-                (run_batch ~slot ~job ~fn))
-            p.p_funcs)
+          for fn = 0 to Array.length p.p_funcs - 1 do
+            let slot = base.(job) + fn in
+            let uname =
+              match (p.p_funcs.(fn), p.p_keys) with
+              | Some f, _ -> f.Ast.f_name
+              | None, Some k -> k.k_funcs.(fn).Iface.ff_name
+              | None, None -> assert false
+            in
+            consider ~slot ~cname:"fnbatch" ~uname
+              ~needs:(fun () -> needed.(job).(p.p_file.(fn)) <- true)
+              (fun () ->
+                Option.bind p.p_keys (fun k -> batch_key ~pf_digest k fn))
+              (run_batch ~slot ~job ~fn)
+          done)
         prepared);
+  (* only now are ASTs obtained, and only the files the missed units
+     read: each job's caller decodes them (on the pool) before any unit
+     runs *)
+  Array.iteri
+    (fun job p ->
+      let missing =
+        List.filter
+          (fun i -> needed.(job).(i) && p.p_units.(i) = None)
+          (List.init (Array.length p.p_units) Fun.id)
+      in
+      if missing <> [] then
+        List.iter2 (hold p) missing (p.p_prog.pg_fetch missing))
+    prepared;
   (* never spawn more domains than the host has cores, nor than there
      are units to run: extra domains only add minor-GC contention, so
      [--jobs 4] on a 1-core box, or a warm re-check that runs nothing,
@@ -330,10 +416,17 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
      job [j] on first use into [stagings.(w).(j)], so spec-dependent
      machines compile once per (worker, job) and never cross domains.
      The array dies with the call. *)
+  let ctxs =
+    Array.map
+      (fun p ->
+        Registry.make_ctx (List.filter_map Fun.id (Array.to_list p.p_units)))
+      prepared
+  in
   let stagings =
     Array.init domains (fun _ ->
-        Array.map
-          (fun p -> Registry.stage ~checkers ~spec:p.p_job.spec ~ctx:p.p_ctx)
+        Array.mapi
+          (fun job p ->
+            Registry.stage ~checkers ~spec:p.p_prog.pg_spec ~ctx:ctxs.(job))
           prepared)
   in
   let tasks =
@@ -425,6 +518,9 @@ let check_jobs ?cache ?(budget = Engine.no_budget)
 
 (** Check one protocol; the result pairs are exactly
     [Registry.run_all ~spec tus]. *)
+let check_jobs ?cache ?budget ?checkers ~jobs (job_list : job list) =
+  check_programs ?cache ?budget ?checkers ~jobs (List.map of_job job_list)
+
 let check_corpus ?cache ?budget ~jobs ~spec (tus : Ast.tunit list) :
     (string * Diag.t list) list * stats =
   match check_jobs ?cache ?budget ~jobs [ { spec; tus } ] with

@@ -14,13 +14,16 @@
 
     Incrementality: unit results are cached under content-hash keys
     (the per-function checkers' {!Registry.checker.key}s x spec digest
-    x a digest of the globals and function signatures x the function's
+    x the program's env digest ({!Iface.env_digest}) x the function's
     file, start location and source digest; whole-program checkers hash
     their callgraph-reachable dependency set instead), so a re-check after
     editing one function re-runs only that function's batch plus any
     inter-procedural checker whose closure the edit invalidates.  A
     function without a source digest (built or rewritten in memory) is
-    never cached, nor is a whole-program unit whose closure holds one. *)
+    never cached, nor is a whole-program unit whose closure holds one.
+    Every key comes from the files' {!Iface.t} facts, so a program
+    whose units are still in a cache ({!indexed}) is keyed without an
+    AST, and only the files a missed unit reads are obtained. *)
 
 type job = {
   spec : Flash_api.spec;
@@ -49,19 +52,40 @@ type stats = {
   wall_ms : float;  (** end-to-end wall time of the call *)
 }
 
-val check_jobs :
+type program
+(** one protocol to check, whose units may still be in a cache *)
+
+val of_job : job -> program
+(** a program whose every unit is in memory; its facts are derived from
+    them when a cache asks for keys, and never without one *)
+
+val indexed :
+  spec:Flash_api.spec ->
+  Iface.t array ->
+  fetch:(int list -> Ast.tunit list) ->
+  program
+(** a program known by its files' interfaces and function facts (a
+    warm re-check's cache index), in file order.  After every key is
+    resolved, and before any unit runs, [fetch] is called once, on the
+    calling domain, with the indices (ascending) of the files the
+    missed units read — a function batch its own file, a whole-program
+    unit every file — and returns their annotated units in that order.
+    It is not called when every unit hits. *)
+
+val check_programs :
   ?cache:Mcd_cache.t ->
   ?budget:Engine.budget ->
   ?checkers:Registry.checker list ->
   jobs:int ->
-  job list ->
+  program list ->
   (string * Diag.t list) list list * stats
-(** check every job with [checkers] (default {!Registry.all}; a loaded
-    metal spec is one {!Registry.of_sm} checker); per-job results are
-    one entry per checker, in list order, exactly what each checker's
-    [run ~spec tus] returns.  [jobs] is the requested domain count,
-    clamped to [1 .. Domain.recommended_domain_count ()] and to the
-    number of units to run: oversubscribing a small host only adds
+(** check every program with [checkers] (default {!Registry.all}; a
+    loaded metal spec is one {!Registry.of_sm} checker); each program's
+    results are one entry per checker, in list order, exactly what each
+    checker's [run ~spec tus] returns over its units.  [jobs] is the
+    requested domain count, clamped to
+    [1 .. Domain.recommended_domain_count ()] and to the number of units
+    to run: oversubscribing a small host only adds
     minor-GC contention, so [--jobs 4] on one core, or a warm re-check
     that runs no unit, degrades to the sequential loop instead of
     running slower than it; one domain spawns nothing.  The scheduler's
@@ -72,15 +96,25 @@ val check_jobs :
     call.  With [?cache], hits are resolved before
     scheduling and misses are stored after the pool returns; without it
     no digest is computed.  Every unit is one {!Registry.check_function}
-    or {!Registry.check_whole_program} call.
+    or {!Registry.check_whole_program} call.  Per-function checkers get a
+    {!Registry.ctx} over the units held.
 
     Fault isolation: each checker within a unit runs under [?budget]
     (default {!Engine.no_budget}); an exception or an exhausted budget
     becomes a Warning-severity ["internal"] diagnostic — appended as an
-    extra [("internal", _)] entry on that job's result list — plus a
+    extra [("internal", _)] entry on that program's result list — plus a
     degraded flow-insensitive retry, while the pool keeps draining.
     Faulted slots are never cached.  On the clean path the results are
     byte-identical to a run without the barrier. *)
+
+val check_jobs :
+  ?cache:Mcd_cache.t ->
+  ?budget:Engine.budget ->
+  ?checkers:Registry.checker list ->
+  jobs:int ->
+  job list ->
+  (string * Diag.t list) list list * stats
+(** {!check_programs} over {!of_job}s *)
 
 val check_corpus :
   ?cache:Mcd_cache.t ->
@@ -92,16 +126,9 @@ val check_corpus :
 (** single-job convenience wrapper *)
 
 val func_digest : string -> Ast.func -> string
-(** content hash of one function (file, start location and
-    {!Ast.func.f_src_digest}) — the per-function half of a cache key;
-    [""] for a function without a source digest, which has no key *)
-
-val env_digest : Ast.tunit list -> string
-(** what a program's units read from outside their own functions' text:
-    the non-function globals and every function's signature, locations
-    and initialisers left out — the job-wide half of every cache key,
-    and everything {!Typecheck} writes into a unit depends on besides
-    that unit's own text *)
+(** content hash of one function ({!Iface.func_key}) — the per-function
+    half of a cache key; [""] for a function without a source digest,
+    which has no key *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

@@ -40,6 +40,8 @@ type unit_entry = {
   u_key : string;
   u_typedefs : string list;
   u_env : string;
+  u_iface : Iface.t;
+  u_diags : Diag.t list;
   u_blob : string;
 }
 
@@ -51,10 +53,15 @@ type t = {
       (** blobs stored since the last [save], by name, not yet on disk *)
   unpublished : (string, unit) Hashtbl.t;
       (** result keys [add]ed since the last successful [publish_dir] *)
+  mutable dirty : bool;
+      (** an [add], [store_unit] or [merge] since [on_disk] was read or
+          written *)
+  mutable on_disk : string option;
+      (** the file this cache was loaded from or last saved to *)
 }
 
 (* bump when the key derivation or the marshalled shape changes *)
-let format_tag = "mcd-cache-v5" (* v5: content spec digests, unit index *)
+let format_tag = "mcd-cache-v6" (* v6: interfaces and facts in the index *)
 
 (* the container: [payload][magic 8][payload length 8][MD5(payload) 16] *)
 let footer_magic = "MCDCACH1"
@@ -67,6 +74,8 @@ let make table units =
     units;
     fresh = Hashtbl.create 8;
     unpublished = Hashtbl.create 64;
+    dirty = true;
+    on_disk = None;
   }
 
 let create () = make (Hashtbl.create 1024) (Hashtbl.create 8)
@@ -91,7 +100,8 @@ let add c key diags =
   Mcobs.inc m_stores;
   locked c (fun () ->
       Hashtbl.replace c.table key diags;
-      Hashtbl.replace c.unpublished key ())
+      Hashtbl.replace c.unpublished key ();
+      c.dirty <- true)
 
 let size c = locked c (fun () -> Hashtbl.length c.table)
 
@@ -100,6 +110,8 @@ let copy c =
       let c' = make (Hashtbl.copy c.table) (Hashtbl.copy c.units) in
       Hashtbl.iter (Hashtbl.replace c'.fresh) c.fresh;
       Hashtbl.iter (Hashtbl.replace c'.unpublished) c.unpublished;
+      c'.dirty <- c.dirty;
+      c'.on_disk <- c.on_disk;
       c')
 
 (* One marshalled shape for the single file and the directory segments:
@@ -150,13 +162,26 @@ let unit_key ?(build = Cfront_build.digest) ~file ~scope src =
 
 let find_unit c file = locked c (fun () -> Hashtbl.find_opt c.units file)
 
-let store_unit c ~file ~key ~typedefs ~env (u : Ast.tunit * Diag.t list) =
-  let blob = Marshal.to_string u [ Marshal.No_sharing ] in
+(* Without sharing: a blob that keeps the AST's shared locations and
+   types shared is a third of the size and decodes about a fifth faster,
+   but marshalling it takes twice as long, and every re-parsed file pays
+   that on the warm path (measured on the seed-3 corpus: the cache fill
+   and the median warm re-check both got slower). *)
+let store_unit c ~file ~key ~typedefs ~env ~iface ~diags (tu : Ast.tunit) =
+  let blob = Marshal.to_string tu [ Marshal.No_sharing ] in
   let name = Digest.to_hex (Digest.string blob) in
   locked c (fun () ->
       Hashtbl.replace c.units file
-        { u_key = key; u_typedefs = typedefs; u_env = env; u_blob = name };
-      Hashtbl.replace c.fresh name blob)
+        {
+          u_key = key;
+          u_typedefs = typedefs;
+          u_env = env;
+          u_iface = iface;
+          u_diags = diags;
+          u_blob = name;
+        };
+      Hashtbl.replace c.fresh name blob;
+      c.dirty <- true)
 
 let sidecar path = path ^ ".ast"
 
@@ -176,7 +201,7 @@ let read_unit ~path (e : unit_entry) =
         | d when not (String.equal (Digest.to_hex d) e.u_blob) -> Error `Corrupt
         | _ -> (
           seek_in ic 0;
-          match (Marshal.from_channel ic : Ast.tunit * Diag.t list) with
+          match (Marshal.from_channel ic : Ast.tunit) with
           | u -> Ok u
           | exception _ -> Error `Corrupt))
 
@@ -217,14 +242,20 @@ let prune_blobs path named =
 
 (* blobs land before the index that names them, and unnamed ones go
    only after it, so a crash at any point leaves an index whose blobs
-   are on disk *)
+   are on disk.  A cache that holds nothing the file does not is not
+   written again. *)
 let save c path =
   locked c (fun () ->
-      let named = named_blobs c in
-      write_blobs c path named;
-      write_atomic ~prefix:"mcd-cache" path
-        (container (payload c.table c.units));
-      prune_blobs path named)
+      if c.dirty || c.on_disk <> Some path || not (Sys.file_exists path)
+      then begin
+        let named = named_blobs c in
+        write_blobs c path named;
+        write_atomic ~prefix:"mcd-cache" path
+          (container (payload c.table c.units));
+        prune_blobs path named;
+        c.dirty <- false;
+        c.on_disk <- Some path
+      end)
 
 (* Why a load was cold, for the Mcobs counters: a crash-truncated file
    looks different from a corrupted or stale one, and the fault-injection
@@ -272,7 +303,11 @@ let load path =
     if not (Sys.file_exists path) then ("missing", create ())
     else
       match read_container path with
-      | Ok (table, units) -> ("ok", make table units)
+      | Ok (table, units) ->
+        let c = make table units in
+        c.dirty <- false;
+        c.on_disk <- Some path;
+        ("ok", c)
       | Error reason -> (reason, create ())
   in
   count_load "mcd.cache.load." reason;
@@ -299,7 +334,10 @@ let merge ~into src =
       locked into (fun () ->
           Hashtbl.iter
             (fun k v ->
-              if not (Hashtbl.mem into.table k) then Hashtbl.add into.table k v)
+              if not (Hashtbl.mem into.table k) then begin
+                Hashtbl.add into.table k v;
+                into.dirty <- true
+              end)
             src.table))
 
 let segment_path dir hex = Filename.concat dir (Printf.sprintf "seg-%s.mc" hex)

@@ -26,7 +26,8 @@ val save : t -> string -> unit
     file intact.  The unit blobs stored since the last save are written
     first, each the same way, into the sidecar directory [FILE.ast/];
     after the index lands, every blob there that it does not name is
-    removed. *)
+    removed.  A cache loaded from or last saved to [FILE], with no
+    {!add}, {!store_unit} or {!merge} since, writes nothing. *)
 
 val load : string -> t
 (** a missing, truncated, corrupt, or stale-format file yields an empty
@@ -38,9 +39,12 @@ val load : string -> t
 
     A cache file also persists each source file's parsed and annotated
     unit, so a warm re-check parses only the files that changed.  The
-    index maps a file's path to one {!unit_entry}; the unit itself, with
-    its [lex]/[parse] diagnostics, is a blob marshalled without sharing
-    into [FILE.ast/<md5>], named by the MD5 of its bytes. *)
+    index maps a file's path to one {!unit_entry}: the file's interface,
+    its functions' facts and its [lex]/[parse] diagnostics, which are
+    all a warm re-check reads of a file whose units all hit.  The unit
+    itself is a blob marshalled without sharing into [FILE.ast/<md5>],
+    named by the MD5 of its bytes, and decoded only when a unit that
+    runs needs it. *)
 
 type unit_entry = {
   u_key : string;  (** {!unit_key} of the text the unit was parsed from *)
@@ -48,8 +52,10 @@ type unit_entry = {
       (** the typedef names the file declares, in declaration order, so
           later files' scopes are known without decoding it *)
   u_env : string;
-      (** the env digest ([Mcd.env_digest]) of the program the unit was
-          annotated in *)
+      (** the env digest ({!Iface.env_digest}) of the program the unit
+          was annotated in *)
+  u_iface : Iface.t;  (** the file's interface and function facts *)
+  u_diags : Diag.t list;  (** the parse's [lex]/[parse] diagnostics *)
   u_blob : string;  (** the blob's name: the hex MD5 of its bytes *)
 }
 
@@ -69,15 +75,15 @@ val store_unit :
   key:string ->
   typedefs:string list ->
   env:string ->
-  Ast.tunit * Diag.t list ->
+  iface:Iface.t ->
+  diags:Diag.t list ->
+  Ast.tunit ->
   unit
-(** marshal an annotated unit into a blob, index it under [file], and
-    hold the blob until the next {!save} writes it *)
+(** marshal an annotated unit into a blob, index it under [file] with
+    its facts, and hold the blob until the next {!save} writes it *)
 
 val read_unit :
-  path:string ->
-  unit_entry ->
-  (Ast.tunit * Diag.t list, [ `Missing | `Corrupt ]) result
+  path:string -> unit_entry -> (Ast.tunit, [ `Missing | `Corrupt ]) result
 (** read and decode an entry's blob from the sidecar of the cache file
     [path]; the bytes' MD5 is checked against the blob's name before
     they are unmarshalled.  Touches no cache state, so it may run on any

@@ -381,6 +381,7 @@ let with_span ?(args = []) ?result_args name f =
 type snapshot = {
   spans : span list;  (** every domain, ascending begin time *)
   counters : (string * int) list;  (** the registry's non-zero counters *)
+  gauges : (string * int) list;  (** the registry's non-zero gauges *)
   hists : (string * hist_snapshot) list;
   dropped_spans : int;
 }
@@ -400,6 +401,12 @@ let snapshot () : snapshot =
       List.concat_map (fun b -> List.rev b.b_spans) buffers
       |> List.sort by_begin;
     counters = List.filter (fun (_, v) -> v <> 0) m.m_counters;
+    gauges =
+      List.filter_map
+        (function
+          | n, _, Gauge g when Atomic.get g <> 0 -> Some (n, Atomic.get g)
+          | _ -> None)
+        (listing ());
     hists = List.filter (fun (_, h) -> h.count > 0) m.m_hists;
     dropped_spans = List.fold_left (fun acc b -> acc + b.b_dropped) 0 buffers;
   }
@@ -552,8 +559,9 @@ let export_chrome_file path s =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> export_chrome oc s)
 
-(* Human-readable digest: counters, histograms, and spans aggregated by
-   name (count / total / mean) — the Table 5/6-style timing breakdown. *)
+(* Human-readable digest: counters, gauges, histograms, and spans
+   aggregated by name (count / total / mean) — the Table 5/6-style timing
+   breakdown. *)
 let pp_summary ppf (s : snapshot) =
   Format.fprintf ppf "@[<v>== mcobs summary ==";
   if s.counters <> [] then begin
@@ -561,6 +569,12 @@ let pp_summary ppf (s : snapshot) =
     List.iter
       (fun (name, v) -> Format.fprintf ppf "@,  %-36s %10d" name v)
       s.counters
+  end;
+  if s.gauges <> [] then begin
+    Format.fprintf ppf "@,gauges:";
+    List.iter
+      (fun (name, v) -> Format.fprintf ppf "@,  %-36s %10d" name v)
+      s.gauges
   end;
   if s.hists <> [] then begin
     Format.fprintf ppf "@,histograms (ms):";

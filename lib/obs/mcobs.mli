@@ -177,6 +177,7 @@ type snapshot = {
   spans : span list;  (** every domain, ascending begin time *)
   counters : (string * int) list;
       (** the registry's non-zero counters, by name *)
+  gauges : (string * int) list;  (** the registry's non-zero gauges, by name *)
   hists : (string * hist_snapshot) list;  (** non-empty histograms *)
   dropped_spans : int;  (** spans discarded by the per-domain cap *)
 }
@@ -219,7 +220,7 @@ val to_json : unit -> string
     p50/p90/p99 *)
 
 val pp_summary : Format.formatter -> snapshot -> unit
-(** human-readable digest: counters, histograms, spans aggregated by
-    name *)
+(** human-readable digest: counters, gauges, histograms, spans
+    aggregated by name *)
 
 val export_chrome_file : string -> snapshot -> unit

@@ -1,9 +1,11 @@
 #!/bin/sh
 # mcheck --incremental --cache over a two-file program must print what a
 # cold mcheck prints, with the same exit code: on the run that fills the
-# cache, on a warm run, on a warm run after one file is edited, and on a
-# warm run after a unit blob is truncated.  The warm runs must also have
-# reused the front end (the -v "front end:" line).
+# cache, on a warm run, on a warm run after one file is edited, and on
+# warm runs after the unit blobs are truncated: one that needs no blob,
+# one that needs the damaged blob and parses the file again, and one
+# that decodes the repaired blob.  The warm runs must also have reused
+# the front end as expected (the -v "front end:" line).
 #
 #   sh incremental.sh MCHECK TYPES.c HANDLERS.c
 set -eu
@@ -42,11 +44,17 @@ same() {
 }
 
 same fill "0 file(s) reused, 2 parsed"
-same warm "2 file(s) reused, 0 parsed"
+same warm "2 file(s) reused, 0 parsed (0 blob(s) failed), annotations reused; 0 blob(s) decoded"
 printf '\nvoid Extra(void) { word y; y = 2; }\n' >>handlers.c
 same edited "1 file(s) reused, 1 parsed"
 for blob in check.cache.ast/*; do
   head -c 100 "$blob" >truncated && mv truncated "$blob"
 done
-same truncated "0 file(s) reused, 2 parsed (2 blob(s) failed)"
-same repaired "2 file(s) reused, 0 parsed"
+# a damaged blob is read only when a unit that runs needs its file
+same untouched "2 file(s) reused, 0 parsed (0 blob(s) failed)"
+# a new function changes the program's interface, so types.c's
+# annotations are redone from its blob
+printf '\nvoid Extra2(void) { word y; y = 3; }\n' >>handlers.c
+same truncated "0 file(s) reused, 2 parsed (1 blob(s) failed)"
+printf '\nvoid Extra3(void) { word y; y = 4; }\n' >>handlers.c
+same repaired "1 file(s) reused, 1 parsed (0 blob(s) failed), annotations redone; 1 blob(s) decoded"

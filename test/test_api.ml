@@ -522,14 +522,14 @@ let reuse_cases =
             if what = "typedef removed, still used" then
               Alcotest.(check bool) "the unknown type name is a parse error"
                 true (warm.Mcheck_api.r_parse <> []);
-            (* an unchanged program decodes every file *)
+            (* an unchanged program reuses every file and decodes none *)
             let _, counts =
-              counting [ "hit"; "miss" ] (fun () ->
+              counting [ "hit"; "miss"; "decoded" ] (fun () ->
                   check_warm_is_cold (what ^ ", again") cache paths)
             in
             Alcotest.(check (list (pair string int)))
               (what ^ ": every file reused")
-              [ ("hit", List.length prog); ("miss", 0) ]
+              [ ("hit", List.length prog); ("miss", 0); ("decoded", 0) ]
               counts)
           reuse_programs);
     t "seeded edit walks: warm equals cold" `Quick (fun () ->
@@ -550,14 +550,29 @@ let reuse_cases =
                    cache (write_program dir prog))
             done)
           [ 1; 2; 3 ]);
-    t "a deleted, truncated or flipped blob is parsed again" `Quick (fun () ->
+    t "a deleted, truncated or flipped blob is parsed again when needed"
+      `Quick (fun () ->
         in_temp_dir "api_blob" @@ fun dir ->
         let cache = Filename.concat dir "check.cache" in
         let paths = write_program dir (snd (List.hd reuse_programs)) in
         let a_c = List.nth paths 1 in
+        let entry () =
+          Option.get (Mcd_cache.find_unit (Mcd_cache.load cache) a_c)
+        in
         let blob () =
-          let e = Option.get (Mcd_cache.find_unit (Mcd_cache.load cache) a_c) in
-          Filename.concat (cache ^ ".ast") e.Mcd_cache.u_blob
+          Filename.concat (cache ^ ".ast") (entry ()).Mcd_cache.u_blob
+        in
+        (* a new inert edit to the handler B in b.c: its batch and the
+           lanes unit, whose closure holds every handler, miss, so the
+           check needs every file, a.c's damaged blob included *)
+        let edit k =
+          ignore
+            (write_program dir
+               [
+                 ( "b.c",
+                   "void B(void) { word x; x = 2;" ^ String.make k ';' ^ " }\n"
+                   ^ buggy_src ^ "\n" );
+               ])
         in
         ignore (warm_check cache paths);
         let damage =
@@ -577,18 +592,22 @@ let reuse_cases =
                 Mcheck_api.write_file f (Bytes.to_string s) );
           ]
         in
-        List.iter
-          (fun (failure, damage) ->
+        List.iteri
+          (fun k (failure, damage) ->
             damage (blob ());
+            edit (k + 1);
             let _, counts =
-              counting [ "hit"; failure ] (fun () ->
+              counting [ "hit"; "miss"; failure ] (fun () ->
                   check_warm_is_cold ("blob " ^ failure) cache paths)
             in
             Alcotest.(check (list (pair string int)))
-              ("blob " ^ failure ^ ": one failure, the rest reused")
-              [ ("hit", List.length paths - 1); (failure, 1) ]
+              ("blob " ^ failure ^ ": one failure, the edit parsed, the rest \
+                reused")
+              [ ("hit", List.length paths - 2); ("miss", 1); (failure, 1) ]
               counts;
             (* the failed file's blob was written again *)
+            Alcotest.(check bool) "its blob decodes" true
+              (Result.is_ok (Mcd_cache.read_unit ~path:cache (entry ())));
             let _, counts =
               counting [ "hit" ] (fun () ->
                   check_warm_is_cold "after the failure" cache paths)
@@ -596,6 +615,83 @@ let reuse_cases =
             Alcotest.(check int) "every file reused" (List.length paths)
               (List.assoc "hit" counts))
           damage);
+    t "warm re-checks decode only the files the units that run read"
+      `Quick (fun () ->
+        in_temp_dir "api_decode" @@ fun dir ->
+        let cache = Filename.concat dir "check.cache" in
+        (* H is a handler and calls step, so both are in the lanes
+           closure; dead is neither *)
+        let h_c body =
+          "void H(void) { word w; w = 1; step(w); g = 2; }\n\
+           void step(word v) { g = v;" ^ body ^ " }\n"
+        and d_c body =
+          "int dead(word v) { v = v + 1;" ^ body ^ " return v; }\n"
+        in
+        let check what prog ~decoded ~run =
+          let paths = write_program dir prog in
+          let cold = cold_check paths in
+          let warm, moved = registry_moved (fun () -> warm_check cache paths) in
+          Alcotest.(check string) what (explained cold) (explained warm);
+          Alcotest.(check (list (pair string int)))
+            (what ^ ": blobs decoded, units run")
+            [ ("decoded", decoded); ("run", run) ]
+            [
+              ("decoded", moved "cfront.reuse.decoded");
+              ("run", moved "mcheck_units_run_total");
+            ]
+        in
+        let prog h d =
+          [ ("types.c", types_c); ("h.c", h_c h); ("d.c", d_c d) ]
+        in
+        ignore (warm_check cache (write_program dir (prog "" "")));
+        check "no edit" (prog "" "") ~decoded:0 ~run:0;
+        check "an inert edit outside the lanes closure" (prog "" " ;")
+          ~decoded:0 ~run:1;
+        (* step's batch and the lanes unit, which reads every file *)
+        check "an inert edit inside the lanes closure" (prog " ;" " ;")
+          ~decoded:2 ~run:2;
+        check "no edit, again" (prog " ;" " ;") ~decoded:0 ~run:0);
+    t "a reused file with parse errors still reports its diagnostics"
+      `Quick (fun () ->
+        in_temp_dir "api_diags" @@ fun dir ->
+        let cache = Filename.concat dir "check.cache" in
+        let prog =
+          [
+            ("types.c", types_c);
+            ("bad.c", "void E(void) { word x; x = ; }\n" ^ uses_g);
+          ]
+        in
+        let paths = write_program dir prog in
+        ignore (warm_check cache paths);
+        let warm, counts =
+          counting [ "hit"; "decoded" ] (fun () ->
+              check_warm_is_cold "reused with errors" cache paths)
+        in
+        Alcotest.(check (list (pair string int)))
+          "reused, not decoded"
+          [ ("hit", 2); ("decoded", 0) ]
+          counts;
+        Alcotest.(check bool) "the parse error is reported" true
+          (warm.Mcheck_api.r_parse <> []);
+        (* --strict fails on the reused file as on a cold parse *)
+        let strict () =
+          match
+            with_session
+              ~config:
+                {
+                  Mcheck_api.default_config with
+                  Mcheck_api.incremental = true;
+                  cache_file = Some cache;
+                  strict = true;
+                }
+              (fun s -> Mcheck_api.Session.check_files s paths)
+          with
+          | _ -> None
+          | exception Mcheck_api.Robust_exit o -> Some (Robust.to_string o)
+        in
+        Alcotest.(check (option string)) "strict warm run is unusable"
+          (Some (Robust.to_string Robust.Unusable))
+          (strict ()));
     t "a blob keyed under another build is never decoded" `Quick (fun () ->
         in_temp_dir "api_build" @@ fun dir ->
         let cache = Filename.concat dir "check.cache" in
@@ -620,7 +716,9 @@ let reuse_cases =
         Alcotest.(check bool) "a different key" true (key <> e.Mcd_cache.u_key);
         Mcd_cache.store_unit c ~file:types_path ~key
           ~typedefs:e.Mcd_cache.u_typedefs ~env:e.Mcd_cache.u_env
-          (fst u, [ Diag.make ~checker:"parse" ~loc:Loc.none ~func:"" "other" ]);
+          ~iface:e.Mcd_cache.u_iface
+          ~diags:[ Diag.make ~checker:"parse" ~loc:Loc.none ~func:"" "other" ]
+          { u with Ast.tu_file = "another build" };
         Mcd_cache.save c cache;
         let other = Option.get (Mcd_cache.find_unit (Mcd_cache.load cache) types_path) in
         Mcheck_api.write_file

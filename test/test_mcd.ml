@@ -316,6 +316,36 @@ let incremental_tests =
                 [ { Mcd.spec = p.Corpus.spec; tus = p.Corpus.tus } ]
             in
             Alcotest.(check int) "no units re-run" 0 warm.Mcd.units_run));
+    t "a save with nothing new writes nothing; a change lands by rename"
+      `Quick (fun () ->
+        let _, cache, _, _, _ = Lazy.force incr_base in
+        let file = Filename.temp_file "mcd_cache" ".bin" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove file)
+          (fun () ->
+            Mcd_cache.save cache file;
+            let stamp () =
+              let st = Unix.stat file in
+              (st.Unix.st_ino, st.Unix.st_mtime)
+            in
+            let loaded = Mcd_cache.load file in
+            let before = stamp () in
+            Unix.sleepf 0.02;
+            Mcd_cache.save loaded file;
+            Alcotest.(check bool) "a clean save leaves the file alone" true
+              (stamp () = before);
+            Mcd_cache.add loaded "one more" [| [] |];
+            Mcd_cache.save loaded file;
+            let after = stamp () in
+            (* a rename puts a new inode in place *)
+            Alcotest.(check bool) "a changed cache lands as a new file" true
+              (fst after <> fst before);
+            Alcotest.(check bool) "with the new entry" true
+              (Mcd_cache.find (Mcd_cache.load file) "one more" <> None);
+            Unix.sleepf 0.02;
+            Mcd_cache.save loaded file;
+            Alcotest.(check bool) "and is clean again once saved" true
+              (stamp () = after)));
     t "stale cache file loads as empty" `Quick (fun () ->
         let file = Filename.temp_file "mcd_cache" ".bin" in
         Fun.protect

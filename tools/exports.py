@@ -28,6 +28,8 @@ ALLOWLIST = {
     "Proto.equal_request": "the codec round-trip properties compare with it",
     "Proto.equal_response": "the codec round-trip properties compare with it",
     "Proto.pp_request": "the codec round-trip properties print failures",
+    "Callgraph.reachable_from":
+        "the AST walk test_mcd checks Mcd's fact-based lanes closure with",
     # invariants the simulator properties assert
     "Buffers.well_formed": "buffer-pool invariant of the simulator properties",
     "Lanes.pending": "lane-occupancy invariant of the simulator properties",

@@ -184,12 +184,17 @@ let held (tus, diags) =
    - store a blob for every unit annotated here;
    - decode a reused file's blob only when the scheduler asks for it,
      on [jobs] domains; a missing or corrupt blob is parsed, annotated
-     and stored instead.
+     and stored instead;
+   - give the scheduler a file's flow graphs as it asks for them: a
+     parsed file's were computed with its facts, a reused file's are
+     decoded from their own blob, on [jobs] domains; a missing or
+     corrupt one is computed again from the file's unit and stored.
    The result is a function of (source, typedef scope, env), as a cold
    parse's is.  Returns it with the [cfront.reuse] span's arguments. *)
 let m_reuse_hit = Mcobs.counter "cfront.reuse.hit"
 let m_reuse_miss = Mcobs.counter "cfront.reuse.miss"
 let m_reuse_decoded = Mcobs.counter "cfront.reuse.decoded"
+let m_reuse_locals = Mcobs.counter "cfront.reuse.locals_decoded"
 let m_reuse_missing = Mcobs.counter "cfront.reuse.missing"
 let m_reuse_corrupt = Mcobs.counter "cfront.reuse.corrupt"
 
@@ -222,9 +227,15 @@ let parse_reusing ~jobs ~path cache (srcs : (string * string) list) =
         match p with Some (_, d) -> d | None -> (entry i).Mcd_cache.u_diags)
       planned
   in
-  let fresh = Array.make n None in
+  let fresh = Array.make n None and locals = Array.make n None in
+  let locals_of tu =
+    Array.of_list (List.map Registry.local_pass (Ast.functions tu))
+  in
   Mcd_pool.iter ~phase:"facts" ~domains:jobs
-    (fun i -> fresh.(i) <- Some (Iface.of_tunit (Option.get units.(i))))
+    (fun i ->
+      let tu = Option.get units.(i) in
+      fresh.(i) <- Some (Iface.of_tunit tu);
+      locals.(i) <- Some (locals_of tu))
     parsed;
   let ifaces =
     Array.mapi
@@ -242,46 +253,63 @@ let parse_reusing ~jobs ~path cache (srcs : (string * string) list) =
       Typecheck.annotate_units ~domains:jobs ~program (List.map tu is);
       Mcd_pool.iter ~phase:"store" ~domains:jobs
         (fun i ->
+          if locals.(i) = None then locals.(i) <- Some (locals_of (tu i));
           Mcd_cache.store_unit cache ~file:(fst srcs.(i)) ~key:keys.(i)
             ~typedefs:(Frontend.typedef_names (tu i))
-            ~env ~iface:ifaces.(i) ~diags:diags.(i) (tu i))
+            ~env ~iface:ifaces.(i) ~diags:diags.(i)
+            ~locals:(Option.get locals.(i)) (tu i))
         is
     end
   in
-  (* decode the blobs of reused files [is]; returns the files whose blob
-     was missing or corrupt, parsed again instead *)
-  let failed = ref 0 and decoded = ref 0 in
-  let decode is =
+  (* read one kind of blob of reused files [is] on the pool, inside
+     [span], handing each decoded value to [ok]; returns the files whose
+     blob was missing or corrupt *)
+  let read_blobs span read ok is =
     let got = Array.make n (Error `Missing) in
-    Mcobs.with_span "cfront.decode"
+    Mcobs.with_span span
       ~args:[ ("files", string_of_int (List.length is)) ]
       ~result_args:(fun bad -> [ ("failed", string_of_int (List.length bad)) ])
       (fun () ->
         Mcd_pool.iter ~phase:"decode" ~domains:jobs
-          (fun i -> got.(i) <- Mcd_cache.read_unit ~path (entry i))
+          (fun i -> got.(i) <- read ~path (entry i))
           is;
         List.filter
           (fun i ->
             match got.(i) with
-            | Ok tu ->
-              Mcobs.inc m_reuse_decoded;
-              incr decoded;
-              units.(i) <- Some tu;
+            | Ok v ->
+              ok i v;
               false
             | Error e ->
               Mcobs.inc
                 (match e with
                 | `Missing -> m_reuse_missing
                 | `Corrupt -> m_reuse_corrupt);
-              incr failed;
-              let file, src = srcs.(i) in
-              units.(i) <-
-                Some
-                  (fst
-                     (Parser.parse_string_recovering ~file
-                        ~typedefs:(fst planned.(i)) src));
               true)
           is)
+  in
+  (* decode the unit blobs of reused files [is]; returns the files whose
+     blob was missing or corrupt, parsed again instead *)
+  let failed = ref 0 and decoded = ref 0 in
+  let decode is =
+    let lost =
+      read_blobs "cfront.decode" Mcd_cache.read_unit
+        (fun i tu ->
+          Mcobs.inc m_reuse_decoded;
+          incr decoded;
+          units.(i) <- Some tu)
+        is
+    in
+    List.iter
+      (fun i ->
+        incr failed;
+        let file, src = srcs.(i) in
+        units.(i) <-
+          Some
+            (fst
+               (Parser.parse_string_recovering ~file
+                  ~typedefs:(fst planned.(i)) src)))
+      lost;
+    lost
   in
   let redo =
     List.exists (fun i -> (entry i).Mcd_cache.u_env <> env) reused
@@ -297,20 +325,45 @@ let parse_reusing ~jobs ~path cache (srcs : (string * string) list) =
     | absent -> annotate (decode absent));
     List.map (fun i -> Option.get units.(i)) is
   in
+  (* the flow graphs of files [is]: decode the blobs of those whose
+     graphs are not at hand; a file whose blob was missing or corrupt
+     gets them from its unit, and its blob stored again *)
+  let decoded_locals = ref 0 in
+  let fetch_locals is =
+    let lost =
+      read_blobs "cfront.decode_locals" Mcd_cache.read_locals
+        (fun i l ->
+          Mcobs.inc m_reuse_locals;
+          incr decoded_locals;
+          locals.(i) <- Some l)
+        (List.filter (fun i -> locals.(i) = None) is)
+    in
+    if lost <> [] then
+      List.iter2
+        (fun i tu ->
+          (* a unit parsed again was stored with its flow graphs *)
+          if locals.(i) = None then begin
+            let l = locals_of tu in
+            locals.(i) <- Some l;
+            Mcd_cache.store_locals cache ~file:(fst srcs.(i)) l
+          end)
+        lost (fetch lost);
+    List.map (fun i -> Option.get locals.(i)) is
+  in
   let annotations = if redo then "redone" else "reused" in
   let fr_done () =
     let n_reused = List.length reused - !failed in
     Mcobs.inc ~by:n_reused m_reuse_hit;
     Mcobs.logf Mcobs.Verbose
       "front end: %d file(s) reused, %d parsed (%d blob(s) failed), \
-       annotations %s; %d blob(s) decoded"
-      n_reused (n - n_reused) !failed annotations !decoded
+       annotations %s; %d blob(s) decoded; %d local(s) decoded"
+      n_reused (n - n_reused) !failed annotations !decoded !decoded_locals
   in
   ( {
       fr_program =
         Mcd.indexed
           ~spec:(spec_of_interfaces (List.concat program))
-          ifaces ~fetch;
+          ifaces ~fetch ~locals:fetch_locals;
       fr_diags = List.concat (Array.to_list diags);
       fr_survived = Array.exists (fun f -> f.Iface.i_funcs <> [||]) ifaces;
       fr_done;

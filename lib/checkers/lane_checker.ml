@@ -29,11 +29,15 @@ module Lane_domain = struct
 
   let zero = Array.make Flash_api.n_lanes lane_zero
 
+  (* [min_int] is a peak of no prefix at all: adding [a]'s sum to it
+     would wrap around when the sum is negative *)
   let seq a b =
     Array.init Flash_api.n_lanes (fun i ->
         {
           sum = a.(i).sum + b.(i).sum;
-          peak = max a.(i).peak (a.(i).sum + b.(i).peak);
+          peak =
+            (if b.(i).peak = min_int then a.(i).peak
+             else max a.(i).peak (a.(i).sum + b.(i).peak));
         })
 
   let join a b =
@@ -108,16 +112,19 @@ let lane_name = function
   | 3 -> "NET-reply"
   | n -> string_of_int n
 
-let run ?(fixed_point = true) ~(spec : Flash_api.spec) (tus : Ast.tunit list)
-    : Diag.t list =
-  let callgraph = Callgraph.build tus in
-  let ctx = Analysis.create callgraph in
+type local = Analysis.local
+
+let local = Analysis.local
+
+let link ?(fixed_point = true) ~(spec : Flash_api.spec)
+    (lookup : string -> local option) : Diag.t list =
+  let ctx = Analysis.create lookup in
   let diags = ref [] in
   List.iter
     (fun (h : Flash_api.handler_spec) ->
-      match Callgraph.find_func callgraph h.Flash_api.h_name with
+      match Analysis.find ctx h.Flash_api.h_name with
       | None -> ()
-      | Some func -> (
+      | Some local -> (
         match Analysis.summarize ctx h.Flash_api.h_name with
         | None -> ()
         | Some summary ->
@@ -162,7 +169,7 @@ let run ?(fixed_point = true) ~(spec : Flash_api.spec) (tus : Ast.tunit list)
                     summary.Analysis.witness
                 in
                 diags :=
-                  Diag.make ~checker:name ~loc:func.Ast.f_loc
+                  Diag.make ~checker:name ~loc:(Analysis.loc local)
                     ~func:h.Flash_api.h_name ~trace ~witness
                     (Printf.sprintf
                        "handler can send %d message(s) on the %s lane but \
@@ -196,30 +203,22 @@ let run ?(fixed_point = true) ~(spec : Flash_api.spec) (tus : Ast.tunit list)
   if not fixed_point then
     List.iter
       (fun (p : Flash_api.handler_spec) ->
-        match Callgraph.find_func callgraph p.Flash_api.h_name with
-        | None -> ()
-        | Some func ->
-          let cfg = Cfg.build func in
-          let sends_in_loops =
-            List.exists
-              (fun (_, head) ->
-                (* any loop in a handler that sends anywhere *)
-                ignore head;
-                Array.exists
-                  (fun (n : Cfg.node) ->
-                    not (Lane_domain.equal (Client.event func n)
-                           Lane_domain.zero))
-                  cfg.Cfg.nodes)
-              (Cfg.back_edges cfg)
-          in
-          if sends_in_loops then
-            diags :=
-              Diag.make ~severity:Diag.Warning ~checker:name
-                ~loc:func.Ast.f_loc ~func:p.Flash_api.h_name
-                "(no fixed point rule) handler contains loops and sends"
-              :: !diags)
+        match Analysis.find ctx p.Flash_api.h_name with
+        | Some local when Analysis.has_loop_and_event local ->
+          diags :=
+            Diag.make ~severity:Diag.Warning ~checker:name
+              ~loc:(Analysis.loc local) ~func:p.Flash_api.h_name
+              "(no fixed point rule) handler contains loops and sends"
+            :: !diags
+        | _ -> ())
       spec.Flash_api.p_handlers;
   Diag.normalize !diags
+
+let locals_of_units (tus : Ast.tunit list) : string -> local option =
+  let callgraph = Callgraph.build tus in
+  fun name -> Option.map local (Callgraph.find_func callgraph name)
+
+let run ?fixed_point ~spec tus = link ?fixed_point ~spec (locals_of_units tus)
 
 (** Sends examined by the lane analysis. *)
 let applied (tus : Ast.tunit list) : int =

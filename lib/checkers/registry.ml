@@ -8,6 +8,11 @@ let make_ctx tus = { callgraph = lazy (Callgraph.build tus) }
 
 type check_fn = spec:Flash_api.spec -> ctx:ctx -> Prep.t -> Diag.t list
 type check_global = spec:Flash_api.spec -> Ast.tunit list -> Diag.t list
+type local = Lane_checker.local
+
+let local_pass = Lane_checker.local
+
+type link = spec:Flash_api.spec -> (string -> local option) -> Diag.t list
 
 type phase =
   | Per_function of {
@@ -23,6 +28,7 @@ type checker = {
   description : string;
   metal_loc : int;
   phase : phase;
+  link : link option;
   applied : Ast.tunit list -> int;
 }
 
@@ -47,7 +53,15 @@ let of_walk (walk : spec:Flash_api.spec -> Ast.func -> Diag.t list) : phase =
     }
 
 let make ~name ~description ~metal_loc ~phase ~applied =
-  { name; key = name; description; metal_loc; phase; applied }
+  { name; key = name; description; metal_loc; phase; link = None; applied }
+
+(* a whole-program checker: its run over units and its global pass over
+   flow graphs, the first being the second over the units' graphs *)
+let whole_program ~name ~description ~metal_loc ~run ~link ~applied =
+  {
+    (make ~name ~description ~metal_loc ~applied ~phase:(Whole_program run)) with
+    link = Some link;
+  }
 
 let all : checker list =
   [
@@ -61,11 +75,11 @@ let all : checker list =
       ~metal_loc:Msg_length.metal_loc
       ~phase:(of_machine Msg_length.machine)
       ~applied:Msg_length.applied;
-    make ~name:Lane_checker.name
+    whole_program ~name:Lane_checker.name
       ~description:"per-lane send allowances, inter-procedural (Section 7)"
       ~metal_loc:Lane_checker.metal_loc
-      ~phase:
-        (Whole_program (fun ~spec tus -> Lane_checker.run ~spec tus))
+      ~run:(fun ~spec tus -> Lane_checker.run ~spec tus)
+      ~link:(fun ~spec lookup -> Lane_checker.link ~spec lookup)
       ~applied:Lane_checker.applied;
     make ~name:Buffer_race.name
       ~description:"data-buffer fill synchronisation (Section 4)"
@@ -233,15 +247,15 @@ let check_function (st : staged) ~budget (f : Ast.func) =
     in
     (slices, List.rev !faults)
 
-let check_whole_program ~budget (c : checker) ~spec tus =
-  match c.phase with
-  | Per_function _ -> invalid_arg "Registry.check_whole_program"
-  | Whole_program g ->
+let check_whole_program ~budget (c : checker) ~spec lookup =
+  match c.link with
+  | None -> invalid_arg "Registry.check_whole_program"
+  | Some link ->
     let faults = ref [] in
     let slice =
       guarded ~budget ~faults ~loc:Loc.none ~func:"<whole-program>"
         ~what:("whole-program checker " ^ c.name)
-        (fun () -> g ~spec tus)
+        (fun () -> link ~spec lookup)
     in
     (slice, !faults)
 
@@ -274,9 +288,10 @@ let run_all_product ~spec (tus : Ast.tunit list) :
       (fun tu -> List.map (check_function st ~budget) (Ast.functions tu))
       tus
   in
+  let locals = Lane_checker.locals_of_units tus in
   let globals =
     List.map
-      (fun c -> check_whole_program ~budget c ~spec tus)
+      (fun c -> check_whole_program ~budget c ~spec locals)
       (List.filter (fun c -> not (is_per_function c)) all)
   in
   assemble ~checkers:all

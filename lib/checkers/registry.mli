@@ -8,7 +8,10 @@
       concatenated in source order and passed through the checker's
       [finalize], are exactly what the whole-program [run] produces;
     - inter-procedural checkers ([lanes]) provide a whole-program phase
-      [check_global : spec -> tunits -> Diag.t list].
+      [check_global : spec -> tunits -> Diag.t list], which is their
+      global pass ({!checker.link}) over the flow graphs their local
+      pass ({!local_pass}) makes of each function, so a scheduler can
+      link flow graphs it cached instead of holding every unit.
 
     A built-in per-function checker module declares one thing: a state
     machine builder, from which this module derives both the checker's
@@ -39,6 +42,18 @@ type check_fn = spec:Flash_api.spec -> ctx:ctx -> Prep.t -> Diag.t list
 
 type check_global = spec:Flash_api.spec -> Ast.tunit list -> Diag.t list
 
+type local
+(** one function's flow graph: the whole-program checkers' local pass
+    over it.  Plain data, marshallable, and a pure function of the
+    function's text, so a cache may keep it beside the function's key. *)
+
+val local_pass : Ast.func -> local
+
+type link = spec:Flash_api.spec -> (string -> local option) -> Diag.t list
+(** a whole-program checker's global pass over the program's flow
+    graphs, by function name; each name must stand for the definition
+    {!Callgraph.find_func} would pick, the last one *)
+
 type phase =
   | Per_function of {
       check_fn : check_fn;
@@ -62,6 +77,10 @@ type checker = {
   description : string;
   metal_loc : int;  (** size of the paper's metal extension (Table 7) *)
   phase : phase;
+  link : link option;
+      (** a [Whole_program] checker's global pass: its [check_global]
+          over units is this over their {!local_pass}es; [None] for a
+          per-function checker *)
   applied : Ast.tunit list -> int;
       (** the "number of times the check was applied" metric *)
 }
@@ -120,9 +139,10 @@ val check_function :
 
 val check_whole_program :
   budget:Engine.budget -> checker -> spec:Flash_api.spec ->
-  Ast.tunit list -> Diag.t list * Diag.t list
-(** a [Whole_program] checker behind the same fault barrier: its slice
-    plus its fault diagnostics.
+  (string -> local option) -> Diag.t list * Diag.t list
+(** a [Whole_program] checker's {!checker.link} over the program's flow
+    graphs, behind the same fault barrier: its slice plus its fault
+    diagnostics.
     @raise Invalid_argument on a per-function checker *)
 
 val assemble :

@@ -3,15 +3,18 @@
 
     The client supplies an abstract domain (a join semilattice with a
     sequencing operator and a loop-safety predicate) and a function giving
-    the local effect of each CFG node; the framework computes per-function
-    worst-case path summaries, splicing callee summaries in at call sites,
-    with the paper's fixed-point rule for cycles. *)
+    the local effect of each CFG node.  The framework has the paper's two
+    passes: a local pass turns one function into a compact flow graph
+    ({!Make.local}), and a global pass links the flow graphs through the
+    call graph and computes per-function worst-case path summaries,
+    splicing callee summaries in at call sites, with the paper's
+    fixed-point rule for cycles. *)
 
 module type DOMAIN = sig
   type t
 
   val zero : t
-  (** identity for {!seq} — "no effect" *)
+  (** identity for {!seq}, on both sides — "no effect" *)
 
   val seq : t -> t -> t
   (** sequential composition along a path *)
@@ -44,13 +47,43 @@ module Make (C : CLIENT) : sig
       paper's inter-procedural back traces) *)
   type summary = { effect_ : D.t; witness : site list }
 
+  (** {2 The local pass} *)
+
+  type local
+  (** one function's flow graph: each CFG node's effect term (the
+      client's event and the node's call sites, by callee name and
+      location), its forward edges and its loops' bodies.  Plain data,
+      with no AST inside, so it can be marshalled and cached. *)
+
+  val local : Ast.func -> local
+  (** a pure function of the function's text.  A function whose CFG
+      cannot be built gets a local that raises {!Cfg.Build_error} when
+      the global pass reaches it. *)
+
+  val loc : local -> Loc.t
+  (** the function's location *)
+
+  val has_loop_and_event : local -> bool
+  (** does the function have a loop and a node with a non-identity
+      event? (the fixed-point ablation's test)
+      @raise Cfg.Build_error as the global pass would *)
+
+  (** {2 The global pass} *)
+
   type ctx
 
-  val create : Callgraph.t -> ctx
+  val create : (string -> local option) -> ctx
+  (** a global pass over the flow graphs [lookup] names, the functions
+      defined in the program; each name is looked up at most once *)
+
+  val find : ctx -> string -> local option
+  (** the flow graph of a name, through the lookup *)
 
   val summarize : ctx -> string -> summary option
   (** worst-case effect of running the named function, callees spliced in
-      transitively; [None] when the function is not defined *)
+      transitively; [None] when the function is not defined
+      @raise Cfg.Build_error when a reached function's CFG could not be
+      built *)
 
   val summary_of : ctx -> string -> summary option
   (** a previously computed summary, if any *)

@@ -13,7 +13,10 @@
       run, and runs against a long-lived cache shared across many
       programs (so entries from *other* programs — and from the clean
       sibling of a mutant — must never leak in) all equal the sequential
-      results;
+      results; and [cache-file]: the program split into two files,
+      checked by fresh {!Mcheck_api.Session}s on one cache file — a cold
+      fill, then a warm run after a function of the first file gains an
+      [NI_SEND] — must print what a session without a cache prints;
     + O4 [product] and [mcd-jobs1]: the production kernel
       ({!Registry.check_function}: one shared {!Prep.t} per function, one
       product-automaton scan, the dirty machines rerun) through its
@@ -58,6 +61,95 @@ let first_diff (a : string list) (b : string list) : string =
 
 let seq_check ~spec tus = Registry.run_all ~spec tus
 
+(* the leg of O3 that goes through a cache file: the functions of [tu]
+   are split between two files, so the warm run parses the edited file
+   and reuses the other, whose flow graphs the lanes unit then decodes
+   when the edit is inside its closure.  Returns the warm and the cold
+   rendering of the edited program. *)
+let file_backed ~seed (tu : Ast.tunit) : (string list * string list) option =
+  let n_funcs = List.length (Ast.functions tu) in
+  if n_funcs < 2 then None
+  else begin
+    (* the globals before the [n_funcs / 2]-th function go to the first
+       file, the rest to the second *)
+    let rec split k acc = function
+      | Ast.Gfunc _ :: _ as rest when k = n_funcs / 2 -> (List.rev acc, rest)
+      | (Ast.Gfunc _ as g) :: rest -> split (k + 1) (g :: acc) rest
+      | g :: rest -> split k (g :: acc) rest
+      | [] -> (List.rev acc, [])
+    in
+    let first, second = split 0 [] tu.Ast.tu_globals in
+    let send =
+      match
+        Frontend.parse
+          (Prelude.text
+         ^ "void S(void) { NI_SEND(MSG_NAK, F_NODATA, 0, W_NOWAIT, 1, 0); }")
+      with
+      | tu, [] -> (List.hd (Ast.functions tu)).Ast.f_body
+      | _ -> invalid_arg "Fuzz_oracle.file_backed: the send does not parse"
+    in
+    let target = seed mod (n_funcs / 2) in
+    let edited =
+      let k = ref (-1) in
+      List.map
+        (function
+          | Ast.Gfunc f ->
+            incr k;
+            if !k = target then Ast.Gfunc (Ast.with_body f (send @ f.Ast.f_body))
+            else Ast.Gfunc f
+          | g -> g)
+        first
+    in
+    let dir = Filename.temp_dir "mcfuzz" "" in
+    let write name globals =
+      let path = Filename.concat dir name in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc
+            (Pp.tunit_to_string { Ast.tu_file = name; tu_globals = globals }));
+      path
+    in
+    let cache = Filename.concat dir "check.cache" in
+    let check incremental paths =
+      let s =
+        Mcheck_api.Session.create
+          ~config:
+            {
+              Mcheck_api.default_config with
+              Mcheck_api.jobs = 2;
+              incremental;
+              cache_file = (if incremental then Some cache else None);
+            }
+          ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Mcheck_api.Session.close s)
+        (fun () ->
+          List.map
+            (Format.asprintf "%a" Diag.pp_explain)
+            (Mcheck_api.report_diags (Mcheck_api.Session.check_files s paths)))
+    in
+    let verbosity = Mcobs.get_verbosity () in
+    Mcobs.set_verbosity Mcobs.Quiet;
+    Fun.protect
+      ~finally:(fun () ->
+        Mcobs.set_verbosity verbosity;
+        let rec remove path =
+          if Sys.is_directory path then begin
+            Array.iter
+              (fun n -> remove (Filename.concat path n))
+              (Sys.readdir path);
+            Sys.rmdir path
+          end
+          else Sys.remove path
+        in
+        remove dir)
+      (fun () ->
+        let paths = [ write "fz_a.c" first; write "fz_b.c" second ] in
+        ignore (check true paths);
+        ignore (write "fz_a.c" edited);
+        Some (check true paths, check false paths))
+  end
+
 (** [check ?shared_cache ?srcs ~seed ~spec ~tus ()] runs all the oracles
     and returns the disagreements (empty = all pipelines agree).  [srcs]
     are the (file, source) pairs [tus] was parsed from on one domain;
@@ -100,6 +192,13 @@ let check ?shared_cache ?srcs ~seed ~(spec : Flash_api.spec)
     compare_mcd "cache-shared"
       (fst (Mcd.check_corpus ~cache ~jobs:2 ~spec tus))
   | None -> ());
+  (match tus with
+  | [ tu ] -> (
+    match file_backed ~seed tu with
+    | Some (warm, cold) when warm <> cold ->
+      fail "cache-file" (first_diff warm cold)
+    | _ -> ())
+  | _ -> ());
   (* O4: the kernel's sequential drivers must equal the reference *)
   compare_mcd "product" (Registry.run_all_product ~spec tus);
   compare_mcd "mcd-jobs1" (fst (Mcd.check_corpus ~jobs:1 ~spec tus));

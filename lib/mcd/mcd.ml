@@ -55,9 +55,13 @@
     function's key and callee names, each file's interface digest.  A
     warm re-check hands those facts over from its cache index, so keys
     are resolved without an AST; only then are the units obtained, and
-    only those of the files a missed unit reads.  A program held in
-    memory derives the same facts from its units when there is a
-    cache. *)
+    only those of the files a missed function batch reads.  A missed
+    whole-program unit is the checker's global pass over flow graphs
+    ({!Registry.local_pass}), the paper's link step: a warm re-check's
+    caller hands over every file's graphs, which it keeps beside the
+    units, and a program held in memory computes a function's graph
+    when the pass reaches it.  A program held in memory derives the
+    same facts from its units when there is a cache. *)
 
 type job = { spec : Flash_api.spec; tus : Ast.tunit list }
 
@@ -97,13 +101,15 @@ let spec_digest (spec : Flash_api.spec) : string =
 let func_digest file f = Option.value (Iface.func_key file f) ~default:""
 
 (* A program as the scheduler takes it: its spec, the units it holds
-   ([None]: ask [pg_fetch]) and, when the caller has them, every file's
+   ([None]: ask [pg_fetch]), where its flow graphs come from ([None]:
+   the held units) and, when the caller has them, every file's
    interface and function facts. *)
 type program = {
   pg_spec : Flash_api.spec;
   pg_units : Ast.tunit option array;
   pg_facts : Iface.t array option;
   pg_fetch : int list -> Ast.tunit list;
+  pg_locals : (int list -> Registry.local array list) option;
 }
 
 let of_job (j : job) =
@@ -112,14 +118,16 @@ let of_job (j : job) =
     pg_units = Array.of_list (List.map Option.some j.tus);
     pg_facts = None;
     pg_fetch = (fun _ -> invalid_arg "Mcd.of_job: every unit is held");
+    pg_locals = None;
   }
 
-let indexed ~spec files ~fetch =
+let indexed ~spec files ~fetch ~locals =
   {
     pg_spec = spec;
     pg_units = Array.make (Array.length files) None;
     pg_facts = Some files;
     pg_fetch = fetch;
+    pg_locals = Some locals;
   }
 
 (* what every key of a program is made of: its functions' facts in
@@ -137,6 +145,9 @@ type prepared = {
       (** file [i]'s functions are [p_first.(i) .. p_first.(i + 1) - 1] *)
   p_file : int array;  (** the file of every function, source order *)
   p_funcs : Ast.func option array;  (** every function of a held unit *)
+  p_locals : Registry.local array option array;
+      (** a file's flow graphs, its functions' in source order, once a
+          whole-program unit needs them and [pg_locals] gave them *)
   p_keys : keys option;  (** with a cache only *)
 }
 
@@ -146,6 +157,33 @@ let hold (p : prepared) i (tu : Ast.tunit) =
     invalid_arg "Mcd: a fetched unit does not match its facts";
   p.p_units.(i) <- Some tu;
   List.iteri (fun k f -> p.p_funcs.(p.p_first.(i) + k) <- Some f) fs
+
+let hold_locals (p : prepared) i (locals : Registry.local array) =
+  if Array.length locals <> p.p_first.(i + 1) - p.p_first.(i) then
+    invalid_arg "Mcd: fetched flow graphs do not match their facts";
+  p.p_locals.(i) <- Some locals
+
+let func_name (p : prepared) fn =
+  match (p.p_funcs.(fn), p.p_keys) with
+  | Some f, _ -> f.Ast.f_name
+  | None, Some k -> k.k_funcs.(fn).Iface.ff_name
+  | None, None -> assert false
+
+(* The flow graphs a whole-program unit links, by name, each name
+   standing for its last definition as {!Callgraph.find_func} picks it:
+   the fetched graphs, or, in a program held in memory, the function's
+   own, computed when the global pass asks for it. *)
+let locals_lookup (p : prepared) =
+  let defs = Hashtbl.create (Array.length p.p_funcs) in
+  Array.iteri (fun fn _ -> Hashtbl.replace defs (func_name p fn) fn) p.p_funcs;
+  fun name ->
+    Option.map
+      (fun fn ->
+        let file = p.p_file.(fn) in
+        match p.p_locals.(file) with
+        | Some locals -> locals.(fn - p.p_first.(file))
+        | None -> Registry.local_pass (Option.get p.p_funcs.(fn)))
+      (Hashtbl.find_opt defs name)
 
 (* Without a cache nothing is digested.  With one, a program that came
    with its facts (a warm re-check's index) keys every unit without an
@@ -179,6 +217,7 @@ let prepare ~cached (pg : program) : prepared =
         Array.concat
           (List.init n (fun i -> Array.make (p_first.(i + 1) - p_first.(i)) i));
       p_funcs = Array.make p_first.(n) None;
+      p_locals = Array.make n None;
       p_keys =
         Option.map
           (fun facts ->
@@ -303,11 +342,12 @@ let check_programs ?cache ?(budget = Engine.no_budget)
   let hits = ref 0 in
   let miss_slots = ref [] in
   let miss_keys = ref [] in
-  (* the files each job's missed units read: a function batch its own,
-     a whole-program unit every one *)
+  (* what each job's missed units read: a function batch its own
+     file, a whole-program unit every file's flow graphs *)
   let needed =
     Array.map (fun p -> Array.make (Array.length p.p_units) false) prepared
   in
+  let needs_locals = Array.make (Array.length prepared) false in
   (* a miss's task takes the staged checkers (sized after the domain
      clamp below) and the worker index *)
   let consider ~slot ~cname ~uname ~needs key_of run_of =
@@ -351,8 +391,7 @@ let check_programs ?cache ?(budget = Engine.no_budget)
     let p = prepared.(job) in
     let slice, fs =
       Registry.check_whole_program ~budget globals.(global)
-        ~spec:p.p_prog.pg_spec
-        (Array.to_list (Array.map Option.get p.p_units))
+        ~spec:p.p_prog.pg_spec (locals_lookup p)
     in
     store ~slot ([| slice |], fs)
   in
@@ -367,8 +406,7 @@ let check_programs ?cache ?(budget = Engine.no_budget)
             (fun global (c : Registry.checker) ->
               let slot = base.(job) + nf + global in
               consider ~slot ~cname:c.Registry.name ~uname:"<whole-program>"
-                ~needs:(fun () ->
-                  Array.fill needed.(job) 0 (Array.length needed.(job)) true)
+                ~needs:(fun () -> needs_locals.(job) <- true)
                 (fun () -> Option.bind p.p_keys (fun k -> global_key p k c))
                 (run_global ~slot ~job ~global))
             globals)
@@ -377,31 +415,29 @@ let check_programs ?cache ?(budget = Engine.no_budget)
         (fun job p ->
           for fn = 0 to Array.length p.p_funcs - 1 do
             let slot = base.(job) + fn in
-            let uname =
-              match (p.p_funcs.(fn), p.p_keys) with
-              | Some f, _ -> f.Ast.f_name
-              | None, Some k -> k.k_funcs.(fn).Iface.ff_name
-              | None, None -> assert false
-            in
-            consider ~slot ~cname:"fnbatch" ~uname
+            consider ~slot ~cname:"fnbatch" ~uname:(func_name p fn)
               ~needs:(fun () -> needed.(job).(p.p_file.(fn)) <- true)
               (fun () ->
                 Option.bind p.p_keys (fun k -> batch_key ~pf_digest k fn))
               (run_batch ~slot ~job ~fn)
           done)
         prepared);
-  (* only now are ASTs obtained, and only the files the missed units
-     read: each job's caller decodes them (on the pool) before any unit
-     runs *)
+  (* only now are ASTs obtained, and only the files the missed
+     function batches read; a missed whole-program unit then needs
+     every file's flow graphs.  Each job's caller decodes both (on the
+     pool) before any unit runs. *)
   Array.iteri
     (fun job p ->
+      let files = List.init (Array.length p.p_units) Fun.id in
       let missing =
-        List.filter
-          (fun i -> needed.(job).(i) && p.p_units.(i) = None)
-          (List.init (Array.length p.p_units) Fun.id)
+        List.filter (fun i -> needed.(job).(i) && p.p_units.(i) = None) files
       in
       if missing <> [] then
-        List.iter2 (hold p) missing (p.p_prog.pg_fetch missing))
+        List.iter2 (hold p) missing (p.p_prog.pg_fetch missing);
+      match p.p_prog.pg_locals with
+      | Some locals when needs_locals.(job) ->
+        List.iter2 (hold_locals p) files (locals files)
+      | _ -> ())
     prepared;
   (* never spawn more domains than the host has cores, nor than there
      are units to run: extra domains only add minor-GC contention, so

@@ -23,7 +23,9 @@
     never cached, nor is a whole-program unit whose closure holds one.
     Every key comes from the files' {!Iface.t} facts, so a program
     whose units are still in a cache ({!indexed}) is keyed without an
-    AST, and only the files a missed unit reads are obtained. *)
+    AST, and only the files a missed function batch reads are obtained;
+    a missed whole-program unit links every file's flow graphs
+    ({!Registry.local_pass}) instead of reading their units. *)
 
 type job = {
   spec : Flash_api.spec;
@@ -63,14 +65,18 @@ val indexed :
   spec:Flash_api.spec ->
   Iface.t array ->
   fetch:(int list -> Ast.tunit list) ->
+  locals:(int list -> Registry.local array list) ->
   program
 (** a program known by its files' interfaces and function facts (a
     warm re-check's cache index), in file order.  After every key is
     resolved, and before any unit runs, [fetch] is called once, on the
     calling domain, with the indices (ascending) of the files the
-    missed units read — a function batch its own file, a whole-program
-    unit every file — and returns their annotated units in that order.
-    It is not called when every unit hits. *)
+    missed function batches read, and returns their annotated units in
+    that order.  Then, when a whole-program unit missed, [locals] is
+    called once with every file's index, and returns each one's flow
+    graphs ({!Registry.local_pass} of its functions, in source order),
+    which the global pass links.  Neither is called when every unit
+    hits. *)
 
 val check_programs :
   ?cache:Mcd_cache.t ->

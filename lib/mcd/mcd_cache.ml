@@ -43,6 +43,7 @@ type unit_entry = {
   u_iface : Iface.t;
   u_diags : Diag.t list;
   u_blob : string;
+  u_locals : string;
 }
 
 type t = {
@@ -61,7 +62,7 @@ type t = {
 }
 
 (* bump when the key derivation or the marshalled shape changes *)
-let format_tag = "mcd-cache-v6" (* v6: interfaces and facts in the index *)
+let format_tag = "mcd-cache-v7" (* v7: flow-graph blobs *)
 
 (* the container: [payload][magic 8][payload length 8][MD5(payload) 16] *)
 let footer_magic = "MCDCACH1"
@@ -162,14 +163,27 @@ let unit_key ?(build = Cfront_build.digest) ~file ~scope src =
 
 let find_unit c file = locked c (fun () -> Hashtbl.find_opt c.units file)
 
+(* a blob and its name, held until the next save writes it; call with
+   the lock held *)
+let hold_blob c blob =
+  let name = Digest.to_hex (Digest.string blob) in
+  Hashtbl.replace c.fresh name blob;
+  c.dirty <- true;
+  name
+
+(* Flow graphs keep their sharing: they are small, and the locations
+   inside one share their file name. *)
+let locals_blob (locals : Registry.local array) = Marshal.to_string locals []
+
 (* Without sharing: a blob that keeps the AST's shared locations and
    types shared is a third of the size and decodes about a fifth faster,
    but marshalling it takes twice as long, and every re-parsed file pays
    that on the warm path (measured on the seed-3 corpus: the cache fill
    and the median warm re-check both got slower). *)
-let store_unit c ~file ~key ~typedefs ~env ~iface ~diags (tu : Ast.tunit) =
+let store_unit c ~file ~key ~typedefs ~env ~iface ~diags ~locals
+    (tu : Ast.tunit) =
   let blob = Marshal.to_string tu [ Marshal.No_sharing ] in
-  let name = Digest.to_hex (Digest.string blob) in
+  let locals = locals_blob locals in
   locked c (fun () ->
       Hashtbl.replace c.units file
         {
@@ -178,17 +192,24 @@ let store_unit c ~file ~key ~typedefs ~env ~iface ~diags (tu : Ast.tunit) =
           u_env = env;
           u_iface = iface;
           u_diags = diags;
-          u_blob = name;
-        };
-      Hashtbl.replace c.fresh name blob;
-      c.dirty <- true)
+          u_blob = hold_blob c blob;
+          u_locals = hold_blob c locals;
+        })
+
+let store_locals c ~file locals =
+  let blob = locals_blob locals in
+  locked c (fun () ->
+      match Hashtbl.find_opt c.units file with
+      | Some e ->
+        Hashtbl.replace c.units file { e with u_locals = hold_blob c blob }
+      | None -> invalid_arg "Mcd_cache.store_locals: no entry")
 
 let sidecar path = path ^ ".ast"
 
 (* [Marshal.from_channel] only runs on bytes whose MD5 is the blob's
    name, and only a build whose key matched looks the blob up *)
-let read_unit ~path (e : unit_entry) =
-  match open_in_bin (Filename.concat (sidecar path) e.u_blob) with
+let read_blob ~path name =
+  match open_in_bin (Filename.concat (sidecar path) name) with
   | exception Sys_error _ -> Error `Missing
   | ic ->
     Fun.protect
@@ -198,12 +219,18 @@ let read_unit ~path (e : unit_entry) =
            only by [rename], never written in place *)
         match Digest.channel ic (-1) with
         | exception _ -> Error `Corrupt
-        | d when not (String.equal (Digest.to_hex d) e.u_blob) -> Error `Corrupt
+        | d when not (String.equal (Digest.to_hex d) name) -> Error `Corrupt
         | _ -> (
           seek_in ic 0;
-          match (Marshal.from_channel ic : Ast.tunit) with
-          | u -> Ok u
+          match Marshal.from_channel ic with
+          | v -> Ok v
           | exception _ -> Error `Corrupt))
+
+let read_unit ~path (e : unit_entry) : (Ast.tunit, _) result =
+  read_blob ~path e.u_blob
+
+let read_locals ~path (e : unit_entry) : (Registry.local array, _) result =
+  read_blob ~path e.u_locals
 
 let is_blob_name name =
   String.length name = 32
@@ -211,7 +238,11 @@ let is_blob_name name =
 
 let named_blobs c =
   let named = Hashtbl.create 64 in
-  Hashtbl.iter (fun _ e -> Hashtbl.replace named e.u_blob ()) c.units;
+  Hashtbl.iter
+    (fun _ e ->
+      Hashtbl.replace named e.u_blob ();
+      Hashtbl.replace named e.u_locals ())
+    c.units;
   named
 
 (* the blobs stored since the last save that the index still names *)

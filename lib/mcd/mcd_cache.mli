@@ -23,11 +23,12 @@ val save : t -> string -> unit
 (** atomic: the marshalled table and unit index plus a magic / length /
     digest footer is written to a temp file in the destination directory
     and renamed into place, so a crash mid-save leaves the previous cache
-    file intact.  The unit blobs stored since the last save are written
-    first, each the same way, into the sidecar directory [FILE.ast/];
-    after the index lands, every blob there that it does not name is
-    removed.  A cache loaded from or last saved to [FILE], with no
-    {!add}, {!store_unit} or {!merge} since, writes nothing. *)
+    file intact.  The unit and flow-graph blobs stored since the last
+    save are written first, each the same way, into the sidecar
+    directory [FILE.ast/]; after the index lands, every blob there that
+    it does not name is removed.  A cache loaded from or last saved to
+    [FILE], with no {!add}, {!store_unit}, {!store_locals} or {!merge}
+    since, writes nothing. *)
 
 val load : string -> t
 (** a missing, truncated, corrupt, or stale-format file yields an empty
@@ -41,10 +42,12 @@ val load : string -> t
     unit, so a warm re-check parses only the files that changed.  The
     index maps a file's path to one {!unit_entry}: the file's interface,
     its functions' facts and its [lex]/[parse] diagnostics, which are
-    all a warm re-check reads of a file whose units all hit.  The unit
-    itself is a blob marshalled without sharing into [FILE.ast/<md5>],
-    named by the MD5 of its bytes, and decoded only when a unit that
-    runs needs it. *)
+    all a warm re-check reads of a file whose units all hit.  The
+    sidecar [FILE.ast/] holds two blobs per file, each named by the MD5
+    of its bytes: the unit itself, marshalled without sharing and
+    decoded only when a function batch that runs needs it, and its
+    functions' flow graphs ({!Registry.local_pass}), decoded when the
+    whole-program unit runs. *)
 
 type unit_entry = {
   u_key : string;  (** {!unit_key} of the text the unit was parsed from *)
@@ -56,15 +59,17 @@ type unit_entry = {
           was annotated in *)
   u_iface : Iface.t;  (** the file's interface and function facts *)
   u_diags : Diag.t list;  (** the parse's [lex]/[parse] diagnostics *)
-  u_blob : string;  (** the blob's name: the hex MD5 of its bytes *)
+  u_blob : string;  (** the unit blob's name: the hex MD5 of its bytes *)
+  u_locals : string;  (** the flow-graph blob's name *)
 }
 
 val unit_key : ?build:string -> file:string -> scope:string list -> string -> string
 (** the key of one file's parse: the MD5 of its source text, its path,
     the typedef names in scope (as the parser receives them) and the
     front-end build digest [build] (default {!Cfront_build.digest}) with
-    the OCaml version — everything a parse depends on, so an equal key
-    means an equal unit, and no build reads a blob another build wrote *)
+    the OCaml version — everything a parse and its flow graphs depend
+    on, so an equal key means an equal unit, and no build reads a blob
+    another build wrote *)
 
 val find_unit : t -> string -> unit_entry option
 (** the index entry of a path *)
@@ -77,10 +82,17 @@ val store_unit :
   env:string ->
   iface:Iface.t ->
   diags:Diag.t list ->
+  locals:Registry.local array ->
   Ast.tunit ->
   unit
-(** marshal an annotated unit into a blob, index it under [file] with
-    its facts, and hold the blob until the next {!save} writes it *)
+(** marshal an annotated unit and its functions' flow graphs into two
+    blobs, index them under [file] with its facts, and hold the blobs
+    until the next {!save} writes them *)
+
+val store_locals : t -> file:string -> Registry.local array -> unit
+(** replace the flow-graph blob of [file]'s entry (one that was missing
+    or corrupt)
+    @raise Invalid_argument when [file] has no entry *)
 
 val read_unit :
   path:string -> unit_entry -> (Ast.tunit, [ `Missing | `Corrupt ]) result
@@ -88,6 +100,12 @@ val read_unit :
     [path]; the bytes' MD5 is checked against the blob's name before
     they are unmarshalled.  Touches no cache state, so it may run on any
     domain. *)
+
+val read_locals :
+  path:string ->
+  unit_entry ->
+  (Registry.local array, [ `Missing | `Corrupt ]) result
+(** the same for an entry's flow-graph blob *)
 
 (** {2 Multi-writer cache directories}
 

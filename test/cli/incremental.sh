@@ -4,8 +4,10 @@
 # cache, on a warm run, on a warm run after one file is edited, and on
 # warm runs after the unit blobs are truncated: one that needs no blob,
 # one that needs the damaged blob and parses the file again, and one
-# that decodes the repaired blob.  The warm runs must also have reused
-# the front end as expected (the -v "front end:" line).
+# that decodes the repaired blob; and on warm runs inside the lanes
+# closure after the blobs are damaged again, where the other file's
+# flow graphs are needed, not its unit.  The warm runs must also have
+# reused the front end as expected (the -v "front end:" line).
 #
 #   sh incremental.sh MCHECK TYPES.c HANDLERS.c
 set -eu
@@ -58,3 +60,14 @@ printf '\nvoid Extra2(void) { word y; y = 3; }\n' >>handlers.c
 same truncated "0 file(s) reused, 2 parsed (1 blob(s) failed)"
 printf '\nvoid Extra3(void) { word y; y = 4; }\n' >>handlers.c
 same repaired "1 file(s) reused, 1 parsed (0 blob(s) failed), annotations redone; 1 blob(s) decoded"
+# an inert edit to the handler H re-runs the lanes unit, which needs
+# types.c's flow graphs and not its unit; the damaged flow-graph blob
+# falls back to the unit, whose blob is damaged too, so types.c is
+# parsed again and both blobs are stored again
+for blob in check.cache.ast/*; do
+  printf x >>"$blob"
+done
+sed 's/w = 1;/w = 1; ;/' handlers.c >edited.c && mv edited.c handlers.c
+same lanes_damaged "0 file(s) reused, 2 parsed (1 blob(s) failed), annotations reused; 0 blob(s) decoded; 0 local(s) decoded"
+sed 's/w = 1;/w = 1; ;/' handlers.c >edited.c && mv edited.c handlers.c
+same lanes_repaired "1 file(s) reused, 1 parsed (0 blob(s) failed), annotations reused; 0 blob(s) decoded; 1 local(s) decoded"

@@ -458,6 +458,21 @@ let check_warm_is_cold ?jobs what cache paths =
   Alcotest.(check string) what (explained cold) (explained warm);
   warm
 
+(* the unit and flow-graph blobs the index of [cache] names for
+   [paths], and the blobs its sidecar holds, sorted *)
+let named_blobs cache paths =
+  let c = Mcd_cache.load cache in
+  List.sort_uniq compare
+    (List.concat_map
+       (fun p ->
+         let e = Option.get (Mcd_cache.find_unit c p) in
+         [ e.Mcd_cache.u_blob; e.Mcd_cache.u_locals ])
+       paths)
+
+let ( >> ) f g x = g (f x)
+
+let sidecar_blobs cache = Array.to_list (Sys.readdir (cache ^ ".ast"))
+
 let types_c = "typedef int word;\nlong g;\n"
 let uses_g = "void H(void) { word w; w = 1; g = g + 1; g = 2; }\n"
 let b_c = "void B(void) { word x; x = 2; }\n" ^ buggy_src ^ "\n"
@@ -504,6 +519,7 @@ let reuse_cases =
       (fun () ->
         in_temp_dir "api_reuse" @@ fun dir ->
         let cache = Filename.concat dir "check.cache" in
+        let used = ref [] in
         List.iteri
           (fun i (what, prog) ->
             let paths = write_program dir prog in
@@ -513,6 +529,19 @@ let reuse_cases =
             in
             Alcotest.(check int) (what ^ ": no blob failed") 0
               (List.assoc "corrupt" counts + List.assoc "missing" counts);
+            (* every blob the index names is kept, and superseded ones
+               are pruned: at most a unit and a flow-graph blob for each
+               path the sequence has used *)
+            let held = sidecar_blobs cache in
+            Alcotest.(check (list string))
+              (what ^ ": the named blobs are kept")
+              (named_blobs cache paths)
+              (List.filter (fun b -> List.mem b held) (named_blobs cache paths));
+            used := List.sort_uniq compare (paths @ !used);
+            Alcotest.(check bool)
+              (what ^ ": superseded blobs are pruned")
+              true
+              (List.length held <= 2 * List.length !used);
             if what = "long g -> double g" then
               Alcotest.(check int) "the six [no_float] lines" 6
                 (List.length
@@ -550,29 +579,54 @@ let reuse_cases =
                    cache (write_program dir prog))
             done)
           [ 1; 2; 3 ]);
-    t "a deleted, truncated or flipped blob is parsed again when needed"
-      `Quick (fun () ->
+    t "a deleted, truncated or flipped blob is rebuilt when needed" `Quick
+      (fun () ->
         in_temp_dir "api_blob" @@ fun dir ->
         let cache = Filename.concat dir "check.cache" in
         let paths = write_program dir (snd (List.hd reuse_programs)) in
+        let n = List.length paths in
         let a_c = List.nth paths 1 in
         let entry () =
           Option.get (Mcd_cache.find_unit (Mcd_cache.load cache) a_c)
         in
-        let blob () =
-          Filename.concat (cache ^ ".ast") (entry ()).Mcd_cache.u_blob
-        in
-        (* a new inert edit to the handler B in b.c: its batch and the
-           lanes unit, whose closure holds every handler, miss, so the
-           check needs every file, a.c's damaged blob included *)
-        let edit k =
+        let semicolons = ref 0 and added = ref 0 in
+        let write_b_c () =
           ignore
             (write_program dir
                [
                  ( "b.c",
-                   "void B(void) { word x; x = 2;" ^ String.make k ';' ^ " }\n"
-                   ^ buggy_src ^ "\n" );
+                   "void B(void) { word x; x = 2;"
+                   ^ String.make !semicolons ';'
+                   ^ " }\n"
+                   ^ buggy_src ^ "\n"
+                   ^ String.concat ""
+                       (List.init !added (Printf.sprintf "void C%d(void) { }\n"))
+                 );
                ])
+        in
+        (* a unit blob is needed when the program's interface changes (a
+           function added to b.c): every file is annotated again.  A
+           flow-graph blob is needed when the lanes unit runs (a new inert
+           edit to the handler B in b.c; its closure holds every handler),
+           and a.c's unit is then decoded to rebuild it.  Either way a.c is
+           not parsed unless its unit blob failed. *)
+        let kinds =
+          [
+            ( "unit",
+              (fun e -> e.Mcd_cache.u_blob),
+              (fun () ->
+                incr added;
+                write_b_c ()),
+              Mcd_cache.read_unit ~path:cache >> Result.is_ok,
+              [ ("hit", n - 2); ("miss", 1); ("decoded", 1) ] );
+            ( "flow-graph",
+              (fun e -> e.Mcd_cache.u_locals),
+              (fun () ->
+                incr semicolons;
+                write_b_c ()),
+              Mcd_cache.read_locals ~path:cache >> Result.is_ok,
+              [ ("hit", n - 1); ("miss", 1); ("decoded", 1) ] );
+          ]
         in
         ignore (warm_check cache paths);
         let damage =
@@ -592,29 +646,33 @@ let reuse_cases =
                 Mcheck_api.write_file f (Bytes.to_string s) );
           ]
         in
-        List.iteri
-          (fun k (failure, damage) ->
-            damage (blob ());
-            edit (k + 1);
-            let _, counts =
-              counting [ "hit"; "miss"; failure ] (fun () ->
-                  check_warm_is_cold ("blob " ^ failure) cache paths)
-            in
-            Alcotest.(check (list (pair string int)))
-              ("blob " ^ failure ^ ": one failure, the edit parsed, the rest \
-                reused")
-              [ ("hit", List.length paths - 2); ("miss", 1); (failure, 1) ]
-              counts;
-            (* the failed file's blob was written again *)
-            Alcotest.(check bool) "its blob decodes" true
-              (Result.is_ok (Mcd_cache.read_unit ~path:cache (entry ())));
-            let _, counts =
-              counting [ "hit" ] (fun () ->
-                  check_warm_is_cold "after the failure" cache paths)
-            in
-            Alcotest.(check int) "every file reused" (List.length paths)
-              (List.assoc "hit" counts))
-          damage);
+        List.iter
+          (fun (kind, blob, edit, readable, want) ->
+            List.iter
+              (fun (failure, damage) ->
+                let what = kind ^ " blob " ^ failure in
+                damage (Filename.concat (cache ^ ".ast") (blob (entry ())));
+                edit ();
+                let _, counts =
+                  counting
+                    (List.map fst want @ [ failure ])
+                    (fun () -> check_warm_is_cold what cache paths)
+                in
+                Alcotest.(check (list (pair string int)))
+                  (what ^ ": one failure, b.c parsed, a.c's unit decoded")
+                  (want @ [ (failure, 1) ])
+                  counts;
+                Alcotest.(check bool) (what ^ ": written again") true
+                  (readable (entry ()));
+                let _, counts =
+                  counting [ "hit" ] (fun () ->
+                      check_warm_is_cold (what ^ ", after the failure") cache
+                        paths)
+                in
+                Alcotest.(check int) "every file reused" n
+                  (List.assoc "hit" counts))
+              damage)
+          kinds);
     t "warm re-checks decode only the files the units that run read"
       `Quick (fun () ->
         in_temp_dir "api_decode" @@ fun dir ->
@@ -627,16 +685,17 @@ let reuse_cases =
         and d_c body =
           "int dead(word v) { v = v + 1;" ^ body ^ " return v; }\n"
         in
-        let check what prog ~decoded ~run =
+        let check what prog ~decoded ~locals ~run =
           let paths = write_program dir prog in
           let cold = cold_check paths in
           let warm, moved = registry_moved (fun () -> warm_check cache paths) in
           Alcotest.(check string) what (explained cold) (explained warm);
           Alcotest.(check (list (pair string int)))
             (what ^ ": blobs decoded, units run")
-            [ ("decoded", decoded); ("run", run) ]
+            [ ("decoded", decoded); ("locals", locals); ("run", run) ]
             [
               ("decoded", moved "cfront.reuse.decoded");
+              ("locals", moved "cfront.reuse.locals_decoded");
               ("run", moved "mcheck_units_run_total");
             ]
         in
@@ -644,13 +703,15 @@ let reuse_cases =
           [ ("types.c", types_c); ("h.c", h_c h); ("d.c", d_c d) ]
         in
         ignore (warm_check cache (write_program dir (prog "" "")));
-        check "no edit" (prog "" "") ~decoded:0 ~run:0;
+        check "no edit" (prog "" "") ~decoded:0 ~locals:0 ~run:0;
         check "an inert edit outside the lanes closure" (prog "" " ;")
-          ~decoded:0 ~run:1;
-        (* step's batch and the lanes unit, which reads every file *)
+          ~decoded:0 ~locals:0 ~run:1;
+        (* step's batch, which reads h.c, parsed again, and the lanes
+           unit, which links every file's flow graphs: h.c's were
+           computed with its parse, the other two files' are decoded *)
         check "an inert edit inside the lanes closure" (prog " ;" " ;")
-          ~decoded:2 ~run:2;
-        check "no edit, again" (prog " ;" " ;") ~decoded:0 ~run:0);
+          ~decoded:0 ~locals:2 ~run:2;
+        check "no edit, again" (prog " ;" " ;") ~decoded:0 ~locals:0 ~run:0);
     t "a reused file with parse errors still reports its diagnostics"
       `Quick (fun () ->
         in_temp_dir "api_diags" @@ fun dir ->
@@ -718,6 +779,7 @@ let reuse_cases =
           ~typedefs:e.Mcd_cache.u_typedefs ~env:e.Mcd_cache.u_env
           ~iface:e.Mcd_cache.u_iface
           ~diags:[ Diag.make ~checker:"parse" ~loc:Loc.none ~func:"" "other" ]
+          ~locals:(Result.get_ok (Mcd_cache.read_locals ~path:cache e))
           { u with Ast.tu_file = "another build" };
         Mcd_cache.save c cache;
         let other = Option.get (Mcd_cache.find_unit (Mcd_cache.load cache) types_path) in

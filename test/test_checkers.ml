@@ -297,8 +297,93 @@ let lanes_cases =
         | [ d ] ->
           Alcotest.(check bool) "trace" true (List.length d.Diag.trace >= 2)
         | _ -> Alcotest.fail "expected one diagnostic");
+    t "a space check with nothing after it is no burst" `Quick (fun () ->
+        Alcotest.(check (list string)) "diags" []
+          (List.map
+             (fun d -> d.Diag.message)
+             (lanes_diags "void H(void) { WAIT_FOR_OUTPUT_SPACE(2); }")));
+  ]
+
+(* Recursion and loops through calls, where the global pass's order of
+   resolving call sites decides which member of a cycle is summarised
+   first.  Pinned: the md5 of the [--explain] rendering with and without
+   the fixed-point rule, as the checker printed it before the local and
+   global passes were split. *)
+let lanes_pinned_programs =
+  let send op = Printf.sprintf "NI_SEND(%s, F_NODATA, 0, W_NOWAIT, 1, 0);" op in
+  let nak = send "MSG_NAK" in
+  [
+    ( "recursive cycle with sends",
+      Printf.sprintf "void R(void) { %s if (c) { R(); } }\nvoid H(void) { R(); }"
+        nak );
+    ( "mutual recursion",
+      Printf.sprintf
+        "void A(void) { if (c) { B(); } }\nvoid B(void) { %s A(); }\nvoid \
+         H(void) { A(); B(); }"
+        nak );
+    ( "loop body calls a sending function",
+      Printf.sprintf "void S(void) { %s }\nvoid H(void) { while (c) { S(); } }"
+        nak );
+    ( "loop body calls a covered sender",
+      Printf.sprintf
+        "void T(void) { WAIT_FOR_OUTPUT_SPACE(3); %s }\nvoid H(void) { for (i \
+         = 0; i < 4; i++) { T(); } T(); %s }"
+        nak (send "MSG_WB_ACK") );
+    ( "calls in conditions and arguments",
+      Printf.sprintf
+        "int S(void) { %s return 1; }\nint G(int a) { %s return a; }\nvoid \
+         H(void) { x = c ? S() : G(S()); if (G(S())) { S(); } }"
+        nak (send "MSG_GET") );
+    ( "recursion through both operands of a binary operator",
+      Printf.sprintf
+        "int A(void) { %s B(); return 1; }\nint B(void) { A(); %s %s return \
+         1; }\nvoid H(void) { x = A() + B(); }"
+        nak nak nak );
+    ( "recursion through a conditional expression",
+      Printf.sprintf
+        "int A(void) { %s B(); return 1; }\nint B(void) { A(); %s %s return \
+         1; }\nvoid H(void) { x = c ? A() : B(); y = A() ? B() : 0; }"
+        nak nak nak );
+    ( "recursion through call arguments",
+      Printf.sprintf
+        "int A(int a) { %s B(0); return 1; }\nint B(int b) { A(0); %s %s \
+         return 1; }\nvoid H(void) { x = B(A(0)); }"
+        nak nak nak );
+  ]
+
+let lanes_pinned_cases =
+  [
+    t "recursion and loops through calls are pinned" `Quick (fun () ->
+        let spec = spec_for ~allowance:[| 0; 0; 1; 1 |] [ "H" ] in
+        let buf = Buffer.create 4096 in
+        let ppf = Format.formatter_of_buffer buf in
+        List.iter
+          (fun (name, src) ->
+            List.iter
+              (fun fixed_point ->
+                Format.fprintf ppf "== %s (%b)@." name fixed_point;
+                List.iter
+                  (fun d -> Format.fprintf ppf "%a@." Diag.pp_explain d)
+                  (Lane_checker.run ~fixed_point ~spec (parse src)))
+              [ true; false ])
+          lanes_pinned_programs;
+        Format.pp_print_flush ppf ();
+        let out = Buffer.contents buf in
+        let mentions sub =
+          let n = String.length sub in
+          let rec go i =
+            i + n <= String.length out && (String.sub out i n = sub || go (i + 1))
+          in
+          go 0
+        in
+        Alcotest.(check bool) "a cycle is reported" true
+          (mentions "recursive cycle performs sends");
+        Alcotest.(check bool) "a loop is reported" true
+          (mentions "loop body performs sends");
+        Alcotest.(check string) "md5" "6abb35a72be107b1c69fd1d07d1172f3"
+          (Digest.to_hex (Digest.string out)));
   ]
 
 let suite =
   ("checkers (race, len, buffer, lanes)",
-   race_cases @ len_cases @ buf_cases @ lanes_cases)
+   race_cases @ len_cases @ buf_cases @ lanes_cases @ lanes_pinned_cases)

@@ -484,3 +484,63 @@ let degraded_cases =
 let suite =
   let name, cases0 = suite in
   (name, cases0 @ degraded_cases)
+
+(* The lanes checker, pinned: the md5 of every protocol's lanes
+   diagnostics for corpus seeds 0-3 with their real specs, plain, with
+   [--explain] witnesses, and without the fixed-point rule (the
+   ablation), as printed before the checker's local and global passes
+   were split. *)
+let lanes_digest ?fixed_point ~render seed =
+  let buf = Buffer.create 65536 in
+  let ppf = Format.formatter_of_buffer buf in
+  List.iter
+    (fun (p : Corpus.protocol) ->
+      Format.fprintf ppf "== %s@." p.Corpus.name;
+      List.iter
+        (fun d -> Format.fprintf ppf "%a@." render d)
+        (Lane_checker.run ?fixed_point ~spec:p.Corpus.spec p.Corpus.tus))
+    (Corpus.generate ~seed ()).Corpus.protocols;
+  Format.pp_print_flush ppf ();
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pinned_lanes_digests =
+  [
+    ( 0,
+      ( "0b0d07e5a16d26c93183821739324d20",
+        "5c8ba1519f9bdf4f2588e31b4836a5ab",
+        "48868090daebf487769e829d8317bfd0" ) );
+    ( 1,
+      ( "ff12878489487cc5618de6a4841703b1",
+        "c0cae4af5fa08aaee0bf508d62d04028",
+        "b33a6e0b4e0ec5a67fa226d412cc96e7" ) );
+    ( 2,
+      ( "5d43ecc2373798f1cd9e036859a97572",
+        "9655d5d034a4130c4684fbfcf352ab53",
+        "e25e4301e518145373d332dc5e269505" ) );
+    ( 3,
+      ( "25c15e210d220437a0759cdc0732e7eb",
+        "1b0698b886286aa06bc8cd890e79be9d",
+        "e563e3ce54aa2e02105c92e206809be8" ) );
+  ]
+
+let lanes_cases =
+  [
+    Alcotest.test_case "lanes output is pinned (corpus seeds 0-3)" `Slow
+      (fun () ->
+        List.iter
+          (fun (seed, (plain, explain, ablation)) ->
+            let check what want got =
+              Alcotest.(check string)
+                (Printf.sprintf "seed %d %s" seed what)
+                want got
+            in
+            check "plain" plain (lanes_digest ~render:Diag.pp seed);
+            check "explain" explain (lanes_digest ~render:Diag.pp_explain seed);
+            check "no fixed point" ablation
+              (lanes_digest ~fixed_point:false ~render:Diag.pp_explain seed))
+          pinned_lanes_digests);
+  ]
+
+let suite =
+  let name, cases0 = suite in
+  (name, cases0 @ lanes_cases)

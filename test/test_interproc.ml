@@ -1,5 +1,8 @@
 (** Inter-procedural summary framework tests, using a simple send-counting
-    domain (a one-lane version of the lanes checker's). *)
+    domain (a one-lane version of the lanes checker's).  Every case runs
+    the two passes apart: the local pass over each function, then the
+    global pass over a marshalled copy of the flow graphs, as a cache
+    hands them over. *)
 
 let t = Alcotest.test_case
 
@@ -7,7 +10,11 @@ module Count = struct
   type t = { sum : int; peak : int }
 
   let zero = { sum = 0; peak = min_int }
-  let seq a b = { sum = a.sum + b.sum; peak = max a.peak (a.sum + b.peak) }
+  let seq a b =
+    {
+      sum = a.sum + b.sum;
+      peak = (if b.peak = min_int then a.peak else max a.peak (a.sum + b.peak));
+    }
   let join a b = { sum = max a.sum b.sum; peak = max a.peak b.peak }
   let equal a b = a.sum = b.sum && a.peak = b.peak
   let loop_safe t = t.sum <= 0
@@ -40,10 +47,17 @@ end
 
 module A = Interproc.Make (Client)
 
-let summarize src root =
+let locals src =
   let tus = [ Parsed.ok (Frontend.parse ~file:"t.c" src) ] in
-  let cg = Callgraph.build tus in
-  let ctx = A.create cg in
+  let table = Hashtbl.create 8 in
+  List.iter
+    (fun f -> Hashtbl.replace table f.Ast.f_name (A.local f))
+    (List.concat_map Ast.functions tus);
+  (Marshal.from_string (Marshal.to_string table []) 0
+    : (string, A.local) Hashtbl.t)
+
+let summarize src root =
+  let ctx = A.create (Hashtbl.find_opt (locals src)) in
   (ctx, A.summarize ctx root)
 
 let peak s = (Option.get s).A.effect_.Count.peak
@@ -116,6 +130,26 @@ let cases =
     t "unknown root returns None" `Quick (fun () ->
         let _, s = summarize "void h(void) { }" "nope" in
         Alcotest.(check bool) "none" true (s = None));
+    t "a CFG build error waits until its function is reached" `Quick
+      (fun () ->
+        let src = "void bad(void) { break; }\nvoid h(void) { send(); }" in
+        let _, s = summarize src "h" in
+        Alcotest.(check int) "unreached: peak" 1 (peak s);
+        match summarize src "bad" with
+        | exception Cfg.Build_error _ -> ()
+        | _ -> Alcotest.fail "expected Cfg.Build_error");
+    t "each name is looked up once" `Quick (fun () ->
+        let table = locals "void a(void) { send(); }\nvoid h(void) { a(); a(); a(); }" in
+        let asked = ref [] in
+        let ctx =
+          A.create (fun name ->
+              asked := name :: !asked;
+              Hashtbl.find_opt table name)
+        in
+        ignore (A.summarize ctx "h");
+        ignore (A.find ctx "a");
+        Alcotest.(check (list string)) "asked" [ "a"; "h"; "send" ]
+          (List.sort compare !asked));
   ]
 
 let suite = ("interproc", cases)

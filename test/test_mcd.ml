@@ -631,6 +631,51 @@ let key_tests =
         Alcotest.(check int) "nothing stored" stored (Mcd_cache.size cache));
   ]
 
+(* An indexed program (a warm re-check's) after an edit to a callee
+   of the handler: the edited file's batch needs its unit, and the
+   lanes unit links every file's flow graphs, never their units. *)
+let linked_tests =
+  [
+    t "a missed lanes unit links every file's flow graphs" `Quick
+      (fun () ->
+        let files send =
+          [
+            ("a.c", "void Helper(void) {" ^ send ^ " }\n");
+            ("b.c", handler_with_sends 1 ^ "void G(void) { Helper(); }\n");
+            ("c.c", "int dead(int v) { return v; }\n");
+          ]
+        in
+        let cache = Mcd_cache.create () in
+        ignore (check_files ~cache (files ""));
+        let job =
+          job_from_files (files " NI_SEND(MSG_NAK, F_NODATA, 0, W_NOWAIT, 1, 0);")
+        in
+        let tus = Array.of_list job.Mcd.tus in
+        let asked = ref [] in
+        let ask what f is =
+          asked := (what, is) :: !asked;
+          List.map (fun i -> f tus.(i)) is
+        in
+        let program =
+          Mcd.indexed ~spec:job.Mcd.spec
+            (Array.map Iface.of_tunit tus)
+            ~fetch:(ask "units" Fun.id)
+            ~locals:
+              (ask "locals" (fun tu ->
+                   Array.of_list (List.map Registry.local_pass (Ast.functions tu))))
+        in
+        let warm, stats = Mcd.check_programs ~cache ~jobs:1 [ program ] in
+        Alcotest.(check (list (pair string (list int))))
+          "a.c's unit, then every file's flow graphs"
+          [ ("units", [ 0 ]); ("locals", [ 0; 1; 2 ]) ]
+          (List.rev !asked);
+        Alcotest.(check int) "Helper's batch and lanes" 2 stats.Mcd.units_run;
+        Alcotest.(check (list string)) "warm = cold"
+          (render (Registry.run_all ~spec:job.Mcd.spec job.Mcd.tus))
+          (render (List.hd warm)));
+  ]
+
 let suite =
   ( "mcd",
-    pool_tests @ identity_tests @ incremental_tests @ key_tests )
+    pool_tests @ identity_tests @ incremental_tests @ key_tests @ linked_tests
+  )
